@@ -9,10 +9,9 @@ the two, and integer index pairings with three independent routes.
 from .numerics import (CircleGrid, FourierOperator, compact_tail_norm,
                        fourier_coefficients, inverse_fourier, operator_norm,
                        svd_kernel_dim)
-from .partition import DyadicPartition, SmoothStep, build_partition, eval_gamma
+from .partition import DyadicPartition, SmoothStep, build_partition
 from .symbols import (CutFunction, HomogeneousSymbol, Loop, RadialProfile,
-                      Symbol, SymbolClass, adjoint, dilate, pointwise_mul,
-                      smash)
+                      Symbol, SymbolClass, dilate, smash)
 from .quantize import (Atlas, multiplication_operator, op_quantize,
                        t_quantize, t_quantize_charts)
 from .extension import ExtensionDefectProfile, lifting_check, symbol_map_defect
@@ -30,9 +29,9 @@ __all__ = [
     "CircleGrid", "FourierOperator", "compact_tail_norm",
     "fourier_coefficients", "inverse_fourier", "operator_norm",
     "svd_kernel_dim",
-    "DyadicPartition", "SmoothStep", "build_partition", "eval_gamma",
+    "DyadicPartition", "SmoothStep", "build_partition",
     "CutFunction", "HomogeneousSymbol", "Loop", "RadialProfile", "Symbol",
-    "SymbolClass", "adjoint", "dilate", "pointwise_mul", "smash",
+    "SymbolClass", "dilate", "smash",
     "Atlas", "multiplication_operator", "op_quantize", "t_quantize",
     "t_quantize_charts",
     "ExtensionDefectProfile", "lifting_check", "symbol_map_defect",

@@ -85,8 +85,6 @@ def build_parser():
         p.add_argument("--out", default=None, help=f"output path (default {name}.<format>)")
         p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="output format (default csv)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for sweep points (default 1)")
     return parser
 
 
@@ -101,7 +99,7 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    rows, checks = runner(grid, run_cfg, threads=args.threads)
+    rows, checks = runner(grid, run_cfg)
 
     out = args.out or f"{args.command}.{args.format}"
     if args.format == "csv":

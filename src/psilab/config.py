@@ -252,6 +252,13 @@ def parse_homogeneous(spec):
     raise ConfigError(f"homogeneous record needs 'winding' or branches: {spec!r}")
 
 
+def _check_block_sizes(cfg, symbols):
+    k = cfg["grid"]["k"]
+    for sym in symbols:
+        if sym.k != k:
+            raise ConfigError(f"symbol block size {sym.k} differs from grid k={k}")
+
+
 def defect_sweep_cfg(cfg):
     section = cfg["defect_sweep"]
     out = {"tolerances": cfg["tolerances"],
@@ -267,6 +274,7 @@ def defect_sweep_cfg(cfg):
         raise ConfigError(f"unknown pair spec {pair!r}")
     out["t0_symbol"] = parse_symbol(section["t0_symbol"])
     out["chart_symbol"] = parse_symbol(section["chart_symbol"])
+    _check_block_sizes(cfg, [*out["pair"], out["t0_symbol"], out["chart_symbol"]])
     return out
 
 
@@ -275,12 +283,15 @@ def ch_compare_cfg(cfg):
     out = {"tolerances": cfg["tolerances"],
            "t_exponents": section["t_exponents"],
            "theta": CutFunction(cfg["theta_r0"])}
-    if section["cases"] != "default":
-        out["cases"] = [(c["label"], parse_profile(c["f"]),
-                         parse_homogeneous(c["d"])) for c in section["cases"]]
-    if section["extended_cases"] != "default":
-        out["extended_cases"] = [(c["label"], parse_profile(c["g"]),
-                                  parse_loop(c["c"])) for c in section["extended_cases"]]
+    out["cases"] = presets.ch_cases() if section["cases"] == "default" else [
+        (c["label"], parse_profile(c["f"]), parse_homogeneous(c["d"]))
+        for c in section["cases"]]
+    out["extended_cases"] = (
+        presets.ch_extended_cases() if section["extended_cases"] == "default" else [
+            (c["label"], parse_profile(c["g"]), parse_loop(c["c"]))
+            for c in section["extended_cases"]])
+    _check_block_sizes(cfg, [d for _, _, d in out["cases"]]
+                       + [c for _, _, c in out["extended_cases"]])
     return out
 
 
@@ -291,9 +302,16 @@ def homotopy_cfg(cfg):
            "bands": [int(b) for b in section["bands"]],
            "s_values": list(section["s_values"]),
            "K": section["K"], "L": section["L"],
-           "L_list": [int(v) for v in section["L_list"]]}
-    if section["symbol"] != "default":
-        out["symbol"] = parse_homogeneous(section["symbol"])
+           "L_list": [int(v) for v in section["L_list"]],
+           "symbol": parse_homogeneous(section["symbol"])}
+    bad_s = [s for s in out["s_values"] if not 0.0 < s <= 1.0]
+    if bad_s:
+        raise ConfigError(f"s_values must lie in (0, 1], got {bad_s}")
+    N = cfg["grid"]["N"]
+    wide = [b for b in out["bands"] if b > N]
+    if wide:
+        raise ConfigError(f"bands {wide} exceed the mode cutoff N={N}")
+    _check_block_sizes(cfg, [out["symbol"]])
     return out
 
 
@@ -302,7 +320,8 @@ def index_cfg(cfg):
     out = {"tolerances": cfg["tolerances"],
            "theta": CutFunction(cfg["theta_r0"]),
            "higson_t_exponents": section["higson_t_exponents"]}
-    if section["cases"] != "default":
-        out["cases"] = [(c.get("label", f"case{i}"), parse_homogeneous(c))
-                        for i, c in enumerate(section["cases"])]
+    out["cases"] = presets.index_suite() if section["cases"] == "default" else [
+        (c.get("label", f"case{i}"), parse_homogeneous(c))
+        for i, c in enumerate(section["cases"])]
+    _check_block_sizes(cfg, [sigma for _, sigma in out["cases"]])
     return out

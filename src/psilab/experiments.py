@@ -2,13 +2,10 @@
 
 Each runner returns (rows, checks): ``rows`` is a list of dicts in a fixed
 column order ready for CSV/JSON serialization, ``checks`` a list of
-(name, passed, detail) triples.  Sweep points may be evaluated in a thread
-pool; ordering of the output never depends on completion order.
+(name, passed, detail) triples.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -20,7 +17,7 @@ from .index_theory import index_report
 from .numerics import operator_norm
 from .partition import build_partition
 from .quantize import Atlas, padded_grid, restrict_to, t_quantize, t_quantize_charts
-from .symbols import RadialProfile, Symbol, SymbolClass, smash
+from .symbols import Symbol, SymbolClass, smash
 from . import presets
 
 __all__ = [
@@ -57,13 +54,6 @@ def loglog_slope(ts, vals):
     return float(np.polyfit(np.log2(ts), np.log2(vals), 1)[0])
 
 
-def _map(fn, items, threads):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 # -- individual defect quantities --------------------------------------------
 
 
@@ -89,7 +79,7 @@ def chart_defect(a, t, atlas, grid, pad=64):
 # -- defect sweep -------------------------------------------------------------
 
 
-def run_defect_sweep(grid, cfg, threads=1):
+def run_defect_sweep(grid, cfg):
     """Multiplicativity/adjoint/chart/vanishing columns over a t grid.
 
     Criteria: strict decay of the multiplicativity and adjoint defects on
@@ -116,7 +106,7 @@ def run_defect_sweep(grid, cfg, threads=1):
             "t0_norm": operator_norm(t_quantize(t0_sym, t, grid)),
         }
 
-    rows = _map(row, ts, threads)
+    rows = [row(t) for t in ts]
     checks = []
 
     big_ts = [r["t"] for r in rows if r["t"] >= 1.0]
@@ -167,7 +157,7 @@ def run_defect_sweep(grid, cfg, threads=1):
 # -- deformation-versus-quantization comparison ------------------------------
 
 
-def run_ch_compare(grid, cfg, threads=1):
+def run_ch_compare(grid, cfg):
     """Deformed-tensor images against the rescaled quantization.
 
     Main branch: || CH_t(f x d) - T_t(f(|xi|) d) || must decrease strictly
@@ -194,14 +184,14 @@ def run_ch_compare(grid, cfg, threads=1):
                 CH = ch_apply(f, d, t, rep, unit, theta, grid)
                 out[f"{label}|{uname}"] = operator_norm(CH - T)
         for label, g, c in ext_cases:
-            sym = Symbol.separable(c, _even(g), SymbolClass.FULL_C0)
+            sym = Symbol.separable(c, g.even(), SymbolClass.FULL_C0)
             T = t_quantize(sym, t, grid)
             for uname, unit in units:
                 CH = ch_extended_apply(g, c, t, rep, unit, grid)
                 out[f"ext:{label}|{uname}"] = operator_norm(CH - T)
         return out
 
-    rows = _map(row, ts, threads)
+    rows = [row(t) for t in ts]
     checks = []
     for label, _, _ in cases:
         for uname, _ in units:
@@ -224,16 +214,10 @@ def run_ch_compare(grid, cfg, threads=1):
     return rows, checks
 
 
-def _even(profile):
-    return RadialProfile(lambda xi: profile.fn(np.abs(np.asarray(xi, dtype=float))),
-                         profile.name, profile.vanishes_at_zero,
-                         profile.vanishes_at_infinity, profile.support)
-
-
 # -- deformation family -------------------------------------------------------
 
 
-def run_homotopy_verify(grid, cfg, threads=1):
+def run_homotopy_verify(grid, cfg):
     """Limit identities of the deformation family and the endpoint match.
 
     equ1: central-block defect strictly decreasing in s (terminal exact
@@ -271,8 +255,8 @@ def run_homotopy_verify(grid, cfg, threads=1):
             out[f"band{band}"] = equ2_defect(a, s, p_s, 1, 1, f, theta, grid)
         return out
 
-    rows = _map(equ_row, sorted(s_values, reverse=True), threads)
-    rows += _map(equ2_row, sorted(s_values, reverse=True), threads)
+    s_desc = sorted(s_values, reverse=True)
+    rows = [equ_row(s) for s in s_desc] + [equ2_row(s) for s in s_desc]
 
     i_theta = int(np.ceil(np.log2(2.0 * theta.r0)))
     for i in range(i_theta - 1, i_theta + 3):
@@ -306,7 +290,7 @@ def run_homotopy_verify(grid, cfg, threads=1):
 # -- index comparison ---------------------------------------------------------
 
 
-def run_index_compare(grid, cfg, threads=1):
+def run_index_compare(grid, cfg):
     """Three-route index agreement over a suite of winding pairs.
 
     Exit criterion: every report is conclusive on every route and the three
@@ -317,12 +301,9 @@ def run_index_compare(grid, cfg, threads=1):
     t_grid = [2.0 ** e for e in cfg.get("higson_t_exponents", [4, 5, 6, 7, 8])]
     eps_rank = cfg["tolerances"]["eps_rank"]
 
-    def one(item):
-        label, sigma = item
-        return index_report(sigma, grid, theta=theta, t_grid=t_grid,
+    reports = [index_report(sigma, grid, theta=theta, t_grid=t_grid,
                             eps_rank=eps_rank, label=label)
-
-    reports = _map(one, suite, threads)
+               for label, sigma in suite]
     checks = []
     for rep in reports:
         checks.append((f"{rep.label} conclusive and agreeing", rep.agree,

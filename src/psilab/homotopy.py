@@ -87,32 +87,9 @@ class BlockOperator:
                 (j + self.L) * d:(j + self.L + 1) * d] = mat
         return out
 
-    def norm(self, tol=1e-12, max_iter=500):
-        """Largest singular value by deterministic power iteration."""
-        if not self.blocks:
-            return 0.0
-        n = 2 * self.L + 1
-        adj = self.adjoint()
-        rng = np.random.default_rng(1)
-        starts = [np.ones((n, self.grid.dim), dtype=complex),
-                  rng.normal(size=(n, self.grid.dim))
-                  + 1j * rng.normal(size=(n, self.grid.dim))]
-        for v in starts:
-            v = v / np.linalg.norm(v)
-            est = 0.0
-            for _ in range(max_iter):
-                w = adj.apply(self.apply(v))
-                norm_w = np.linalg.norm(w)
-                if norm_w == 0.0:
-                    est = 0.0
-                    break  # start vector sits in the kernel; try the next
-                previous, est = est, np.sqrt(norm_w)
-                v = w / norm_w
-                if abs(est - previous) <= tol * max(est, 1.0):
-                    break
-            if est > 0.0:
-                return float(est)
-        return 0.0
+    def norm(self):
+        """Largest singular value of the assembled dense operator."""
+        return operator_norm(self.to_dense())
 
 
 def _gamma_pair_profile(p, i, j):

@@ -109,12 +109,20 @@ def fredholm_index_svd(sigma, theta, grid, eps_rank=1e-6, gap_ratio=1e3, pad=Non
     tall column-complete truncations: domain modes |m| <= N, range modes
     enlarged by the symbol bandwidth.  These converge to the kernel and
     cokernel of the untruncated operator.
+
+    Raises InconclusiveIndexError unless r0 + degree < N: otherwise the
+    cutting function does not reach one on a full symbol band inside the
+    mode range, and the kernel counts would report a wrong integer.
     """
     if not isinstance(sigma, HomogeneousSymbol):
         raise TypeError("expected a homogeneous symbol")
     for branch in (sigma.plus, sigma.minus):
         winding_number(branch)  # raises if a branch is not invertible
     deg = sigma.degree if sigma.degree is not None else 16
+    if not theta.r0 + deg < grid.N:
+        raise InconclusiveIndexError(
+            f"cutting radius {theta.r0:g} plus symbol degree {deg} reaches the "
+            f"mode cutoff N={grid.N}; increase N or reduce theta_r0")
     pad = deg + 8 if pad is None else pad
     big = padded_grid(grid, pad)
     X = op_quantize(sigma, theta, big).mat
@@ -210,17 +218,14 @@ def bott_projection(sigma, ramp=None):
 
 # -- the spectral pairing ----------------------------------------------------
 
-_pairing_cache = {}
 
-
-def _count_above_half(pair, t, grid, use_base):
-    """Eigenvalue count > 1/2 of P_inf + T_t(p - corner), with its gap."""
+def _count_above_half(pair, t, grid):
+    """Eigenvalue count > 1/2 of P_inf + T_t(p_sigma - corner), with its gap."""
     g2 = CircleGrid(J=grid.J, N=grid.N, k=2 * pair.k)
     corner = pair.corner()
-    fn = pair.p_base if use_base else pair.p_sigma
 
     def q_fn(x, xi):
-        return fn(x, xi) - corner[None]
+        return pair.p_sigma(x, xi) - corner[None]
 
     mat = quantize_sampled(q_fn, t, g2).mat
     mat += np.kron(np.eye(g2.n_modes), corner)
@@ -232,13 +237,17 @@ def _count_above_half(pair, t, grid, use_base):
 def higson_trace_index(sigma, t, grid, ramp=None, pair=None):
     """Spectral pairing of the clutching class with the deformation at time t.
 
-    Counts eigenvalues above 1/2 of the deformed clutching projection and of
-    its trivial companion; the difference (times the calibrated sign) is the
-    pairing value.  Raises InconclusiveIndexError when the clutching cannot
-    develop inside the mode range (ramp below PAIRING_MIN_RAMP at the lattice
-    edge) or when an eigenvalue sits within PAIRING_GAP of 1/2; past the
-    edge the deformation collapses to the zero-section value and the counts
-    would silently agree.
+    Counts eigenvalues above 1/2 of the deformed clutching projection and
+    subtracts the count of its trivial companion; the difference (times the
+    calibrated sign) is the pairing value.  The companion p_base does not
+    depend on x, so its deformation is block diagonal with one rank-k
+    projection per mode: its count is exactly k (2N + 1), with gap 1/2.
+
+    Raises InconclusiveIndexError when the clutching cannot develop inside
+    the mode range (ramp below PAIRING_MIN_RAMP at the lattice edge) or when
+    an eigenvalue sits within PAIRING_GAP of 1/2; past the edge the
+    deformation collapses to the zero-section value and the counts would
+    silently agree.
 
     The literal entrywise trace of the difference vanishes identically
     (both projections have pointwise trace k), so the class content is
@@ -250,18 +259,12 @@ def higson_trace_index(sigma, t, grid, ramp=None, pair=None):
             f"ramp height {pair.ramp(grid.N / t):.2f} at the mode cutoff is below "
             f"{PAIRING_MIN_RAMP}; the clutching does not complete at t={t}, "
             "reduce t or increase N")
-    key = ("base", grid.J, grid.N, pair.k, float(t), id(pair.ramp))
-    if key in _pairing_cache:
-        base, base_gap = _pairing_cache[key]
-    else:
-        base, base_gap = _count_above_half(pair, t, grid, use_base=True)
-        _pairing_cache[key] = (base, base_gap)
-    cnt, gap = _count_above_half(pair, t, grid, use_base=False)
-    if min(base_gap, gap) < PAIRING_GAP:
+    cnt, gap = _count_above_half(pair, t, grid)
+    if gap < PAIRING_GAP:
         raise InconclusiveIndexError(
             f"eigenvalue within {PAIRING_GAP} of 1/2 at t={t}; "
             "the deformation has reached the mode cutoff, reduce t or increase N")
-    return float(PAIRING_SIGN * (cnt - base))
+    return float(PAIRING_SIGN * (cnt - pair.k * grid.n_modes))
 
 
 def naive_trace_pairing(sigma, t, grid, ramp=None):

@@ -18,7 +18,6 @@ __all__ = [
     "FourierOperator",
     "fourier_coefficients",
     "inverse_fourier",
-    "loop_coefficients",
     "operator_norm",
     "compact_tail_norm",
     "svd_kernel_dim",
@@ -85,11 +84,6 @@ class CircleGrid:
         return CircleGrid(J=J2, N=N2, k=self.k)
 
 
-def standard_grid(N=256, k=1):
-    """Grid with the minimal admissible J for the given cutoff."""
-    return CircleGrid(J=4 * N + 4, N=N, k=k)
-
-
 @dataclass(frozen=True)
 class FourierOperator:
     """Dense operator on truncated Fourier modes tensored with k x k blocks.
@@ -148,42 +142,26 @@ class FourierOperator:
     def zero(grid):
         return FourierOperator(grid, np.zeros((grid.dim, grid.dim), dtype=complex))
 
-    def restrict(self, N2):
-        """Corner compression onto modes |n| <= N2 (new grid keeps J)."""
-        if N2 > self.grid.N:
-            raise ValueError("can only restrict to a smaller cutoff")
-        keep = ~self.grid.tail_mask(N2)
-        sub = CircleGrid(J=self.grid.J, N=N2, k=self.grid.k)
-        return FourierOperator(sub, self.mat[np.ix_(keep, keep)])
-
 
 # -- sampling <-> coefficients -------------------------------------------
 
 
-def _fft_coefficients(samples, max_mode):
-    """Fourier coefficients c(j), |j| <= max_mode, of J-point samples.
+def fourier_coefficients(grid, samples, max_mode=None):
+    """Fourier coefficients c(j), |j| <= max_mode (default N), of grid samples.
 
-    ``samples`` has shape (J, ...); the transform runs along axis 0 with the
-    convention c(j) = (1/J) * sum_l samples[l] * exp(-i j x_l).
-    """
-    samples = np.asarray(samples, dtype=complex)
-    J = samples.shape[0]
-    if max_mode > J // 2 - 1:
-        raise ValueError(f"mode {max_mode} not resolvable with J={J}")
-    spectrum = np.fft.fft(samples, axis=0) / J
-    idx = np.arange(-max_mode, max_mode + 1) % J
-    return spectrum[idx]
-
-
-def fourier_coefficients(grid, samples):
-    """Coefficients of the trigonometric interpolant, modes -N..N.
-
-    ``samples`` must hold J values (scalar or (J, k, k) matrix samples).
+    ``samples`` holds J values (scalar or (J, k, k) matrix samples); the
+    transform runs along axis 0 with the convention
+    c(j) = (1/J) * sum_l samples[l] * exp(-i j x_l).
     """
     samples = np.asarray(samples, dtype=complex)
     if samples.shape[0] != grid.J:
         raise ValueError(f"expected {grid.J} samples, got {samples.shape[0]}")
-    return _fft_coefficients(samples, grid.N)
+    max_mode = grid.N if max_mode is None else max_mode
+    if max_mode > grid.J // 2 - 1:
+        raise ValueError(f"mode {max_mode} not resolvable with J={grid.J}")
+    spectrum = np.fft.fft(samples, axis=0) / grid.J
+    idx = np.arange(-max_mode, max_mode + 1) % grid.J
+    return spectrum[idx]
 
 
 def inverse_fourier(grid, coeffs):
@@ -194,14 +172,6 @@ def inverse_fourier(grid, coeffs):
     spectrum = np.zeros((grid.J,) + coeffs.shape[1:], dtype=complex)
     spectrum[grid.modes % grid.J] = coeffs
     return np.fft.ifft(spectrum, axis=0) * grid.J
-
-
-def loop_coefficients(grid, samples, max_mode):
-    """Coefficients |j| <= max_mode of a sampled loop (used for assembly)."""
-    samples = np.asarray(samples, dtype=complex)
-    if samples.shape[0] != grid.J:
-        raise ValueError(f"expected {grid.J} samples, got {samples.shape[0]}")
-    return _fft_coefficients(samples, max_mode)
 
 
 # -- norms and rank ------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SmoothStep", "DyadicPartition", "build_partition", "eval_gamma"]
+__all__ = ["SmoothStep", "DyadicPartition", "build_partition"]
 
 
 class SmoothStep:
@@ -120,11 +120,6 @@ def build_partition(s, L):
     if inv_s < 1.0:
         inv_s = 1.0
     return DyadicPartition(s=float(s), inv_s=inv_s, L=int(L))
-
-
-def eval_gamma(p, i, x):
-    """Pointwise gamma_i^s(x), the square root of the telescoped bump."""
-    return p.gamma(i, x)
 
 
 def gamma_sup_on_modes(p, i, N):

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .numerics import CircleGrid, FourierOperator
 from .partition import smooth_step
@@ -42,21 +43,28 @@ __all__ = [
 # -- low-level assembly ----------------------------------------------------
 
 
-def _toeplitz_gather(coeffs, grid):
-    """Arrange coefficients c(j), |j| <= 2N, into the (n, m) -> c(n-m) table.
+def _check_block(block_shape, k):
+    if tuple(block_shape) != (k, k):
+        raise ValueError(f"coefficient block {tuple(block_shape)} differs from the "
+                         f"grid block size k={k}")
 
-    Returns an array of shape (2N+1, 2N+1, k, k).
+
+def _assemble(grid, terms):
+    """Operator with entries sum c(n - m) * w(m) over (coeffs, weights) terms.
+
+    ``coeffs`` holds c(j), |j| <= 2N, with shape (4N+1, k, k); ``weights``
+    holds one value per column mode.  Each term is added straight into an
+    (n, k, n, k) table through a strided Toeplitz view of its coefficients,
+    so the table reshapes to the flat (dim, dim) matrix without a copy.
     """
-    n = grid.n_modes
-    idx = np.subtract.outer(np.arange(n), np.arange(n)) + 2 * grid.N
-    return coeffs[idx]
-
-
-def _assemble(column_weighted):
-    """(n, m, k, k) block table -> flat (dim, dim) matrix."""
-    n = column_weighted.shape[0]
-    k = column_weighted.shape[2]
-    return column_weighted.transpose(0, 2, 1, 3).reshape(n * k, n * k)
+    n, k = grid.n_modes, grid.k
+    table = np.zeros((n, k, n, k), dtype=complex)
+    for coeffs, weights in terms:
+        _check_block(coeffs.shape[1:], k)
+        # window[r, :, :, l] = c(r + l - 2N); reversing l gives c(r - m)
+        toeplitz = sliding_window_view(coeffs, n, axis=0)[..., ::-1]
+        table += toeplitz.transpose(0, 1, 3, 2) * weights[None, None, :, None]
+    return FourierOperator(grid, table.reshape(grid.dim, grid.dim))
 
 
 def padded_grid(grid, pad):
@@ -87,13 +95,10 @@ def t_quantize(a, t, grid):
         raise ValueError("need t > 0")
     if not isinstance(a, Symbol):
         raise TypeError("t_quantize expects a separable Symbol")
-    table = np.zeros((grid.n_modes, grid.n_modes, grid.k, grid.k), dtype=complex)
     freqs = grid.modes / t
-    for loop, prof in a.terms:
-        coeffs = loop.coefficients(grid, 2 * grid.N)
-        weights = np.asarray(prof(freqs), dtype=complex)
-        table += _toeplitz_gather(coeffs, grid) * weights[None, :, None, None]
-    return FourierOperator(grid, _assemble(table))
+    return _assemble(grid, ((loop.coefficients(grid, 2 * grid.N),
+                             np.asarray(prof(freqs), dtype=complex))
+                            for loop, prof in a.terms))
 
 
 def quantize_sampled(fn, t, grid, chunk=128):
@@ -108,14 +113,17 @@ def quantize_sampled(fn, t, grid, chunk=128):
         raise ValueError("need t > 0")
     x = grid.x
     modes = grid.modes
-    table = np.zeros((grid.n_modes, grid.n_modes, grid.k, grid.k), dtype=complex)
-    for start in range(0, grid.n_modes, chunk):
+    n, k = grid.n_modes, grid.k
+    table = np.zeros((n, k, n, k), dtype=complex)
+    for start in range(0, n, chunk):
         cols = modes[start:start + chunk]
         vals = np.stack([np.asarray(fn(x, m / t), dtype=complex) for m in cols], axis=1)
+        _check_block(vals.shape[2:], k)
         spectrum = np.fft.fft(vals, axis=0) / grid.J
         idx = (modes[:, None] - cols[None, :]) % grid.J
-        table[:, start:start + len(cols)] = spectrum[idx, np.arange(len(cols))[None, :]]
-    return FourierOperator(grid, _assemble(table))
+        block = spectrum[idx, np.arange(len(cols))[None, :]]
+        table[:, :, start:start + len(cols), :] = block.transpose(0, 2, 1, 3)
+    return FourierOperator(grid, table.reshape(grid.dim, grid.dim))
 
 
 # -- order-zero quantization -------------------------------------------------
@@ -130,17 +138,12 @@ def op_quantize(a, theta, grid):
     """
     if not isinstance(a, HomogeneousSymbol):
         raise TypeError("op_quantize expects a HomogeneousSymbol")
-    if grid.k != a.k:
-        raise ValueError("block sizes differ")
     modes = grid.modes
     w = np.asarray(theta(np.abs(modes)), dtype=complex)
-    wp = np.where(modes >= 0, w, 0.0)
-    wm = np.where(modes < 0, w, 0.0)
-    cp = a.plus.coefficients(grid, 2 * grid.N)
-    cm = a.minus.coefficients(grid, 2 * grid.N)
-    table = (_toeplitz_gather(cp, grid) * wp[None, :, None, None]
-             + _toeplitz_gather(cm, grid) * wm[None, :, None, None])
-    return FourierOperator(grid, _assemble(table))
+    return _assemble(grid, [
+        (a.plus.coefficients(grid, 2 * grid.N), np.where(modes >= 0, w, 0.0)),
+        (a.minus.coefficients(grid, 2 * grid.N), np.where(modes < 0, w, 0.0)),
+    ])
 
 
 def multiplication_operator(c, grid):
@@ -153,12 +156,10 @@ def multiplication_operator(c, grid):
     """
     if not isinstance(c, Loop):
         raise TypeError("multiplication_operator expects a Loop")
-    if c.k != grid.k:
-        raise ValueError("block sizes differ")
     if c.degree is not None and c.degree > grid.N:
         raise ValueError(f"loop degree {c.degree} exceeds the cutoff N={grid.N}")
-    coeffs = c.coefficients(grid, 2 * grid.N)
-    return FourierOperator(grid, _assemble(_toeplitz_gather(coeffs, grid)))
+    unit = np.ones(grid.n_modes, dtype=complex)
+    return _assemble(grid, [(c.coefficients(grid, 2 * grid.N), unit)])
 
 
 # -- charts ------------------------------------------------------------------

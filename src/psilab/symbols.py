@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .numerics import loop_coefficients
+from .numerics import fourier_coefficients
 from .partition import smooth_step
 
 __all__ = [
@@ -35,8 +35,6 @@ __all__ = [
     "HomogeneousSymbol",
     "dilate",
     "smash",
-    "pointwise_mul",
-    "adjoint",
 ]
 
 
@@ -125,7 +123,7 @@ class Loop:
     # sampling
     def coefficients(self, grid, max_mode):
         """Fourier coefficients c(j), |j| <= max_mode, via the grid FFT."""
-        return loop_coefficients(grid, self.fn(grid.x), max_mode)
+        return fourier_coefficients(grid, self.fn(grid.x), max_mode)
 
     def sup_norm(self, samples=720):
         x = 2.0 * np.pi * np.arange(samples) / samples
@@ -225,6 +223,12 @@ class RadialProfile:
                              sup)
 
     __rmul__ = __mul__
+
+    def even(self):
+        """Profile xi -> rho(|xi|)."""
+        return RadialProfile(lambda xi: self.fn(np.abs(np.asarray(xi, dtype=float))),
+                             self.name, self.vanishes_at_zero,
+                             self.vanishes_at_infinity, self.support)
 
     def one_sided(self, sign):
         """Restriction to a half axis: rho(xi) on sign*xi > 0, else 0."""
@@ -548,18 +552,7 @@ def smash(f, a):
         raise TypeError("smash expects a homogeneous symbol")
     if not f.vanishes_at_zero:
         raise ValueError("profile must vanish at the origin")
-    even = RadialProfile(lambda xi: f.fn(np.abs(np.asarray(xi, dtype=float))),
-                         f.name, f.vanishes_at_zero, f.vanishes_at_infinity,
-                         f.support)
+    even = f.even()
     terms = ((a.plus, even.one_sided(+1)), (a.minus, even.one_sided(-1)))
     return Symbol(terms, a.k, SymbolClass.VANISHING_00)
 
-
-def pointwise_mul(a, b):
-    """Exact pointwise matrix product of two symbols."""
-    return a * b
-
-
-def adjoint(a):
-    """Pointwise conjugate transpose."""
-    return a.adjoint()

@@ -133,8 +133,7 @@ def test_criterion_07_deformation_vs_quantization():
                 assert strictly_decreasing(vals), (label, unit.name, vals)
                 assert vals[-1] < 0.05 * vals[0], (label, unit.name)
         for label, g, c in presets.ch_extended_cases():
-            from psilab.experiments import _even
-            sym = Symbol.separable(c, _even(g), SymbolClass.FULL_C0)
+            sym = Symbol.separable(c, g.even(), SymbolClass.FULL_C0)
             defaults, alts = [], []
             for t in ts:
                 T = t_quantize(sym, t, GRID)

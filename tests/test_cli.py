@@ -128,6 +128,32 @@ class TestExitCodes:
         payload = json.loads(out.read_text())
         assert any(r["higson_trace"][0] is None for r in payload["rows"])
 
+    def test_symbol_block_size_mismatch_exits_2(self, tmp_path, capsys):
+        # the k = 1 presets would broadcast to all-ones blocks on a k = 2 grid
+        path = write_config(tmp_path, {"grid": {"N": 32, "J": 132, "k": 2}})
+        rc = main(["defect-sweep", "--config", str(path),
+                   "--out", str(tmp_path / "d.csv")])
+        assert rc == 2
+        assert "block size" in capsys.readouterr().err
+
+    def test_s_value_outside_unit_interval_exits_2(self, tmp_path, capsys):
+        data = dict(SMALL)
+        data["homotopy_verify"] = dict(SMALL["homotopy_verify"], s_values=[2.0])
+        path = write_config(tmp_path, data)
+        rc = main(["homotopy-verify", "--config", str(path),
+                   "--out", str(tmp_path / "h.csv")])
+        assert rc == 2
+        assert "s_values" in capsys.readouterr().err
+
+    def test_band_above_cutoff_exits_2(self, tmp_path, capsys):
+        data = dict(SMALL)
+        data["homotopy_verify"] = dict(SMALL["homotopy_verify"], bands=[10, 65])
+        path = write_config(tmp_path, data)
+        rc = main(["homotopy-verify", "--config", str(path),
+                   "--out", str(tmp_path / "h.csv")])
+        assert rc == 2
+        assert "bands" in capsys.readouterr().err
+
     def test_truncated_sweep_exits_1(self, tmp_path):
         # a tiny t-window cannot meet the decay ratios
         data = dict(SMALL)
@@ -178,12 +204,4 @@ class TestOutputs:
         out1, out2 = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
         main([command, "--config", str(path), "--out", str(out1), "--format", fmt])
         main([command, "--config", str(path), "--out", str(out2), "--format", fmt])
-        assert out1.read_bytes() == out2.read_bytes()
-
-    def test_threads_do_not_change_bytes(self, tmp_path):
-        path = write_config(tmp_path, SMALL)
-        out1, out2 = tmp_path / "s.csv", tmp_path / "p.csv"
-        main(["ch-compare", "--config", str(path), "--out", str(out1)])
-        main(["ch-compare", "--config", str(path), "--out", str(out2),
-              "--threads", "3"])
         assert out1.read_bytes() == out2.read_bytes()

@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
 
-from psilab.config import (ConfigError, defect_sweep_cfg, load_config,
-                           parse_homogeneous, parse_loop, parse_profile,
-                           parse_symbol)
-from psilab.experiments import (decreasing_to_zero, loglog_slope,
-                                run_defect_sweep, strictly_decreasing)
-from psilab.numerics import CircleGrid
+from psilab.config import (ConfigError, parse_homogeneous, parse_loop,
+                           parse_profile, parse_symbol)
+from psilab.experiments import decreasing_to_zero, loglog_slope, strictly_decreasing
 from psilab.symbols import SymbolClass
 
 
@@ -28,17 +25,6 @@ class TestPredicates:
         vals = [1.0, 0.5, 0.25, 0.125]
         assert loglog_slope(ts, vals) == pytest.approx(-1.0)
         assert loglog_slope(ts, [1.0, 0.5, 0.0, 0.1]) == -np.inf
-
-
-class TestThreading:
-    def test_rows_independent_of_threads(self):
-        grid = CircleGrid(J=132, N=32, k=1)
-        cfg = load_config(None)
-        run_cfg = defect_sweep_cfg(cfg)
-        run_cfg["t_exponents"] = [0, 1, 2]
-        rows1, _ = run_defect_sweep(grid, run_cfg, threads=1)
-        rows3, _ = run_defect_sweep(grid, run_cfg, threads=3)
-        assert rows1 == rows3
 
 
 class TestProfileParsing:

@@ -6,7 +6,8 @@ from psilab.index_theory import (InconclusiveIndexError, analytic_index,
                                  higson_trace_index, index_report,
                                  naive_trace_pairing, winding_number)
 from psilab.numerics import CircleGrid
-from psilab.symbols import HomogeneousSymbol, Loop
+from psilab.quantize import quantize_sampled
+from psilab.symbols import CutFunction, HomogeneousSymbol, Loop
 from psilab.presets import winding_pair
 
 PAIRS = [((0, 0), 0), ((1, 0), -1), ((0, 1), 1), ((2, -1), -3)]
@@ -160,6 +161,22 @@ class TestSpectralPairing:
         with pytest.raises(InconclusiveIndexError):
             higson_trace_index(winding_pair(2, -1), 4096.0, grid32)
 
+    @pytest.mark.parametrize("N", [16, 32])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_base_count_is_exact(self, N, k):
+        # the x-independent companion deforms to one rank-k projection per
+        # mode; this is the slow reference for the analytic base count
+        pair = bott_projection(winding_pair(1, 0, k=k))
+        g2 = CircleGrid(J=4 * N + 4, N=N, k=2 * k)
+        corner = pair.corner()
+        for t in (2.0, N / 4.0):
+            mat = quantize_sampled(lambda x, xi: pair.p_base(x, xi) - corner[None],
+                                   t, g2).mat
+            mat += np.kron(np.eye(g2.n_modes), corner)
+            evals = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
+            assert int(np.sum(evals > 0.5)) == k * (2 * N + 1)
+            assert abs(np.min(np.abs(evals - 0.5)) - 0.5) < 1e-12
+
     def test_entrywise_trace_is_rigid(self, grid32):
         # both projections have pointwise trace k, so the literal trace
         # pairing vanishes identically; the class lives in the counts
@@ -188,6 +205,18 @@ class TestReport:
         assert rep.fredholm_inconclusive
         assert rep.fredholm_index is None
         assert not rep.agree
+
+    def test_fredholm_outside_resolution_window(self, grid16):
+        # the cutting function never reaches one below the cutoff: every
+        # singular value vanishes, so a count would read 0 against -1
+        rep = index_report(winding_pair(1, 0), grid16, theta=CutFunction(1e6),
+                           t_grid=(4.0,), label="wide-theta")
+        assert rep.analytic_index == -1
+        assert rep.fredholm_inconclusive
+        assert rep.fredholm_index is None
+        assert not rep.agree
+        with pytest.raises(InconclusiveIndexError):
+            fredholm_index_svd(winding_pair(1, 0), CutFunction(15.0), grid16)
 
     def test_report_serializes(self, grid32, theta):
         rep = index_report(winding_pair(0, 1), grid32, theta=theta,

@@ -4,6 +4,7 @@ import pytest
 from psilab.numerics import (CircleGrid, FourierOperator, compact_tail_norm,
                              fourier_coefficients, inverse_fourier,
                              operator_norm, svd_kernel_dim)
+from psilab.quantize import restrict_to
 
 
 def random_operator(grid, seed):
@@ -155,7 +156,7 @@ class TestKernelDim:
 class TestRestrict:
     def test_corner(self, grid16):
         X = random_operator(grid16, 6)
-        sub = X.restrict(8)
+        sub = restrict_to(X, CircleGrid(J=grid16.J, N=8))
         assert sub.grid.N == 8
         keep = ~grid16.tail_mask(8)
         assert np.array_equal(sub.mat, X.mat[np.ix_(keep, keep)])

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from psilab.partition import (SmoothStep, build_partition, eval_gamma,
-                              gamma_sup_on_modes, smooth_step)
+from psilab.partition import (SmoothStep, build_partition, gamma_sup_on_modes,
+                              smooth_step)
 
 
 def sample_points(lo_exp, hi_exp, n=1000, seed=0):
@@ -52,7 +52,7 @@ class TestUndeformed:
     def test_gamma0_at_one(self):
         # cut recipe gives (gamma_0)^2(1) = S(1) - S(0) = 1
         p = build_partition(1.0, 4)
-        assert eval_gamma(p, 0, 1.0) == pytest.approx(1.0, abs=1e-15)
+        assert p.gamma(0, 1.0) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestDeformed:
@@ -117,7 +117,7 @@ class TestValidation:
     def test_index_range(self):
         p = build_partition(1.0, 4)
         with pytest.raises(ValueError):
-            eval_gamma(p, 5, 1.0)
+            p.gamma(5, 1.0)
 
     def test_positive_argument(self):
         p = build_partition(1.0, 4)

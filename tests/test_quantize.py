@@ -176,3 +176,81 @@ class TestCharts:
                     ((0.0, 3.0), (2.0, 6.0)))
         with pytest.raises(ValueError):
             bad.validate(grid32)
+
+
+def reference_table(coeffs, weights, grid):
+    """Explicit double loop: block (n, m) = c(n - m) * w(m)."""
+    k, N = grid.k, grid.N
+    out = np.zeros((grid.dim, grid.dim), dtype=complex)
+    for n in range(grid.n_modes):
+        for m in range(grid.n_modes):
+            out[n * k:(n + 1) * k, m * k:(m + 1) * k] = coeffs[n - m + 2 * N] * weights[m]
+    return out
+
+
+def known_loop(k, degree, seed):
+    """Trigonometric polynomial with known coefficients, zero-padded to |j| <= 2N."""
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=(2 * degree + 1, k, k)) + 1j * rng.normal(size=(2 * degree + 1, k, k))
+    return Loop.from_coeffs(coeffs), coeffs
+
+
+def padded(coeffs, N):
+    degree = (coeffs.shape[0] - 1) // 2
+    out = np.zeros((4 * N + 1,) + coeffs.shape[1:], dtype=complex)
+    out[2 * N - degree:2 * N + degree + 1] = coeffs
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("N", [5, 16])
+class TestAssemblyAgainstDoubleLoop:
+    def grid(self, N, k):
+        return CircleGrid(J=4 * N + 4, N=N, k=k)
+
+    def test_t_quantize(self, N, k):
+        g = self.grid(N, k)
+        la, ca = known_loop(k, 3, seed=1)
+        lb, cb = known_loop(k, 2, seed=2)
+        pa, pb = rational_decay_profile(2.0), rational_vanishing_profile(1.5)
+        sym = Symbol(((la, pa), (lb, pb)), k, SymbolClass.FULL_C0)
+        t = 3.0
+        expect = (reference_table(padded(ca, N), pa(g.modes / t), g)
+                  + reference_table(padded(cb, N), pb(g.modes / t), g))
+        assert np.max(np.abs(t_quantize(sym, t, g).mat - expect)) < 1e-12
+
+    def test_op_quantize(self, N, k, theta):
+        g = self.grid(N, k)
+        lp, cp = known_loop(k, 2, seed=3)
+        lm, cm = known_loop(k, 3, seed=4)
+        w = theta(np.abs(g.modes))
+        expect = (reference_table(padded(cp, N), np.where(g.modes >= 0, w, 0.0), g)
+                  + reference_table(padded(cm, N), np.where(g.modes < 0, w, 0.0), g))
+        got = op_quantize(HomogeneousSymbol(lp, lm), theta, g).mat
+        assert np.max(np.abs(got - expect)) < 1e-12
+
+    def test_multiplication_operator(self, N, k):
+        g = self.grid(N, k)
+        loop, c = known_loop(k, 4, seed=5)
+        expect = reference_table(padded(c, N), np.ones(g.n_modes), g)
+        assert np.max(np.abs(multiplication_operator(loop, g).mat - expect)) < 1e-12
+
+
+class TestBlockSizeMismatch:
+    def test_scalar_symbol_on_matrix_grid_raises(self):
+        g = CircleGrid(J=132, N=32, k=2)
+        sym = Symbol.separable(loop_c1(), cap_profile(3.0), SymbolClass.COMPACT_SUPPORT)
+        with pytest.raises(ValueError, match="block size"):
+            t_quantize(sym, 2.0, g)
+
+    def test_scalar_loop_on_matrix_grid_raises(self, theta):
+        g = CircleGrid(J=132, N=32, k=2)
+        with pytest.raises(ValueError, match="block size"):
+            multiplication_operator(loop_c1(), g)
+        with pytest.raises(ValueError, match="block size"):
+            op_quantize(HomogeneousSymbol.fiber_constant(loop_c1()), theta, g)
+
+    def test_sampled_scalar_function_on_matrix_grid_raises(self):
+        g = CircleGrid(J=132, N=32, k=2)
+        with pytest.raises(ValueError, match="block size"):
+            quantize_sampled(lambda x, xi: np.ones((x.size, 1, 1)), 2.0, g)

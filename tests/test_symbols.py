@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from psilab.symbols import (CutFunction, HomogeneousSymbol, Loop, Symbol,
-                            SymbolClass, adjoint, bump_profile, cap_profile,
+                            SymbolClass, bump_profile, cap_profile,
                             constant_profile, dilate, gamma_profile,
-                            pointwise_mul, rational_decay_profile,
-                            rational_vanishing_profile, smash, step_profile)
+                            rational_decay_profile, rational_vanishing_profile,
+                            smash, step_profile)
 from psilab.partition import build_partition
 
 RNG = np.random.default_rng(42)
@@ -124,13 +124,13 @@ class TestAlgebra:
                              SymbolClass.FULL_C0)
         b = Symbol.separable(Loop.from_scalar_modes({-1: 1.0}), constant_profile(1.0),
                              SymbolClass.FULL_C0)
-        prod = pointwise_mul(a, b)
+        prod = a * b
         for x, xi in POINTS[:20]:
             assert np.allclose(prod(x, xi), np.eye(1))
 
     def test_adjoint_involution(self):
         a = simple_symbol()
-        aa = adjoint(adjoint(a))
+        aa = a.adjoint().adjoint()
         for x, xi in POINTS[:30]:
             assert np.allclose(aa(x, xi), a(x, xi), atol=1e-14)
 
@@ -138,8 +138,8 @@ class TestAlgebra:
         a = simple_symbol()
         b = Symbol.separable(Loop.from_scalar_modes({-1: 2.0, 1: 0.5j}),
                              rational_vanishing_profile(), SymbolClass.VANISHING_00)
-        lhs = adjoint(pointwise_mul(a, b))
-        rhs = pointwise_mul(adjoint(b), adjoint(a))
+        lhs = (a * b).adjoint()
+        rhs = b.adjoint() * a.adjoint()
         for x, xi in POINTS:
             assert np.allclose(lhs(x, xi), rhs(x, xi), atol=1e-13)
 
@@ -147,23 +147,22 @@ class TestAlgebra:
         cs = Symbol.separable(Loop.identity(1), cap_profile(1.0),
                               SymbolClass.COMPACT_SUPPORT)
         full = simple_symbol()
-        assert pointwise_mul(cs, full).tag == SymbolClass.COMPACT_SUPPORT
+        assert (cs * full).tag == SymbolClass.COMPACT_SUPPORT
         v = smash(rational_vanishing_profile(), homog_example())
-        assert pointwise_mul(v, full).tag == SymbolClass.VANISHING_00
+        assert (v * full).tag == SymbolClass.VANISHING_00
 
     def test_mixed_homogeneous_product(self):
         a = simple_symbol()
         h = homog_example()
-        prod = pointwise_mul(a, h)
+        prod = a * h
         for x, xi in POINTS[:40]:
             if xi != 0:
                 assert np.allclose(prod(x, xi), a(x, xi) @ h(x, xi), atol=1e-13)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            pointwise_mul(simple_symbol(),
-                          Symbol.separable(Loop.identity(2), constant_profile(1.0),
-                                           SymbolClass.FULL_C0))
+            simple_symbol() * Symbol.separable(Loop.identity(2), constant_profile(1.0),
+                                               SymbolClass.FULL_C0)
 
 
 class TestInvariants:
