@@ -185,7 +185,10 @@ def parse_profile(spec):
         raise ConfigError(f"unknown profile kind {kind!r}")
     factory, argnames = _PROFILES[kind]
     kwargs = {k: spec[k] for k in argnames if k in spec}
-    return factory(**kwargs)
+    try:
+        return factory(**kwargs)
+    except (TypeError, ValueError) as exc:  # missing or out-of-range parameters
+        raise ConfigError(f"profile {spec!r}: {exc}") from exc
 
 
 def _coeff(value):
@@ -235,7 +238,13 @@ def parse_symbol(spec):
         raise ConfigError(f"unknown symbol class {spec.get('class')!r}") from exc
     terms = tuple((parse_loop(t["loop"]), parse_profile(t["profile"]))
                   for t in spec["terms"])
-    return Symbol(terms, terms[0][0].k, tag)
+    sizes = sorted({loop.k for loop, _ in terms})
+    if len(sizes) != 1:
+        raise ConfigError(f"symbol terms need one block size, got {sizes}")
+    try:
+        return Symbol(terms, sizes[0], tag)
+    except ValueError as exc:
+        raise ConfigError(f"symbol {spec!r}: {exc}") from exc
 
 
 def parse_homogeneous(spec):
@@ -248,7 +257,10 @@ def parse_homogeneous(spec):
         wp, wm = spec["winding"]
         return presets.winding_pair(int(wp), int(wm))
     if "plus" in spec and "minus" in spec:
-        return HomogeneousSymbol(parse_loop(spec["plus"]), parse_loop(spec["minus"]))
+        plus, minus = parse_loop(spec["plus"]), parse_loop(spec["minus"])
+        if plus.k != minus.k:
+            raise ConfigError(f"branch block sizes differ: plus {plus.k}, minus {minus.k}")
+        return HomogeneousSymbol(plus, minus)
     raise ConfigError(f"homogeneous record needs 'winding' or branches: {spec!r}")
 
 

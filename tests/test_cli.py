@@ -154,6 +154,45 @@ class TestExitCodes:
         assert rc == 2
         assert "bands" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("profile,message", [
+        ({"kind": "bump", "lo": 5, "hi": 1}, "lo < hi"),
+        ({"kind": "bump"}, "missing"),
+    ])
+    def test_profile_out_of_range_exits_2(self, tmp_path, capsys, profile, message):
+        data = {"grid": {"N": 32, "J": 132},
+                "defect_sweep": {"t0_symbol": {"class": "vanishing_00", "terms": [
+                    {"loop": "c1", "profile": profile}]}}}
+        path = write_config(tmp_path, data)
+        rc = main(["defect-sweep", "--config", str(path),
+                   "--out", str(tmp_path / "d.csv")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("symbol,message", [
+        ({"terms": [  # block sizes 2 and 1
+            {"loop": {"modes": {"0": 1.0}, "k": 2}, "profile": {"kind": "constant", "value": 1.0}},
+            {"loop": "c1", "profile": {"kind": "constant", "value": 1.0}}]}, "block size"),
+        ({"class": "vanishing_00", "terms": [
+            {"loop": "c1", "profile": {"kind": "constant", "value": 1.0}}]}, "vanishing"),
+    ])
+    def test_inconsistent_symbol_record_exits_2(self, tmp_path, capsys, symbol, message):
+        data = {"grid": {"N": 32, "J": 132}, "defect_sweep": {"t0_symbol": symbol}}
+        path = write_config(tmp_path, data)
+        rc = main(["defect-sweep", "--config", str(path),
+                   "--out", str(tmp_path / "d.csv")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    def test_homogeneous_branches_of_unequal_size_exit_2(self, tmp_path, capsys):
+        branches = {"plus": {"modes": {"0": 1.0}, "k": 2}, "minus": "c1"}
+        data = dict(SMALL, grid={"N": 32, "J": 132},
+                    homotopy_verify=dict(SMALL["homotopy_verify"], symbol=branches))
+        path = write_config(tmp_path, data)
+        rc = main(["homotopy-verify", "--config", str(path),
+                   "--out", str(tmp_path / "h.csv")])
+        assert rc == 2
+        assert "block size" in capsys.readouterr().err
+
     def test_truncated_sweep_exits_1(self, tmp_path):
         # a tiny t-window cannot meet the decay ratios
         data = dict(SMALL)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from psilab import numerics
 from psilab.numerics import (CircleGrid, FourierOperator, compact_tail_norm,
                              fourier_coefficients, inverse_fourier,
                              operator_norm, svd_kernel_dim)
-from psilab.quantize import restrict_to
+from psilab.presets import t0_symbol
+from psilab.quantize import restrict_to, t_quantize
 
 
 def random_operator(grid, seed):
@@ -99,6 +102,90 @@ class TestOperatorNorm:
         mat[0, 0] = np.nan
         with pytest.raises(ValueError):
             FourierOperator(grid16, mat)
+
+
+def svd_norm(mat):
+    return float(np.linalg.svd(mat, compute_uv=False)[0])
+
+
+def random_matrix(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    # counts the full SVDs operator_norm falls back to
+    calls = []
+    real_svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
+class TestLanczosAgainstSVD:
+    """The Lanczos norm engine against the full SVD as oracle."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_operators(self, grid64, seed, svd_calls):
+        X = random_operator(grid64, 100 + seed)
+        expect = svd_norm(X.mat)
+        svd_calls.clear()
+        assert operator_norm(X) == pytest.approx(expect, rel=1e-12)
+        assert svd_calls == []
+
+    @pytest.mark.parametrize("t", [4.0, 16.0])
+    def test_paired_top_singular_values(self, grid64, t):
+        X = t_quantize(t0_symbol(), t, grid64)
+        svals = np.linalg.svd(X.mat, compute_uv=False)
+        assert svals[1] / svals[0] > 0.999  # the top values come in a pair
+        assert operator_norm(X) == pytest.approx(svals[0], rel=1e-12)
+
+    @pytest.mark.parametrize("K", [0, 20, 50, 63])
+    def test_tail_slices(self, grid64, K):
+        X = random_operator(grid64, 7)
+        mask = grid64.tail_mask(K)
+        tall, wide = X.mat[:, mask], X.mat[mask, :]
+        assert operator_norm(tall) == pytest.approx(svd_norm(tall), rel=1e-12)
+        assert operator_norm(wide) == pytest.approx(svd_norm(wide), rel=1e-12)
+        assert compact_tail_norm(X, K) == pytest.approx(
+            max(svd_norm(tall), svd_norm(wide)), rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0), (1, 1), (7, 3), (3, 7), (65, 65)])
+    def test_zero_and_empty_exactly_zero(self, shape, svd_calls):
+        assert operator_norm(np.zeros(shape, dtype=complex)) == 0.0
+        assert svd_calls == []
+
+    def test_tiny_entries_take_svd(self, svd_calls):
+        # A^H A underflows; the value must still be the SVD's, not 0
+        mat = 1e-170 * random_matrix(6, 6, 3)
+        assert operator_norm(mat) == svd_norm(mat)
+        assert len(svd_calls) == 2
+
+    def test_clustered_spectrum_falls_back_to_svd(self, svd_calls):
+        # half the singular values within 1e-6 of the top one: no certificate
+        # within the step cap, so the value is the SVD's
+        n = numerics._LANCZOS_MAX_STEPS + 80
+        svals = np.concatenate([1.0 - np.linspace(0.0, 1e-6, n // 2),
+                                np.linspace(0.5, 0.0, n - n // 2)])
+        mat = np.diag(svals).astype(complex)
+        assert operator_norm(mat) == svd_norm(mat)
+        assert len(svd_calls) == 2
+
+    def test_deterministic(self, grid64):
+        X = random_operator(grid64, 9)
+        assert operator_norm(X) == operator_norm(X)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 64), cols=st.integers(1, 64),
+           seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-9, 1.0, 1e6]))
+    def test_property_matches_svd(self, rows, cols, seed, scale):
+        mat = scale * random_matrix(rows, cols, seed)
+        assert operator_norm(mat) == pytest.approx(svd_norm(mat), rel=1e-12)
 
 
 class TestCompactTail:
