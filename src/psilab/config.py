@@ -191,12 +191,37 @@ def parse_profile(spec):
         raise ConfigError(f"profile {spec!r}: {exc}") from exc
 
 
+def _fields(record, keys, what):
+    """Values of the required keys of a record, in order."""
+    if not isinstance(record, dict):
+        raise ConfigError(f"{what} record must be an object: {record!r}")
+    missing = [key for key in keys if key not in record]
+    if missing:
+        raise ConfigError(f"{what} record needs {', '.join(map(repr, missing))}: {record!r}")
+    return [record[key] for key in keys]
+
+
+def _mode(key):
+    try:
+        return int(key)
+    except ValueError as exc:
+        raise ConfigError(f"mode index must be an integer, got {key!r}") from exc
+
+
 def _coeff(value):
     if isinstance(value, (int, float)):
         return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(value[0], value[1])
     raise ConfigError(f"coefficient must be a number or [re, im]: {value!r}")
+
+
+def _matrix(rows):
+    """Square coefficient block from a list of rows."""
+    if not (isinstance(rows, list) and rows
+            and all(isinstance(row, list) and len(row) == len(rows) for row in rows)):
+        raise ConfigError(f"matrix coefficient must be a square list of rows: {rows!r}")
+    return np.asarray([[_coeff(c) for c in row] for row in rows])
 
 
 def parse_loop(spec, k=1):
@@ -207,14 +232,18 @@ def parse_loop(spec, k=1):
         if spec not in named:
             raise ConfigError(f"unknown loop preset {spec!r}")
         return named[spec]()
+    if not isinstance(spec, dict):
+        raise ConfigError(f"loop record must be a preset name or an object: {spec!r}")
     if "modes" in spec:
-        modes = {int(j): _coeff(c) for j, c in spec["modes"].items()}
+        modes = {_mode(j): _coeff(c) for j, c in spec["modes"].items()}
         return Loop.from_scalar_modes(modes, k=spec.get("k", k))
     if "matrix_modes" in spec:
-        entries = {int(j): np.asarray([[_coeff(c) for c in row] for row in mat])
-                   for j, mat in spec["matrix_modes"].items()}
+        entries = {_mode(j): _matrix(mat) for j, mat in spec["matrix_modes"].items()}
+        sizes = sorted({mat.shape[0] for mat in entries.values()})
+        if len(sizes) != 1:
+            raise ConfigError(f"matrix_modes need one block size, got {sizes}")
         d = max(abs(j) for j in entries)
-        kk = next(iter(entries.values())).shape[0]
+        kk = sizes[0]
         coeffs = np.zeros((2 * d + 1, kk, kk), dtype=complex)
         for j, mat in entries.items():
             coeffs[j + d] = mat
@@ -232,12 +261,13 @@ def parse_symbol(spec):
         if spec not in named:
             raise ConfigError(f"unknown symbol preset {spec!r}")
         return named[spec]()
+    (term_specs,) = _fields(spec, ("terms",), "symbol")
     try:
         tag = SymbolClass(spec.get("class", "full_c0"))
     except ValueError as exc:
         raise ConfigError(f"unknown symbol class {spec.get('class')!r}") from exc
-    terms = tuple((parse_loop(t["loop"]), parse_profile(t["profile"]))
-                  for t in spec["terms"])
+    terms = tuple((parse_loop(loop), parse_profile(profile)) for loop, profile in
+                  (_fields(t, ("loop", "profile"), "symbol term") for t in term_specs))
     sizes = sorted({loop.k for loop, _ in terms})
     if len(sizes) != 1:
         raise ConfigError(f"symbol terms need one block size, got {sizes}")
@@ -254,8 +284,12 @@ def parse_homogeneous(spec):
             raise ConfigError(f"unknown homogeneous preset {spec!r}")
         return presets.homotopy_symbol()
     if "winding" in spec:
-        wp, wm = spec["winding"]
-        return presets.winding_pair(int(wp), int(wm))
+        winding = spec["winding"]
+        if not (isinstance(winding, list) and len(winding) == 2
+                and all(isinstance(w, (int, float)) and float(w).is_integer()
+                        for w in winding)):
+            raise ConfigError(f"winding must be two integers [plus, minus]: {winding!r}")
+        return presets.winding_pair(*(int(w) for w in winding))
     if "plus" in spec and "minus" in spec:
         plus, minus = parse_loop(spec["plus"]), parse_loop(spec["minus"])
         if plus.k != minus.k:
@@ -281,7 +315,7 @@ def defect_sweep_cfg(cfg):
     elif pair == "v00":
         out["pair"] = presets.v00_pair()
     elif isinstance(pair, dict):
-        out["pair"] = (parse_symbol(pair["a"]), parse_symbol(pair["b"]))
+        out["pair"] = tuple(parse_symbol(s) for s in _fields(pair, ("a", "b"), "pair"))
     else:
         raise ConfigError(f"unknown pair spec {pair!r}")
     out["t0_symbol"] = parse_symbol(section["t0_symbol"])
@@ -296,12 +330,13 @@ def ch_compare_cfg(cfg):
            "t_exponents": section["t_exponents"],
            "theta": CutFunction(cfg["theta_r0"])}
     out["cases"] = presets.ch_cases() if section["cases"] == "default" else [
-        (c["label"], parse_profile(c["f"]), parse_homogeneous(c["d"]))
-        for c in section["cases"]]
+        (label, parse_profile(f), parse_homogeneous(d)) for label, f, d in
+        (_fields(c, ("label", "f", "d"), "ch_compare case") for c in section["cases"])]
     out["extended_cases"] = (
         presets.ch_extended_cases() if section["extended_cases"] == "default" else [
-            (c["label"], parse_profile(c["g"]), parse_loop(c["c"]))
-            for c in section["extended_cases"]])
+            (label, parse_profile(g), parse_loop(c)) for label, g, c in
+            (_fields(e, ("label", "g", "c"), "ch_compare extended case")
+             for e in section["extended_cases"])])
     _check_block_sizes(cfg, [d for _, _, d in out["cases"]]
                        + [c for _, _, c in out["extended_cases"]])
     return out

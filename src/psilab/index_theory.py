@@ -146,20 +146,41 @@ def analytic_index(sigma):
 # -- clutching projections ---------------------------------------------------
 
 
-def _graph_projection(B):
-    """Projection onto the graph of B, batched over the leading axis.
+def _clutching_factors(u):
+    """Split the clutching projections of a branch u into fixed pieces.
 
-    For any matrix b the block matrix
-        [[ (1+b*b)^-1,      (1+b*b)^-1 b* ],
-         [ b (1+b*b)^-1,  b (1+b*b)^-1 b* ]]
-    is an exact orthogonal projection of trace k.
+    With the SVD u = W S V^H at every sample point, the graph projection of
+    b = r u minus the corner diag(0, I) is, in closed form,
+
+        [[ V d0 V^H,  V d1 W^H ],
+         [ W d1 V^H, -W d0 W^H ]],   d0 = 1/(1 + r^2 S^2),  d1 = r S d0,
+
+    exact for any u (also where S has zeros) and with no inverse.  The
+    samples are linear in the diagonals (d0, d1), so the branch is stored as
+    its singular values s, shape (J, k), and the outer products of its
+    singular vectors, shape (J, 2k, 4k^2): row b carries the d0_b piece and
+    row k + b the d1_b piece.
     """
-    k = B.shape[-1]
-    BH = np.swapaxes(B.conj(), -1, -2)
-    G = np.linalg.inv(np.eye(k)[None] + BH @ B)
-    top = np.concatenate([G, G @ BH], axis=-1)
-    bot = np.concatenate([B @ G, B @ G @ BH], axis=-1)
-    return np.concatenate([top, bot], axis=-2)
+    W, s, Vh = np.linalg.svd(np.asarray(u, dtype=complex))
+    J, k = s.shape
+    v, w = np.swapaxes(Vh.conj(), -1, -2), W  # columns are singular vectors
+    pieces = np.zeros((J, 2, k, 2 * k, 2 * k), dtype=complex)
+    for b in range(k):
+        vb, wb = v[:, :, b], w[:, :, b]
+        pieces[:, 0, b, :k, :k] = vb[:, :, None] * vb.conj()[:, None, :]
+        pieces[:, 0, b, k:, k:] = -(wb[:, :, None] * wb.conj()[:, None, :])
+        pieces[:, 1, b, :k, k:] = vb[:, :, None] * wb.conj()[:, None, :]
+        pieces[:, 1, b, k:, :k] = wb[:, :, None] * vb.conj()[:, None, :]
+    return s, pieces.reshape(J, 2 * k, 4 * k * k)
+
+
+def _clutching_samples(factors, r, out):
+    """Write the samples of p - corner for b = r u into out, (J, len(r), 4k^2)."""
+    s, pieces = factors
+    rs = r[None, :, None] * s[:, None, :]
+    d0 = 1.0 / (1.0 + rs * rs)
+    weights = np.concatenate([d0, rs * d0], axis=-1).astype(complex)
+    np.matmul(weights, pieces, out=out)
 
 
 @dataclass(frozen=True)
@@ -177,19 +198,39 @@ class BottPair:
     def k(self):
         return self.sigma.k
 
-    def _b_sigma(self, x, xi):
-        vals = np.asarray(self.sigma.branch(+1 if xi >= 0 else -1).fn(x), dtype=complex)
-        return self.ramp(abs(xi)) * vals
+    def factors(self, x):
+        """Clutching factors of the (minus, plus) branches at the points x."""
+        return tuple(_clutching_factors(self.sigma.branch(sign).fn(x)) for sign in (-1, +1))
+
+    @property
+    def companion(self):
+        """The trivial companion: the clutching pair of the unit symbol."""
+        return BottPair(HomogeneousSymbol.unit(self.k), self.ramp)
+
+    def samples(self, factors, xis):
+        """(J, len(xis), 2k, 2k) samples of p - corner at ascending xis.
+
+        The ramp is called once on the array |xis|.  Negative frequencies
+        use the minus branch, the rest (xi = 0 included) the plus branch;
+        ascending xis make both contiguous column slices.
+        """
+        xis = np.asarray(xis, dtype=float)
+        r = np.asarray(self.ramp(np.abs(xis)), dtype=float)
+        split = int(np.searchsorted(xis, 0.0))
+        J, k = factors[0][0].shape
+        out = np.empty((J, xis.size, 4 * k * k), dtype=complex)
+        for branch, cols in zip(factors, (slice(None, split), slice(split, None))):
+            _clutching_samples(branch, r[cols], out[:, cols])
+        return out.reshape(J, xis.size, 2 * k, 2 * k)
 
     def p_sigma(self, x, xi):
-        """(len(x), 2k, 2k) samples of the clutching projection."""
-        return _graph_projection(self._b_sigma(np.atleast_1d(np.asarray(x, dtype=float)), xi))
+        """(len(x), 2k, 2k) samples of the clutching projection at one xi."""
+        factors = self.factors(np.atleast_1d(np.asarray(x, dtype=float)))
+        return self.samples(factors, np.array([float(xi)]))[:, 0] + self.corner()
 
     def p_base(self, x, xi):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        B = self.ramp(abs(xi)) * np.broadcast_to(np.eye(self.k, dtype=complex),
-                                                 (x.size, self.k, self.k))
-        return _graph_projection(np.ascontiguousarray(B))
+        """(len(x), 2k, 2k) samples of the trivial companion at one xi."""
+        return self.companion.p_sigma(x, xi)
 
     def corner(self):
         """The fiber-infinity limit diag(0, 1) of both projections."""
@@ -206,7 +247,8 @@ def bott_projection(sigma, ramp=None):
     """Clutching pair of an invertible symbol.
 
     ``ramp`` maps |xi| to the fiber radius used in the graph construction;
-    it must vanish at 0 and increase to infinity (default: identity).
+    it must vanish at 0 and increase to infinity (default: identity).  It is
+    called on a float and on arrays of |xi|, elementwise.
     """
     for branch in (sigma.plus, sigma.minus):
         winding_number(branch)
@@ -220,15 +262,19 @@ def bott_projection(sigma, ramp=None):
 
 
 def _count_above_half(pair, t, grid):
-    """Eigenvalue count > 1/2 of P_inf + T_t(p_sigma - corner), with its gap."""
+    """Eigenvalue count > 1/2 of P_inf + T_t(p_sigma - corner), with its gap.
+
+    Each branch is factored once on the grid points; every column block of
+    the deformation is then sampled in closed form.  P_inf is the corner
+    diag(0, I) in every mode, added on the diagonal.
+    """
     g2 = CircleGrid(J=grid.J, N=grid.N, k=2 * pair.k)
-    corner = pair.corner()
-
-    def q_fn(x, xi):
-        return pair.p_sigma(x, xi) - corner[None]
-
-    mat = quantize_sampled(q_fn, t, g2).mat
-    mat += np.kron(np.eye(g2.n_modes), corner)
+    factors = pair.factors(grid.x)
+    # quantize_sampled samples at g2.x, the points the factors were taken at
+    mat = quantize_sampled(lambda x, xis: pair.samples(factors, xis), t, g2).mat
+    bottom = (2 * pair.k * np.arange(g2.n_modes)[:, None]
+              + np.arange(pair.k, 2 * pair.k)[None, :]).ravel()
+    mat[bottom, bottom] += 1.0
     evals = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
     gap = float(np.min(np.abs(evals - 0.5)))
     return int(np.sum(evals > 0.5)), gap
@@ -268,11 +314,17 @@ def higson_trace_index(sigma, t, grid, ramp=None, pair=None):
 
 
 def naive_trace_pairing(sigma, t, grid, ramp=None):
-    """Entrywise trace of T_t(p_sigma - p_base); identically ~0 (diagnostic)."""
-    pair = bott_projection(sigma, ramp)
+    """Entrywise trace of T_t(p_sigma - p_base); identically ~0 (diagnostic).
 
-    def q_fn(x, xi):
-        return pair.p_sigma(x, xi) - pair.p_base(x, xi)
+    Both projections are sampled a column block at a time from their
+    clutching factors on the grid points, like the spectral count.
+    """
+    pair = bott_projection(sigma, ramp)
+    base = pair.companion
+    fs, fb = pair.factors(grid.x), base.factors(grid.x)
+
+    def q_fn(x, xis):
+        return pair.samples(fs, xis) - base.samples(fb, xis)
 
     g2 = CircleGrid(J=grid.J, N=grid.N, k=2 * pair.k)
     return float(np.real(np.trace(quantize_sampled(q_fn, t, g2).mat)))

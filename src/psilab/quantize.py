@@ -104,10 +104,12 @@ def t_quantize(a, t, grid):
 def quantize_sampled(fn, t, grid, chunk=128):
     """t-quantization of a sampled matrix function a(x, xi).
 
-    ``fn(x_array, xi) -> (J, k, k)`` is evaluated column by column at the
-    rescaled lattice frequencies; x-coefficients come from the grid FFT.
-    Used for symbols outside the separable vocabulary (projection-valued
-    symbols of the index pairing).
+    ``fn(x, xis) -> (J, len(xis), k, k)`` samples the symbol at the grid
+    points ``x`` and at a block of at most ``chunk`` ascending rescaled
+    lattice frequencies ``xis = m / t``; it is called once per block, and
+    the x-coefficients of the block come from one grid FFT.  Used for
+    symbols outside the separable vocabulary (projection-valued symbols of
+    the index pairing).
     """
     if t <= 0:
         raise ValueError("need t > 0")
@@ -117,7 +119,10 @@ def quantize_sampled(fn, t, grid, chunk=128):
     table = np.zeros((n, k, n, k), dtype=complex)
     for start in range(0, n, chunk):
         cols = modes[start:start + chunk]
-        vals = np.stack([np.asarray(fn(x, m / t), dtype=complex) for m in cols], axis=1)
+        vals = np.asarray(fn(x, cols / t), dtype=complex)
+        if vals.shape[:2] != (grid.J, len(cols)):
+            raise ValueError(f"sampler returned shape {vals.shape}; expected "
+                             f"({grid.J}, {len(cols)}, {k}, {k})")
         _check_block(vals.shape[2:], k)
         spectrum = np.fft.fft(vals, axis=0) / grid.J
         idx = (modes[:, None] - cols[None, :]) % grid.J

@@ -361,6 +361,9 @@ class CutFunction:
 
 # -- symbols ----------------------------------------------------------------
 
+#: size cap of one block of stacked samples in Symbol.sup_norm
+SUP_NORM_BLOCK_BYTES = 2 ** 22
+
 
 @dataclass(frozen=True)
 class Symbol:
@@ -425,11 +428,22 @@ class Symbol:
         return Symbol(self.terms + other.terms, self.k, tag)
 
     def sup_norm(self, x_samples=256, xi_max=64.0, xi_samples=2048):
+        """Largest singular value over an x-by-xi sample grid.
+
+        The xi samples are taken a block at a time, with one stacked SVD per
+        block; a block of samples stays under SUP_NORM_BLOCK_BYTES.  The
+        terms are summed in order, as in ``eval_x_array``.
+        """
         x = 2.0 * np.pi * np.arange(x_samples) / x_samples
         xs = np.linspace(-xi_max, xi_max, xi_samples)
+        loops = [np.asarray(loop.fn(x)) for loop, _ in self.terms]
+        step = max(1, SUP_NORM_BLOCK_BYTES // (16 * x_samples * self.k * self.k))
         best = 0.0
-        for xi in xs:
-            vals = self.eval_x_array(x, float(xi))
+        for start in range(0, xi_samples, step):
+            block = xs[start:start + step]
+            vals = np.zeros((block.size, x_samples, self.k, self.k), dtype=complex)
+            for loop_vals, (_, prof) in zip(loops, self.terms):
+                vals += loop_vals * prof(block)[:, None, None, None]
             best = max(best, float(np.max(np.linalg.svd(vals, compute_uv=False))))
         return best
 

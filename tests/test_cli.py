@@ -193,6 +193,32 @@ class TestExitCodes:
         assert rc == 2
         assert "block size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,section,message", [
+        ("defect-sweep", {"defect_sweep": {"t0_symbol": {"class": "vanishing_00"}}},
+         "'terms'"),
+        ("defect-sweep", {"defect_sweep": {"t0_symbol": {"terms": [{"loop": "c1"}]}}},
+         "'profile'"),
+        ("defect-sweep", {"defect_sweep": {"pair": {"a": "cs"}}}, "'b'"),
+        ("ch-compare", {"ch_compare": {"extended_cases": [{"label": "x", "g": {
+            "kind": "rational_vanishing"}, "c": {"matrix_modes": {"0": [[1, 0], [0]]}}}]}},
+         "square"),
+        ("ch-compare", {"ch_compare": {"extended_cases": [{"label": "x", "g": {
+            "kind": "rational_vanishing"}, "c": {"matrix_modes": {
+                "0": [[1, 0], [0, 1]], "1": [[1]]}}}]}}, "one block size"),
+        ("ch-compare", {"ch_compare": {"extended_cases": [{"label": "x", "c": "c1"}]}},
+         "'g'"),
+        ("ch-compare", {"ch_compare": {"cases": [{"label": "x", "f": {
+            "kind": "rational_vanishing"}}]}}, "'d'"),
+        ("ch-compare", {"ch_compare": {"extended_cases": [{"label": "x", "g": {
+            "kind": "rational_vanishing"}, "c": {"modes": {"one": 1.0}}}]}}, "integer"),
+        ("index-compare", {"index_compare": {"cases": [{"winding": [1]}]}}, "two integers"),
+    ])
+    def test_malformed_record_exits_2(self, tmp_path, capsys, command, section, message):
+        path = write_config(tmp_path, {"grid": {"N": 32, "J": 132}, **section})
+        rc = main([command, "--config", path, "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
     def test_truncated_sweep_exits_1(self, tmp_path):
         # a tiny t-window cannot meet the decay ratios
         data = dict(SMALL)

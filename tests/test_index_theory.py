@@ -1,16 +1,65 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from psilab.index_theory import (InconclusiveIndexError, analytic_index,
+from psilab.index_theory import (BottPair, InconclusiveIndexError,
+                                 _count_above_half, analytic_index,
                                  bott_projection, fredholm_index_svd,
                                  higson_trace_index, index_report,
                                  naive_trace_pairing, winding_number)
 from psilab.numerics import CircleGrid
 from psilab.quantize import quantize_sampled
 from psilab.symbols import CutFunction, HomogeneousSymbol, Loop
-from psilab.presets import winding_pair
+from psilab.presets import index_suite, winding_pair
 
 PAIRS = [((0, 0), 0), ((1, 0), -1), ((0, 1), 1), ((2, -1), -3)]
+
+
+def graph_projection(B):
+    """Slow reference: projection onto the graph of B through an inverse.
+
+    For any matrix b the block matrix
+        [[ (1+b*b)^-1,      (1+b*b)^-1 b* ],
+         [ b (1+b*b)^-1,  b (1+b*b)^-1 b* ]]
+    is an exact orthogonal projection of trace k.
+    """
+    k = B.shape[-1]
+    BH = np.swapaxes(B.conj(), -1, -2)
+    G = np.linalg.inv(np.eye(k)[None] + BH @ B)
+    top = np.concatenate([G, G @ BH], axis=-1)
+    bot = np.concatenate([B @ G, B @ G @ BH], axis=-1)
+    return np.concatenate([top, bot], axis=-2)
+
+
+def reference_samples(pair, x, xis):
+    """p_sigma - corner column by column, one inverse per sample."""
+    return np.stack([graph_projection(pair.ramp(abs(xi)) * pair.sigma(x, xi))
+                     - pair.corner()[None] for xi in xis], axis=1)
+
+
+def dominant_loop(k, shift, perturbation):
+    """e^{i shift x} (I + sum_j c_j e^{ijx}): invertible whenever the
+    perturbation has total norm below one, with determinant winding
+    k * shift; not unitary, so its singular values vary with x."""
+    d = 2
+    coeffs = np.zeros((2 * d + 1 + 2 * abs(shift), k, k), dtype=complex)
+    centre = d + abs(shift) + shift
+    coeffs[centre] = np.eye(k)
+    for j, c in zip((-2, -1, 1, 2), perturbation):
+        coeffs[centre + j] += c
+    return Loop.from_coeffs(coeffs)
+
+
+def random_block(rng, k, size):
+    """Complex k x k matrix of spectral norm ``size``."""
+    m = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    return size * m / np.linalg.norm(m, 2)
+
+
+def random_dominant_loop(seed, k, shift, total=0.6):
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(4)) * total
+    return dominant_loop(k, shift, [random_block(rng, k, w) for w in weights])
 
 
 class TestWinding:
@@ -150,6 +199,60 @@ class TestBottProjection:
             bott_projection(bad)
 
 
+class TestClosedFormAgainstReference:
+    XIS = np.array([-40.0, -7.5, -1.0, -0.25, 0.0, 0.5, 3.0, 64.0])
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_entrywise_against_inverse(self, k):
+        sigma = HomogeneousSymbol(random_dominant_loop(1, k, 1),
+                                  random_dominant_loop(2, k, -2))
+        pair = bott_projection(sigma)
+        x = 2 * np.pi * np.arange(36) / 36
+        s = np.linalg.svd(sigma.plus(x), compute_uv=False)
+        assert np.ptp(s) > 0.5  # the branch is far from unitary
+        factors = pair.factors(x)
+        # both signs in one block, and blocks of one sign only
+        for xis in (self.XIS, self.XIS[:4], self.XIS[4:]):
+            fast = pair.samples(factors, xis)
+            assert np.max(np.abs(fast - reference_samples(pair, x, xis))) <= 1e-13
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_singular_branch_needs_no_inverse(self, k):
+        # u with a zero singular value somewhere: the closed form still
+        # matches the graph projection
+        sigma = HomogeneousSymbol(Loop.from_scalar_modes({1: 0.5, -1: 0.5}, k=k),
+                                  Loop.identity(k))
+        pair = BottPair(sigma, lambda r: r)  # bott_projection would reject u
+        x = np.array([0.0, np.pi / 2, 1.0])
+        fast = pair.samples(pair.factors(x), self.XIS)
+        assert np.max(np.abs(fast - reference_samples(pair, x, self.XIS))) <= 1e-13
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(1, 2), seed=st.integers(0, 2**32 - 1),
+           shift=st.integers(-2, 2), total=st.floats(0.05, 0.9),
+           xi=st.floats(-100.0, 100.0))
+    def test_property_projection_algebra(self, k, seed, shift, total, xi):
+        pair = bott_projection(HomogeneousSymbol(random_dominant_loop(seed, k, shift, total),
+                                                 random_dominant_loop(seed + 1, k, -shift, total)))
+        x = 2 * np.pi * np.arange(24) / 24
+        p = pair.p_sigma(x, xi)
+        assert np.max(np.abs(p @ p - p)) <= 1e-12
+        assert np.max(np.abs(p - np.swapaxes(p.conj(), -1, -2))) <= 1e-12
+        assert np.max(np.abs(np.trace(p, axis1=1, axis2=2) - k)) <= 1e-12
+
+    @pytest.mark.parametrize("label,sigma", index_suite())
+    def test_counts_match_per_column_reference(self, grid32, label, sigma):
+        pair = bott_projection(sigma)
+        g2 = CircleGrid(J=grid32.J, N=grid32.N, k=2 * pair.k)
+        for t in (4.0, 8.0, 16.0):
+            mat = quantize_sampled(lambda x, xis: reference_samples(pair, x, xis), t, g2).mat
+            mat += np.kron(np.eye(g2.n_modes), pair.corner())
+            evals = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
+            count, gap = _count_above_half(pair, t, grid32)
+            assert count == int(np.sum(evals > 0.5))
+            assert gap == pytest.approx(float(np.min(np.abs(evals - 0.5))), abs=1e-12)
+
+
 class TestSpectralPairing:
     @pytest.mark.parametrize("windings,expect", PAIRS)
     def test_calibration_suite(self, grid64, windings, expect):
@@ -170,8 +273,8 @@ class TestSpectralPairing:
         g2 = CircleGrid(J=4 * N + 4, N=N, k=2 * k)
         corner = pair.corner()
         for t in (2.0, N / 4.0):
-            mat = quantize_sampled(lambda x, xi: pair.p_base(x, xi) - corner[None],
-                                   t, g2).mat
+            mat = quantize_sampled(lambda x, xis: np.stack(
+                [pair.p_base(x, xi) - corner[None] for xi in xis], axis=1), t, g2).mat
             mat += np.kron(np.eye(g2.n_modes), corner)
             evals = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
             assert int(np.sum(evals > 0.5)) == k * (2 * N + 1)
@@ -247,3 +350,20 @@ class TestMatrixCoefficients:
         sigma = HomogeneousSymbol(Loop.from_coeffs(coeffs), Loop.identity(2))
         assert analytic_index(sigma) == 0
         assert fredholm_index_svd(sigma, theta, g) == 0
+
+
+class TestIndexTheoremProperty:
+    # Gohberg-Krein: for invertible trigonometric-polynomial branches the
+    # Fredholm index, the winding formula and the spectral pairing give the
+    # same integer, w(minus) - w(plus) times the block size.
+    @settings(max_examples=25, deadline=None)
+    @given(k=st.integers(1, 2), w_plus=st.integers(-2, 2), w_minus=st.integers(-2, 2),
+           seed=st.integers(0, 2**32 - 1), total=st.floats(0.05, 0.6))
+    def test_three_routes_agree(self, grid32, theta, k, w_plus, w_minus, seed, total):
+        sigma = HomogeneousSymbol(random_dominant_loop(seed, k, w_plus, total),
+                                  random_dominant_loop(seed + 1, k, w_minus, total))
+        g = CircleGrid(J=grid32.J, N=grid32.N, k=k)
+        rep = index_report(sigma, g, theta=theta, t_grid=(4.0, 8.0), label="random")
+        expect = k * (w_minus - w_plus)
+        assert rep.agree
+        assert rep.fredholm_index == rep.analytic_index == rep.higson_rounded == expect

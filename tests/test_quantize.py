@@ -69,8 +69,8 @@ class TestTQuantize:
         sym = Symbol.separable(loop_c1(), rational_decay_profile(),
                                SymbolClass.FULL_C0)
 
-        def fn(x, xi):
-            return sym.eval_x_array(x, xi)
+        def fn(x, xis):
+            return np.stack([sym.eval_x_array(x, xi) for xi in xis], axis=1)
 
         exact = t_quantize(sym, 3.0, grid32)
         sampled = quantize_sampled(fn, 3.0, grid32)
@@ -253,4 +253,9 @@ class TestBlockSizeMismatch:
     def test_sampled_scalar_function_on_matrix_grid_raises(self):
         g = CircleGrid(J=132, N=32, k=2)
         with pytest.raises(ValueError, match="block size"):
-            quantize_sampled(lambda x, xi: np.ones((x.size, 1, 1)), 2.0, g)
+            quantize_sampled(lambda x, xis: np.ones((x.size, xis.size, 1, 1)), 2.0, g)
+
+    def test_per_column_sampler_rejected(self, grid32):
+        # a sampler must return one block of columns, not a single column
+        with pytest.raises(ValueError, match="sampler returned shape"):
+            quantize_sampled(lambda x, xis: np.ones((x.size, 1, 1)), 2.0, grid32)
