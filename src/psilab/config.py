@@ -10,6 +10,7 @@ parameters, and a coefficient matrix); see the README for the full format.
 from __future__ import annotations
 
 import json
+import math
 
 import jsonschema
 import numpy as np
@@ -298,6 +299,23 @@ def parse_homogeneous(spec):
     raise ConfigError(f"homogeneous record needs 'winding' or branches: {spec!r}")
 
 
+def _t_exponents(cfg, section, key):
+    """Exponents e of a t grid; t = 2**e and the top rescaled frequency N / t
+    must be finite positive floats."""
+    N = cfg["grid"]["N"]
+    bad = []
+    for e in section[key]:
+        try:
+            t = 2.0 ** e
+        except OverflowError:
+            t = math.inf
+        if not (t > 0.0 and math.isfinite(t) and math.isfinite(N / t)):
+            bad.append(e)
+    if bad:
+        raise ConfigError(f"{key} {bad}: need 2**e and N / 2**e finite and positive")
+    return section[key]
+
+
 def _check_block_sizes(cfg, symbols):
     k = cfg["grid"]["k"]
     for sym in symbols:
@@ -308,7 +326,7 @@ def _check_block_sizes(cfg, symbols):
 def defect_sweep_cfg(cfg):
     section = cfg["defect_sweep"]
     out = {"tolerances": cfg["tolerances"],
-           "t_exponents": section["t_exponents"]}
+           "t_exponents": _t_exponents(cfg, section, "t_exponents")}
     pair = section["pair"]
     if pair == "cs":
         out["pair"] = presets.cs_pair()
@@ -326,8 +344,10 @@ def defect_sweep_cfg(cfg):
 
 def ch_compare_cfg(cfg):
     section = cfg["ch_compare"]
+    if not section["t_exponents"]:
+        raise ConfigError("ch_compare t_exponents must not be empty")
     out = {"tolerances": cfg["tolerances"],
-           "t_exponents": section["t_exponents"],
+           "t_exponents": _t_exponents(cfg, section, "t_exponents"),
            "theta": CutFunction(cfg["theta_r0"])}
     out["cases"] = presets.ch_cases() if section["cases"] == "default" else [
         (label, parse_profile(f), parse_homogeneous(d)) for label, f, d in
@@ -366,7 +386,7 @@ def index_cfg(cfg):
     section = cfg["index_compare"]
     out = {"tolerances": cfg["tolerances"],
            "theta": CutFunction(cfg["theta_r0"]),
-           "higson_t_exponents": section["higson_t_exponents"]}
+           "higson_t_exponents": _t_exponents(cfg, section, "higson_t_exponents")}
     out["cases"] = presets.index_suite() if section["cases"] == "default" else [
         (c.get("label", f"case{i}"), parse_homogeneous(c))
         for i, c in enumerate(section["cases"])]

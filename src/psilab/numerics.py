@@ -99,7 +99,7 @@ class FourierOperator:
         d = self.grid.dim
         if self.mat.shape != (d, d):
             raise ValueError(f"matrix shape {self.mat.shape} != ({d}, {d})")
-        if not np.all(np.isfinite(self.mat.real)) or not np.all(np.isfinite(self.mat.imag)):
+        if not np.isfinite(self.mat).all():
             raise ValueError("operator entries must be finite")
 
     # -- algebra ---------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .numerics import CircleGrid, FourierOperator
 from .partition import smooth_step
@@ -53,17 +53,26 @@ def _assemble(grid, terms):
     """Operator with entries sum c(n - m) * w(m) over (coeffs, weights) terms.
 
     ``coeffs`` holds c(j), |j| <= 2N, with shape (4N+1, k, k); ``weights``
-    holds one value per column mode.  Each term is added straight into an
-    (n, k, n, k) table through a strided Toeplitz view of its coefficients,
-    so the table reshapes to the flat (dim, dim) matrix without a copy.
+    holds one value per column mode.  The first term is written straight
+    into an uninitialized (n, k, n, k) table through a strided Toeplitz
+    view of its coefficients and later terms are added in place, so every
+    entry is written once per term and the table reshapes to the flat
+    (dim, dim) matrix without a copy.  No terms give the zero operator.
     """
     n, k = grid.n_modes, grid.k
-    table = np.zeros((n, k, n, k), dtype=complex)
+    table = None
     for coeffs, weights in terms:
         _check_block(coeffs.shape[1:], k)
         # window[r, :, :, l] = c(r + l - 2N); reversing l gives c(r - m)
-        toeplitz = sliding_window_view(coeffs, n, axis=0)[..., ::-1]
-        table += toeplitz.transpose(0, 1, 3, 2) * weights[None, None, :, None]
+        toeplitz = sliding_window_view(coeffs, n, axis=0)[..., ::-1].transpose(0, 1, 3, 2)
+        weighted = weights[None, None, :, None]
+        if table is None:
+            table = np.multiply(toeplitz, weighted,
+                                out=np.empty((n, k, n, k), dtype=complex))
+        else:
+            table += toeplitz * weighted
+    if table is None:
+        return FourierOperator.zero(grid)
     return FourierOperator(grid, table.reshape(grid.dim, grid.dim))
 
 
@@ -115,8 +124,8 @@ def quantize_sampled(fn, t, grid, chunk=128):
         raise ValueError("need t > 0")
     x = grid.x
     modes = grid.modes
-    n, k = grid.n_modes, grid.k
-    table = np.zeros((n, k, n, k), dtype=complex)
+    N, n, k = grid.N, grid.n_modes, grid.k
+    table = np.empty((n, k, n, k), dtype=complex)
     for start in range(0, n, chunk):
         cols = modes[start:start + chunk]
         vals = np.asarray(fn(x, cols / t), dtype=complex)
@@ -124,9 +133,14 @@ def quantize_sampled(fn, t, grid, chunk=128):
             raise ValueError(f"sampler returned shape {vals.shape}; expected "
                              f"({grid.J}, {len(cols)}, {k}, {k})")
         _check_block(vals.shape[2:], k)
-        spectrum = np.fft.fft(vals, axis=0) / grid.J
-        idx = (modes[:, None] - cols[None, :]) % grid.J
-        block = spectrum[idx, np.arange(len(cols))[None, :]]
+        spectrum = np.fft.fft(vals, axis=0)
+        # centred[l + 2N, b] = c_b(l), |l| <= 2N, for the column of block index b
+        centred = np.concatenate((spectrum[-2 * N:], spectrum[:2 * N + 1]))
+        centred /= grid.J
+        # entry (n, b) = c_b(n - start - b): a Toeplitz view skewed by one column
+        s0, s1, s2, s3 = centred.strides
+        block = as_strided(centred[2 * N - start:], shape=(n, len(cols), k, k),
+                           strides=(s0, s1 - s0, s2, s3), writeable=False)
         table[:, :, start:start + len(cols), :] = block.transpose(0, 2, 1, 3)
     return FourierOperator(grid, table.reshape(grid.dim, grid.dim))
 
@@ -273,10 +287,14 @@ def t_quantize_charts(a, t, atlas, grid, pad=64):
         raise ValueError("need t > 0")
     atlas.validate(grid)
     big = padded_grid(grid, pad)
-    total = np.zeros((big.dim, big.dim), dtype=complex)
+    total = None  # the windows sum to one, so at least one chart contributes
     for phi, psi in zip(atlas.phis, atlas.psis):
         if np.max(np.abs(np.asarray(phi(grid.x), dtype=float))) == 0.0:
             continue
         chart_term = t_quantize(_windowed(a, psi), t, big)
-        total += chart_term.mat @ _scalar_multiplier(phi, big).mat
+        product = chart_term.mat @ _scalar_multiplier(phi, big).mat
+        if total is None:
+            total = product
+        else:
+            total += product
     return restrict_to(FourierOperator(big, total), grid)

@@ -363,6 +363,12 @@ class CutFunction:
 
 #: size cap of one block of stacked samples in Symbol.sup_norm
 SUP_NORM_BLOCK_BYTES = 2 ** 22
+# Relative slack of the Frobenius-versus-column pruning in Symbol.sup_norm
+# (rounding of the squared norms and of the SVD is ~1e-15), and the range
+# of squared norms that neither underflowed nor overflowed; a block outside
+# it goes to the SVD whole.
+_SUP_NORM_SLACK = 2e-12
+_SQUARES_SAFE = (1e-290, 1e290)
 
 
 @dataclass(frozen=True)
@@ -432,7 +438,11 @@ class Symbol:
 
         The xi samples are taken a block at a time, with one stacked SVD per
         block; a block of samples stays under SUP_NORM_BLOCK_BYTES.  The
-        terms are summed in order, as in ``eval_x_array``.
+        terms are summed in order, as in ``eval_x_array``.  Only samples
+        whose Frobenius norm reaches the largest column norm of the block
+        go to the SVD: max column norm <= sigma_max <= Frobenius norm, so
+        the sample with the largest singular value is always among them
+        and the result equals the SVD of the whole block.
         """
         x = 2.0 * np.pi * np.arange(x_samples) / x_samples
         xs = np.linspace(-xi_max, xi_max, xi_samples)
@@ -444,6 +454,11 @@ class Symbol:
             vals = np.zeros((block.size, x_samples, self.k, self.k), dtype=complex)
             for loop_vals, (_, prof) in zip(loops, self.terms):
                 vals += loop_vals * prof(block)[:, None, None, None]
+            with np.errstate(over="ignore", under="ignore"):
+                col2 = (vals.real ** 2 + vals.imag ** 2).sum(axis=-2)
+            bound2 = col2.max()
+            if _SQUARES_SAFE[0] <= bound2 <= _SQUARES_SAFE[1]:
+                vals = vals[col2.sum(axis=-1) >= (1.0 - _SUP_NORM_SLACK) * bound2]
             best = max(best, float(np.max(np.linalg.svd(vals, compute_uv=False))))
         return best
 

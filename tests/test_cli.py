@@ -219,6 +219,26 @@ class TestExitCodes:
         assert rc == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,section,message", [
+        ("defect-sweep", {"defect_sweep": {"t_exponents": [0, 2000]}}, "t_exponents [2000]"),
+        ("defect-sweep", {"defect_sweep": {"t_exponents": [-2000, 0]}}, "t_exponents [-2000]"),
+        ("ch-compare", {"ch_compare": {"t_exponents": [2000]}}, "t_exponents [2000]"),
+        ("ch-compare", {"ch_compare": {"t_exponents": [-2000]}}, "t_exponents [-2000]"),
+        ("ch-compare", {"ch_compare": {"t_exponents": []}}, "must not be empty"),
+        ("index-compare", {"index_compare": {"higson_t_exponents": [2000]}},
+         "higson_t_exponents [2000]"),
+        ("index-compare", {"index_compare": {"higson_t_exponents": [4, -2000]}},
+         "higson_t_exponents [-2000]"),
+        # 2**-1074 is positive, but the rescaled frequency N / t overflows
+        ("defect-sweep", {"defect_sweep": {"t_exponents": [-1074]}}, "t_exponents [-1074]"),
+    ])
+    def test_t_exponent_out_of_range_exits_2(self, tmp_path, capsys, command, section,
+                                             message):
+        path = write_config(tmp_path, {"grid": {"N": 16, "J": 68}, **section})
+        rc = main([command, "--config", path, "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
     def test_truncated_sweep_exits_1(self, tmp_path):
         # a tiny t-window cannot meet the decay ratios
         data = dict(SMALL)

@@ -98,10 +98,12 @@ class TestOperatorNorm:
             assert operator_norm(X.adjoint()) == pytest.approx(operator_norm(X), rel=1e-12)
 
     def test_nonfinite_rejected(self, grid16):
-        mat = np.zeros((grid16.dim, grid16.dim), dtype=complex)
-        mat[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            FourierOperator(grid16, mat)
+        for bad in (complex(np.nan, 0.0), complex(np.inf, 0.0),
+                    complex(0.0, np.nan), complex(0.0, -np.inf)):
+            mat = np.zeros((grid16.dim, grid16.dim), dtype=complex)
+            mat[3, 5] = bad
+            with pytest.raises(ValueError, match="finite"):
+                FourierOperator(grid16, mat)
 
 
 def svd_norm(mat):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from psilab.partition import (SmoothStep, build_partition, gamma_sup_on_modes,
                               smooth_step)
@@ -123,3 +124,14 @@ class TestValidation:
         p = build_partition(1.0, 4)
         with pytest.raises(ValueError):
             p.gamma(0, 0.0)
+
+
+class TestSumOfSquaresProperty:
+    # s >= 2**-9 keeps the covered x-range, up to 2**(1/s + L), a finite float
+    @settings(max_examples=40, deadline=None)
+    @given(s=st.floats(2.0 ** -9, 1.0), L=st.integers(2, 8))
+    def test_sum_of_squares_is_one(self, s, L):
+        p = build_partition(s, L)
+        lo, hi = p.covered_log2_range()
+        xs = np.exp2(np.linspace(lo, hi, 4001))
+        assert np.max(np.abs(p.sum_of_squares(xs) - 1.0)) <= 1e-12

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from psilab.numerics import CircleGrid, operator_norm
-from psilab.quantize import (Atlas, multiplication_operator, op_quantize,
+from psilab.quantize import (Atlas, _assemble, multiplication_operator, op_quantize,
                              padded_grid, quantize_sampled, restrict_to,
                              t_quantize, t_quantize_charts)
 from psilab.symbols import (HomogeneousSymbol, Loop, Symbol, SymbolClass,
@@ -53,6 +55,17 @@ class TestTQuantize:
                   + 2.5 * t_quantize(b, 2.0, grid32))
         assert np.allclose(t_quantize(combined, 2.0, grid32).mat, expect.mat,
                            atol=1e-14)
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(1, 2), seed=st.integers(0, 2**32 - 1),
+           t=st.floats(0.125, 64.0), s=st.floats(0.125, 8.0))
+    def test_translation_invariance_property(self, random_symbol, k, seed, t, s):
+        # T_{ts}(a) = T_t(a_s): the frequencies m/(ts) and (m/t)/s differ by rounding
+        g = CircleGrid(J=68, N=16, k=k)
+        sym = random_symbol(k, seed)
+        lhs = t_quantize(sym, t * s, g)
+        rhs = t_quantize(dilate(sym, s), t, g)
+        assert np.max(np.abs(lhs.mat - rhs.mat)) <= 1e-12
 
     def test_requires_positive_t(self, grid32):
         with pytest.raises(ValueError):
@@ -259,3 +272,92 @@ class TestBlockSizeMismatch:
         # a sampler must return one block of columns, not a single column
         with pytest.raises(ValueError, match="sampler returned shape"):
             quantize_sampled(lambda x, xis: np.ones((x.size, 1, 1)), 2.0, grid32)
+
+
+# -- write-once kernels against the slow references they replace -------------
+
+
+def zero_filled_assemble(grid, terms):
+    """Reference kernel: every term accumulated into a zero-filled table."""
+    n, k = grid.n_modes, grid.k
+    table = np.zeros((n, k, n, k), dtype=complex)
+    for coeffs, weights in terms:
+        toeplitz = sliding_window_view(coeffs, n, axis=0)[..., ::-1]
+        table += toeplitz.transpose(0, 1, 3, 2) * weights[None, None, :, None]
+    return table.reshape(grid.dim, grid.dim)
+
+
+def fancy_index_sampled(fn, t, grid, chunk=128):
+    """Reference gather: spectrum rows picked by an (n - m) mod J index array."""
+    modes = grid.modes
+    n, k = grid.n_modes, grid.k
+    table = np.zeros((n, k, n, k), dtype=complex)
+    for start in range(0, n, chunk):
+        cols = modes[start:start + chunk]
+        vals = np.asarray(fn(grid.x, cols / t), dtype=complex)
+        spectrum = np.fft.fft(vals, axis=0) / grid.J
+        idx = (modes[:, None] - cols[None, :]) % grid.J
+        block = spectrum[idx, np.arange(len(cols))[None, :]]
+        table[:, :, start:start + len(cols), :] = block.transpose(0, 2, 1, 3)
+    return table.reshape(grid.dim, grid.dim)
+
+
+def non_hermitian_sampler(k):
+    """Sampled symbol outside the separable vocabulary, not Hermitian."""
+    a = matrix_loop(k=k, seed=21, degree=3)
+    b = matrix_loop(k=k, seed=22, degree=2)
+
+    def fn(x, xis):
+        av, bv = np.asarray(a.fn(x)), np.asarray(b.fn(x))
+        phase = np.exp(1j * np.outer(np.sin(x), np.arctan(xis)))
+        return (av[:, None] * (1.0 / (1.0 + xis ** 2))[None, :, None, None]
+                + bv[:, None] * phase[:, :, None, None])
+
+    return fn
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("N", [5, 32, 70])
+class TestWriteOnceAgainstReference:
+    """Bitwise equality (== treats -0 and +0 alike) with the replaced kernels."""
+
+    def grid(self, N, k):
+        return CircleGrid(J=4 * N + 6, N=N, k=k)
+
+    def terms(self, g, t):
+        sym = Symbol(((matrix_loop(k=g.k, seed=31), rational_decay_profile(2.0)),
+                      (matrix_loop(k=g.k, seed=32, degree=3), cap_profile(5.0)),
+                      (Loop.identity(g.k), rational_vanishing_profile(1.5))),
+                     g.k, SymbolClass.FULL_C0)
+        return sym, [(loop.coefficients(g, 2 * g.N),
+                      np.asarray(prof(g.modes / t), dtype=complex))
+                     for loop, prof in sym.terms]
+
+    def test_assemble(self, N, k):
+        g = self.grid(N, k)
+        sym, terms = self.terms(g, 3.0)
+        for count in range(len(terms) + 1):
+            got = _assemble(g, terms[:count]).mat
+            assert np.array_equal(got, zero_filled_assemble(g, terms[:count]))
+        assert np.array_equal(t_quantize(sym, 3.0, g).mat, zero_filled_assemble(g, terms))
+
+    def test_op_quantize_and_multiplication(self, N, k, theta):
+        g = self.grid(N, k)
+        plus, minus = matrix_loop(k=k, seed=33), matrix_loop(k=k, seed=34, degree=3)
+        w = np.asarray(theta(np.abs(g.modes)), dtype=complex)
+        expect = zero_filled_assemble(g, [
+            (plus.coefficients(g, 2 * N), np.where(g.modes >= 0, w, 0.0)),
+            (minus.coefficients(g, 2 * N), np.where(g.modes < 0, w, 0.0))])
+        assert np.array_equal(op_quantize(HomogeneousSymbol(plus, minus), theta, g).mat,
+                              expect)
+        expect = zero_filled_assemble(g, [(plus.coefficients(g, 2 * N),
+                                           np.ones(g.n_modes, dtype=complex))])
+        assert np.array_equal(multiplication_operator(plus, g).mat, expect)
+
+    @pytest.mark.parametrize("chunk", [128, 16])
+    def test_quantize_sampled(self, N, k, chunk):
+        g = self.grid(N, k)
+        fn = non_hermitian_sampler(k)
+        got = quantize_sampled(fn, 2.5, g, chunk=chunk).mat
+        assert np.array_equal(got, fancy_index_sampled(fn, 2.5, g, chunk=chunk))
+        assert np.max(np.abs(got - got.conj().T)) > 1e-3

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from psilab import presets, symbols
 
 from psilab.symbols import (CutFunction, HomogeneousSymbol, Loop, Symbol,
                             SymbolClass, bump_profile, cap_profile,
@@ -223,3 +226,66 @@ class TestProfiles:
     def test_one_sided(self):
         p = rational_vanishing_profile().one_sided(+1)
         assert p(-3.0) == 0.0 and abs(p(3.0)) > 0.0
+
+
+def stacked_svd_sup_norm(sym, x_samples=256, xi_max=64.0, xi_samples=2048):
+    """Reference: the stacked SVD of every sample of every block, unpruned."""
+    x = 2.0 * np.pi * np.arange(x_samples) / x_samples
+    xs = np.linspace(-xi_max, xi_max, xi_samples)
+    loops = [np.asarray(loop.fn(x)) for loop, _ in sym.terms]
+    step = max(1, symbols.SUP_NORM_BLOCK_BYTES // (16 * x_samples * sym.k * sym.k))
+    best = 0.0
+    for start in range(0, xi_samples, step):
+        block = xs[start:start + step]
+        vals = np.zeros((block.size, x_samples, sym.k, sym.k), dtype=complex)
+        for loop_vals, (_, prof) in zip(loops, sym.terms):
+            vals += loop_vals * prof(block)[:, None, None, None]
+        best = max(best, float(np.max(np.linalg.svd(vals, compute_uv=False))))
+    return best
+
+
+def sup_norm_cases():
+    a, b = presets.cs_pair()
+    c, d = presets.v00_pair()
+    smashed = [smash(f, h) for _, f, h in presets.ch_cases()]
+    cases = {"cs_a": a, "cs_b": b, "v00_a": c, "v00_b": d,
+             "t0": presets.t0_symbol(), "chart": presets.chart_symbol(),
+             "sum": a + b, "product": a * b, "product_v00": c * d,
+             "mixed": c * homog_example(), "zero": Symbol.zero(2)}
+    cases.update({f"smash{i}": sym for i, sym in enumerate(smashed)})
+    cases.update({f"translation{i}": sym
+                  for i, sym in enumerate(presets.translation_symbols())})
+    # every sample of a constant symbol ties for the maximum, exactly or to rounding
+    cases["ties"] = Symbol.separable(Loop.constant(np.diag([1.0, 1.0])),
+                                     constant_profile(1.0), SymbolClass.FULL_C0)
+    cases["unimodular"] = Symbol.separable(Loop.from_scalar_modes({3: 1.0}),
+                                           constant_profile(1.0), SymbolClass.FULL_C0)
+    return cases
+
+
+class TestSupNormPruning:
+    """The pruned sup norm equals the full stacked SVD bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(sup_norm_cases()))
+    def test_matches_stacked_svd(self, name):
+        sym = sup_norm_cases()[name]
+        assert sym.sup_norm() == stacked_svd_sup_norm(sym)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-300, 1e160])
+    def test_extreme_scales_match(self, scale):
+        # squared norms that underflow or overflow send the block to the SVD whole
+        sym = Symbol.separable(scale * presets.loop_c1(), rational_decay_profile(),
+                               SymbolClass.FULL_C0)
+        assert sym.sup_norm(xi_samples=64) == stacked_svd_sup_norm(sym, xi_samples=64)
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(1, 2), seed=st.integers(0, 2**32 - 1),
+           xi_max=st.floats(1.0, 100.0))
+    def test_property_matches_stacked_svd(self, random_symbol, k, seed, xi_max):
+        sym = random_symbol(k, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            # blocks of 16 xi samples: 8 blocks per call
+            mp.setattr(symbols, "SUP_NORM_BLOCK_BYTES", 16 * 16 * 64 * k * k)
+            got = sym.sup_norm(x_samples=64, xi_max=xi_max, xi_samples=128)
+            ref = stacked_svd_sup_norm(sym, x_samples=64, xi_max=xi_max, xi_samples=128)
+        assert got == ref
