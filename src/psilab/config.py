@@ -29,16 +29,16 @@ class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
 
 
-#: one table of every numeric default (documented in the README)
+#: the one table of defaults (documented in the README); the ``*_cfg``
+#: functions below fill every key of a run config from the merged config, so
+#: the sweep runners keep no fallback values
 DEFAULTS = {
     "grid": {"N": 256, "J": 1028, "k": 1},
     "theta_r0": 4.0,
     "tolerances": {
-        "tol_compact": 1e-3,     # PASS bar for tail norms at K = N/2
         "eps_rank": 1e-6,        # singular values below this count as kernel
         "decay_slope": -0.8,     # required log-log tail slope of t-defects
         "final_ratio": 0.05,     # required final/initial defect ratio
-        "translation_tol": 1e-13,  # entrywise bar for exact identities
         "exact_tol": 1e-12,      # operator-norm bar for exact identities
         "equ2_tol": 1e-6,        # shoulder-defect bar after support migration
         "t0_ratio": 1e-3,        # vanishing bar (relative to sup norm) at small t
@@ -70,6 +70,12 @@ DEFAULTS = {
 
 _symbolish = {"type": ["string", "object"]}
 _numarray = {"type": "array", "items": {"type": "number"}}
+_cases = {"type": ["string", "array"]}
+
+
+def _nonempty(items):
+    return {"type": "array", "items": items, "minItems": 1}
+
 
 SCHEMA = {
     "type": "object",
@@ -100,23 +106,23 @@ SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {"t_exponents": _numarray,
-                           "cases": {"type": ["string", "array"]},
-                           "extended_cases": {"type": ["string", "array"]}},
+                           "cases": _cases,
+                           "extended_cases": _cases},
         },
         "homotopy_verify": {
             "type": "object",
             "additionalProperties": False,
             "properties": {"symbol": _symbolish,
-                           "bands": _numarray,
-                           "s_values": _numarray,
+                           "bands": _nonempty({"type": "integer", "minimum": 0}),
+                           "s_values": _nonempty({"type": "number"}),
                            "K": {"type": "integer", "minimum": 1},
                            "L": {"type": "integer", "minimum": 2},
-                           "L_list": _numarray},
+                           "L_list": _nonempty({"type": "integer", "minimum": 2})},
         },
         "index_compare": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {"cases": {"type": ["string", "array"]},
+            "properties": {"cases": dict(_cases, minItems=1),
                            "higson_t_exponents": _numarray},
         },
     },
@@ -147,7 +153,8 @@ def load_config(path=None):
     try:
         jsonschema.validate(data, SCHEMA)
     except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config rejected by schema: {exc.message}") from exc
+        where = ".".join(map(str, exc.absolute_path)) or "top level"
+        raise ConfigError(f"config rejected by schema at {where}: {exc.message}") from exc
     return _deep_merge(DEFAULTS, data)
 
 
@@ -225,7 +232,7 @@ def _matrix(rows):
     return np.asarray([[_coeff(c) for c in row] for row in rows])
 
 
-def parse_loop(spec, k=1):
+def parse_loop(spec):
     """Loop from {"modes": {"1": 0.5, "-2": [0, 0.25]}} or matrix records."""
     if isinstance(spec, str):
         named = {"c1": presets.loop_c1, "c2": presets.loop_c2,
@@ -237,7 +244,7 @@ def parse_loop(spec, k=1):
         raise ConfigError(f"loop record must be a preset name or an object: {spec!r}")
     if "modes" in spec:
         modes = {_mode(j): _coeff(c) for j, c in spec["modes"].items()}
-        return Loop.from_scalar_modes(modes, k=spec.get("k", k))
+        return Loop.from_scalar_modes(modes, k=spec.get("k", 1))
     if "matrix_modes" in spec:
         entries = {_mode(j): _matrix(mat) for j, mat in spec["matrix_modes"].items()}
         sizes = sorted({mat.shape[0] for mat in entries.values()})
@@ -300,8 +307,10 @@ def parse_homogeneous(spec):
 
 
 def _t_exponents(cfg, section, key):
-    """Exponents e of a t grid; t = 2**e and the top rescaled frequency N / t
-    must be finite positive floats."""
+    """Exponents e of a nonempty t grid; t = 2**e and the top rescaled
+    frequency N / t must be finite positive floats."""
+    if not section[key]:
+        raise ConfigError(f"{key} must not be empty")
     N = cfg["grid"]["N"]
     bad = []
     for e in section[key]:
@@ -344,8 +353,6 @@ def defect_sweep_cfg(cfg):
 
 def ch_compare_cfg(cfg):
     section = cfg["ch_compare"]
-    if not section["t_exponents"]:
-        raise ConfigError("ch_compare t_exponents must not be empty")
     out = {"tolerances": cfg["tolerances"],
            "t_exponents": _t_exponents(cfg, section, "t_exponents"),
            "theta": CutFunction(cfg["theta_r0"])}
@@ -357,6 +364,8 @@ def ch_compare_cfg(cfg):
             (label, parse_profile(g), parse_loop(c)) for label, g, c in
             (_fields(e, ("label", "g", "c"), "ch_compare extended case")
              for e in section["extended_cases"])])
+    if not (out["cases"] or out["extended_cases"]):
+        raise ConfigError("ch_compare needs at least one case or extended case")
     _check_block_sizes(cfg, [d for _, _, d in out["cases"]]
                        + [c for _, _, c in out["extended_cases"]])
     return out

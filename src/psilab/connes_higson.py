@@ -34,17 +34,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Reparametrization:
-    """Homeomorphism kappa: (0, 1] -> [0, infinity), default 1/v - 1."""
+    """Homeomorphism kappa: (0, 1] -> [0, infinity), kappa(v) = 1/v - 1."""
 
-    kappa: callable = field(default=lambda v: 1.0 / v - 1.0, repr=False)
-    kappa_inv: callable = field(default=lambda r: 1.0 / (1.0 + r), repr=False)
+    @staticmethod
+    def kappa(v):
+        return 1.0 / v - 1.0
 
-    def check(self, samples=None, tol=1e-13):
-        v = np.linspace(1e-3, 1.0, 997) if samples is None else samples
+    @staticmethod
+    def kappa_inv(r):
+        return 1.0 / (1.0 + r)
+
+    def check(self):
+        """Round trip within 1e-13 on [1e-3, 1], and kappa(1) = 0."""
+        v = np.linspace(1e-3, 1.0, 997)
         err = np.max(np.abs(self.kappa_inv(self.kappa(v)) - v))
-        if err > tol:
+        if err > 1e-13:
             raise ValueError(f"kappa round-trip error {err}")
         if self.kappa(1.0) != 0.0:
             raise ValueError("kappa must send 1 to 0")
@@ -93,23 +98,23 @@ def default_unit(rep=None):
                            name="kappa-inverse")
 
 
-def tail_deformed_unit(rep=None, onset=32.0, width=8.0, amplitude=0.04):
+def tail_deformed_unit(rep=None):
     """Genuinely different unit profile agreeing with the default near 0.
 
-    The induced time change eta = kappa o m deviates from the identity only
-    beyond ``onset``; deviations supported near the origin would freeze the
-    comparison with the rescaled quantization at a constant (the choice of
-    unit is a homotopy-level freedom, not a norm-level one), so the bundled
-    alternative exercises the tail where the comparison stays meaningful.
+    The induced time change eta(r) = r (1 + 0.04 S((r - 32) / 8)), S the
+    smooth step, deviates from the identity only beyond r = 32; deviations
+    supported near the origin would freeze the comparison with the rescaled
+    quantization at a constant (the choice of unit is a homotopy-level
+    freedom, not a norm-level one), so the bundled alternative exercises
+    the tail where the comparison stays meaningful.
     """
     rep = Reparametrization() if rep is None else rep
 
     def eta(r):
         r = np.asarray(r, dtype=float)
-        return r * (1.0 + amplitude * smooth_step((r - onset) / width))
+        return r * (1.0 + 0.04 * smooth_step((r - 32.0) / 8.0))
 
-    return ApproximateUnit(lambda r: rep.kappa_inv(eta(r)),
-                           name=f"tail-deformed[{onset}]")
+    return ApproximateUnit(lambda r: rep.kappa_inv(eta(r)), name="tail-deformed[32.0]")
 
 
 def quasicentrality_defect(u, t, a, theta, grid):

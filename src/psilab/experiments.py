@@ -57,9 +57,9 @@ def loglog_slope(ts, vals):
 # -- individual defect quantities --------------------------------------------
 
 
-def mult_defect(a, b, t, grid, pad=8):
-    """|| T_t(a) T_t(b) - T_t(ab) || with the product formed on a padded range."""
-    big = padded_grid(grid, pad)
+def mult_defect(a, b, t, grid):
+    """|| T_t(a) T_t(b) - T_t(ab) || with the product formed on a range padded by 8."""
+    big = padded_grid(grid, 8)
     prod = t_quantize(a, t, big) @ t_quantize(b, t, big) - t_quantize(a * b, t, big)
     return operator_norm(restrict_to(prod, grid))
 
@@ -70,9 +70,9 @@ def adjoint_defect(a, t, grid):
                          - t_quantize(a.adjoint(), t, grid))
 
 
-def chart_defect(a, t, atlas, grid, pad=64):
+def chart_defect(a, t, atlas, grid):
     """|| chart-assembled quantization - global quantization ||."""
-    return operator_norm(t_quantize_charts(a, t, atlas, grid, pad=pad)
+    return operator_norm(t_quantize_charts(a, t, atlas, grid)
                          - t_quantize(a, t, grid))
 
 
@@ -88,14 +88,13 @@ def run_defect_sweep(grid, cfg):
     defect decreasing on t >= 4 with the same ratio; the norm at the small-t
     rows decaying below ``t0_ratio`` times the symbol sup norm.
     """
-    a, b = cfg.get("pair", presets.cs_pair())
-    t0_sym = cfg.get("t0_symbol", presets.t0_symbol())
-    chart_sym = cfg.get("chart_symbol", presets.chart_symbol())
-    atlas = cfg.get("atlas", Atlas.default_two_charts())
-    exps = cfg.get("t_exponents", list(range(-6, 9)))
+    a, b = cfg["pair"]
+    t0_sym = cfg["t0_symbol"]
+    chart_sym = cfg["chart_symbol"]
+    atlas = Atlas.default_two_charts()
     tol = cfg["tolerances"]
 
-    ts = [2.0 ** e for e in sorted(exps)]
+    ts = [2.0 ** e for e in sorted(cfg["t_exponents"])]
 
     def row(t):
         return {
@@ -166,15 +165,14 @@ def run_ch_compare(grid, cfg):
     constant, multiplication lifting): exact agreement for the default
     profile, decay to the exactness floor for the alternative.
     """
-    theta = cfg.get("theta", presets.default_theta())
-    cases = cfg.get("cases", presets.ch_cases())
-    ext_cases = cfg.get("extended_cases", presets.ch_extended_cases())
-    exps = cfg.get("t_exponents", list(range(2, 9)))
+    theta = cfg["theta"]
+    cases = cfg["cases"]
+    ext_cases = cfg["extended_cases"]
     tol = cfg["tolerances"]
     rep = Reparametrization()
     units = [("default", default_unit(rep)), ("alt", tail_deformed_unit(rep))]
 
-    ts = [2.0 ** e for e in sorted(exps)]
+    ts = [2.0 ** e for e in sorted(cfg["t_exponents"])]
 
     def row(t):
         out = {"t": t}
@@ -226,13 +224,12 @@ def run_homotopy_verify(grid, cfg):
     identity exact from scale log2(2 r0) on; endpoint tail aggregate at the
     exactness floor for every block range in ``L_list``.
     """
-    theta = cfg.get("theta", presets.default_theta())
-    a = cfg.get("symbol", presets.homotopy_symbol())
-    bands = cfg.get("bands", [60, 100, 150])
-    s_values = cfg.get("s_values", [1 / 2, 1 / 3, 1 / 4, 1 / 6, 1 / 8])
-    L_list = cfg.get("L_list", [4, 6, 8])
-    K = cfg.get("K", 8)
-    L = cfg.get("L", 8)
+    theta = cfg["theta"]
+    a = cfg["symbol"]
+    bands = cfg["bands"]
+    s_values = cfg["s_values"]
+    L_list = cfg["L_list"]
+    K, L = cfg["K"], cfg["L"]
     tol = cfg["tolerances"]
 
     vectors = [presets.band_vector(grid, band, seed=3 + i)
@@ -296,9 +293,9 @@ def run_index_compare(grid, cfg):
     Exit criterion: every report is conclusive on every route and the three
     integers coincide.
     """
-    theta = cfg.get("theta", presets.default_theta())
-    suite = cfg.get("cases", presets.index_suite())
-    t_grid = [2.0 ** e for e in cfg.get("higson_t_exponents", [4, 5, 6, 7, 8])]
+    theta = cfg["theta"]
+    suite = cfg["cases"]
+    t_grid = [2.0 ** e for e in cfg["higson_t_exponents"]]
     eps_rank = cfg["tolerances"]["eps_rank"]
 
     reports = [index_report(sigma, grid, theta=theta, t_grid=t_grid,

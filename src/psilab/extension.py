@@ -20,6 +20,9 @@ from .symbols import HomogeneousSymbol
 
 __all__ = ["ExtensionDefectProfile", "symbol_map_defect", "lifting_check"]
 
+#: PASS bar for the defect tail norms at the half-range cutoff K = N/2
+TAIL_BAR = 1e-3
+
 
 @dataclass(frozen=True)
 class ExtensionDefectProfile:
@@ -28,37 +31,30 @@ class ExtensionDefectProfile:
     K_grid: tuple
     product_tails: tuple
     commutator_tails: tuple
-    tol_compact: float
     final_product_tail: float
     final_commutator_tail: float
 
     @property
     def passed(self):
-        return (self.final_product_tail < self.tol_compact
-                and self.final_commutator_tail < self.tol_compact)
+        return (self.final_product_tail < TAIL_BAR
+                and self.final_commutator_tail < TAIL_BAR)
 
 
-def _op_pad(a, theta, grid, pad):
-    return op_quantize(a, theta, padded_grid(grid, pad))
-
-
-def _auto_pad(*symbols):
-    degs = [s.degree for s in symbols if s.degree is not None]
-    return max(degs) + 8 if degs else 96
-
-
-def symbol_map_defect(a, b, theta, grid, K_list, tol_compact=1e-3, pad=None):
+def symbol_map_defect(a, b, theta, grid, K_list):
     """Tail profiles of Op(a)Op(b) - Op(ab) and of [Op(a), Op(b)].
 
-    PASS means both defects have tail norm below ``tol_compact`` at the
-    half-range cutoff K = N/2, i.e. the defects sit in the finite model of
-    the ideal at that resolution.
+    The products are formed on a mode range padded by the larger declared
+    degree plus 8 (by 96 when neither symbol declares one).  PASS means
+    both defects have tail norm below TAIL_BAR at the half-range cutoff
+    K = N/2, i.e. the defects sit in the finite model of the ideal at that
+    resolution.
     """
     if a.k != b.k:
         raise ValueError("block sizes differ")
-    pad = _auto_pad(a, b) if pad is None else pad
-    Xa, Xb = _op_pad(a, theta, grid, pad), _op_pad(b, theta, grid, pad)
-    Xab = _op_pad(a * b, theta, grid, pad)
+    degs = [s.degree for s in (a, b) if s.degree is not None]
+    big = padded_grid(grid, max(degs) + 8 if degs else 96)
+    Xa, Xb = op_quantize(a, theta, big), op_quantize(b, theta, big)
+    Xab = op_quantize(a * b, theta, big)
     product_defect = restrict_to(Xa @ Xb - Xab, grid)
     commutator = restrict_to(Xa @ Xb - Xb @ Xa, grid)
     prod_tails = tuple(compact_tail_norm(product_defect, K) for K in K_list)
@@ -68,7 +64,6 @@ def symbol_map_defect(a, b, theta, grid, K_list, tol_compact=1e-3, pad=None):
         K_grid=tuple(K_list),
         product_tails=prod_tails,
         commutator_tails=comm_tails,
-        tol_compact=tol_compact,
         final_product_tail=compact_tail_norm(product_defect, K_half),
         final_commutator_tail=compact_tail_norm(commutator, K_half),
     )

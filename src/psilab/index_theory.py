@@ -17,13 +17,13 @@ the three routes is the content being tested, not the convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .numerics import CircleGrid
 from .quantize import op_quantize, padded_grid, quantize_sampled
-from .symbols import CutFunction, HomogeneousSymbol, Loop
+from .symbols import HomogeneousSymbol, Loop
 
 __all__ = [
     "InconclusiveIndexError",
@@ -42,8 +42,8 @@ ANALYTIC_SIGN = +1
 PAIRING_SIGN = +1
 #: spectral gap required around 1/2 for a conclusive eigenvalue count
 PAIRING_GAP = 0.1
-#: the clutching must reach at least this ramp height inside the mode range
-PAIRING_MIN_RAMP = 2.0
+#: the clutching radius |xi| must reach at least this inside the mode range
+PAIRING_MIN_RADIUS = 2.0
 
 
 class InconclusiveIndexError(RuntimeError):
@@ -53,23 +53,22 @@ class InconclusiveIndexError(RuntimeError):
 # -- winding numbers ---------------------------------------------------------
 
 
-def winding_number(loop, samples=4096, invertibility_tol=1e-9):
+def winding_number(loop):
     """Degree of an invertible loop via the argument of its determinant.
 
-    Accepts a Loop (determinant taken pointwise, sampled densely for its
-    degree) or an array of nonzero scalar samples around the circle.
-    Raises on non-invertible samples and when a wrapped phase step reaches
-    pi/2: beyond that the true increment is ambiguous modulo 2*pi, so the
-    loop counts as undersampled.
+    Accepts a Loop (determinant taken pointwise at 4096 points, or at
+    16 (degree + 1) if more) or an array of nonzero scalar samples around
+    the circle.  Raises on a sample of modulus below 1e-9 and when a
+    wrapped phase step reaches pi/2: beyond that the true increment is
+    ambiguous modulo 2*pi, so the loop counts as undersampled.
     """
     if isinstance(loop, Loop):
-        if loop.degree is not None:
-            samples = max(samples, 16 * loop.degree + 16)
+        samples = 4096 if loop.degree is None else max(4096, 16 * loop.degree + 16)
         x = 2.0 * np.pi * np.arange(samples) / samples
         vals = np.linalg.det(np.asarray(loop(x), dtype=complex))
     else:
         vals = np.asarray(loop, dtype=complex)
-    if np.min(np.abs(vals)) < invertibility_tol:
+    if np.min(np.abs(vals)) < 1e-9:
         raise ValueError("loop has a (numerically) non-invertible sample")
     ratios = np.roll(vals, -1) / vals
     steps = np.angle(ratios)
@@ -85,30 +84,33 @@ def winding_number(loop, samples=4096, invertibility_tol=1e-9):
 # -- Fredholm route ----------------------------------------------------------
 
 
-def _gapped_small_count(svals, eps, gap_ratio):
+def _gapped_small_count(svals, eps):
+    """Number of singular values below eps, conclusive only with a 1e3 gap."""
     svals = np.sort(svals)
     counted = svals[svals < eps]
     uncounted = svals[svals >= eps]
     top = float(counted[-1]) if counted.size else 0.0
     bottom = float(uncounted[0]) if uncounted.size else np.inf
-    if counted.size and bottom < gap_ratio * top:
+    if counted.size and bottom < 1e3 * top:
         raise InconclusiveIndexError(
             f"singular values {top:.3e} and {bottom:.3e} straddle eps={eps:.1e} "
-            f"without a {gap_ratio:.0e} gap; increase N or adjust eps_rank")
+            "without a 1e+03 gap; increase N or adjust eps_rank")
     if not counted.size and bottom < 10.0 * eps:
         raise InconclusiveIndexError(
             f"smallest singular value {bottom:.3e} sits too close to eps={eps:.1e}")
     return int(counted.size)
 
 
-def fredholm_index_svd(sigma, theta, grid, eps_rank=1e-6, gap_ratio=1e3, pad=None):
+def fredholm_index_svd(sigma, theta, grid, eps_rank=1e-6):
     """Kernel count of Op(sigma) minus kernel count of its adjoint.
 
     Square corners of an operator can never show an index (their kernel and
     cokernel dimensions agree by rank-nullity), so both counts are taken on
     tall column-complete truncations: domain modes |m| <= N, range modes
-    enlarged by the symbol bandwidth.  These converge to the kernel and
-    cokernel of the untruncated operator.
+    enlarged by the symbol bandwidth plus 8.  These converge to the kernel
+    and cokernel of the untruncated operator.  A count is inconclusive
+    unless a factor 1e3 separates the singular values below eps_rank from
+    those above it.
 
     Raises InconclusiveIndexError unless r0 + degree < N: otherwise the
     cutting function does not reach one on a full symbol band inside the
@@ -123,14 +125,13 @@ def fredholm_index_svd(sigma, theta, grid, eps_rank=1e-6, gap_ratio=1e3, pad=Non
         raise InconclusiveIndexError(
             f"cutting radius {theta.r0:g} plus symbol degree {deg} reaches the "
             f"mode cutoff N={grid.N}; increase N or reduce theta_r0")
-    pad = deg + 8 if pad is None else pad
-    big = padded_grid(grid, pad)
+    big = padded_grid(grid, deg + 8)
     X = op_quantize(sigma, theta, big).mat
     keep = ~big.tail_mask(grid.N)
     tall = X[:, keep]
     tall_adj = X.conj().T[:, keep]
-    k_ker = _gapped_small_count(np.linalg.svd(tall, compute_uv=False), eps_rank, gap_ratio)
-    k_coker = _gapped_small_count(np.linalg.svd(tall_adj, compute_uv=False), eps_rank, gap_ratio)
+    k_ker = _gapped_small_count(np.linalg.svd(tall, compute_uv=False), eps_rank)
+    k_coker = _gapped_small_count(np.linalg.svd(tall_adj, compute_uv=False), eps_rank)
     return k_ker - k_coker
 
 
@@ -187,12 +188,12 @@ def _clutching_samples(factors, r, out):
 class BottPair:
     """Clutching projection of a symbol and its trivial companion.
 
-    Both are 2k x 2k exact projections; their difference has entries
-    vanishing at fiber infinity at the rate of the chosen ramp profile.
+    The clutching symbol is b(x, xi) = |xi| sigma(x, xi).  Both projections
+    are 2k x 2k and exact; their difference has entries vanishing at fiber
+    infinity like 1 / |xi|.
     """
 
     sigma: HomogeneousSymbol
-    ramp: callable = field(repr=False)
 
     @property
     def k(self):
@@ -205,17 +206,17 @@ class BottPair:
     @property
     def companion(self):
         """The trivial companion: the clutching pair of the unit symbol."""
-        return BottPair(HomogeneousSymbol.unit(self.k), self.ramp)
+        return BottPair(HomogeneousSymbol.unit(self.k))
 
     def samples(self, factors, xis):
         """(J, len(xis), 2k, 2k) samples of p - corner at ascending xis.
 
-        The ramp is called once on the array |xis|.  Negative frequencies
-        use the minus branch, the rest (xi = 0 included) the plus branch;
-        ascending xis make both contiguous column slices.
+        Negative frequencies use the minus branch, the rest (xi = 0
+        included) the plus branch; ascending xis make both contiguous
+        column slices.
         """
         xis = np.asarray(xis, dtype=float)
-        r = np.asarray(self.ramp(np.abs(xis)), dtype=float)
+        r = np.abs(xis)
         split = int(np.searchsorted(xis, 0.0))
         J, k = factors[0][0].shape
         out = np.empty((J, xis.size, 4 * k * k), dtype=complex)
@@ -239,23 +240,11 @@ class BottPair:
         return out
 
 
-def _identity_ramp(r):
-    return r
-
-
-def bott_projection(sigma, ramp=None):
-    """Clutching pair of an invertible symbol.
-
-    ``ramp`` maps |xi| to the fiber radius used in the graph construction;
-    it must vanish at 0 and increase to infinity (default: identity).  It is
-    called on a float and on arrays of |xi|, elementwise.
-    """
+def bott_projection(sigma):
+    """Clutching pair of an invertible symbol (raises if a branch is not)."""
     for branch in (sigma.plus, sigma.minus):
         winding_number(branch)
-    ramp = _identity_ramp if ramp is None else ramp
-    if ramp(0.0) != 0.0:
-        raise ValueError("ramp must vanish at the origin")
-    return BottPair(sigma, ramp)
+    return BottPair(sigma)
 
 
 # -- the spectral pairing ----------------------------------------------------
@@ -280,7 +269,7 @@ def _count_above_half(pair, t, grid):
     return int(np.sum(evals > 0.5)), gap
 
 
-def higson_trace_index(sigma, t, grid, ramp=None, pair=None):
+def higson_trace_index(sigma, t, grid, pair=None):
     """Spectral pairing of the clutching class with the deformation at time t.
 
     Counts eigenvalues above 1/2 of the deformed clutching projection and
@@ -290,7 +279,7 @@ def higson_trace_index(sigma, t, grid, ramp=None, pair=None):
     projection per mode: its count is exactly k (2N + 1), with gap 1/2.
 
     Raises InconclusiveIndexError when the clutching cannot develop inside
-    the mode range (ramp below PAIRING_MIN_RAMP at the lattice edge) or when
+    the mode range (radius N / t below PAIRING_MIN_RADIUS) or when
     an eigenvalue sits within PAIRING_GAP of 1/2; past the edge the
     deformation collapses to the zero-section value and the counts would
     silently agree.
@@ -299,11 +288,11 @@ def higson_trace_index(sigma, t, grid, ramp=None, pair=None):
     (both projections have pointwise trace k), so the class content is
     carried entirely by the spectral counts.
     """
-    pair = bott_projection(sigma, ramp) if pair is None else pair
-    if pair.ramp(grid.N / t) < PAIRING_MIN_RAMP:
+    pair = bott_projection(sigma) if pair is None else pair
+    if grid.N / t < PAIRING_MIN_RADIUS:
         raise InconclusiveIndexError(
-            f"ramp height {pair.ramp(grid.N / t):.2f} at the mode cutoff is below "
-            f"{PAIRING_MIN_RAMP}; the clutching does not complete at t={t}, "
+            f"clutching radius {grid.N / t:.2f} at the mode cutoff is below "
+            f"{PAIRING_MIN_RADIUS}; the clutching does not complete at t={t}, "
             "reduce t or increase N")
     cnt, gap = _count_above_half(pair, t, grid)
     if gap < PAIRING_GAP:
@@ -313,13 +302,13 @@ def higson_trace_index(sigma, t, grid, ramp=None, pair=None):
     return float(PAIRING_SIGN * (cnt - pair.k * grid.n_modes))
 
 
-def naive_trace_pairing(sigma, t, grid, ramp=None):
+def naive_trace_pairing(sigma, t, grid):
     """Entrywise trace of T_t(p_sigma - p_base); identically ~0 (diagnostic).
 
     Both projections are sampled a column block at a time from their
     clutching factors on the grid points, like the spectral count.
     """
-    pair = bott_projection(sigma, ramp)
+    pair = bott_projection(sigma)
     base = pair.companion
     fs, fb = pair.factors(grid.x), base.factors(grid.x)
 
@@ -354,17 +343,14 @@ class IndexReport:
         return asdict(self)
 
 
-def index_report(sigma, grid, theta=None, t_grid=(16.0, 32.0, 64.0, 128.0, 256.0),
-                 eps_rank=1e-6, label="sigma", round_window=0.25):
+def index_report(sigma, grid, theta, t_grid, label, eps_rank=1e-6):
     """Run all three routes and flag agreement.
 
     Higson values that are inconclusive at large t are reported as None; the
     limit is the value at the largest conclusive t, rounded only when within
-    ``round_window`` of an integer.  Agreement requires every conclusive
-    route to give the same integer; an inconclusive route never counts as
-    agreement.
+    0.25 of an integer.  Agreement requires every conclusive route to give
+    the same integer; an inconclusive route never counts as agreement.
     """
-    theta = CutFunction() if theta is None else theta
     w_plus = winding_number(sigma.plus)
     w_minus = winding_number(sigma.minus)
     analytic = analytic_index(sigma)
@@ -385,7 +371,7 @@ def index_report(sigma, grid, theta=None, t_grid=(16.0, 32.0, 64.0, 128.0, 256.0
     conclusive = [v for v in traces if v is not None]
     limit = conclusive[-1] if conclusive else None
     rounded = None
-    if limit is not None and abs(limit - np.rint(limit)) <= round_window:
+    if limit is not None and abs(limit - np.rint(limit)) <= 0.25:
         rounded = int(np.rint(limit))
 
     agree = (not fredholm_bad and fredholm is not None and rounded is not None

@@ -20,7 +20,6 @@ __all__ = [
     "inverse_fourier",
     "operator_norm",
     "compact_tail_norm",
-    "svd_kernel_dim",
 ]
 
 
@@ -76,13 +75,6 @@ class CircleGrid:
             raise ValueError(f"cutoff K={K} exceeds N={self.N}")
         return np.abs(self.mode_of_index()) > K
 
-    def with_cutoff(self, N2):
-        """Same k, new frequency cutoff (J grows to keep the sampling rule)."""
-        J2 = max(self.J, 4 * N2 + 4)
-        if J2 % 2:
-            J2 += 1
-        return CircleGrid(J=J2, N=N2, k=self.k)
-
 
 @dataclass(frozen=True)
 class FourierOperator:
@@ -125,9 +117,6 @@ class FourierOperator:
 
     def apply(self, vec):
         return self.mat @ np.asarray(vec, dtype=complex)
-
-    def norm(self):
-        return operator_norm(self)
 
     def _check(self, other):
         if self.grid != other.grid:
@@ -174,13 +163,7 @@ def inverse_fourier(grid, coeffs):
     return np.fft.ifft(spectrum, axis=0) * grid.J
 
 
-# -- norms and rank ------------------------------------------------------
-
-
-def _svdvals(mat):
-    if mat.size == 0:
-        return np.zeros(0)
-    return np.linalg.svd(mat, compute_uv=False)
+# -- norms ---------------------------------------------------------------
 
 
 # Lanczos norm engine: certificate tolerance on the Ritz residual relative to
@@ -262,11 +245,3 @@ def compact_tail_norm(op, K):
     col = operator_norm(op.mat[:, mask])
     row = operator_norm(op.mat[mask, :])
     return max(col, row)
-
-
-def svd_kernel_dim(op, eps):
-    """Number of singular values below eps."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    mat = op.mat if isinstance(op, FourierOperator) else np.asarray(op)
-    return int(np.count_nonzero(_svdvals(mat) < eps))

@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .symbols import (CutFunction, HomogeneousSymbol, Loop, Symbol, SymbolClass,
-                      bump_profile, cap_profile, rational_decay_profile,
-                      rational_vanishing_profile)
+from .symbols import (HomogeneousSymbol, Loop, Symbol, SymbolClass, bump_profile,
+                      cap_profile, rational_decay_profile, rational_vanishing_profile)
 
 __all__ = [
-    "default_theta",
     "loop_c1",
     "loop_c2",
     "cs_pair",
@@ -23,7 +21,6 @@ __all__ = [
     "translation_symbols",
     "chart_symbol",
     "t0_symbol",
-    "smooth_homogeneous_pair",
     "fiber_constant_loops",
     "winding_pair",
     "index_suite",
@@ -33,16 +30,12 @@ __all__ = [
 ]
 
 
-def default_theta(r0=4.0):
-    return CutFunction(r0)
+def loop_c1():
+    return Loop.from_scalar_modes({1: 0.5, 0: 1.0, -2: 0.25})
 
 
-def loop_c1(k=1):
-    return Loop.from_scalar_modes({1: 0.5, 0: 1.0, -2: 0.25}, k=k)
-
-
-def loop_c2(k=1):
-    return Loop.from_scalar_modes({-1: 0.5j, 2: 0.3, 0: 0.4}, k=k)
+def loop_c2():
+    return Loop.from_scalar_modes({-1: 0.5j, 2: 0.3, 0: 0.4})
 
 
 def _windowed_rational(scale, radius):
@@ -68,12 +61,12 @@ def v00_pair():
     return a, b
 
 
-def matrix_loop(k=2, seed=11, degree=2, decay=0.6):
-    """Deterministic matrix-valued loop with geometrically damped modes."""
+def matrix_loop(k=2, seed=11, degree=2):
+    """Deterministic matrix-valued loop with modes damped by 0.6 ** |j|."""
     rng = np.random.default_rng(seed)
     coeffs = np.zeros((2 * degree + 1, k, k), dtype=complex)
     for j in range(-degree, degree + 1):
-        mag = decay ** abs(j)
+        mag = 0.6 ** abs(j)
         coeffs[j + degree] = mag * (rng.normal(size=(k, k))
                                     + 1j * rng.normal(size=(k, k))) / (2.0 * k)
     return Loop.from_coeffs(coeffs)
@@ -100,8 +93,8 @@ def t0_symbol():
     return Symbol.separable(loop_c1(), prof, SymbolClass.VANISHING_00)
 
 
-def smooth_loop(seed=23, degree=96, rate=8.0, k=1):
-    """Trigonometric polynomial with exp(-|j|/rate) coefficient decay.
+def smooth_loop(seed=23, degree=96, rate=8.0):
+    """Scalar trigonometric polynomial with exp(-|j|/rate) coefficient decay.
 
     High enough degree that tail norms of quantization defects decay
     geometrically across the dyadic cutoff grid.
@@ -110,15 +103,7 @@ def smooth_loop(seed=23, degree=96, rate=8.0, k=1):
     js = np.arange(-degree, degree + 1)
     mags = np.exp(-np.abs(js) / rate)
     phases = np.exp(2j * np.pi * rng.uniform(size=js.size))
-    coeffs = (mags * phases)[:, None, None] * np.eye(k)[None]
-    return Loop.from_coeffs(coeffs)
-
-
-def smooth_homogeneous_pair():
-    """Homogeneous pair with slowly banded loops for the tail-halving check."""
-    a = HomogeneousSymbol(smooth_loop(seed=23), smooth_loop(seed=24))
-    b = HomogeneousSymbol(smooth_loop(seed=25), smooth_loop(seed=26))
-    return a, b
+    return Loop.from_coeffs((mags * phases)[:, None, None])
 
 
 def fiber_constant_loops():

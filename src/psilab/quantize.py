@@ -202,7 +202,9 @@ class Atlas:
     arcs: tuple
     strict: bool = True
 
-    def validate(self, grid, tol=1e-13):
+    def validate(self, grid):
+        """Check the window identities on the grid points to 1e-13."""
+        tol = 1e-13
         x = grid.x
         total = sum(np.asarray(phi(x), dtype=float) for phi in self.phis)
         if np.max(np.abs(total - 1.0)) > tol:

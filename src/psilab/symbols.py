@@ -125,8 +125,9 @@ class Loop:
         """Fourier coefficients c(j), |j| <= max_mode, via the grid FFT."""
         return fourier_coefficients(grid, self.fn(grid.x), max_mode)
 
-    def sup_norm(self, samples=720):
-        x = 2.0 * np.pi * np.arange(samples) / samples
+    def sup_norm(self):
+        """Largest singular value over 720 equispaced points."""
+        x = 2.0 * np.pi * np.arange(720) / 720
         vals = np.asarray(self.fn(x), dtype=complex)
         return float(np.max(np.linalg.svd(vals, compute_uv=False)))
 
@@ -169,10 +170,6 @@ class Loop:
     @staticmethod
     def identity(k=1):
         return Loop.constant(np.eye(k))
-
-    @staticmethod
-    def from_callable(fn, k=1, degree=None):
-        return Loop(fn, k, degree)
 
 
 # -- frequency profiles ----------------------------------------------------
@@ -301,22 +298,33 @@ def cap_profile(hi, rise=None):
 
 
 def rational_decay_profile(scale=1.0):
-    """rho(xi) = 1 / (1 + (xi/scale)^2); value 1 at the zero section."""
+    """rho(xi) = 1 / (1 + (xi/scale)^2); value 1 at the zero section.
+
+    Where (xi/scale)^2 overflows the value is 1 / inf = 0, without a warning.
+    """
 
     def fn(xi):
-        r = np.asarray(xi, dtype=float) / scale
-        return 1.0 / (1.0 + r * r)
+        with np.errstate(over="ignore"):
+            r = np.asarray(xi, dtype=float) / scale
+            return 1.0 / (1.0 + r * r)
 
     return RadialProfile(fn, f"decay[{scale}]", vanishes_at_zero=False,
                          vanishes_at_infinity=True)
 
 
 def rational_vanishing_profile(scale=1.0):
-    """rho(xi) = |xi/scale| / (1 + (xi/scale)^2); vanishes at 0 and infinity."""
+    """rho(xi) = |xi/scale| / (1 + (xi/scale)^2); vanishes at 0 and infinity.
+
+    Where (xi/scale)^2 overflows, r / (1 + r^2) would be r / inf (or NaN
+    once r itself overflows); there the value is scale / |xi| instead.
+    """
 
     def fn(xi):
-        r = np.abs(np.asarray(xi, dtype=float)) / scale
-        return r / (1.0 + r * r)
+        a = np.abs(np.asarray(xi, dtype=float))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            r = a / scale
+            r2 = r * r
+            return np.where(np.isinf(r2), scale / a, r / (1.0 + r2))
 
     return RadialProfile(fn, f"vanishing[{scale}]", vanishes_at_zero=True,
                          vanishes_at_infinity=True)
@@ -348,7 +356,7 @@ def gamma_profile(p, i):
 class CutFunction:
     """Smooth cutting function: theta(0) = 0 and theta(r) = 1 for r >= r0."""
 
-    r0: float = 4.0
+    r0: float
 
     def __call__(self, r):
         return smooth_step(np.abs(np.asarray(r, dtype=float)) / self.r0)
@@ -524,8 +532,8 @@ class HomogeneousSymbol:
             return _mixed_product(other, self, homog_left=True)
         raise TypeError(f"cannot multiply HomogeneousSymbol with {type(other)!r}")
 
-    def sup_norm(self, samples=720):
-        return max(self.plus.sup_norm(samples), self.minus.sup_norm(samples))
+    def sup_norm(self):
+        return max(self.plus.sup_norm(), self.minus.sup_norm())
 
     @staticmethod
     def unit(k=1):

@@ -13,6 +13,7 @@ SMALL = {
                         "s_values": [0.5, 0.25, 0.125]},
     "index_compare": {"higson_t_exponents": [3, 4]},
 }
+HV = SMALL["homotopy_verify"]
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -212,6 +213,19 @@ class TestExitCodes:
         ("ch-compare", {"ch_compare": {"extended_cases": [{"label": "x", "g": {
             "kind": "rational_vanishing"}, "c": {"modes": {"one": 1.0}}}]}}, "integer"),
         ("index-compare", {"index_compare": {"cases": [{"winding": [1]}]}}, "two integers"),
+        ("index-compare", {"index_compare": {"cases": []}}, "index_compare.cases"),
+        ("ch-compare", {"ch_compare": {"cases": [], "extended_cases": []}},
+         "at least one case"),
+        ("homotopy-verify", {"homotopy_verify": dict(HV, L_list=[])}, "L_list"),
+        ("homotopy-verify", {"homotopy_verify": dict(HV, L_list=[3, 1])}, "minimum of 2"),
+        ("homotopy-verify", {"homotopy_verify": dict(HV, L_list=[4.5])}, "'integer'"),
+        ("homotopy-verify", {"homotopy_verify": dict(HV, bands=[10.7])}, "'integer'"),
+        ("homotopy-verify", {"homotopy_verify": dict(HV, bands=[-3])}, "minimum of 0"),
+        ("homotopy-verify", {"homotopy_verify": dict(HV, bands=[])}, "bands"),
+        ("homotopy-verify", {"homotopy_verify": dict(HV, s_values=[])}, "s_values"),
+        # tolerances that no check reads are unknown keys
+        ("defect-sweep", {"tolerances": {"tol_compact": 1e-3}}, "'tol_compact'"),
+        ("defect-sweep", {"tolerances": {"translation_tol": 1e-13}}, "'translation_tol'"),
     ])
     def test_malformed_record_exits_2(self, tmp_path, capsys, command, section, message):
         path = write_config(tmp_path, {"grid": {"N": 32, "J": 132}, **section})
@@ -231,6 +245,9 @@ class TestExitCodes:
          "higson_t_exponents [-2000]"),
         # 2**-1074 is positive, but the rescaled frequency N / t overflows
         ("defect-sweep", {"defect_sweep": {"t_exponents": [-1074]}}, "t_exponents [-1074]"),
+        ("defect-sweep", {"defect_sweep": {"t_exponents": []}}, "must not be empty"),
+        ("index-compare", {"index_compare": {"higson_t_exponents": []}},
+         "must not be empty"),
     ])
     def test_t_exponent_out_of_range_exits_2(self, tmp_path, capsys, command, section,
                                              message):
@@ -238,6 +255,16 @@ class TestExitCodes:
         rc = main([command, "--config", path, "--out", str(tmp_path / "o.csv")])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    def test_profile_overflow_exits_0(self, tmp_path, capsys):
+        # N / t = 2**1023 makes |xi / scale| overflow in the rv05 case
+        data = {"grid": {"N": 16, "J": 68}, "ch_compare": {"t_exponents": [-1019]}}
+        out = tmp_path / "c.csv"
+        rc = main(["ch-compare", "--config", write_config(tmp_path, data),
+                   "--out", str(out)])
+        assert rc == 0
+        assert "nan" not in out.read_text()
+        assert "Warning" not in capsys.readouterr().err
 
     def test_truncated_sweep_exits_1(self, tmp_path):
         # a tiny t-window cannot meet the decay ratios

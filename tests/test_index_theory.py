@@ -33,7 +33,7 @@ def graph_projection(B):
 
 def reference_samples(pair, x, xis):
     """p_sigma - corner column by column, one inverse per sample."""
-    return np.stack([graph_projection(pair.ramp(abs(xi)) * pair.sigma(x, xi))
+    return np.stack([graph_projection(abs(xi) * pair.sigma(x, xi))
                      - pair.corner()[None] for xi in xis], axis=1)
 
 
@@ -188,10 +188,6 @@ class TestBottProjection:
         assert diffs[0] > diffs[1] > diffs[2]
         assert diffs[2] < 1e-3
 
-    def test_ramp_must_vanish_at_origin(self):
-        with pytest.raises(ValueError):
-            bott_projection(winding_pair(1, 0), ramp=lambda r: r + 1.0)
-
     def test_non_invertible_rejected(self):
         bad = HomogeneousSymbol(Loop.from_scalar_modes({1: 0.5, -1: 0.5}),
                                 Loop.identity(1))
@@ -222,7 +218,7 @@ class TestClosedFormAgainstReference:
         # matches the graph projection
         sigma = HomogeneousSymbol(Loop.from_scalar_modes({1: 0.5, -1: 0.5}, k=k),
                                   Loop.identity(k))
-        pair = BottPair(sigma, lambda r: r)  # bott_projection would reject u
+        pair = BottPair(sigma)  # bott_projection would reject u
         x = np.array([0.0, np.pi / 2, 1.0])
         fast = pair.samples(pair.factors(x), self.XIS)
         assert np.max(np.abs(fast - reference_samples(pair, x, self.XIS))) <= 1e-13

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from psilab import numerics
 from psilab.numerics import (CircleGrid, FourierOperator, compact_tail_norm,
                              fourier_coefficients, inverse_fourier,
-                             operator_norm, svd_kernel_dim)
+                             operator_norm)
 from psilab.presets import t0_symbol
 from psilab.quantize import restrict_to, t_quantize
 
@@ -216,30 +216,6 @@ class TestCompactTail:
     def test_cutoff_bound(self, grid16):
         with pytest.raises(ValueError):
             compact_tail_norm(random_operator(grid16, 4), grid16.N + 1)
-
-
-class TestKernelDim:
-    def test_identity(self, grid16):
-        assert svd_kernel_dim(FourierOperator.identity(grid16), 1e-6) == 0
-
-    def test_rank_deficient(self, grid16):
-        mat = np.eye(grid16.dim, dtype=complex)
-        mat[-1, -1] = 0.0
-        assert svd_kernel_dim(FourierOperator(grid16, mat), 1e-6) == 1
-
-    def test_well_conditioned_random(self, grid16):
-        # condition-number oracle: svals prescribed in [0.5, 2]
-        rng = np.random.default_rng(5)
-        d = grid16.dim
-        q1, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-        q2, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-        svals = np.linspace(0.5, 2.0, d)
-        X = FourierOperator(grid16, (q1 * svals) @ q2)
-        assert svd_kernel_dim(X, 1e-6) == 0
-
-    def test_eps_positive(self, grid16):
-        with pytest.raises(ValueError):
-            svd_kernel_dim(FourierOperator.identity(grid16), 0.0)
 
 
 class TestRestrict:

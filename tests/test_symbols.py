@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -226,6 +228,34 @@ class TestProfiles:
     def test_one_sided(self):
         p = rational_vanishing_profile().one_sided(+1)
         assert p(-3.0) == 0.0 and abs(p(3.0)) > 0.0
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
+    def test_rational_profiles_past_overflow(self, scale):
+        # (xi / scale)^2 overflows: the vanishing profile is scale / |xi|
+        # (not r / inf = 0, nor inf / inf = NaN), the decaying one is 0
+        xi = np.array([1e308, -1e308, 1e200, np.finfo(float).max])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = rational_vanishing_profile(scale)(xi)
+            d = rational_decay_profile(scale)(xi)
+            assert rational_vanishing_profile(0.5)(1e308) == 0.5 / 1e308
+        assert np.array_equal(v, (scale / np.abs(xi)).astype(complex))
+        assert np.array_equal(d, np.zeros(xi.size, dtype=complex))
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 1.4, 2.0])
+    def test_rational_vanishing_below_overflow_unchanged(self, scale):
+        # bitwise the plain formula wherever (xi / scale)^2 is finite
+        rng = np.random.default_rng(7)
+        mags = np.concatenate([np.logspace(-300, 160, 4001),
+                               rng.uniform(0.0, 1e4, 4000), [0.0]])
+        xi = np.concatenate([mags, -mags])
+        r = np.abs(xi) / scale
+        with np.errstate(over="ignore"):
+            keep = np.isfinite(r * r)
+        assert 0 < keep.sum() < xi.size
+        r = r[keep]
+        assert np.array_equal(rational_vanishing_profile(scale)(xi[keep]),
+                              (r / (1.0 + r * r)).astype(complex))
 
 
 def stacked_svd_sup_norm(sym, x_samples=256, xi_max=64.0, xi_samples=2048):
