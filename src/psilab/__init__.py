@@ -14,8 +14,8 @@ from .symbols import (CutFunction, HomogeneousSymbol, Loop, RadialProfile,
 from .quantize import (Atlas, multiplication_operator, op_quantize,
                        t_quantize, t_quantize_charts)
 from .extension import ExtensionDefectProfile, lifting_check, symbol_map_defect
-from .connes_higson import (ApproximateUnit, Reparametrization, ch_apply,
-                            ch_extended_apply, default_unit,
+from .connes_higson import (ApproximateUnit, ch_apply, ch_extended_apply,
+                            default_unit, kappa, kappa_inv,
                             quasicentrality_defect, tail_deformed_unit)
 from .homotopy import (BlockOperator, endpoint_defect, equ1_defect,
                        equ2_defect, i0_block_operator, psi_s)
@@ -33,8 +33,8 @@ __all__ = [
     "Atlas", "multiplication_operator", "op_quantize", "t_quantize",
     "t_quantize_charts",
     "ExtensionDefectProfile", "lifting_check", "symbol_map_defect",
-    "ApproximateUnit", "Reparametrization", "ch_apply", "ch_extended_apply",
-    "default_unit", "quasicentrality_defect", "tail_deformed_unit",
+    "ApproximateUnit", "ch_apply", "ch_extended_apply", "default_unit",
+    "kappa", "kappa_inv", "quasicentrality_defect", "tail_deformed_unit",
     "BlockOperator", "endpoint_defect", "equ1_defect", "equ2_defect",
     "i0_block_operator", "psi_s",
     "InconclusiveIndexError", "IndexReport", "analytic_index",

@@ -24,7 +24,8 @@ from .quantize import multiplication_operator, op_quantize
 from .symbols import HomogeneousSymbol, Loop
 
 __all__ = [
-    "Reparametrization",
+    "kappa",
+    "kappa_inv",
     "ApproximateUnit",
     "default_unit",
     "tail_deformed_unit",
@@ -34,26 +35,14 @@ __all__ = [
 ]
 
 
-class Reparametrization:
-    """Homeomorphism kappa: (0, 1] -> [0, infinity), kappa(v) = 1/v - 1."""
+def kappa(v):
+    """Homeomorphism (0, 1] -> [0, infinity), kappa(v) = 1/v - 1."""
+    return 1.0 / v - 1.0
 
-    @staticmethod
-    def kappa(v):
-        return 1.0 / v - 1.0
 
-    @staticmethod
-    def kappa_inv(r):
-        return 1.0 / (1.0 + r)
-
-    def check(self):
-        """Round trip within 1e-13 on [1e-3, 1], and kappa(1) = 0."""
-        v = np.linspace(1e-3, 1.0, 997)
-        err = np.max(np.abs(self.kappa_inv(self.kappa(v)) - v))
-        if err > 1e-13:
-            raise ValueError(f"kappa round-trip error {err}")
-        if self.kappa(1.0) != 0.0:
-            raise ValueError("kappa must send 1 to 0")
-        return True
+def kappa_inv(r):
+    """Inverse of kappa, [0, infinity) -> (0, 1]."""
+    return 1.0 / (1.0 + r)
 
 
 @dataclass(frozen=True)
@@ -85,20 +74,19 @@ class ApproximateUnit:
             raise ValueError("unit profile must be nonincreasing in |n|")
         return True
 
-    def weight(self, f, rep, t, grid):
+    def weight(self, f, t, grid):
         """Diagonal weights f(kappa(m(|n|/t))), exact on the diagonal."""
         u = self.values(t, grid)
-        r = rep.kappa(np.maximum(u, 1e-300))
+        r = kappa(np.maximum(u, 1e-300))
         return np.asarray(f(r), dtype=complex)
 
 
-def default_unit(rep=None):
-    rep = Reparametrization() if rep is None else rep
-    return ApproximateUnit(lambda r: rep.kappa_inv(np.asarray(r, dtype=float)),
+def default_unit():
+    return ApproximateUnit(lambda r: kappa_inv(np.asarray(r, dtype=float)),
                            name="kappa-inverse")
 
 
-def tail_deformed_unit(rep=None):
+def tail_deformed_unit():
     """Genuinely different unit profile agreeing with the default near 0.
 
     The induced time change eta(r) = r (1 + 0.04 S((r - 32) / 8)), S the
@@ -108,13 +96,12 @@ def tail_deformed_unit(rep=None):
     freedom, not a norm-level one), so the bundled alternative exercises
     the tail where the comparison stays meaningful.
     """
-    rep = Reparametrization() if rep is None else rep
 
     def eta(r):
         r = np.asarray(r, dtype=float)
         return r * (1.0 + 0.04 * smooth_step((r - 32.0) / 8.0))
 
-    return ApproximateUnit(lambda r: rep.kappa_inv(eta(r)), name="tail-deformed[32.0]")
+    return ApproximateUnit(lambda r: kappa_inv(eta(r)), name="tail-deformed[32.0]")
 
 
 def quasicentrality_defect(u, t, a, theta, grid):
@@ -124,7 +111,7 @@ def quasicentrality_defect(u, t, a, theta, grid):
     return operator_norm(U @ X - X @ U)
 
 
-def ch_apply(f, d, t, rep, u, theta, grid):
+def ch_apply(f, d, t, u, theta, grid):
     """Image of the tensor f (x) d, with the order-zero lifting.
 
     Returns Op(d) * diag f(kappa(m(|n|/t))); requires f to vanish at the
@@ -134,12 +121,12 @@ def ch_apply(f, d, t, rep, u, theta, grid):
         raise ValueError("profile must vanish at the origin")
     if not isinstance(d, HomogeneousSymbol):
         raise TypeError("ch_apply expects a homogeneous symbol")
-    w = u.weight(lambda r: f(r), rep, t, grid)
+    w = u.weight(f, t, grid)
     X = op_quantize(d, theta, grid)
     return FourierOperator(grid, X.mat * np.repeat(w, grid.k)[None, :])
 
 
-def ch_extended_apply(g, c, t, rep, u, grid):
+def ch_extended_apply(g, c, t, u, grid):
     """Image of g (x) c for fiber-constant c, with the multiplication lifting.
 
     Returns pi(c) * diag g(kappa(m(|n|/t))); g need not vanish at the
@@ -147,6 +134,6 @@ def ch_extended_apply(g, c, t, rep, u, grid):
     """
     if not isinstance(c, Loop):
         raise TypeError("ch_extended_apply expects a fiber-constant Loop")
-    w = u.weight(lambda r: g(r), rep, t, grid)
+    w = u.weight(g, t, grid)
     X = multiplication_operator(c, grid)
     return FourierOperator(grid, X.mat * np.repeat(w, grid.k)[None, :])

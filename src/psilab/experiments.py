@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .connes_higson import (Reparametrization, ch_apply, ch_extended_apply,
-                            default_unit, tail_deformed_unit)
+from .connes_higson import ch_apply, ch_extended_apply, default_unit, tail_deformed_unit
 from .homotopy import (endpoint_defect, equ1_defect, equ2_defect,
                        theta_discrepancy_norm)
 from .index_theory import index_report
 from .numerics import operator_norm
 from .partition import build_partition
-from .quantize import Atlas, padded_grid, restrict_to, t_quantize, t_quantize_charts
+from .quantize import (Atlas, op_quantize, padded_grid, restrict_to, t_quantize,
+                       t_quantize_charts)
 from .symbols import Symbol, SymbolClass, smash
 from . import presets
 
@@ -169,8 +169,7 @@ def run_ch_compare(grid, cfg):
     cases = cfg["cases"]
     ext_cases = cfg["extended_cases"]
     tol = cfg["tolerances"]
-    rep = Reparametrization()
-    units = [("default", default_unit(rep)), ("alt", tail_deformed_unit(rep))]
+    units = [("default", default_unit()), ("alt", tail_deformed_unit())]
 
     ts = [2.0 ** e for e in sorted(cfg["t_exponents"])]
 
@@ -179,13 +178,13 @@ def run_ch_compare(grid, cfg):
         for label, f, d in cases:
             T = t_quantize(smash(f, d), t, grid)
             for uname, unit in units:
-                CH = ch_apply(f, d, t, rep, unit, theta, grid)
+                CH = ch_apply(f, d, t, unit, theta, grid)
                 out[f"{label}|{uname}"] = operator_norm(CH - T)
         for label, g, c in ext_cases:
             sym = Symbol.separable(c, g.even(), SymbolClass.FULL_C0)
             T = t_quantize(sym, t, grid)
             for uname, unit in units:
-                CH = ch_extended_apply(g, c, t, rep, unit, grid)
+                CH = ch_extended_apply(g, c, t, unit, grid)
                 out[f"ext:{label}|{uname}"] = operator_norm(CH - T)
         return out
 
@@ -235,33 +234,26 @@ def run_homotopy_verify(grid, cfg):
     vectors = [presets.band_vector(grid, band, seed=3 + i)
                for i, band in enumerate(bands)]
     parts = {s: build_partition(s, L) for s in s_values}
-    i_theta_max = int(np.ceil(np.log2(2.0 * theta.r0))) + 3
-    p1 = build_partition(1.0, max(L, max(L_list), i_theta_max))
+    i_theta = int(np.ceil(np.log2(2.0 * theta.r0)))
+    p1 = build_partition(1.0, max(L, max(L_list), i_theta + 3))
 
-    def equ_row(s):
-        p_s = parts[s]
-        out = {"kind": "equ1", "key": s}
-        for band, f in zip(bands, vectors):
-            out[f"band{band}"] = equ1_defect(a, s, p_s, f, theta, grid)
-        return out
+    op_a = op_quantize(a, theta, grid)
 
-    def equ2_row(s):
-        p_s = parts[s]
-        out = {"kind": "equ2", "key": s}
-        for band, f in zip(bands, vectors):
-            out[f"band{band}"] = equ2_defect(a, s, p_s, 1, 1, f, theta, grid)
-        return out
+    def band_row(kind, s, values):
+        return {"kind": kind, "key": s,
+                **{f"band{band}": v for band, v in zip(bands, values)}}
 
     s_desc = sorted(s_values, reverse=True)
-    rows = [equ_row(s) for s in s_desc] + [equ2_row(s) for s in s_desc]
+    rows = ([band_row("equ1", s, equ1_defect(a, op_a, parts[s], vectors, theta, grid))
+             for s in s_desc]
+            + [band_row("equ2", s, equ2_defect(a, parts[s], 1, 1, vectors, theta, grid))
+               for s in s_desc])
 
-    i_theta = int(np.ceil(np.log2(2.0 * theta.r0)))
     for i in range(i_theta - 1, i_theta + 3):
         rows.append({"kind": "theta", "key": i,
                      "value": theta_discrepancy_norm(a, p1, theta, i, i, grid)})
-    for Lv in L_list:
-        rows.append({"kind": "endpoint", "key": Lv,
-                     "value": endpoint_defect(a, p1, theta, Lv, K, grid)})
+    for Lv, value in zip(L_list, endpoint_defect(a, p1, theta, L_list, K, grid)):
+        rows.append({"kind": "endpoint", "key": Lv, "value": value})
 
     checks = []
     for band in bands:

@@ -55,10 +55,6 @@ class BlockOperator:
         got = self.blocks.get((i, j))
         return np.zeros((d, d), dtype=complex) if got is None else got
 
-    def block_norm(self, i, j):
-        got = self.blocks.get((i, j))
-        return 0.0 if got is None else operator_norm(got)
-
     def __sub__(self, other):
         if self.L != other.L or self.grid != other.grid:
             raise ValueError("mismatched block operators")
@@ -92,8 +88,39 @@ class BlockOperator:
         return operator_norm(self.to_dense())
 
 
-def _gamma_pair_profile(p, i, j):
-    return gamma_profile(p, i) * gamma_profile(p, j)
+def _band(L):
+    """Block indices (i, j) with |i|, |j| <= L and |i - j| <= 1, ascending."""
+    return [(i, j) for i in range(-L, L + 1)
+            for j in range(max(-L, i - 1), min(L, i + 1) + 1)]
+
+
+def _nonzero_blocks(L, grid, build):
+    """BlockOperator of the blocks ``build(i, j)`` that are not identically zero."""
+    blocks = {}
+    for i, j in _band(L):
+        mat = build(i, j).mat
+        if np.any(mat):
+            blocks[(i, j)] = mat
+    return BlockOperator(L, grid, blocks)
+
+
+def _psi_block(a, p_s, theta, i, j, grid):
+    """Block (i, j) of psi_s for s > 0: T_1(gamma_i^s gamma_j^s theta (x) a)."""
+    prof = gamma_profile(p_s, i) * gamma_profile(p_s, j) * theta.profile
+    return t_quantize(smash(prof, a), 1.0, grid)
+
+
+def _inverse_block(a, p, i, j, grid):
+    """Block (i, j) of the inverse map: T_{2^i}(gamma_0 gamma_{j-i} (x) a)."""
+    prof = gamma_profile(p, 0) * gamma_profile(p, j - i)
+    return t_quantize(smash(prof, a), 2.0 ** i, grid)
+
+
+def _check_inverse_inputs(a, p):
+    if not isinstance(a, HomogeneousSymbol):
+        raise TypeError("expected a homogeneous symbol")
+    if not isinstance(p, DyadicPartition) or p.inv_s != 1.0:
+        raise ValueError("the inverse construction uses the undeformed partition")
 
 
 def i0_block_operator(a, p, L, grid):
@@ -104,21 +131,10 @@ def i0_block_operator(a, p, L, grid):
     of the partition bumps.  Blocks whose profile has no integer frequency
     in its rescaled support vanish identically and are dropped.
     """
-    if not isinstance(a, HomogeneousSymbol):
-        raise TypeError("expected a homogeneous symbol")
-    if not isinstance(p, DyadicPartition) or p.inv_s != 1.0:
-        raise ValueError("the inverse construction uses the undeformed partition")
+    _check_inverse_inputs(a, p)
     if L < 2:
         raise ValueError("need L >= 2")
-    blocks = {}
-    for i in range(-L, L + 1):
-        for j in range(max(-L, i - 1), min(L, i + 1) + 1):
-            prof = _gamma_pair_profile(p, 0, j - i)
-            sym = smash(prof, a)
-            mat = t_quantize(sym, 2.0 ** i, grid).mat
-            if np.any(mat):
-                blocks[(i, j)] = mat
-    return BlockOperator(L, grid, blocks)
+    return _nonzero_blocks(L, grid, lambda i, j: _inverse_block(a, p, i, j, grid))
 
 
 def psi_s(a, s, p_s, theta, L, grid):
@@ -133,35 +149,27 @@ def psi_s(a, s, p_s, theta, L, grid):
         return BlockOperator(L, grid, {(0, 0): op_quantize(a, theta, grid).mat})
     if p_s is None:
         raise ValueError("need the deformed partition for s > 0")
-    blocks = {}
-    for i in range(-L, L + 1):
-        for j in range(max(-L, i - 1), min(L, i + 1) + 1):
-            prof = _gamma_pair_profile(p_s, i, j) * theta.profile
-            mat = t_quantize(smash(prof, a), 1.0, grid).mat
-            if np.any(mat):
-                blocks[(i, j)] = mat
-    return BlockOperator(L, grid, blocks)
+    return _nonzero_blocks(L, grid, lambda i, j: _psi_block(a, p_s, theta, i, j, grid))
 
 
-def equ1_defect(a, s, p_s, f, theta, grid):
-    """|| T_1((gamma_0^s)^2 theta (x) a) f - Op(a) f || for a test vector f."""
-    prof = _gamma_pair_profile(p_s, 0, 0) * theta.profile
-    A1 = t_quantize(smash(prof, a), 1.0, grid)
-    A0 = op_quantize(a, theta, grid)
-    f = np.asarray(f, dtype=complex)
-    return float(np.linalg.norm(A1.apply(f) - A0.apply(f)))
+def equ1_defect(a, op_a, p_s, vectors, theta, grid):
+    """|| T_1((gamma_0^s)^2 theta (x) a) f - Op(a) f || for each test vector f.
+
+    ``op_a`` is Op(a), which does not depend on s.
+    """
+    A1 = _psi_block(a, p_s, theta, 0, 0, grid)
+    return [float(np.linalg.norm(A1.apply(f) - op_a.apply(f))) for f in vectors]
 
 
-def equ2_defect(a, s, p_s, i, j, f, theta, grid):
-    """|| T_1(gamma_i^s gamma_j^s theta (x) a) f ||, (i, j) != (0, 0)."""
+def equ2_defect(a, p_s, i, j, vectors, theta, grid):
+    """|| T_1(gamma_i^s gamma_j^s theta (x) a) f || for each test vector f,
+    (i, j) != (0, 0)."""
     if (i, j) == (0, 0):
         raise ValueError("the central block is covered by equ1_defect")
     if abs(i - j) >= 2:
         raise ValueError("nonadjacent blocks vanish identically")
-    prof = _gamma_pair_profile(p_s, i, j) * theta.profile
-    A = t_quantize(smash(prof, a), 1.0, grid)
-    f = np.asarray(f, dtype=complex)
-    return float(np.linalg.norm(A.apply(f)))
+    A = _psi_block(a, p_s, theta, i, j, grid)
+    return [float(np.linalg.norm(A.apply(f))) for f in vectors]
 
 
 def theta_discrepancy_norm(a, p, theta, i, j, grid):
@@ -170,25 +178,36 @@ def theta_discrepancy_norm(a, p, theta, i, j, grid):
     Exactly zero once the support of gamma_i sits where the cutting
     function equals one, i.e. for i >= log2(2 r0).
     """
-    prof = _gamma_pair_profile(p, i, j)
-    with_theta = t_quantize(smash(prof * theta.profile, a), 1.0, grid)
-    without = t_quantize(smash(prof, a), 1.0, grid)
-    return operator_norm(with_theta - without)
+    without = t_quantize(smash(gamma_profile(p, i) * gamma_profile(p, j), a), 1.0, grid)
+    return operator_norm(_psi_block(a, p, theta, i, j, grid) - without)
 
 
-def endpoint_defect(a, p, theta, L, K, grid):
-    """Tail aggregate of || psi_1 block - inverse-map block || over |i| >= i0(K).
+def endpoint_defect(a, p, theta, L_list, K, grid):
+    """Tail aggregate of || psi_1 block - inverse-map block || over |i| >= i0(K),
+    one value per block range L in ``L_list``.
 
-    Both block operators are built in full and subtracted.  By exact
-    translation invariance the inverse-map block at (i, j) equals
-    T_1(gamma_i gamma_j (x) a), so the blockwise difference is the cutting
-    discrepancy, confined to the low scales; the aggregate over
-    |i| >= i0(K) = ceil(log2 K) vanishes once K passes 2 r0.
+    No block depends on L, so each block with i0 <= |i| <= max(L_list) is
+    built once, each nonzero block difference is normed once, and each range
+    sums its own blocks in ascending (i, j) order.  By exact translation
+    invariance the inverse-map block at (i, j) equals T_1(gamma_i gamma_j
+    (x) a), so the blockwise difference is the cutting discrepancy, confined
+    to the low scales; the aggregate over |i| >= i0(K) = ceil(log2 K)
+    vanishes once K passes 2 r0.
     """
+    _check_inverse_inputs(a, p)
     i0 = max(0, int(np.ceil(np.log2(max(K, 1)))))
-    diff = psi_s(a, 1.0, p, theta, L, grid) - i0_block_operator(a, p, L, grid)
-    total = 0.0
-    for (i, j) in diff.blocks:
+    norms = {}
+    for i, j in _band(max(L_list)):
         if abs(i) >= i0:
-            total += diff.block_norm(i, j)
-    return total
+            diff = (_psi_block(a, p, theta, i, j, grid).mat
+                    - _inverse_block(a, p, i, j, grid).mat)
+            if np.any(diff):
+                norms[(i, j)] = operator_norm(diff)
+    totals = []
+    for L in L_list:
+        total = 0.0  # left to right: the printed digits depend on the order
+        for (i, j), value in norms.items():
+            if max(abs(i), abs(j)) <= L:
+                total += value
+        totals.append(total)
+    return totals

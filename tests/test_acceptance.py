@@ -14,8 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from psilab.cli import main as cli_main
-from psilab.connes_higson import (Reparametrization, ch_apply,
-                                  ch_extended_apply, default_unit,
+from psilab.connes_higson import (ch_apply, ch_extended_apply, default_unit,
                                   tail_deformed_unit)
 from psilab.experiments import (adjoint_defect, chart_defect,
                                 decreasing_to_zero, loglog_slope, mult_defect,
@@ -26,7 +25,7 @@ from psilab.homotopy import (endpoint_defect, equ1_defect, equ2_defect,
 from psilab.index_theory import index_report
 from psilab.numerics import CircleGrid, operator_norm
 from psilab.partition import build_partition
-from psilab.quantize import t_quantize
+from psilab.quantize import op_quantize, t_quantize
 from psilab.symbols import CutFunction, HomogeneousSymbol, Symbol, SymbolClass, dilate, smash
 from psilab import presets
 
@@ -120,14 +119,13 @@ def test_criterion_06_extension_modulo_tails():
 
 def test_criterion_07_deformation_vs_quantization():
     with criterion(7, "deformed tensors match the rescaled quantization", 120.0):
-        rep = Reparametrization()
-        units = [default_unit(rep), tail_deformed_unit(rep)]
+        units = [default_unit(), tail_deformed_unit()]
         ts = [2.0 ** k for k in range(2, 9)]
         for label, f, d in presets.ch_cases():
             for unit in units:
                 vals = []
                 for t in ts:
-                    CH = ch_apply(f, d, t, rep, unit, THETA, GRID)
+                    CH = ch_apply(f, d, t, unit, THETA, GRID)
                     T = t_quantize(smash(f, d), t, GRID)
                     vals.append(operator_norm(CH - T))
                 assert strictly_decreasing(vals), (label, unit.name, vals)
@@ -138,9 +136,9 @@ def test_criterion_07_deformation_vs_quantization():
             for t in ts:
                 T = t_quantize(sym, t, GRID)
                 defaults.append(operator_norm(
-                    ch_extended_apply(g, c, t, rep, units[0], GRID) - T))
+                    ch_extended_apply(g, c, t, units[0], GRID) - T))
                 alts.append(operator_norm(
-                    ch_extended_apply(g, c, t, rep, units[1], GRID) - T))
+                    ch_extended_apply(g, c, t, units[1], GRID) - T))
             # multiplication lifting with the bundled pair is exact; the
             # alternative profile decays to the same exactness floor
             assert max(defaults) <= 1e-12, (label, defaults)
@@ -154,19 +152,23 @@ def test_criterion_08_deformation_family_limits():
         s_grid = (1 / 2, 1 / 3, 1 / 4, 1 / 6, 1 / 8)
         bands = (60, 100, 150)
         parts = {s: build_partition(s, 8) for s in s_grid}
+        vectors = [presets.band_vector(GRID, band, seed=3 + i)
+                   for i, band in enumerate(bands)]
+        op_a = op_quantize(a, THETA, GRID)
+        equ1 = {s: equ1_defect(a, op_a, parts[s], vectors, THETA, GRID) for s in s_grid}
+        equ2 = {s: equ2_defect(a, parts[s], 1, 1, vectors, THETA, GRID) for s in s_grid}
         for i, band in enumerate(bands):
-            f = presets.band_vector(GRID, band, seed=3 + i)
-            e1 = [equ1_defect(a, s, parts[s], f, THETA, GRID) for s in s_grid]
+            e1 = [equ1[s][i] for s in s_grid]
             assert decreasing_to_zero(e1, floor=1e-12), (band, e1)
             assert e1[0] > 1e-3
             for s in s_grid:
                 if 2.0 ** (1.0 / s - 1.0) > band:  # shoulder support migrated
-                    assert equ2_defect(a, s, parts[s], 1, 1, f, THETA, GRID) < 1e-6
+                    assert equ2[s][i] < 1e-6
         p1 = build_partition(1.0, 10)
         i0 = int(np.ceil(np.log2(2.0 * THETA.r0)))
         for i in range(i0, i0 + 3):
             assert theta_discrepancy_norm(a, p1, THETA, i, i, GRID) == 0.0
-        end_vals = [endpoint_defect(a, p1, THETA, L, 8, GRID) for L in (4, 6, 8)]
+        end_vals = endpoint_defect(a, p1, THETA, (4, 6, 8), 8, GRID)
         assert max(end_vals) < 1e-12, end_vals
 
 

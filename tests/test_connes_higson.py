@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from psilab.connes_higson import (Reparametrization, ch_apply,
-                                  ch_extended_apply, default_unit,
-                                  quasicentrality_defect, tail_deformed_unit)
+from psilab.connes_higson import (ch_apply, ch_extended_apply, default_unit,
+                                  kappa, kappa_inv, quasicentrality_defect,
+                                  tail_deformed_unit)
 from psilab.numerics import compact_tail_norm, operator_norm
 from psilab.quantize import t_quantize
 from psilab.symbols import (HomogeneousSymbol, Loop, Symbol, SymbolClass,
@@ -18,16 +18,15 @@ def shift_symbol():
 
 class TestReparametrization:
     def test_round_trip(self):
-        rep = Reparametrization()
-        assert rep.check()
+        v = np.linspace(1e-3, 1.0, 997)
+        assert np.max(np.abs(kappa_inv(kappa(v)) - v)) <= 1e-13
         v = np.linspace(1e-4, 1.0, 1001)
-        assert np.max(np.abs(rep.kappa_inv(rep.kappa(v)) - v)) < 1e-13
+        assert np.max(np.abs(kappa_inv(kappa(v)) - v)) < 1e-13
 
     def test_endpoint_and_monotone(self):
-        rep = Reparametrization()
-        assert rep.kappa(1.0) == 0.0
+        assert kappa(1.0) == 0.0
         v = np.linspace(0.01, 1.0, 200)
-        assert np.all(np.diff(rep.kappa(v)) < 0.0)
+        assert np.all(np.diff(kappa(v)) < 0.0)
 
 
 class TestApproximateUnit:
@@ -81,14 +80,12 @@ class TestQuasicentrality:
 class TestChApply:
     def test_zero_profile(self, grid64, theta):
         f = rational_vanishing_profile() * 0.0
-        out = ch_apply(f, shift_symbol(), 4.0, Reparametrization(),
-                       default_unit(), theta, grid64)
+        out = ch_apply(f, shift_symbol(), 4.0, default_unit(), theta, grid64)
         assert operator_norm(out) == 0.0
 
     def test_unit_symbol_diagonal_weights(self, grid64, theta):
         f = rational_vanishing_profile()
-        out = ch_apply(f, HomogeneousSymbol.unit(1), 8.0, Reparametrization(),
-                       default_unit(), theta, grid64)
+        out = ch_apply(f, HomogeneousSymbol.unit(1), 8.0, default_unit(), theta, grid64)
         modes = grid64.modes
         sel = np.abs(modes) >= theta.r0
         expect = np.real([f(abs(m) / 8.0) for m in modes])
@@ -97,18 +94,17 @@ class TestChApply:
     def test_requires_vanishing_profile(self, grid64, theta):
         with pytest.raises(ValueError):
             ch_apply(rational_decay_profile(), shift_symbol(), 4.0,
-                     Reparametrization(), default_unit(), theta, grid64)
+                     default_unit(), theta, grid64)
 
     @pytest.mark.parametrize("unit_maker", [default_unit, tail_deformed_unit])
     def test_matches_rescaled_quantization_asymptotically(self, grid64, theta,
                                                           unit_maker):
-        rep = Reparametrization()
         unit = unit_maker()
         f = rational_vanishing_profile()
         d = shift_symbol()
         vals = []
         for t in (4.0, 16.0, 64.0):
-            CH = ch_apply(f, d, t, rep, unit, theta, grid64)
+            CH = ch_apply(f, d, t, unit, theta, grid64)
             T = t_quantize(smash(f, d), t, grid64)
             vals.append(operator_norm(CH - T))
         assert vals[2] < vals[1] < vals[0]
@@ -118,10 +114,9 @@ class TestChApply:
 class TestChExtended:
     def test_approaches_identity_strongly(self, grid64):
         g = rational_decay_profile()
-        rep = Reparametrization()
-        out_small = ch_extended_apply(g, Loop.identity(1), 4.0, rep,
+        out_small = ch_extended_apply(g, Loop.identity(1), 4.0,
                                       default_unit(), grid64)
-        out_big = ch_extended_apply(g, Loop.identity(1), 4096.0, rep,
+        out_big = ch_extended_apply(g, Loop.identity(1), 4096.0,
                                     default_unit(), grid64)
         probe = grid64.N + 8  # mode n = 8
         assert abs(out_big.mat[probe, probe] - 1.0) < 1e-3
@@ -130,8 +125,7 @@ class TestChExtended:
     def test_exact_entry_formula(self, grid64):
         c = Loop.from_scalar_modes({1: 1.0})
         g = rational_decay_profile()
-        out = ch_extended_apply(g, c, 8.0, Reparametrization(),
-                                default_unit(), grid64)
+        out = ch_extended_apply(g, c, 8.0, default_unit(), grid64)
         n0 = grid64.N
         for m in (-5, 0, 7):
             expect = np.real(g(abs(m) / 8.0))
@@ -146,22 +140,21 @@ class TestChExtended:
                              g.name, g.vanishes_at_zero, g.vanishes_at_infinity)
         sym = Symbol.separable(c, even, SymbolClass.FULL_C0)
         for t in (4.0, 32.0):
-            CH = ch_extended_apply(g, c, t, Reparametrization(), default_unit(), grid64)
+            CH = ch_extended_apply(g, c, t, default_unit(), grid64)
             T = t_quantize(sym, t, grid64)
             assert operator_norm(CH - T) < 1e-13
 
     def test_branch_compatibility(self, grid64, theta):
         # on the overlap (vanishing profile, fiber-constant symbol) the two
         # liftings differ by a finite-rank block with a dying weight
-        rep = Reparametrization()
         unit = default_unit()
         f = rational_vanishing_profile()
         c = loop_c1()
         vals = []
         for t in (4.0, 16.0, 64.0, 256.0):
-            A = ch_apply(f, HomogeneousSymbol.fiber_constant(c), t, rep, unit,
+            A = ch_apply(f, HomogeneousSymbol.fiber_constant(c), t, unit,
                          theta, grid64)
-            B = ch_extended_apply(f, c, t, rep, unit, grid64)
+            B = ch_extended_apply(f, c, t, unit, grid64)
             vals.append(operator_norm(A - B))
         assert all(y < x for x, y in zip(vals, vals[1:]))
         assert vals[-1] < 0.05 * vals[0]
@@ -169,21 +162,20 @@ class TestChExtended:
 
 class TestChAlgebra:
     def test_asymptotic_multiplicativity(self, grid64, theta):
-        rep = Reparametrization()
         unit = default_unit()
         f1, f2 = rational_vanishing_profile(), rational_vanishing_profile(2.0)
         d1, d2 = shift_symbol(), HomogeneousSymbol.unit(1)
         vals = []
         for t in (4.0, 16.0, 64.0):
-            lhs = ch_apply(f1 * f2, d1 * d2, t, rep, unit, theta, grid64)
-            rhs = (ch_apply(f1, d1, t, rep, unit, theta, grid64)
-                   @ ch_apply(f2, d2, t, rep, unit, theta, grid64))
+            lhs = ch_apply(f1 * f2, d1 * d2, t, unit, theta, grid64)
+            rhs = (ch_apply(f1, d1, t, unit, theta, grid64)
+                   @ ch_apply(f2, d2, t, unit, theta, grid64))
             vals.append(operator_norm(lhs - rhs))
         assert vals[2] < vals[1] < vals[0]
 
     def test_output_numerically_compact(self, grid64, theta):
         out = ch_apply(rational_vanishing_profile(), shift_symbol(), 4.0,
-                       Reparametrization(), default_unit(), theta, grid64)
+                       default_unit(), theta, grid64)
         tails = [compact_tail_norm(out, K) for K in (8, 16, 32, 60)]
         assert all(y < x for x, y in zip(tails, tails[1:]))
         assert tails[-1] < 0.2 * tails[0]

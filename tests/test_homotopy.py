@@ -1,20 +1,42 @@
+import json
+
 import numpy as np
 import pytest
 
+from psilab import experiments, homotopy
+from psilab.config import build_grid, homotopy_cfg, load_config
 from psilab.homotopy import (BlockOperator, endpoint_defect, equ1_defect,
                              equ2_defect, i0_block_operator, psi_s,
                              theta_discrepancy_norm)
 from psilab.numerics import operator_norm
 from psilab.partition import build_partition
 from psilab.quantize import op_quantize
-from psilab.symbols import HomogeneousSymbol, Loop
-from psilab.presets import band_vector
+from psilab.symbols import (HomogeneousSymbol, Loop, Symbol, SymbolClass,
+                            constant_profile)
+from psilab.presets import band_vector, homotopy_symbol
 
 S_GRID = (1 / 2, 1 / 3, 1 / 4, 1 / 6, 1 / 8)
 
 
 def shift_symbol():
     return HomogeneousSymbol(Loop.from_scalar_modes({1: 1.0}), Loop.identity(1))
+
+
+def separable_symbol():
+    return Symbol.separable(Loop.identity(1), constant_profile(1.0), SymbolClass.FULL_C0)
+
+
+def endpoint_reference(a, p, theta, L, K, grid, ascending):
+    """Slow reference: both block operators built in full and subtracted,
+    block norms summed over |i| >= i0(K), in the set order of the keys (the
+    former endpoint formula) or in ascending (i, j) order."""
+    i0 = max(0, int(np.ceil(np.log2(max(K, 1)))))
+    diff = psi_s(a, 1.0, p, theta, L, grid) - i0_block_operator(a, p, L, grid)
+    total = 0.0
+    for (i, j) in (sorted(diff.blocks) if ascending else diff.blocks):
+        if abs(i) >= i0:
+            total += operator_norm(diff.block(i, j))
+    return total
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +69,7 @@ class TestInverseConstruction:
         zero = HomogeneousSymbol(Loop.constant(np.zeros((1, 1))),
                                  Loop.constant(np.zeros((1, 1))))
         B = i0_block_operator(zero, part1, 4, grid32)
-        assert all(B.block_norm(i, j) == 0.0 for (i, j) in B.blocks) or not B.blocks
+        assert all(operator_norm(B.block(i, j)) == 0.0 for (i, j) in B.blocks) or not B.blocks
 
     def test_banded_exactly(self, grid64, part1):
         B = i0_block_operator(shift_symbol(), part1, 6, grid64)
@@ -59,14 +81,22 @@ class TestInverseConstruction:
         for i in range(-8, 0):
             for j in (i - 1, i, i + 1):
                 if abs(j) <= 8:
-                    assert B.block_norm(i, j) == 0.0
+                    assert operator_norm(B.block(i, j)) == 0.0
 
     def test_requires_undeformed_partition(self, grid32):
         with pytest.raises(ValueError):
             i0_block_operator(shift_symbol(), build_partition(0.5, 4), 4, grid32)
 
+    def test_requires_homogeneous_symbol(self, grid32, part1):
+        with pytest.raises(TypeError, match="homogeneous"):
+            i0_block_operator(separable_symbol(), part1, 4, grid32)
+
 
 class TestPsiFamily:
+    def test_requires_homogeneous_symbol(self, grid32, theta, part1):
+        with pytest.raises(TypeError, match="homogeneous"):
+            psi_s(separable_symbol(), 1.0, part1, theta, 4, grid32)
+
     def test_s_zero_is_order_zero_endpoint(self, grid64, theta):
         B = psi_s(shift_symbol(), 0.0, None, theta, 6, grid64)
         assert set(B.blocks) == {(0, 0)}
@@ -97,14 +127,15 @@ class TestPsiFamily:
         vec = np.zeros((13, grid64.dim), dtype=complex)
         vec[6] = f
         B0 = psi_s(a, 0.0, None, theta, 6, grid64)
+        op_a = op_quantize(a, theta, grid64)
         for s in (0.5, 0.25):
             p = build_partition(s, 6)
             B = psi_s(a, s, p, theta, 6, grid64)
             jump = np.linalg.norm((B - B0).apply(vec))
-            parts = np.sqrt(
-                equ1_defect(a, s, p, f, theta, grid64) ** 2
-                + equ2_defect(a, s, p, 1, 0, f, theta, grid64) ** 2
-                + equ2_defect(a, s, p, -1, 0, f, theta, grid64) ** 2)
+            [e1] = equ1_defect(a, op_a, p, [f], theta, grid64)
+            [e2_right] = equ2_defect(a, p, 1, 0, [f], theta, grid64)
+            [e2_left] = equ2_defect(a, p, -1, 0, [f], theta, grid64)
+            parts = np.sqrt(e1 ** 2 + e2_right ** 2 + e2_left ** 2)
             assert jump == pytest.approx(parts, abs=1e-12)
 
     def test_adjoint_defect_blocks(self, grid64, theta, part1):
@@ -128,19 +159,22 @@ class TestLimitIdentities:
         a = shift_symbol()
         f = band_vector(grid64, 20, seed=3)
         p = build_partition(1 / 6, 8)
-        assert equ1_defect(a, 1 / 6, p, f, theta, grid64) == 0.0
+        op_a = op_quantize(a, theta, grid64)
+        assert equ1_defect(a, op_a, p, [f], theta, grid64) == [0.0]
 
     def test_equ1_single_mode_on_plateau(self, grid64, theta):
         a = shift_symbol()
         f = np.zeros(grid64.dim, dtype=complex)
         f[grid64.N + 8] = 1.0  # mode 8 inside [2^-1, 2^3] plateau at s = 1/4
         p = build_partition(1 / 4, 8)
-        assert equ1_defect(a, 1 / 4, p, f, theta, grid64) == 0.0
+        op_a = op_quantize(a, theta, grid64)
+        assert equ1_defect(a, op_a, p, [f], theta, grid64) == [0.0]
 
     def test_equ1_sequence_frozen(self, grid64, theta):
         a = shift_symbol()
         f = band_vector(grid64, 20, seed=3)
-        seq = [equ1_defect(a, s, build_partition(s, 8), f, theta, grid64)
+        op_a = op_quantize(a, theta, grid64)
+        seq = [equ1_defect(a, op_a, build_partition(s, 8), [f], theta, grid64)[0]
                for s in S_GRID]
         expect = [0.4258674704178078, 0.2954844512294728, 0.16587580000408889,
                   0.0, 0.0]
@@ -151,12 +185,12 @@ class TestLimitIdentities:
         a = shift_symbol()
         f = band_vector(grid64, 20, seed=3)
         p = build_partition(1 / 8, 8)  # shoulder support starts at 2^7
-        assert equ2_defect(a, 1 / 8, p, 1, 1, f, theta, grid64) == 0.0
+        assert equ2_defect(a, p, 1, 1, [f], theta, grid64) == [0.0]
 
     def test_equ2_migration(self, grid64, theta):
         a = shift_symbol()
         f = band_vector(grid64, 40, seed=4)
-        vals = [equ2_defect(a, s, build_partition(s, 8), 1, 1, f, theta, grid64)
+        vals = [equ2_defect(a, build_partition(s, 8), 1, 1, [f], theta, grid64)[0]
                 for s in (1 / 2, 1 / 4, 1 / 8)]
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < 1e-6
@@ -165,13 +199,13 @@ class TestLimitIdentities:
         zero = HomogeneousSymbol(Loop.constant(np.zeros((1, 1))),
                                  Loop.constant(np.zeros((1, 1))))
         f = band_vector(grid32, 8, seed=5)
-        assert equ2_defect(zero, 0.5, build_partition(0.5, 4), 1, 0, f,
-                           theta, grid32) == 0.0
+        assert equ2_defect(zero, build_partition(0.5, 4), 1, 0, [f],
+                           theta, grid32) == [0.0]
 
     def test_equ2_rejects_central_block(self, grid32, theta):
         f = band_vector(grid32, 8, seed=5)
         with pytest.raises(ValueError):
-            equ2_defect(shift_symbol(), 0.5, build_partition(0.5, 4), 0, 0, f,
+            equ2_defect(shift_symbol(), build_partition(0.5, 4), 0, 0, [f],
                         theta, grid32)
 
 
@@ -179,7 +213,7 @@ class TestEndpoint:
     def test_zero_symbol(self, grid32, theta, part1):
         zero = HomogeneousSymbol(Loop.constant(np.zeros((1, 1))),
                                  Loop.constant(np.zeros((1, 1))))
-        assert endpoint_defect(zero, part1, theta, 4, 8, grid32) == 0.0
+        assert endpoint_defect(zero, part1, theta, [4], 8, grid32) == [0.0]
 
     def test_theta_identity_beyond_threshold(self, grid64, theta, part1):
         # gamma_i gamma_j theta = gamma_i gamma_j once 2^{i-1} >= r0
@@ -198,11 +232,59 @@ class TestEndpoint:
             assert operator_norm(B1.block(i, i) - B2.block(i, i)) < 1e-13
 
     def test_tail_aggregate_vanishes(self, grid64, theta, part1):
-        vals = [endpoint_defect(shift_symbol(), part1, theta, L, 8, grid64)
-                for L in (4, 6, 8)]
+        vals = endpoint_defect(shift_symbol(), part1, theta, (4, 6, 8), 8, grid64)
         assert max(vals) < 1e-12
 
     def test_full_aggregate_sees_cut_region(self, grid64, theta, part1):
         # with no tail cutoff the aggregate picks up the finite-rank
         # discrepancy at the low scales
-        assert endpoint_defect(shift_symbol(), part1, theta, 8, 1, grid64) > 0.1
+        [val] = endpoint_defect(shift_symbol(), part1, theta, [8], 1, grid64)
+        assert val > 0.1
+
+    @pytest.mark.parametrize("K", [1, 8])
+    @pytest.mark.parametrize("make_symbol", [shift_symbol, homotopy_symbol])
+    def test_matches_full_build(self, grid64, theta, part1, make_symbol, K):
+        a = make_symbol()
+        L_list = (4, 6, 8)
+        got = endpoint_defect(a, part1, theta, L_list, K, grid64)
+        assert got == [endpoint_reference(a, part1, theta, L, K, grid64, True)
+                       for L in L_list]
+        set_order = [endpoint_reference(a, part1, theta, L, K, grid64, False)
+                     for L in L_list]
+        if K == 1:
+            # the cut region is inside the sum; its set order differs from
+            # the ascending one, so the two sums differ by reordering rounding
+            assert min(got) > 0.1
+            assert got == pytest.approx(set_order, rel=4 * np.finfo(float).eps, abs=0.0)
+        else:
+            assert got == set_order
+
+    def test_requires_undeformed_partition(self, grid32, theta):
+        with pytest.raises(ValueError, match="undeformed"):
+            endpoint_defect(shift_symbol(), build_partition(0.5, 4), theta, [4], 8,
+                            grid32)
+
+
+class TestBuildCounts:
+    def test_each_operator_built_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "grid": {"N": 32, "J": 132},
+            "homotopy_verify": {"bands": [8, 16], "L": 6, "L_list": [3, 5, 4],
+                                "s_values": [0.5, 0.25, 0.125]}}))
+        data = load_config(str(path))
+        grid, cfg = build_grid(data), homotopy_cfg(data)
+        calls = {"t_quantize": 0, "op_quantize": 0}
+        for module in (homotopy, experiments):
+            for name in filter(module.__dict__.__contains__, calls):
+                def counted(*args, _name=name, _fn=getattr(module, name)):
+                    calls[_name] += 1
+                    return _fn(*args)
+                monkeypatch.setattr(module, name, counted)
+        experiments.run_homotopy_verify(grid, cfg)
+        L_max = max(cfg["L_list"])
+        i0 = int(np.ceil(np.log2(cfg["K"])))
+        tail = sum(1 for i in range(-L_max, L_max + 1) for j in range(-L_max, L_max + 1)
+                   if abs(i) >= i0 and abs(i - j) <= 1)
+        assert calls["op_quantize"] == 1
+        assert calls["t_quantize"] == 2 * len(cfg["s_values"]) + 8 + 2 * tail
