@@ -7,7 +7,7 @@ the two, and integer index pairings with three independent routes.
 """
 
 from .numerics import (CircleGrid, FourierOperator, compact_tail_norm,
-                       fourier_coefficients, inverse_fourier, operator_norm)
+                       fourier_coefficients, operator_norm)
 from .partition import DyadicPartition, SmoothStep, build_partition
 from .symbols import (CutFunction, HomogeneousSymbol, Loop, RadialProfile,
                       Symbol, SymbolClass, dilate, smash)
@@ -26,7 +26,7 @@ from .index_theory import (InconclusiveIndexError, IndexReport,
 
 __all__ = [
     "CircleGrid", "FourierOperator", "compact_tail_norm",
-    "fourier_coefficients", "inverse_fourier", "operator_norm",
+    "fourier_coefficients", "operator_norm",
     "DyadicPartition", "SmoothStep", "build_partition",
     "CutFunction", "HomogeneousSymbol", "Loop", "RadialProfile", "Symbol",
     "SymbolClass", "dilate", "smash",

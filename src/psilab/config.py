@@ -181,7 +181,10 @@ _PROFILES = {
 def parse_profile(spec):
     """Profile from a record like {"kind": "bump", "lo": 0.5, "hi": 4}."""
     if isinstance(spec, dict) and "product" in spec:
-        factors = [parse_profile(s) for s in spec["product"]]
+        factor_specs = spec["product"]
+        if not (isinstance(factor_specs, list) and factor_specs):
+            raise ConfigError(f"'product' needs a nonempty list of profile records: {spec!r}")
+        factors = [parse_profile(s) for s in factor_specs]
         out = factors[0]
         for f in factors[1:]:
             out = out * f
@@ -199,14 +202,27 @@ def parse_profile(spec):
         raise ConfigError(f"profile {spec!r}: {exc}") from exc
 
 
-def _fields(record, keys, what):
-    """Values of the required keys of a record, in order."""
+def _record(record, what):
     if not isinstance(record, dict):
         raise ConfigError(f"{what} record must be an object: {record!r}")
+    return record
+
+
+def _fields(record, keys, what):
+    """Values of the required keys of a record, in order."""
+    _record(record, what)
     missing = [key for key in keys if key not in record]
     if missing:
         raise ConfigError(f"{what} record needs {', '.join(map(repr, missing))}: {record!r}")
     return [record[key] for key in keys]
+
+
+def _mode_table(spec, key):
+    """The {mode: coefficient} object under ``key`` of a loop record."""
+    table = spec[key]
+    if not isinstance(table, dict):
+        raise ConfigError(f"loop {key!r} must be an object keyed by mode: {spec!r}")
+    return table
 
 
 def _mode(key):
@@ -243,10 +259,14 @@ def parse_loop(spec):
     if not isinstance(spec, dict):
         raise ConfigError(f"loop record must be a preset name or an object: {spec!r}")
     if "modes" in spec:
-        modes = {_mode(j): _coeff(c) for j, c in spec["modes"].items()}
-        return Loop.from_scalar_modes(modes, k=spec.get("k", 1))
+        k = spec.get("k", 1)
+        if not (isinstance(k, int) and not isinstance(k, bool) and k >= 1):
+            raise ConfigError(f"loop block size k must be a positive integer: {spec!r}")
+        modes = {_mode(j): _coeff(c) for j, c in _mode_table(spec, "modes").items()}
+        return Loop.from_scalar_modes(modes, k=k)
     if "matrix_modes" in spec:
-        entries = {_mode(j): _matrix(mat) for j, mat in spec["matrix_modes"].items()}
+        entries = {_mode(j): _matrix(mat)
+                   for j, mat in _mode_table(spec, "matrix_modes").items()}
         sizes = sorted({mat.shape[0] for mat in entries.values()})
         if len(sizes) != 1:
             raise ConfigError(f"matrix_modes need one block size, got {sizes}")
@@ -291,6 +311,7 @@ def parse_homogeneous(spec):
         if spec != "default":
             raise ConfigError(f"unknown homogeneous preset {spec!r}")
         return presets.homotopy_symbol()
+    _record(spec, "homogeneous symbol")
     if "winding" in spec:
         winding = spec["winding"]
         if not (isinstance(winding, list) and len(winding) == 2
@@ -397,7 +418,7 @@ def index_cfg(cfg):
            "theta": CutFunction(cfg["theta_r0"]),
            "higson_t_exponents": _t_exponents(cfg, section, "higson_t_exponents")}
     out["cases"] = presets.index_suite() if section["cases"] == "default" else [
-        (c.get("label", f"case{i}"), parse_homogeneous(c))
-        for i, c in enumerate(section["cases"])]
+        (c.get("label", f"case{i}"), parse_homogeneous(c)) for i, c in
+        enumerate(_record(c, "index_compare case") for c in section["cases"])]
     _check_block_sizes(cfg, [sigma for _, sigma in out["cases"]])
     return out

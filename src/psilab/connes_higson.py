@@ -54,7 +54,6 @@ class ApproximateUnit:
     """
 
     profile: callable = field(repr=False)
-    name: str = "unit"
 
     def values(self, t, grid):
         if t <= 0:
@@ -65,15 +64,6 @@ class ApproximateUnit:
         vals = np.repeat(self.values(t, grid), grid.k)
         return FourierOperator(grid, np.diag(vals.astype(complex)))
 
-    def check(self, t, grid):
-        vals = self.values(t, grid)
-        if np.min(vals) < 0.0 or np.max(vals) > 1.0:
-            raise ValueError("unit values must lie in [0, 1]")
-        half = vals[grid.N:]
-        if np.any(np.diff(half) > 1e-13):
-            raise ValueError("unit profile must be nonincreasing in |n|")
-        return True
-
     def weight(self, f, t, grid):
         """Diagonal weights f(kappa(m(|n|/t))), exact on the diagonal."""
         u = self.values(t, grid)
@@ -82,8 +72,7 @@ class ApproximateUnit:
 
 
 def default_unit():
-    return ApproximateUnit(lambda r: kappa_inv(np.asarray(r, dtype=float)),
-                           name="kappa-inverse")
+    return ApproximateUnit(lambda r: kappa_inv(np.asarray(r, dtype=float)))
 
 
 def tail_deformed_unit():
@@ -101,7 +90,7 @@ def tail_deformed_unit():
         r = np.asarray(r, dtype=float)
         return r * (1.0 + 0.04 * smooth_step((r - 32.0) / 8.0))
 
-    return ApproximateUnit(lambda r: kappa_inv(eta(r)), name="tail-deformed[32.0]")
+    return ApproximateUnit(lambda r: kappa_inv(eta(r)))
 
 
 def quasicentrality_defect(u, t, a, theta, grid):

@@ -41,7 +41,7 @@ def strictly_decreasing(vals):
     return all(y < x for x, y in zip(vals, vals[1:]))
 
 
-def decreasing_to_zero(vals, floor=1e-12):
+def decreasing_to_zero(vals, floor):
     """Strict decrease, except that values below ``floor`` may tie."""
     return all(y < x or (x <= floor and y <= floor) for x, y in zip(vals, vals[1:]))
 

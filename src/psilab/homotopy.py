@@ -55,38 +55,6 @@ class BlockOperator:
         got = self.blocks.get((i, j))
         return np.zeros((d, d), dtype=complex) if got is None else got
 
-    def __sub__(self, other):
-        if self.L != other.L or self.grid != other.grid:
-            raise ValueError("mismatched block operators")
-        keys = set(self.blocks) | set(other.blocks)
-        return BlockOperator(self.L, self.grid,
-                             {k: self.block(*k) - other.block(*k) for k in keys})
-
-    def apply(self, vec):
-        """Apply to a block vector of shape (2L+1, dim)."""
-        vec = np.asarray(vec, dtype=complex)
-        out = np.zeros_like(vec)
-        for (i, j), mat in self.blocks.items():
-            out[i + self.L] += mat @ vec[j + self.L]
-        return out
-
-    def adjoint(self):
-        return BlockOperator(self.L, self.grid,
-                             {(j, i): mat.conj().T for (i, j), mat in self.blocks.items()})
-
-    def to_dense(self):
-        n = 2 * self.L + 1
-        d = self.grid.dim
-        out = np.zeros((n * d, n * d), dtype=complex)
-        for (i, j), mat in self.blocks.items():
-            out[(i + self.L) * d:(i + self.L + 1) * d,
-                (j + self.L) * d:(j + self.L + 1) * d] = mat
-        return out
-
-    def norm(self):
-        """Largest singular value of the assembled dense operator."""
-        return operator_norm(self.to_dense())
-
 
 def _band(L):
     """Block indices (i, j) with |i|, |j| <= L and |i - j| <= 1, ascending."""

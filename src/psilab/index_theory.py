@@ -186,11 +186,11 @@ def _clutching_samples(factors, r, out):
 
 @dataclass(frozen=True)
 class BottPair:
-    """Clutching projection of a symbol and its trivial companion.
+    """Clutching projection of a symbol, sampled relative to its corner.
 
-    The clutching symbol is b(x, xi) = |xi| sigma(x, xi).  Both projections
-    are 2k x 2k and exact; their difference has entries vanishing at fiber
-    infinity like 1 / |xi|.
+    The clutching symbol is b(x, xi) = |xi| sigma(x, xi).  Its graph
+    projection p is 2k x 2k and exact; p - diag(0, I) has entries vanishing
+    at fiber infinity like 1 / |xi|.
     """
 
     sigma: HomogeneousSymbol
@@ -202,11 +202,6 @@ class BottPair:
     def factors(self, x):
         """Clutching factors of the (minus, plus) branches at the points x."""
         return tuple(_clutching_factors(self.sigma.branch(sign).fn(x)) for sign in (-1, +1))
-
-    @property
-    def companion(self):
-        """The trivial companion: the clutching pair of the unit symbol."""
-        return BottPair(HomogeneousSymbol.unit(self.k))
 
     def samples(self, factors, xis):
         """(J, len(xis), 2k, 2k) samples of p - corner at ascending xis.
@@ -223,21 +218,6 @@ class BottPair:
         for branch, cols in zip(factors, (slice(None, split), slice(split, None))):
             _clutching_samples(branch, r[cols], out[:, cols])
         return out.reshape(J, xis.size, 2 * k, 2 * k)
-
-    def p_sigma(self, x, xi):
-        """(len(x), 2k, 2k) samples of the clutching projection at one xi."""
-        factors = self.factors(np.atleast_1d(np.asarray(x, dtype=float)))
-        return self.samples(factors, np.array([float(xi)]))[:, 0] + self.corner()
-
-    def p_base(self, x, xi):
-        """(len(x), 2k, 2k) samples of the trivial companion at one xi."""
-        return self.companion.p_sigma(x, xi)
-
-    def corner(self):
-        """The fiber-infinity limit diag(0, 1) of both projections."""
-        out = np.zeros((2 * self.k, 2 * self.k), dtype=complex)
-        out[self.k:, self.k:] = np.eye(self.k)
-        return out
 
 
 def bott_projection(sigma):
@@ -269,14 +249,15 @@ def _count_above_half(pair, t, grid):
     return int(np.sum(evals > 0.5)), gap
 
 
-def higson_trace_index(sigma, t, grid, pair=None):
+def higson_trace_index(sigma, t, grid):
     """Spectral pairing of the clutching class with the deformation at time t.
 
     Counts eigenvalues above 1/2 of the deformed clutching projection and
     subtracts the count of its trivial companion; the difference (times the
-    calibrated sign) is the pairing value.  The companion p_base does not
-    depend on x, so its deformation is block diagonal with one rank-k
-    projection per mode: its count is exactly k (2N + 1), with gap 1/2.
+    calibrated sign) is the pairing value.  The companion, the clutching
+    projection of the unit symbol, does not depend on x, so its deformation
+    is block diagonal with one rank-k projection per mode: its count is
+    exactly k (2N + 1), with gap 1/2.
 
     Raises InconclusiveIndexError when the clutching cannot develop inside
     the mode range (radius N / t below PAIRING_MIN_RADIUS) or when
@@ -288,7 +269,7 @@ def higson_trace_index(sigma, t, grid, pair=None):
     (both projections have pointwise trace k), so the class content is
     carried entirely by the spectral counts.
     """
-    pair = bott_projection(sigma) if pair is None else pair
+    pair = bott_projection(sigma)
     if grid.N / t < PAIRING_MIN_RADIUS:
         raise InconclusiveIndexError(
             f"clutching radius {grid.N / t:.2f} at the mode cutoff is below "
@@ -300,23 +281,6 @@ def higson_trace_index(sigma, t, grid, pair=None):
             f"eigenvalue within {PAIRING_GAP} of 1/2 at t={t}; "
             "the deformation has reached the mode cutoff, reduce t or increase N")
     return float(PAIRING_SIGN * (cnt - pair.k * grid.n_modes))
-
-
-def naive_trace_pairing(sigma, t, grid):
-    """Entrywise trace of T_t(p_sigma - p_base); identically ~0 (diagnostic).
-
-    Both projections are sampled a column block at a time from their
-    clutching factors on the grid points, like the spectral count.
-    """
-    pair = bott_projection(sigma)
-    base = pair.companion
-    fs, fb = pair.factors(grid.x), base.factors(grid.x)
-
-    def q_fn(x, xis):
-        return pair.samples(fs, xis) - base.samples(fb, xis)
-
-    g2 = CircleGrid(J=grid.J, N=grid.N, k=2 * pair.k)
-    return float(np.real(np.trace(quantize_sampled(q_fn, t, g2).mat)))
 
 
 # -- combined report ---------------------------------------------------------
@@ -361,11 +325,10 @@ def index_report(sigma, grid, theta, t_grid, label, eps_rank=1e-6):
     except InconclusiveIndexError:
         fredholm_bad = True
 
-    pair = bott_projection(sigma)
     traces = []
     for t in t_grid:
         try:
-            traces.append(higson_trace_index(sigma, t, grid, pair=pair))
+            traces.append(higson_trace_index(sigma, t, grid))
         except InconclusiveIndexError:
             traces.append(None)
     conclusive = [v for v in traces if v is not None]

@@ -17,7 +17,6 @@ __all__ = [
     "CircleGrid",
     "FourierOperator",
     "fourier_coefficients",
-    "inverse_fourier",
     "operator_norm",
     "compact_tail_norm",
 ]
@@ -95,10 +94,6 @@ class FourierOperator:
             raise ValueError("operator entries must be finite")
 
     # -- algebra ---------------------------------------------------------
-    def __add__(self, other):
-        self._check(other)
-        return FourierOperator(self.grid, self.mat + other.mat)
-
     def __sub__(self, other):
         self._check(other)
         return FourierOperator(self.grid, self.mat - other.mat)
@@ -106,11 +101,6 @@ class FourierOperator:
     def __matmul__(self, other):
         self._check(other)
         return FourierOperator(self.grid, self.mat @ other.mat)
-
-    def __mul__(self, scalar):
-        return FourierOperator(self.grid, self.mat * scalar)
-
-    __rmul__ = __mul__
 
     def adjoint(self):
         return FourierOperator(self.grid, self.mat.conj().T)
@@ -122,45 +112,29 @@ class FourierOperator:
         if self.grid != other.grid:
             raise ValueError("operators live on different grids")
 
-    # -- constructors / reshaping ----------------------------------------
-    @staticmethod
-    def identity(grid):
-        return FourierOperator(grid, np.eye(grid.dim, dtype=complex))
-
+    # -- constructors ----------------------------------------------------
     @staticmethod
     def zero(grid):
         return FourierOperator(grid, np.zeros((grid.dim, grid.dim), dtype=complex))
 
 
-# -- sampling <-> coefficients -------------------------------------------
+# -- sampling -> coefficients -------------------------------------------
 
 
-def fourier_coefficients(grid, samples, max_mode=None):
-    """Fourier coefficients c(j), |j| <= max_mode (default N), of grid samples.
+def fourier_coefficients(grid, samples):
+    """Fourier coefficients c(j), |j| <= 2N, of grid samples.
 
     ``samples`` holds J values (scalar or (J, k, k) matrix samples); the
     transform runs along axis 0 with the convention
-    c(j) = (1/J) * sum_l samples[l] * exp(-i j x_l).
+    c(j) = (1/J) * sum_l samples[l] * exp(-i j x_l).  J >= 4N + 4 resolves
+    every mode up to 2N, the range of c(n - m) for |n|, |m| <= N.
     """
     samples = np.asarray(samples, dtype=complex)
     if samples.shape[0] != grid.J:
         raise ValueError(f"expected {grid.J} samples, got {samples.shape[0]}")
-    max_mode = grid.N if max_mode is None else max_mode
-    if max_mode > grid.J // 2 - 1:
-        raise ValueError(f"mode {max_mode} not resolvable with J={grid.J}")
     spectrum = np.fft.fft(samples, axis=0) / grid.J
-    idx = np.arange(-max_mode, max_mode + 1) % grid.J
+    idx = np.arange(-2 * grid.N, 2 * grid.N + 1) % grid.J
     return spectrum[idx]
-
-
-def inverse_fourier(grid, coeffs):
-    """Evaluate sum_n c(n) e^{i n x} on the sample grid (exact inverse)."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.shape[0] != grid.n_modes:
-        raise ValueError(f"expected {grid.n_modes} coefficients")
-    spectrum = np.zeros((grid.J,) + coeffs.shape[1:], dtype=complex)
-    spectrum[grid.modes % grid.J] = coeffs
-    return np.fft.ifft(spectrum, axis=0) * grid.J
 
 
 # -- norms ---------------------------------------------------------------

@@ -75,14 +75,6 @@ class DyadicPartition:
             return self.inv_s - 1.0 + i
         return i + 1.0 - self.inv_s
 
-    @property
-    def indices(self):
-        return range(-self.L, self.L + 1)
-
-    def covered_log2_range(self):
-        """(u_lo, u_hi) on which the telescoping sum is exactly 1."""
-        return self.cut(-self.L - 1) + 1.0, self.cut(self.L)
-
     def gamma_squared(self, i, x):
         if abs(i) > self.L:
             raise ValueError(f"index {i} outside [-{self.L}, {self.L}]")
@@ -102,13 +94,6 @@ class DyadicPartition:
             raise ValueError(f"index {i} outside [-{self.L}, {self.L}]")
         return 2.0 ** self.cut(i - 1), 2.0 ** (self.cut(i) + 1.0)
 
-    def sum_of_squares(self, x):
-        x = np.asarray(x, dtype=float)
-        total = np.zeros_like(x)
-        for i in self.indices:
-            total = total + self.gamma_squared(i, x)
-        return total
-
 
 def build_partition(s, L):
     """Build the dyadic partition at deformation s in (0, 1] with 2L+1 bumps."""
@@ -120,14 +105,3 @@ def build_partition(s, L):
     if inv_s < 1.0:
         inv_s = 1.0
     return DyadicPartition(s=float(s), inv_s=inv_s, L=int(L))
-
-
-def gamma_sup_on_modes(p, i, N):
-    """sup of gamma_i^s over the nonzero integer frequencies |m| <= N.
-
-    Used as the finite surrogate for strict convergence to zero of the
-    shoulder bumps as s -> 0: once the support of gamma_i^s has no integer
-    points below N, the sup is exactly 0.
-    """
-    m = np.arange(1, N + 1, dtype=float)
-    return float(np.max(p.gamma(i, m)))

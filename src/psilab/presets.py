@@ -10,18 +10,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .symbols import (HomogeneousSymbol, Loop, Symbol, SymbolClass, bump_profile,
-                      cap_profile, rational_decay_profile, rational_vanishing_profile)
+from .symbols import (HomogeneousSymbol, Loop, Symbol, SymbolClass, cap_profile,
+                      rational_decay_profile, rational_vanishing_profile)
 
 __all__ = [
     "loop_c1",
     "loop_c2",
     "cs_pair",
     "v00_pair",
-    "translation_symbols",
     "chart_symbol",
     "t0_symbol",
-    "fiber_constant_loops",
     "winding_pair",
     "index_suite",
     "ch_cases",
@@ -61,27 +59,6 @@ def v00_pair():
     return a, b
 
 
-def matrix_loop(k=2, seed=11, degree=2):
-    """Deterministic matrix-valued loop with modes damped by 0.6 ** |j|."""
-    rng = np.random.default_rng(seed)
-    coeffs = np.zeros((2 * degree + 1, k, k), dtype=complex)
-    for j in range(-degree, degree + 1):
-        mag = 0.6 ** abs(j)
-        coeffs[j + degree] = mag * (rng.normal(size=(k, k))
-                                    + 1j * rng.normal(size=(k, k))) / (2.0 * k)
-    return Loop.from_coeffs(coeffs)
-
-
-def translation_symbols():
-    """Three symbols for the translation-invariance grid (k = 1, 1, 2)."""
-    s1 = Symbol.separable(loop_c1(), cap_profile(2.0), SymbolClass.COMPACT_SUPPORT)
-    s2 = Symbol.separable(loop_c2(), rational_vanishing_profile(1.0),
-                          SymbolClass.VANISHING_00)
-    s3 = Symbol.separable(matrix_loop(k=2), bump_profile(0.5, 6.0),
-                          SymbolClass.COMPACT_SUPPORT)
-    return [s1, s2, s3]
-
-
 def chart_symbol():
     """Compact-support symbol for the chart-independence sweep."""
     return Symbol.separable(loop_c1(), cap_profile(1.0), SymbolClass.COMPACT_SUPPORT)
@@ -91,28 +68,6 @@ def t0_symbol():
     """Vanishing symbol with cubic frequency decay for the t -> 0 check."""
     prof = rational_vanishing_profile(2.0) * rational_decay_profile(2.0)
     return Symbol.separable(loop_c1(), prof, SymbolClass.VANISHING_00)
-
-
-def smooth_loop(seed=23, degree=96, rate=8.0):
-    """Scalar trigonometric polynomial with exp(-|j|/rate) coefficient decay.
-
-    High enough degree that tail norms of quantization defects decay
-    geometrically across the dyadic cutoff grid.
-    """
-    rng = np.random.default_rng(seed)
-    js = np.arange(-degree, degree + 1)
-    mags = np.exp(-np.abs(js) / rate)
-    phases = np.exp(2j * np.pi * rng.uniform(size=js.size))
-    return Loop.from_coeffs((mags * phases)[:, None, None])
-
-
-def fiber_constant_loops():
-    """Unit, one-mode and a seeded degree-3 loop (all fiber constant)."""
-    rng = np.random.default_rng(31)
-    modes = {j: complex(rng.normal(), rng.normal()) / (1.0 + abs(j))
-             for j in range(-3, 4)}
-    return [Loop.identity(1), Loop.from_scalar_modes({1: 1.0}),
-            Loop.from_scalar_modes(modes)]
 
 
 def winding_pair(w_plus, w_minus, k=1):

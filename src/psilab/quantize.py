@@ -105,7 +105,7 @@ def t_quantize(a, t, grid):
     if not isinstance(a, Symbol):
         raise TypeError("t_quantize expects a separable Symbol")
     freqs = grid.modes / t
-    return _assemble(grid, ((loop.coefficients(grid, 2 * grid.N),
+    return _assemble(grid, ((loop.coefficients(grid),
                              np.asarray(prof(freqs), dtype=complex))
                             for loop, prof in a.terms))
 
@@ -160,8 +160,8 @@ def op_quantize(a, theta, grid):
     modes = grid.modes
     w = np.asarray(theta(np.abs(modes)), dtype=complex)
     return _assemble(grid, [
-        (a.plus.coefficients(grid, 2 * grid.N), np.where(modes >= 0, w, 0.0)),
-        (a.minus.coefficients(grid, 2 * grid.N), np.where(modes < 0, w, 0.0)),
+        (a.plus.coefficients(grid), np.where(modes >= 0, w, 0.0)),
+        (a.minus.coefficients(grid), np.where(modes < 0, w, 0.0)),
     ])
 
 
@@ -178,7 +178,7 @@ def multiplication_operator(c, grid):
     if c.degree is not None and c.degree > grid.N:
         raise ValueError(f"loop degree {c.degree} exceeds the cutoff N={grid.N}")
     unit = np.ones(grid.n_modes, dtype=complex)
-    return _assemble(grid, [(c.coefficients(grid, 2 * grid.N), unit)])
+    return _assemble(grid, [(c.coefficients(grid), unit)])
 
 
 # -- charts ------------------------------------------------------------------
@@ -193,14 +193,12 @@ class Atlas:
     """Two-chart partition of unity on the circle.
 
     ``phis`` sum to one, ``psis`` are plateau windows with psi_k = 1 on the
-    support of phi_k (with a positive margin) and supp psi_k inside the
-    chart arc.  Windows are plain callables of the angle.
+    support of phi_k (with a positive margin); ``validate`` checks both on
+    the grid.  Windows are plain callables of the angle.
     """
 
     phis: tuple
     psis: tuple
-    arcs: tuple
-    strict: bool = True
 
     def validate(self, grid):
         """Check the window identities on the grid points to 1e-13."""
@@ -209,15 +207,13 @@ class Atlas:
         total = sum(np.asarray(phi(x), dtype=float) for phi in self.phis)
         if np.max(np.abs(total - 1.0)) > tol:
             raise ValueError("chart windows do not sum to one")
-        for phi, psi, arc in zip(self.phis, self.psis, self.arcs):
+        for phi, psi in zip(self.phis, self.psis):
             pv = np.asarray(phi(x), dtype=float)
             sv = np.asarray(psi(x), dtype=float)
             if np.min(pv) < -tol:
                 raise ValueError("phi windows must be nonnegative")
             if np.max(np.abs(sv * pv - pv)) > tol:
                 raise ValueError("psi must equal one on the support of phi")
-            if self.strict and not (arc[1] - arc[0] < 2.0 * np.pi):
-                raise ValueError("chart arcs must be shorter than the full circle")
         return True
 
     @staticmethod
@@ -248,16 +244,7 @@ class Atlas:
                 return smooth_step((support - r) / (support - plateau))
             return fn
 
-        arcs = ((-0.75 * np.pi, 0.75 * np.pi), (0.25 * np.pi, 1.75 * np.pi))
-        return Atlas((phi1, phi2), (window(0.0), window(np.pi)), arcs)
-
-    @staticmethod
-    def degenerate():
-        """Single effective chart (phi_1 = psi_1 = 1); for collapse tests."""
-        one = lambda x: np.ones_like(np.asarray(x, dtype=float))
-        zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-        arcs = ((0.0, 2.0 * np.pi), (0.0, 2.0 * np.pi))
-        return Atlas((one, zero), (one, zero), arcs, strict=False)
+        return Atlas((phi1, phi2), (window(0.0), window(np.pi)))
 
 
 def _windowed(a, window):
@@ -289,10 +276,8 @@ def t_quantize_charts(a, t, atlas, grid, pad=64):
         raise ValueError("need t > 0")
     atlas.validate(grid)
     big = padded_grid(grid, pad)
-    total = None  # the windows sum to one, so at least one chart contributes
+    total = None
     for phi, psi in zip(atlas.phis, atlas.psis):
-        if np.max(np.abs(np.asarray(phi(grid.x), dtype=float))) == 0.0:
-            continue
         chart_term = t_quantize(_windowed(a, psi), t, big)
         product = chart_term.mat @ _scalar_multiplier(phi, big).mat
         if total is None:

@@ -42,8 +42,8 @@ class SymbolClass(Enum):
     """Function-class tag.
 
     COMPACT_SUPPORT : every profile vanishes outside a bounded interval.
-    HOMOGENEOUS_ZERO: depends only on (x, sign xi); carried by
-                      HomogeneousSymbol.
+    HOMOGENEOUS_ZERO: depends only on (x, sign xi), as a
+                      HomogeneousSymbol does.
     VANISHING_00    : profiles vanish at xi = 0 and at infinity.
     FULL_C0         : catch-all for evaluable symbols without structural
                       support/vanishing guarantees.
@@ -121,9 +121,9 @@ class Loop:
         return other
 
     # sampling
-    def coefficients(self, grid, max_mode):
-        """Fourier coefficients c(j), |j| <= max_mode, via the grid FFT."""
-        return fourier_coefficients(grid, self.fn(grid.x), max_mode)
+    def coefficients(self, grid):
+        """Fourier coefficients c(j), |j| <= 2N, via the grid FFT."""
+        return fourier_coefficients(grid, self.fn(grid.x))
 
     def sup_norm(self):
         """Largest singular value over 720 equispaced points."""
@@ -184,7 +184,6 @@ class RadialProfile:
     """
 
     fn: callable = field(repr=False)
-    name: str = "profile"
     vanishes_at_zero: bool = False
     vanishes_at_infinity: bool = False
     support: tuple[float, float] | None = None
@@ -200,21 +199,15 @@ class RadialProfile:
         if s <= 0:
             raise ValueError("dilation parameter must be positive")
         sup = None if self.support is None else (self.support[0] * s, self.support[1] * s)
-        return RadialProfile(lambda xi: self.fn(xi / s), f"{self.name}/dil",
-                             self.vanishes_at_zero, self.vanishes_at_infinity, sup)
-
-    def scale_argument(self, s):
-        """Profile xi -> rho(s * xi) (the translation action on profiles)."""
-        return self.dilate(1.0 / s)
+        return RadialProfile(lambda xi: self.fn(xi / s), self.vanishes_at_zero,
+                             self.vanishes_at_infinity, sup)
 
     def __mul__(self, other):
         if np.isscalar(other):
-            return RadialProfile(lambda xi: self.fn(xi) * other, self.name,
-                                 self.vanishes_at_zero, self.vanishes_at_infinity,
-                                 self.support)
+            return RadialProfile(lambda xi: self.fn(xi) * other, self.vanishes_at_zero,
+                                 self.vanishes_at_infinity, self.support)
         sup = _intersect(self.support, other.support)
         return RadialProfile(lambda xi: np.asarray(self.fn(xi)) * np.asarray(other.fn(xi)),
-                             f"{self.name}*{other.name}",
                              self.vanishes_at_zero or other.vanishes_at_zero,
                              self.vanishes_at_infinity or other.vanishes_at_infinity,
                              sup)
@@ -224,8 +217,8 @@ class RadialProfile:
     def even(self):
         """Profile xi -> rho(|xi|)."""
         return RadialProfile(lambda xi: self.fn(np.abs(np.asarray(xi, dtype=float))),
-                             self.name, self.vanishes_at_zero,
-                             self.vanishes_at_infinity, self.support)
+                             self.vanishes_at_zero, self.vanishes_at_infinity,
+                             self.support)
 
     def one_sided(self, sign):
         """Restriction to a half axis: rho(xi) on sign*xi > 0, else 0."""
@@ -240,8 +233,7 @@ class RadialProfile:
         sup = self.support
         if sup is not None:
             sup = (max(sup[0], 0.0), sup[1]) if sign > 0 else (sup[0], min(sup[1], 0.0))
-        return RadialProfile(fn, f"{self.name}|{'+' if sign > 0 else '-'}",
-                             True, self.vanishes_at_infinity, sup)
+        return RadialProfile(fn, True, self.vanishes_at_infinity, sup)
 
 
 def _intersect(a, b):
@@ -266,7 +258,7 @@ def bump_profile(lo, hi, rise=None):
         r = np.abs(np.asarray(xi, dtype=float))
         return smooth_step((r - lo) / rise) * smooth_step((hi - r) / rise)
 
-    return RadialProfile(fn, f"bump[{lo},{hi}]", vanishes_at_zero=lo > 0.0,
+    return RadialProfile(fn, vanishes_at_zero=lo > 0.0,
                          vanishes_at_infinity=True, support=(-hi, hi))
 
 
@@ -279,8 +271,7 @@ def step_profile(lo, hi):
         r = np.abs(np.asarray(xi, dtype=float))
         return smooth_step((r - lo) / (hi - lo))
 
-    return RadialProfile(fn, f"step[{lo},{hi}]", vanishes_at_zero=True,
-                         vanishes_at_infinity=False)
+    return RadialProfile(fn, vanishes_at_zero=True, vanishes_at_infinity=False)
 
 
 def cap_profile(hi, rise=None):
@@ -293,7 +284,7 @@ def cap_profile(hi, rise=None):
         r = np.abs(np.asarray(xi, dtype=float))
         return smooth_step((hi - r) / rise)
 
-    return RadialProfile(fn, f"cap[{hi}]", vanishes_at_zero=False,
+    return RadialProfile(fn, vanishes_at_zero=False,
                          vanishes_at_infinity=True, support=(-hi, hi))
 
 
@@ -308,8 +299,7 @@ def rational_decay_profile(scale=1.0):
             r = np.asarray(xi, dtype=float) / scale
             return 1.0 / (1.0 + r * r)
 
-    return RadialProfile(fn, f"decay[{scale}]", vanishes_at_zero=False,
-                         vanishes_at_infinity=True)
+    return RadialProfile(fn, vanishes_at_zero=False, vanishes_at_infinity=True)
 
 
 def rational_vanishing_profile(scale=1.0):
@@ -326,15 +316,14 @@ def rational_vanishing_profile(scale=1.0):
             r2 = r * r
             return np.where(np.isinf(r2), scale / a, r / (1.0 + r2))
 
-    return RadialProfile(fn, f"vanishing[{scale}]", vanishes_at_zero=True,
-                         vanishes_at_infinity=True)
+    return RadialProfile(fn, vanishes_at_zero=True, vanishes_at_infinity=True)
 
 
 def constant_profile(value=1.0):
     def fn(xi):
         return np.full(np.shape(xi), value, dtype=complex)
 
-    return RadialProfile(fn, f"const[{value}]")
+    return RadialProfile(fn)
 
 
 def gamma_profile(p, i):
@@ -348,7 +337,7 @@ def gamma_profile(p, i):
         return out
 
     lo, hi = p.support(i)
-    return RadialProfile(fn, f"gamma[{i}]", vanishes_at_zero=True,
+    return RadialProfile(fn, vanishes_at_zero=True,
                          vanishes_at_infinity=True, support=(-hi, hi))
 
 
@@ -363,8 +352,8 @@ class CutFunction:
 
     @property
     def profile(self):
-        return RadialProfile(lambda xi: self.__call__(xi), f"theta[{self.r0}]",
-                             vanishes_at_zero=True, vanishes_at_infinity=False)
+        return RadialProfile(lambda xi: self.__call__(xi), vanishes_at_zero=True,
+                             vanishes_at_infinity=False)
 
 
 # -- symbols ----------------------------------------------------------------
@@ -403,23 +392,14 @@ class Symbol:
             out += np.asarray(loop(x)) * prof(xi)
         return out
 
-    def eval_x_array(self, x, xi):
-        """Values on an array of x at a single frequency, shape (len(x), k, k)."""
-        x = np.asarray(x, dtype=float)
-        out = np.zeros((x.size, self.k, self.k), dtype=complex)
-        for loop, prof in self.terms:
-            out += np.asarray(loop.fn(x)) * prof(xi)
-        return out
-
     def dilate(self, s):
         terms = tuple((loop, prof.dilate(s)) for loop, prof in self.terms)
         return Symbol(terms, self.k, self.tag)
 
     def adjoint(self):
         def conj_profile(prof):
-            return RadialProfile(lambda xi: np.conj(prof.fn(xi)), prof.name,
-                                 prof.vanishes_at_zero, prof.vanishes_at_infinity,
-                                 prof.support)
+            return RadialProfile(lambda xi: np.conj(prof.fn(xi)), prof.vanishes_at_zero,
+                                 prof.vanishes_at_infinity, prof.support)
 
         terms = tuple((loop.adjoint(), conj_profile(prof)) for loop, prof in self.terms)
         return Symbol(terms, self.k, self.tag)
@@ -446,7 +426,7 @@ class Symbol:
 
         The xi samples are taken a block at a time, with one stacked SVD per
         block; a block of samples stays under SUP_NORM_BLOCK_BYTES.  The
-        terms are summed in order, as in ``eval_x_array``.  Only samples
+        terms are summed in order.  Only samples
         whose Frobenius norm reaches the largest column norm of the block
         go to the SVD: max column norm <= sigma_max <= Frobenius norm, so
         the sample with the largest singular value is always among them
@@ -474,11 +454,6 @@ class Symbol:
     def separable(loop, profile, tag):
         return Symbol(((loop, profile),), loop.k, tag)
 
-    @staticmethod
-    def zero(k=1):
-        return Symbol(((Loop.constant(np.zeros((k, k))), constant_profile(0.0)),),
-                      k, SymbolClass.FULL_C0)
-
 
 @dataclass(frozen=True)
 class HomogeneousSymbol:
@@ -499,10 +474,6 @@ class HomogeneousSymbol:
     @property
     def k(self):
         return self.plus.k
-
-    @property
-    def tag(self):
-        return SymbolClass.HOMOGENEOUS_ZERO
 
     @property
     def degree(self):
@@ -539,14 +510,6 @@ class HomogeneousSymbol:
     def unit(k=1):
         eye = Loop.identity(k)
         return HomogeneousSymbol(eye, eye)
-
-    @staticmethod
-    def fiber_constant(loop):
-        return HomogeneousSymbol(loop, loop)
-
-    @staticmethod
-    def sign(k=1):
-        return HomogeneousSymbol(Loop.identity(k), -1.0 * Loop.identity(k))
 
 
 def _mixed_product(sym, homog, homog_left):

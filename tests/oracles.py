@@ -1,0 +1,150 @@
+"""Slow references and test data for the tests (``from oracles import ...``).
+
+Each reference states one object of the model directly, such as a dense
+block assembly or a clutching projection with its corner, so that a test
+can hold the program's result against it."""
+
+import numpy as np
+
+from psilab.index_theory import BottPair, bott_projection
+from psilab.numerics import CircleGrid
+from psilab.presets import loop_c1, loop_c2
+from psilab.quantize import quantize_sampled
+from psilab.symbols import (HomogeneousSymbol, Loop, Symbol, SymbolClass,
+                            bump_profile, cap_profile, rational_vanishing_profile)
+
+
+# -- test loops and symbols --------------------------------------------------
+
+
+def matrix_loop(k=2, seed=11, degree=2):
+    """Deterministic matrix-valued loop with modes damped by 0.6 ** |j|."""
+    rng = np.random.default_rng(seed)
+    coeffs = np.zeros((2 * degree + 1, k, k), dtype=complex)
+    for j in range(-degree, degree + 1):
+        mag = 0.6 ** abs(j)
+        coeffs[j + degree] = mag * (rng.normal(size=(k, k))
+                                    + 1j * rng.normal(size=(k, k))) / (2.0 * k)
+    return Loop.from_coeffs(coeffs)
+
+
+def smooth_loop(seed=23, degree=96, rate=8.0):
+    """Scalar trigonometric polynomial with exp(-|j|/rate) coefficient decay,
+    of high enough degree that tail norms decay across the dyadic cutoffs."""
+    rng = np.random.default_rng(seed)
+    js = np.arange(-degree, degree + 1)
+    mags = np.exp(-np.abs(js) / rate)
+    phases = np.exp(2j * np.pi * rng.uniform(size=js.size))
+    return Loop.from_coeffs((mags * phases)[:, None, None])
+
+
+def translation_symbols():
+    """Three symbols for the translation-invariance grid (k = 1, 1, 2)."""
+    s1 = Symbol.separable(loop_c1(), cap_profile(2.0), SymbolClass.COMPACT_SUPPORT)
+    s2 = Symbol.separable(loop_c2(), rational_vanishing_profile(1.0),
+                          SymbolClass.VANISHING_00)
+    s3 = Symbol.separable(matrix_loop(k=2), bump_profile(0.5, 6.0),
+                          SymbolClass.COMPACT_SUPPORT)
+    return [s1, s2, s3]
+
+
+def fiber_constant_loops():
+    """Unit, one-mode and a seeded degree-3 loop (all fiber constant)."""
+    rng = np.random.default_rng(31)
+    modes = {j: complex(rng.normal(), rng.normal()) / (1.0 + abs(j))
+             for j in range(-3, 4)}
+    return [Loop.identity(1), Loop.from_scalar_modes({1: 1.0}),
+            Loop.from_scalar_modes(modes)]
+
+
+# -- Fourier samples ----------------------------------------------------------
+
+
+def inverse_fourier(grid, coeffs):
+    """Samples of sum_n c(n) e^{i n x}, |n| <= N, on the grid (exact inverse)."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    spectrum = np.zeros((grid.J,) + coeffs.shape[1:], dtype=complex)
+    spectrum[grid.modes % grid.J] = coeffs
+    return np.fft.ifft(spectrum, axis=0) * grid.J
+
+
+# -- dyadic partitions --------------------------------------------------------
+
+
+def covered_log2_range(p):
+    """(u_lo, u_hi) on which the telescoping sum of squares is exactly 1."""
+    return p.cut(-p.L - 1) + 1.0, p.cut(p.L)
+
+
+def sum_of_squares(p, x):
+    """sum_i (gamma_i^s)^2 over every bump of the partition."""
+    x = np.asarray(x, dtype=float)
+    total = np.zeros_like(x)
+    for i in range(-p.L, p.L + 1):
+        total = total + p.gamma_squared(i, x)
+    return total
+
+
+def gamma_sup_on_modes(p, i, N):
+    """sup of gamma_i^s over the nonzero integer frequencies |m| <= N."""
+    return float(np.max(p.gamma(i, np.arange(1, N + 1, dtype=float))))
+
+
+# -- block operators ----------------------------------------------------------
+
+
+def block_difference(A, B):
+    """Blockwise A - B over the union of the stored keys, in set order."""
+    return {key: A.block(*key) - B.block(*key) for key in set(A.blocks) | set(B.blocks)}
+
+
+def block_dense(B):
+    """The assembled (2L+1) dim square matrix of a block operator."""
+    n, d = 2 * B.L + 1, B.grid.dim
+    out = np.zeros((n * d, n * d), dtype=complex)
+    for (i, j), mat in B.blocks.items():
+        out[(i + B.L) * d:(i + B.L + 1) * d, (j + B.L) * d:(j + B.L + 1) * d] = mat
+    return out
+
+
+def block_apply(B, vec):
+    """B applied to a block vector of shape (2L+1, dim)."""
+    vec = np.asarray(vec, dtype=complex)
+    out = np.zeros_like(vec)
+    for (i, j), mat in B.blocks.items():
+        out[i + B.L] += mat @ vec[j + B.L]
+    return out
+
+
+# -- clutching projections ----------------------------------------------------
+
+
+def corner(k):
+    """The fiber-infinity limit diag(0, I_k) of every clutching projection."""
+    out = np.zeros((2 * k, 2 * k), dtype=complex)
+    out[k:, k:] = np.eye(k)
+    return out
+
+
+def clutching_projection(pair, x, xi):
+    """(len(x), 2k, 2k) samples of the clutching projection at one xi."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return pair.samples(pair.factors(x), np.array([float(xi)]))[:, 0] + corner(pair.k)
+
+
+def unit_pair(k):
+    """The trivial companion: the clutching pair of the unit symbol."""
+    return BottPair(HomogeneousSymbol.unit(k))
+
+
+def naive_trace_pairing(sigma, t, grid):
+    """Entrywise trace of T_t(p_sigma - p_base), both sampled in closed form."""
+    pair = bott_projection(sigma)
+    base = unit_pair(pair.k)
+    fs, fb = pair.factors(grid.x), base.factors(grid.x)
+
+    def q_fn(x, xis):
+        return pair.samples(fs, xis) - base.samples(fb, xis)
+
+    g2 = CircleGrid(J=grid.J, N=grid.N, k=2 * pair.k)
+    return float(np.real(np.trace(quantize_sampled(q_fn, t, g2).mat)))

@@ -226,6 +226,23 @@ class TestExitCodes:
         # tolerances that no check reads are unknown keys
         ("defect-sweep", {"tolerances": {"tol_compact": 1e-3}}, "'tol_compact'"),
         ("defect-sweep", {"tolerances": {"translation_tol": 1e-13}}, "'translation_tol'"),
+        # record shapes that the parsers reject before any construction
+        ("ch-compare", {"ch_compare": {"extended_cases": [{"label": "x", "g": {
+            "kind": "rational_decay"}, "c": {"modes": {"1": 1.0}, "k": 2.5}}]}},
+         "positive integer"),
+        ("ch-compare", {"ch_compare": {"extended_cases": [{"label": "x", "g": {
+            "kind": "rational_decay"}, "c": {"modes": {"1": 1.0}, "k": -1}}]}},
+         "positive integer"),
+        ("ch-compare", {"ch_compare": {"extended_cases": [{"label": "x", "g": {
+            "kind": "rational_decay"}, "c": {"modes": [1, 2]}}]}}, "keyed by mode"),
+        ("defect-sweep", {"defect_sweep": {"t0_symbol": {"terms": [
+            {"loop": "c1", "profile": {"product": []}}]}}}, "nonempty list"),
+        ("defect-sweep", {"defect_sweep": {"t0_symbol": {"terms": [
+            {"loop": "c1", "profile": {"product": 5}}]}}}, "nonempty list"),
+        ("index-compare", {"index_compare": {"cases": ["w(1,0)"]}},
+         "index_compare case record must be an object"),
+        ("ch-compare", {"ch_compare": {"cases": [{"label": "x", "f": {
+            "kind": "rational_vanishing"}, "d": 5}]}}, "homogeneous symbol record"),
     ])
     def test_malformed_record_exits_2(self, tmp_path, capsys, command, section, message):
         path = write_config(tmp_path, {"grid": {"N": 32, "J": 132}, **section})

@@ -15,10 +15,10 @@ class TestPredicates:
         assert strictly_decreasing([])
 
     def test_decreasing_to_zero(self):
-        assert decreasing_to_zero([3.0, 1.0, 0.0, 0.0])
+        assert decreasing_to_zero([3.0, 1.0, 0.0, 0.0], floor=1e-12)
         assert decreasing_to_zero([3.0, 1.0, 1e-15, 1e-14], floor=1e-12)
-        assert not decreasing_to_zero([3.0, 3.0, 0.0])
-        assert not decreasing_to_zero([3.0, 1.0, 2.0, 0.0])
+        assert not decreasing_to_zero([3.0, 3.0, 0.0], floor=1e-12)
+        assert not decreasing_to_zero([3.0, 1.0, 2.0, 0.0], floor=1e-12)
 
     def test_loglog_slope(self):
         ts = [1.0, 2.0, 4.0, 8.0]

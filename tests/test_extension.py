@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from oracles import fiber_constant_loops, matrix_loop, smooth_loop
 from psilab.extension import lifting_check, symbol_map_defect
 from psilab.numerics import compact_tail_norm, operator_norm
 from psilab.quantize import op_quantize, t_quantize
 from psilab.symbols import (HomogeneousSymbol, Loop,
                             rational_vanishing_profile, smash)
-from psilab.presets import fiber_constant_loops, loop_c1, smooth_loop
+from psilab.presets import loop_c1
 
 
 def shift_symbol():
@@ -32,8 +33,8 @@ class TestSymbolMapDefect:
     def test_fiber_constant_times_sign_band(self, grid64, theta):
         # defect is the commutator of a band matrix with a diagonal sign:
         # supported below K = deg c + r0, so the tail there is exactly zero
-        a = HomogeneousSymbol.fiber_constant(loop_c1())
-        b = HomogeneousSymbol.sign(1)
+        a = HomogeneousSymbol(loop_c1(), loop_c1())
+        b = HomogeneousSymbol(Loop.identity(1), -1.0 * Loop.identity(1))
         K = 2 + int(theta.r0)
         prof = symbol_map_defect(a, b, theta, grid64, [K])
         assert prof.product_tails[0] < 1e-13
@@ -72,7 +73,7 @@ class TestSymbolMapDefect:
 class TestLiftingCheck:
     def test_three_fiber_constant_symbols(self, grid64, theta):
         for c in fiber_constant_loops():
-            val = lifting_check(HomogeneousSymbol.fiber_constant(c), theta, grid64)
+            val = lifting_check(HomogeneousSymbol(c, c), theta, grid64)
             assert val == 0.0
 
     def test_rejects_genuinely_homogeneous(self, grid64, theta):
@@ -106,7 +107,6 @@ class TestIdealMembership:
 class TestMatrixCoefficients:
     def test_symbol_map_defect_at_k2(self, theta):
         from psilab.numerics import CircleGrid
-        from psilab.presets import matrix_loop
         g = CircleGrid(J=132, N=32, k=2)
         a = HomogeneousSymbol(matrix_loop(k=2, seed=41), matrix_loop(k=2, seed=42))
         b = HomogeneousSymbol(matrix_loop(k=2, seed=43), matrix_loop(k=2, seed=44))
@@ -119,7 +119,6 @@ class TestMatrixCoefficients:
 
     def test_commuting_matrix_symbols_have_compact_commutator(self, theta):
         from psilab.numerics import CircleGrid
-        from psilab.presets import matrix_loop
         g = CircleGrid(J=132, N=32, k=2)
         a = HomogeneousSymbol(matrix_loop(k=2, seed=41), matrix_loop(k=2, seed=42))
         prof = symbol_map_defect(a, a * a, theta, g, [12, 16])
@@ -127,7 +126,6 @@ class TestMatrixCoefficients:
 
     def test_lifting_check_at_k2(self, theta):
         from psilab.numerics import CircleGrid
-        from psilab.presets import matrix_loop
         g = CircleGrid(J=132, N=32, k=2)
         c = matrix_loop(k=2, seed=45)
-        assert lifting_check(HomogeneousSymbol.fiber_constant(c), theta, g) == 0.0
+        assert lifting_check(HomogeneousSymbol(c, c), theta, g) == 0.0
