@@ -17,10 +17,10 @@ import numpy as np
 
 from . import presets
 from .numerics import CircleGrid
-from .symbols import (CutFunction, HomogeneousSymbol, Loop, Symbol, SymbolClass,
-                      bump_profile, cap_profile, constant_profile,
-                      rational_decay_profile, rational_vanishing_profile,
-                      step_profile)
+from .index_theory import winding_number
+from .symbols import (HomogeneousSymbol, Loop, Symbol, SymbolClass, bump_profile,
+                      cap_profile, constant_profile, rational_decay_profile,
+                      rational_vanishing_profile, step_profile)
 
 __all__ = ["DEFAULTS", "SCHEMA", "ConfigError", "load_config", "build_grid"]
 
@@ -34,15 +34,6 @@ class ConfigError(ValueError):
 #: the sweep runners keep no fallback values
 DEFAULTS = {
     "grid": {"N": 256, "J": 1028, "k": 1},
-    "theta_r0": 4.0,
-    "tolerances": {
-        "eps_rank": 1e-6,        # singular values below this count as kernel
-        "decay_slope": -0.8,     # required log-log tail slope of t-defects
-        "final_ratio": 0.05,     # required final/initial defect ratio
-        "exact_tol": 1e-12,      # operator-norm bar for exact identities
-        "equ2_tol": 1e-6,        # shoulder-defect bar after support migration
-        "t0_ratio": 1e-3,        # vanishing bar (relative to sup norm) at small t
-    },
     "defect_sweep": {
         "t_exponents": list(range(-6, 9)),
         "pair": "cs",
@@ -58,7 +49,6 @@ DEFAULTS = {
         "symbol": "default",
         "bands": [60, 100, 150],
         "s_values": [0.5, 1 / 3, 0.25, 1 / 6, 0.125],
-        "K": 8,
         "L": 8,
         "L_list": [4, 6, 8],
     },
@@ -88,12 +78,6 @@ SCHEMA = {
                            "J": {"type": "integer", "minimum": 8},
                            "k": {"type": "integer", "minimum": 1}},
         },
-        "theta_r0": {"type": "number", "exclusiveMinimum": 0},
-        "tolerances": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {k: {"type": "number"} for k in DEFAULTS["tolerances"]},
-        },
         "defect_sweep": {
             "type": "object",
             "additionalProperties": False,
@@ -115,7 +99,6 @@ SCHEMA = {
             "properties": {"symbol": _symbolish,
                            "bands": _nonempty({"type": "integer", "minimum": 0}),
                            "s_values": _nonempty({"type": "number"}),
-                           "K": {"type": "integer", "minimum": 1},
                            "L": {"type": "integer", "minimum": 2},
                            "L_list": _nonempty({"type": "integer", "minimum": 2})},
         },
@@ -328,10 +311,13 @@ def parse_homogeneous(spec):
 
 
 def _t_exponents(cfg, section, key):
-    """Exponents e of a nonempty t grid; t = 2**e and the top rescaled
-    frequency N / t must be finite positive floats."""
+    """Exponents e of a nonempty t grid without repeats; t = 2**e and the
+    top rescaled frequency N / t must be finite positive floats."""
     if not section[key]:
         raise ConfigError(f"{key} must not be empty")
+    repeated = sorted({e for e in section[key] if section[key].count(e) > 1})
+    if repeated:
+        raise ConfigError(f"{key} {repeated}: each exponent may appear once")
     N = cfg["grid"]["N"]
     bad = []
     for e in section[key]:
@@ -355,8 +341,7 @@ def _check_block_sizes(cfg, symbols):
 
 def defect_sweep_cfg(cfg):
     section = cfg["defect_sweep"]
-    out = {"tolerances": cfg["tolerances"],
-           "t_exponents": _t_exponents(cfg, section, "t_exponents")}
+    out = {"t_exponents": _t_exponents(cfg, section, "t_exponents")}
     pair = section["pair"]
     if pair == "cs":
         out["pair"] = presets.cs_pair()
@@ -374,9 +359,7 @@ def defect_sweep_cfg(cfg):
 
 def ch_compare_cfg(cfg):
     section = cfg["ch_compare"]
-    out = {"tolerances": cfg["tolerances"],
-           "t_exponents": _t_exponents(cfg, section, "t_exponents"),
-           "theta": CutFunction(cfg["theta_r0"])}
+    out = {"t_exponents": _t_exponents(cfg, section, "t_exponents")}
     out["cases"] = presets.ch_cases() if section["cases"] == "default" else [
         (label, parse_profile(f), parse_homogeneous(d)) for label, f, d in
         (_fields(c, ("label", "f", "d"), "ch_compare case") for c in section["cases"])]
@@ -394,11 +377,9 @@ def ch_compare_cfg(cfg):
 
 def homotopy_cfg(cfg):
     section = cfg["homotopy_verify"]
-    out = {"tolerances": cfg["tolerances"],
-           "theta": CutFunction(cfg["theta_r0"]),
-           "bands": [int(b) for b in section["bands"]],
+    out = {"bands": [int(b) for b in section["bands"]],
            "s_values": list(section["s_values"]),
-           "K": section["K"], "L": section["L"],
+           "L": section["L"],
            "L_list": [int(v) for v in section["L_list"]],
            "symbol": parse_homogeneous(section["symbol"])}
     bad_s = [s for s in out["s_values"] if not 0.0 < s <= 1.0]
@@ -414,11 +395,20 @@ def homotopy_cfg(cfg):
 
 def index_cfg(cfg):
     section = cfg["index_compare"]
-    out = {"tolerances": cfg["tolerances"],
-           "theta": CutFunction(cfg["theta_r0"]),
-           "higson_t_exponents": _t_exponents(cfg, section, "higson_t_exponents")}
+    out = {"higson_t_exponents": _t_exponents(cfg, section, "higson_t_exponents")}
     out["cases"] = presets.index_suite() if section["cases"] == "default" else [
-        (c.get("label", f"case{i}"), parse_homogeneous(c)) for i, c in
+        _index_case(c.get("label", f"case{i}"), parse_homogeneous(c)) for i, c in
         enumerate(_record(c, "index_compare case") for c in section["cases"])]
     _check_block_sizes(cfg, [sigma for _, sigma in out["cases"]])
     return out
+
+
+def _index_case(label, sigma):
+    """(label, sigma) once both branches are invertible loops; every index
+    route takes the winding numbers of the branches."""
+    for name in ("plus", "minus"):
+        try:
+            winding_number(getattr(sigma, name))
+        except ValueError as exc:
+            raise ConfigError(f"index_compare case {label!r}, {name} branch: {exc}") from exc
+    return label, sigma

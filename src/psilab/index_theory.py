@@ -124,7 +124,7 @@ def fredholm_index_svd(sigma, theta, grid, eps_rank=1e-6):
     if not theta.r0 + deg < grid.N:
         raise InconclusiveIndexError(
             f"cutting radius {theta.r0:g} plus symbol degree {deg} reaches the "
-            f"mode cutoff N={grid.N}; increase N or reduce theta_r0")
+            f"mode cutoff N={grid.N}; increase N")
     big = padded_grid(grid, deg + 8)
     X = op_quantize(sigma, theta, big).mat
     keep = ~big.tail_mask(grid.N)

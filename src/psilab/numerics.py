@@ -132,9 +132,10 @@ def fourier_coefficients(grid, samples):
     samples = np.asarray(samples, dtype=complex)
     if samples.shape[0] != grid.J:
         raise ValueError(f"expected {grid.J} samples, got {samples.shape[0]}")
-    spectrum = np.fft.fft(samples, axis=0) / grid.J
     idx = np.arange(-2 * grid.N, 2 * grid.N + 1) % grid.J
-    return spectrum[idx]
+    coeffs = np.fft.fft(samples, axis=0)[idx]
+    coeffs /= grid.J
+    return coeffs
 
 
 # -- norms ---------------------------------------------------------------

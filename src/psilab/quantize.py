@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .numerics import CircleGrid, FourierOperator
+from .numerics import CircleGrid, FourierOperator, fourier_coefficients
 from .partition import smooth_step
 from .symbols import HomogeneousSymbol, Loop, Symbol
 
@@ -133,10 +133,8 @@ def quantize_sampled(fn, t, grid, chunk=128):
             raise ValueError(f"sampler returned shape {vals.shape}; expected "
                              f"({grid.J}, {len(cols)}, {k}, {k})")
         _check_block(vals.shape[2:], k)
-        spectrum = np.fft.fft(vals, axis=0)
         # centred[l + 2N, b] = c_b(l), |l| <= 2N, for the column of block index b
-        centred = np.concatenate((spectrum[-2 * N:], spectrum[:2 * N + 1]))
-        centred /= grid.J
+        centred = fourier_coefficients(grid, vals)
         # entry (n, b) = c_b(n - start - b): a Toeplitz view skewed by one column
         s0, s1, s2, s3 = centred.strides
         block = as_strided(centred[2 * N - start:], shape=(n, len(cols), k, k),

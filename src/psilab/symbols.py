@@ -88,26 +88,12 @@ class Loop:
         return vals[0] if scalar else vals
 
     # algebra
-    def __add__(self, other):
-        other = self._coerce(other)
-        deg = None
-        if self.degree is not None and other.degree is not None:
-            deg = max(self.degree, other.degree)
-        return Loop(lambda x: self.fn(x) + other.fn(x), self.k, deg)
-
     def __mul__(self, other):
-        if np.isscalar(other):
-            return Loop(lambda x: self.fn(x) * other, self.k, self.degree)
         other = self._coerce(other)
         deg = None
         if self.degree is not None and other.degree is not None:
             deg = self.degree + other.degree
         return Loop(lambda x: np.asarray(self.fn(x)) @ np.asarray(other.fn(x)), self.k, deg)
-
-    def __rmul__(self, other):
-        if np.isscalar(other):
-            return self.__mul__(other)
-        return self._coerce(other).__mul__(self)
 
     def adjoint(self):
         return Loop(lambda x: np.conj(np.swapaxes(np.asarray(self.fn(x)), -1, -2)),
@@ -124,12 +110,6 @@ class Loop:
     def coefficients(self, grid):
         """Fourier coefficients c(j), |j| <= 2N, via the grid FFT."""
         return fourier_coefficients(grid, self.fn(grid.x))
-
-    def sup_norm(self):
-        """Largest singular value over 720 equispaced points."""
-        x = 2.0 * np.pi * np.arange(720) / 720
-        vals = np.asarray(self.fn(x), dtype=complex)
-        return float(np.max(np.linalg.svd(vals, compute_uv=False)))
 
     # constructors
     @staticmethod
@@ -415,12 +395,6 @@ class Symbol:
             return _mixed_product(self, other, homog_left=False)
         raise TypeError(f"cannot multiply Symbol with {type(other)!r}")
 
-    def __add__(self, other):
-        if not isinstance(other, Symbol) or other.k != self.k:
-            raise ValueError("can only add symbols with equal block size")
-        tag = self.tag if self.tag == other.tag else SymbolClass.FULL_C0
-        return Symbol(self.terms + other.terms, self.k, tag)
-
     def sup_norm(self, x_samples=256, xi_max=64.0, xi_samples=2048):
         """Largest singular value over an x-by-xi sample grid.
 
@@ -502,9 +476,6 @@ class HomogeneousSymbol:
         if isinstance(other, Symbol):
             return _mixed_product(other, self, homog_left=True)
         raise TypeError(f"cannot multiply HomogeneousSymbol with {type(other)!r}")
-
-    def sup_norm(self):
-        return max(self.plus.sup_norm(), self.minus.sup_norm())
 
     @staticmethod
     def unit(k=1):

@@ -57,6 +57,15 @@ def fiber_constant_loops():
             Loop.from_scalar_modes(modes)]
 
 
+def homogeneous_sup_norm(a):
+    """Largest singular value of either branch of a homogeneous symbol over
+    720 equispaced points of the circle."""
+    x = 2.0 * np.pi * np.arange(720) / 720
+    return max(float(np.max(np.linalg.svd(np.asarray(branch.fn(x), dtype=complex),
+                                          compute_uv=False)))
+               for branch in (a.plus, a.minus))
+
+
 # -- Fourier samples ----------------------------------------------------------
 
 

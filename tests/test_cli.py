@@ -26,7 +26,7 @@ class TestConfig:
     def test_defaults_load(self):
         cfg = load_config(None)
         assert cfg["grid"]["N"] == 256
-        assert cfg["tolerances"]["eps_rank"] == 1e-6
+        assert cfg == DEFAULTS
 
     def test_deep_merge(self, tmp_path):
         path = write_config(tmp_path, {"grid": {"N": 32, "J": 132}})
@@ -88,15 +88,6 @@ class TestExitCodes:
         header = out.read_text().splitlines()[0].split(",")
         assert header[:2] == ["kind", "key"]
 
-    def test_impossible_threshold_exits_1(self, tmp_path, capsys):
-        data = dict(SMALL)
-        data["tolerances"] = {"final_ratio": 1e-30}
-        path = write_config(tmp_path, data)
-        rc = main(["ch-compare", "--config", str(path),
-                   "--out", str(tmp_path / "c.csv")])
-        assert rc == 1
-        assert "criterion failed" in capsys.readouterr().err
-
     def test_unit_and_zero_symbol_config_exits_0(self, tmp_path):
         # identically vanishing defect columns count as met criteria
         data = dict(SMALL)
@@ -116,7 +107,7 @@ class TestExitCodes:
         for line in out.read_text().splitlines()[1:]:
             assert all(float(v) <= 1e-12 for v in line.split(",")[1:])
 
-    def test_out_of_window_index_config_exits_1(self, tmp_path):
+    def test_out_of_window_index_config_exits_1(self, tmp_path, capsys):
         # pairing time far beyond the mode cutoff: inconclusive markers
         data = dict(SMALL)
         data["grid"] = {"N": 32, "J": 132, "k": 1}
@@ -126,6 +117,7 @@ class TestExitCodes:
         rc = main(["index-compare", "--config", str(path), "--out", str(out),
                    "--format", "json"])
         assert rc == 1
+        assert "criterion failed" in capsys.readouterr().err
         payload = json.loads(out.read_text())
         assert any(r["higson_trace"][0] is None for r in payload["rows"])
 
@@ -223,9 +215,9 @@ class TestExitCodes:
         ("homotopy-verify", {"homotopy_verify": dict(HV, bands=[-3])}, "minimum of 0"),
         ("homotopy-verify", {"homotopy_verify": dict(HV, bands=[])}, "bands"),
         ("homotopy-verify", {"homotopy_verify": dict(HV, s_values=[])}, "s_values"),
-        # tolerances that no check reads are unknown keys
-        ("defect-sweep", {"tolerances": {"tol_compact": 1e-3}}, "'tol_compact'"),
-        ("defect-sweep", {"tolerances": {"translation_tol": 1e-13}}, "'translation_tol'"),
+        # the verdict bars are constants, not config keys
+        ("defect-sweep", {"tolerances": {"tol_compact": 1e-3}}, "'tolerances'"),
+        ("defect-sweep", {"tolerances": {"translation_tol": 1e-13}}, "'tolerances'"),
         # record shapes that the parsers reject before any construction
         ("ch-compare", {"ch_compare": {"extended_cases": [{"label": "x", "g": {
             "kind": "rational_decay"}, "c": {"modes": {"1": 1.0}, "k": 2.5}}]}},
@@ -243,12 +235,24 @@ class TestExitCodes:
          "index_compare case record must be an object"),
         ("ch-compare", {"ch_compare": {"cases": [{"label": "x", "f": {
             "kind": "rational_vanishing"}, "d": 5}]}}, "homogeneous symbol record"),
+        # a branch without a winding number has no index
+        ("index-compare", {"index_compare": {"cases": [
+            {"plus": {"modes": {"0": 0}}, "minus": "identity"}]}},
+         "'case0', plus branch: loop has a (numerically) non-invertible sample"),
+        # keys that let checks pass on nothing: every defect below the bar,
+        # an endpoint sum over no blocks, and equ1, equ2 and theta rows of a
+        # cutting function that vanishes on every mode
+        ("defect-sweep", {"tolerances": {"exact_tol": 1e300}}, "'tolerances'"),
+        ("homotopy-verify", {"homotopy_verify": dict(HV, K=100000)}, "'K'"),
+        ("homotopy-verify", {"theta_r0": 1e6}, "'theta_r0'"),
     ])
     def test_malformed_record_exits_2(self, tmp_path, capsys, command, section, message):
         path = write_config(tmp_path, {"grid": {"N": 32, "J": 132}, **section})
         rc = main([command, "--config", path, "--out", str(tmp_path / "o.csv")])
         assert rc == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert message in err
 
     @pytest.mark.parametrize("command,section,message", [
         ("defect-sweep", {"defect_sweep": {"t_exponents": [0, 2000]}}, "t_exponents [2000]"),
@@ -265,6 +269,9 @@ class TestExitCodes:
         ("defect-sweep", {"defect_sweep": {"t_exponents": []}}, "must not be empty"),
         ("index-compare", {"index_compare": {"higson_t_exponents": []}},
          "must not be empty"),
+        # a repeated exponent repeats a row, and no strict decrease holds on it
+        ("defect-sweep", {"defect_sweep": {"t_exponents": [0, 1, 2, 3, 3]}},
+         "t_exponents [3]: each exponent may appear once"),
     ])
     def test_t_exponent_out_of_range_exits_2(self, tmp_path, capsys, command, section,
                                              message):

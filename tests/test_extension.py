@@ -34,7 +34,7 @@ class TestSymbolMapDefect:
         # defect is the commutator of a band matrix with a diagonal sign:
         # supported below K = deg c + r0, so the tail there is exactly zero
         a = HomogeneousSymbol(loop_c1(), loop_c1())
-        b = HomogeneousSymbol(Loop.identity(1), -1.0 * Loop.identity(1))
+        b = HomogeneousSymbol(Loop.identity(1), Loop.constant(-1.0))
         K = 2 + int(theta.r0)
         prof = symbol_map_defect(a, b, theta, grid64, [K])
         assert prof.product_tails[0] < 1e-13

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import block_apply, block_dense, block_difference
+from oracles import block_apply, block_dense, block_difference, homogeneous_sup_norm
 from psilab import experiments, homotopy
 from psilab.config import build_grid, homotopy_cfg, load_config
 from psilab.homotopy import (BlockOperator, endpoint_defect, equ1_defect,
@@ -109,7 +109,7 @@ class TestPsiFamily:
         # frozen sweep: the family norm never exceeds twice the symbol sup
         a = shift_symbol()
         B = psi_s(a, s, build_partition(s, 6), theta, 6, grid64)
-        assert operator_norm(block_dense(B)) <= 2.0 * a.sup_norm() + 1e-9
+        assert operator_norm(block_dense(B)) <= 2.0 * homogeneous_sup_norm(a) + 1e-9
 
     def test_strong_continuity_surrogate(self, grid64, theta):
         # the jump of the family on a block test vector decomposes exactly
@@ -142,7 +142,7 @@ class TestPsiFamily:
                  for i in range(0, 6)]
         peak = int(np.argmax(norms))
         assert all(y < x for x, y in zip(norms[peak:], norms[peak + 1:]))
-        assert max(norms) <= 2.0 * a.sup_norm()
+        assert max(norms) <= 2.0 * homogeneous_sup_norm(a)
 
 
 class TestLimitIdentities:
@@ -275,7 +275,7 @@ class TestBuildCounts:
                 monkeypatch.setattr(module, name, counted)
         experiments.run_homotopy_verify(grid, cfg)
         L_max = max(cfg["L_list"])
-        i0 = int(np.ceil(np.log2(cfg["K"])))
+        i0 = int(np.ceil(np.log2(2.0 * experiments.THETA.r0)))
         tail = sum(1 for i in range(-L_max, L_max + 1) for j in range(-L_max, L_max + 1)
                    if abs(i) >= i0 and abs(i - j) <= 1)
         assert calls["op_quantize"] == 1

@@ -49,7 +49,7 @@ class TestTQuantize:
         a = Symbol.separable(loop_c1(), cap_profile(2.0), SymbolClass.COMPACT_SUPPORT)
         b = Symbol.separable(Loop.from_scalar_modes({-1: 1.0}),
                              rational_vanishing_profile(), SymbolClass.VANISHING_00)
-        scaled = Symbol(tuple((2.5 * loop, prof) for loop, prof in b.terms),
+        scaled = Symbol(tuple((Loop.constant(2.5) * loop, prof) for loop, prof in b.terms),
                         b.k, b.tag)
         combined = Symbol(a.terms + scaled.terms, 1, SymbolClass.FULL_C0)
         expect = t_quantize(a, 2.0, grid32).mat + 2.5 * t_quantize(b, 2.0, grid32).mat
@@ -96,7 +96,7 @@ class TestOpQuantize:
         assert np.allclose(np.diag(O.mat), theta(np.abs(grid32.modes)), atol=1e-15)
 
     def test_sign_symbol(self, grid32, theta):
-        sign = HomogeneousSymbol(Loop.identity(1), -1.0 * Loop.identity(1))
+        sign = HomogeneousSymbol(Loop.identity(1), Loop.constant(-1.0))
         O = op_quantize(sign, theta, grid32)
         expect = np.sign(grid32.modes) * theta(np.abs(grid32.modes))
         assert np.allclose(np.diag(O.mat), expect, atol=1e-14)

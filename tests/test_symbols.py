@@ -281,7 +281,7 @@ def sup_norm_cases():
     smashed = [smash(f, h) for _, f, h in presets.ch_cases()]
     cases = {"cs_a": a, "cs_b": b, "v00_a": c, "v00_b": d,
              "t0": presets.t0_symbol(), "chart": presets.chart_symbol(),
-             "sum": a + b, "product": a * b, "product_v00": c * d,
+             "sum": Symbol(a.terms + b.terms, a.k, a.tag), "product": a * b, "product_v00": c * d,
              "mixed": c * homog_example(),
              "zero": Symbol.separable(Loop.constant(np.zeros((2, 2))), constant_profile(0.0),
                                       SymbolClass.FULL_C0)}
@@ -307,8 +307,8 @@ class TestSupNormPruning:
     @pytest.mark.parametrize("scale", [1e-160, 1e-300, 1e160])
     def test_extreme_scales_match(self, scale):
         # squared norms that underflow or overflow send the block to the SVD whole
-        sym = Symbol.separable(scale * presets.loop_c1(), rational_decay_profile(),
-                               SymbolClass.FULL_C0)
+        sym = Symbol.separable(Loop.constant(scale) * presets.loop_c1(),
+                               rational_decay_profile(), SymbolClass.FULL_C0)
         assert sym.sup_norm(xi_samples=64) == stacked_svd_sup_norm(sym, xi_samples=64)
 
     @settings(max_examples=40, deadline=None)
