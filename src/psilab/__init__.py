@@ -20,9 +20,8 @@ from .connes_higson import (ApproximateUnit, ch_apply, ch_extended_apply,
 from .homotopy import (BlockOperator, endpoint_defect, equ1_defect,
                        equ2_defect, i0_block_operator, psi_s)
 from .index_theory import (InconclusiveIndexError, IndexReport,
-                           analytic_index, bott_projection,
-                           fredholm_index_svd, higson_trace_index,
-                           index_report, winding_number)
+                           analytic_index, fredholm_index_svd,
+                           higson_trace_index, index_report, winding_number)
 
 __all__ = [
     "CircleGrid", "FourierOperator", "compact_tail_norm",
@@ -38,6 +37,6 @@ __all__ = [
     "BlockOperator", "endpoint_defect", "equ1_defect", "equ2_defect",
     "i0_block_operator", "psi_s",
     "InconclusiveIndexError", "IndexReport", "analytic_index",
-    "bott_projection", "fredholm_index_svd", "higson_trace_index",
-    "index_report", "winding_number",
+    "fredholm_index_svd", "higson_trace_index", "index_report",
+    "winding_number",
 ]

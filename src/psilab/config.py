@@ -18,6 +18,7 @@ import numpy as np
 from . import presets
 from .numerics import CircleGrid
 from .index_theory import winding_number
+from .partition import build_partition
 from .symbols import (HomogeneousSymbol, Loop, Symbol, SymbolClass, bump_profile,
                       cap_profile, constant_profile, rational_decay_profile,
                       rational_vanishing_profile, step_profile)
@@ -310,14 +311,21 @@ def parse_homogeneous(spec):
     raise ConfigError(f"homogeneous record needs 'winding' or branches: {spec!r}")
 
 
+def _once(key, values, what, repeats=None):
+    """Raise unless no two of ``values`` repeat; ``repeats`` (default the
+    values themselves) are the quantities compared."""
+    repeats = values if repeats is None else repeats
+    repeated = sorted({v for v, r in zip(values, repeats) if repeats.count(r) > 1})
+    if repeated:
+        raise ConfigError(f"{key} {repeated}: each {what} may appear once")
+
+
 def _t_exponents(cfg, section, key):
     """Exponents e of a nonempty t grid without repeats; t = 2**e and the
     top rescaled frequency N / t must be finite positive floats."""
     if not section[key]:
         raise ConfigError(f"{key} must not be empty")
-    repeated = sorted({e for e in section[key] if section[key].count(e) > 1})
-    if repeated:
-        raise ConfigError(f"{key} {repeated}: each exponent may appear once")
+    _once(key, section[key], "exponent")
     N = cfg["grid"]["N"]
     bad = []
     for e in section[key]:
@@ -368,6 +376,10 @@ def ch_compare_cfg(cfg):
             (label, parse_profile(g), parse_loop(c)) for label, g, c in
             (_fields(e, ("label", "g", "c"), "ch_compare extended case")
              for e in section["extended_cases"])])
+    # smash lifts a homogeneous d only through an f with f(0) = 0
+    flat = [label for label, f, _ in out["cases"] if not f.vanishes_at_zero]
+    if flat:
+        raise ConfigError(f"ch_compare cases {flat}: profile f must vanish at the origin")
     if not (out["cases"] or out["extended_cases"]):
         raise ConfigError("ch_compare needs at least one case or extended case")
     _check_block_sizes(cfg, [d for _, _, d in out["cases"]]
@@ -385,6 +397,10 @@ def homotopy_cfg(cfg):
     bad_s = [s for s in out["s_values"] if not 0.0 < s <= 1.0]
     if bad_s:
         raise ConfigError(f"s_values must lie in (0, 1], got {bad_s}")
+    _once("s_values", out["s_values"], "partition",
+          [build_partition(s, out["L"]).inv_s for s in out["s_values"]])
+    _once("bands", out["bands"], "band")
+    _once("L_list", out["L_list"], "block range")
     N = cfg["grid"]["N"]
     wide = [b for b in out["bands"] if b > N]
     if wide:

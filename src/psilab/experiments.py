@@ -268,7 +268,7 @@ def run_homotopy_verify(grid, cfg):
         checks.append((f"equ1 band {band} decreasing",
                        decreasing_to_zero(vals, floor=EXACT_TOL), vals))
         migrated = [(r["key"], r[f"band{band}"]) for r in rows
-                    if r["kind"] == "equ2" and 2.0 ** (1.0 / r["key"] - 1.0) > band]
+                    if r["kind"] == "equ2" and parts[r["key"]].support(1)[0] > band]
         if migrated:
             worst = max(v for _, v in migrated)
             checks.append((f"equ2 band {band} below {EQU2_TOL} after migration",

@@ -20,9 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, asdict
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from .numerics import CircleGrid
-from .quantize import op_quantize, padded_grid, quantize_sampled
+from .numerics import fourier_coefficients
+from .quantize import op_quantize, padded_grid
 from .symbols import HomogeneousSymbol, Loop
 
 __all__ = [
@@ -31,7 +32,6 @@ __all__ = [
     "winding_number",
     "fredholm_index_svd",
     "analytic_index",
-    "bott_projection",
     "higson_trace_index",
     "index_report",
 ]
@@ -184,65 +184,53 @@ def _clutching_samples(factors, r, out):
     np.matmul(weights, pieces, out=out)
 
 
-@dataclass(frozen=True)
-class BottPair:
-    """Clutching projection of a symbol, sampled relative to its corner.
-
-    The clutching symbol is b(x, xi) = |xi| sigma(x, xi).  Its graph
-    projection p is 2k x 2k and exact; p - diag(0, I) has entries vanishing
-    at fiber infinity like 1 / |xi|.
-    """
-
-    sigma: HomogeneousSymbol
-
-    @property
-    def k(self):
-        return self.sigma.k
-
-    def factors(self, x):
-        """Clutching factors of the (minus, plus) branches at the points x."""
-        return tuple(_clutching_factors(self.sigma.branch(sign).fn(x)) for sign in (-1, +1))
-
-    def samples(self, factors, xis):
-        """(J, len(xis), 2k, 2k) samples of p - corner at ascending xis.
-
-        Negative frequencies use the minus branch, the rest (xi = 0
-        included) the plus branch; ascending xis make both contiguous
-        column slices.
-        """
-        xis = np.asarray(xis, dtype=float)
-        r = np.abs(xis)
-        split = int(np.searchsorted(xis, 0.0))
-        J, k = factors[0][0].shape
-        out = np.empty((J, xis.size, 4 * k * k), dtype=complex)
-        for branch, cols in zip(factors, (slice(None, split), slice(split, None))):
-            _clutching_samples(branch, r[cols], out[:, cols])
-        return out.reshape(J, xis.size, 2 * k, 2 * k)
-
-
-def bott_projection(sigma):
-    """Clutching pair of an invertible symbol (raises if a branch is not)."""
-    for branch in (sigma.plus, sigma.minus):
-        winding_number(branch)
-    return BottPair(sigma)
-
-
 # -- the spectral pairing ----------------------------------------------------
 
+#: columns of the pairing matrix sampled and transformed together
+_BLOCK = 128
 
-def _count_above_half(pair, t, grid):
+
+def _pairing_matrix(sigma, t, grid):
+    """T_t(p_sigma - corner) on the modes |m| <= N, 2k x 2k blocks.
+
+    The clutching symbol is b(x, xi) = |xi| sigma(x, xi); its graph
+    projection p is exact and p - diag(0, I) vanishes at fiber infinity like
+    1 / |xi|.  Each branch is factored once on the grid points.  Every block
+    of 128 ascending column modes m is then sampled in closed form at
+    xi = m / t, negative modes from the minus branch and the rest (m = 0
+    included) from the plus branch, as two contiguous column slices; entry
+    (n, m) is the x-Fourier coefficient c_m(n - m) of column m.
+    """
+    x, N, n, k2 = grid.x, grid.N, grid.n_modes, 2 * sigma.k
+    minus, plus = (_clutching_factors(sigma.branch(sign).fn(x)) for sign in (-1, +1))
+    modes = grid.modes
+    table = np.empty((n, k2, n, k2), dtype=complex)
+    for start in range(0, n, _BLOCK):
+        xis = modes[start:start + _BLOCK] / t
+        r = np.abs(xis)
+        split = int(np.searchsorted(xis, 0.0))
+        vals = np.empty((grid.J, xis.size, k2 * k2), dtype=complex)
+        _clutching_samples(minus, r[:split], vals[:, :split])
+        _clutching_samples(plus, r[split:], vals[:, split:])
+        # centred[l + 2N, b] = c_b(l), |l| <= 2N, for the column of block index b
+        centred = fourier_coefficients(grid, vals.reshape(grid.J, xis.size, k2, k2))
+        # entry (n, b) = c_b(n - start - b): a Toeplitz view skewed by one column
+        s0, s1, s2, s3 = centred.strides
+        block = as_strided(centred[2 * N - start:], shape=(n, xis.size, k2, k2),
+                           strides=(s0, s1 - s0, s2, s3), writeable=False)
+        table[:, :, start:start + xis.size, :] = block.transpose(0, 2, 1, 3)
+    return table.reshape(n * k2, n * k2)
+
+
+def _count_above_half(sigma, t, grid):
     """Eigenvalue count > 1/2 of P_inf + T_t(p_sigma - corner), with its gap.
 
-    Each branch is factored once on the grid points; every column block of
-    the deformation is then sampled in closed form.  P_inf is the corner
-    diag(0, I) in every mode, added on the diagonal.
+    P_inf is the corner diag(0, I) in every mode, added on the diagonal.
     """
-    g2 = CircleGrid(J=grid.J, N=grid.N, k=2 * pair.k)
-    factors = pair.factors(grid.x)
-    # quantize_sampled samples at g2.x, the points the factors were taken at
-    mat = quantize_sampled(lambda x, xis: pair.samples(factors, xis), t, g2).mat
-    bottom = (2 * pair.k * np.arange(g2.n_modes)[:, None]
-              + np.arange(pair.k, 2 * pair.k)[None, :]).ravel()
+    k = sigma.k
+    mat = _pairing_matrix(sigma, t, grid)
+    bottom = (2 * k * np.arange(grid.n_modes)[:, None]
+              + np.arange(k, 2 * k)[None, :]).ravel()
     mat[bottom, bottom] += 1.0
     evals = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
     gap = float(np.min(np.abs(evals - 0.5)))
@@ -269,18 +257,19 @@ def higson_trace_index(sigma, t, grid):
     (both projections have pointwise trace k), so the class content is
     carried entirely by the spectral counts.
     """
-    pair = bott_projection(sigma)
+    for branch in (sigma.plus, sigma.minus):
+        winding_number(branch)  # raises if a branch is not invertible
     if grid.N / t < PAIRING_MIN_RADIUS:
         raise InconclusiveIndexError(
             f"clutching radius {grid.N / t:.2f} at the mode cutoff is below "
             f"{PAIRING_MIN_RADIUS}; the clutching does not complete at t={t}, "
             "reduce t or increase N")
-    cnt, gap = _count_above_half(pair, t, grid)
+    cnt, gap = _count_above_half(sigma, t, grid)
     if gap < PAIRING_GAP:
         raise InconclusiveIndexError(
             f"eigenvalue within {PAIRING_GAP} of 1/2 at t={t}; "
             "the deformation has reached the mode cutoff, reduce t or increase N")
-    return float(PAIRING_SIGN * (cnt - pair.k * grid.n_modes))
+    return float(PAIRING_SIGN * (cnt - sigma.k * grid.n_modes))
 
 
 # -- combined report ---------------------------------------------------------

@@ -23,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .numerics import CircleGrid, FourierOperator, fourier_coefficients
+from .numerics import CircleGrid, FourierOperator
 from .partition import smooth_step
 from .symbols import HomogeneousSymbol, Loop, Symbol
 
@@ -108,39 +108,6 @@ def t_quantize(a, t, grid):
     return _assemble(grid, ((loop.coefficients(grid),
                              np.asarray(prof(freqs), dtype=complex))
                             for loop, prof in a.terms))
-
-
-def quantize_sampled(fn, t, grid, chunk=128):
-    """t-quantization of a sampled matrix function a(x, xi).
-
-    ``fn(x, xis) -> (J, len(xis), k, k)`` samples the symbol at the grid
-    points ``x`` and at a block of at most ``chunk`` ascending rescaled
-    lattice frequencies ``xis = m / t``; it is called once per block, and
-    the x-coefficients of the block come from one grid FFT.  Used for
-    symbols outside the separable vocabulary (projection-valued symbols of
-    the index pairing).
-    """
-    if t <= 0:
-        raise ValueError("need t > 0")
-    x = grid.x
-    modes = grid.modes
-    N, n, k = grid.N, grid.n_modes, grid.k
-    table = np.empty((n, k, n, k), dtype=complex)
-    for start in range(0, n, chunk):
-        cols = modes[start:start + chunk]
-        vals = np.asarray(fn(x, cols / t), dtype=complex)
-        if vals.shape[:2] != (grid.J, len(cols)):
-            raise ValueError(f"sampler returned shape {vals.shape}; expected "
-                             f"({grid.J}, {len(cols)}, {k}, {k})")
-        _check_block(vals.shape[2:], k)
-        # centred[l + 2N, b] = c_b(l), |l| <= 2N, for the column of block index b
-        centred = fourier_coefficients(grid, vals)
-        # entry (n, b) = c_b(n - start - b): a Toeplitz view skewed by one column
-        s0, s1, s2, s3 = centred.strides
-        block = as_strided(centred[2 * N - start:], shape=(n, len(cols), k, k),
-                           strides=(s0, s1 - s0, s2, s3), writeable=False)
-        table[:, :, start:start + len(cols), :] = block.transpose(0, 2, 1, 3)
-    return FourierOperator(grid, table.reshape(grid.dim, grid.dim))
 
 
 # -- order-zero quantization -------------------------------------------------

@@ -183,16 +183,11 @@ class RadialProfile:
                              self.vanishes_at_infinity, sup)
 
     def __mul__(self, other):
-        if np.isscalar(other):
-            return RadialProfile(lambda xi: self.fn(xi) * other, self.vanishes_at_zero,
-                                 self.vanishes_at_infinity, self.support)
         sup = _intersect(self.support, other.support)
         return RadialProfile(lambda xi: np.asarray(self.fn(xi)) * np.asarray(other.fn(xi)),
                              self.vanishes_at_zero or other.vanishes_at_zero,
                              self.vanishes_at_infinity or other.vanishes_at_infinity,
                              sup)
-
-    __rmul__ = __mul__
 
     def even(self):
         """Profile xi -> rho(|xi|)."""

@@ -6,10 +6,9 @@ can hold the program's result against it."""
 
 import numpy as np
 
-from psilab.index_theory import BottPair, bott_projection
+from psilab.index_theory import _clutching_factors, _clutching_samples
 from psilab.numerics import CircleGrid
 from psilab.presets import loop_c1, loop_c2
-from psilab.quantize import quantize_sampled
 from psilab.symbols import (HomogeneousSymbol, Loop, Symbol, SymbolClass,
                             bump_profile, cap_profile, rational_vanishing_profile)
 
@@ -125,6 +124,30 @@ def block_apply(B, vec):
     return out
 
 
+# -- sampled quantization -----------------------------------------------------
+
+
+def sampled_quantization(fn, t, grid):
+    """Dense t-quantization of a sampled matrix function a(x, xi).
+
+    ``fn(x, xis) -> (J, len(xis), k, k)`` is called on blocks of 128
+    ascending rescaled frequencies xis = m / t, the blocks of the pairing
+    assembly, and entry (n, m) is gathered from the block spectrum by an
+    (n - m) mod J index array.
+    """
+    modes = grid.modes
+    n, k = grid.n_modes, grid.k
+    table = np.zeros((n, k, n, k), dtype=complex)
+    for start in range(0, n, 128):
+        cols = modes[start:start + 128]
+        vals = np.asarray(fn(grid.x, cols / t), dtype=complex)
+        spectrum = np.fft.fft(vals, axis=0) / grid.J
+        idx = (modes[:, None] - cols[None, :]) % grid.J
+        block = spectrum[idx, np.arange(len(cols))[None, :]]
+        table[:, :, start:start + len(cols), :] = block.transpose(0, 2, 1, 3)
+    return table.reshape(grid.dim, grid.dim)
+
+
 # -- clutching projections ----------------------------------------------------
 
 
@@ -135,25 +158,34 @@ def corner(k):
     return out
 
 
-def clutching_projection(pair, x, xi):
-    """(len(x), 2k, 2k) samples of the clutching projection at one xi."""
+def clutching_samples(sigma, x, xis):
+    """(len(x), len(xis), 2k, 2k) closed-form samples of p_sigma - corner.
+
+    The clutching projection of b = |xi| sigma(x, xi) at ascending xis:
+    negative xis from the minus branch, the rest (xi = 0 included) from the
+    plus branch, each branch factored at the points x.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return pair.samples(pair.factors(x), np.array([float(xi)]))[:, 0] + corner(pair.k)
+    xis = np.asarray(xis, dtype=float)
+    r, split, k = np.abs(xis), int(np.searchsorted(xis, 0.0)), sigma.k
+    out = np.empty((x.size, xis.size, 4 * k * k), dtype=complex)
+    for sign, cols in ((-1, slice(None, split)), (+1, slice(split, None))):
+        _clutching_samples(_clutching_factors(sigma.branch(sign).fn(x)), r[cols],
+                           out[:, cols])
+    return out.reshape(x.size, xis.size, 2 * k, 2 * k)
 
 
-def unit_pair(k):
-    """The trivial companion: the clutching pair of the unit symbol."""
-    return BottPair(HomogeneousSymbol.unit(k))
+def clutching_projection(sigma, x, xi):
+    """(len(x), 2k, 2k) samples of the clutching projection at one xi."""
+    return clutching_samples(sigma, x, [xi])[:, 0] + corner(sigma.k)
 
 
 def naive_trace_pairing(sigma, t, grid):
-    """Entrywise trace of T_t(p_sigma - p_base), both sampled in closed form."""
-    pair = bott_projection(sigma)
-    base = unit_pair(pair.k)
-    fs, fb = pair.factors(grid.x), base.factors(grid.x)
+    """Entrywise trace of T_t(p_sigma - p_unit), both sampled in closed form."""
+    unit = HomogeneousSymbol.unit(sigma.k)
 
     def q_fn(x, xis):
-        return pair.samples(fs, xis) - base.samples(fb, xis)
+        return clutching_samples(sigma, x, xis) - clutching_samples(unit, x, xis)
 
-    g2 = CircleGrid(J=grid.J, N=grid.N, k=2 * pair.k)
-    return float(np.real(np.trace(quantize_sampled(q_fn, t, g2).mat)))
+    g2 = CircleGrid(J=grid.J, N=grid.N, k=2 * sigma.k)
+    return float(np.real(np.trace(sampled_quantization(q_fn, t, g2))))

@@ -164,7 +164,7 @@ def test_criterion_08_deformation_family_limits():
             assert decreasing_to_zero(e1, floor=1e-12), (band, e1)
             assert e1[0] > 1e-3
             for s in s_grid:
-                if 2.0 ** (1.0 / s - 1.0) > band:  # shoulder support migrated
+                if parts[s].support(1)[0] > band:  # shoulder support migrated
                     assert equ2[s][i] < 1e-6
         p1 = build_partition(1.0, 10)
         i0 = int(np.ceil(np.log2(2.0 * THETA.r0)))

@@ -147,6 +147,42 @@ class TestExitCodes:
         assert rc == 2
         assert "bands" in capsys.readouterr().err
 
+    def test_shoulder_edge_read_from_the_partition_exits_0(self, tmp_path, capsys):
+        # 1/0.37 snaps to 2.5, so the shoulder starts at 2**1.5 < 3 and band 3
+        # has not been passed; the raw 2**(1/0.37 - 1) > 3 would demand it
+        data = {"grid": {"N": 32, "J": 132},
+                "homotopy_verify": {"bands": [3], "s_values": [0.37]}}
+        rc = main(["homotopy-verify", "--config", write_config(tmp_path, data),
+                   "--out", str(tmp_path / "h.csv")])
+        assert rc == 0
+        assert "criterion failed" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,values,message", [
+        ("bands", [10, 10], "bands [10]: each band may appear once"),
+        ("L_list", [3, 4, 3], "L_list [3]: each block range may appear once"),
+        # 1/s snaps to the half-integers 2, 2 and 4: two equal partitions
+        ("s_values", [0.5, 0.5, 0.25], "s_values [0.5]: each partition may appear once"),
+        ("s_values", [0.37, 0.4], "s_values [0.37, 0.4]: each partition may appear once"),
+    ])
+    def test_repeated_homotopy_value_exits_2(self, tmp_path, capsys, key, values, message):
+        data = {"grid": {"N": 32, "J": 132}, "homotopy_verify": dict(HV, **{key: values})}
+        rc = main(["homotopy-verify", "--config", write_config(tmp_path, data),
+                   "--out", str(tmp_path / "h.csv")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    def test_distinct_partitions_exit_0(self, tmp_path):
+        # 1/0.4 snaps to 2.5, apart from the 2 of s = 0.5: three partitions
+        data = {"grid": {"N": 32, "J": 132},
+                "homotopy_verify": dict(HV, s_values=[0.5, 0.4, 0.25])}
+        out = tmp_path / "h.csv"
+        rc = main(["homotopy-verify", "--config", write_config(tmp_path, data),
+                   "--out", str(out)])
+        assert rc == 0
+        keys = [line.split(",")[1] for line in out.read_text().splitlines()
+                if line.startswith("equ2,")]
+        assert keys == ["0.5", "0.4", "0.25"]
+
     @pytest.mark.parametrize("profile,message", [
         ({"kind": "bump", "lo": 5, "hi": 1}, "lo < hi"),
         ({"kind": "bump"}, "missing"),
@@ -245,6 +281,14 @@ class TestExitCodes:
         ("defect-sweep", {"tolerances": {"exact_tol": 1e300}}, "'tolerances'"),
         ("homotopy-verify", {"homotopy_verify": dict(HV, K=100000)}, "'K'"),
         ("homotopy-verify", {"theta_r0": 1e6}, "'theta_r0'"),
+        # smash needs a profile f that vanishes at the origin
+        ("ch-compare", {"ch_compare": {"cases": [{"label": "x", "f": {
+            "kind": "rational_decay"}, "d": "default"}]}},
+         "ch_compare cases ['x']: profile f must vanish at the origin"),
+        ("ch-compare", {"ch_compare": {"cases": [{"label": "y", "f": {"product": [
+            {"kind": "rational_decay"}, {"kind": "constant", "value": 2.0}]},
+            "d": "default"}]}},
+         "ch_compare cases ['y']: profile f must vanish at the origin"),
     ])
     def test_malformed_record_exits_2(self, tmp_path, capsys, command, section, message):
         path = write_config(tmp_path, {"grid": {"N": 32, "J": 132}, **section})

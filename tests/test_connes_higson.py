@@ -7,7 +7,7 @@ from psilab.connes_higson import (ch_apply, ch_extended_apply, default_unit,
 from psilab.numerics import compact_tail_norm, operator_norm
 from psilab.quantize import t_quantize
 from psilab.symbols import (HomogeneousSymbol, Loop, Symbol, SymbolClass,
-                            RadialProfile, rational_decay_profile,
+                            RadialProfile, constant_profile, rational_decay_profile,
                             rational_vanishing_profile, smash)
 from psilab.presets import loop_c1
 
@@ -80,7 +80,7 @@ class TestQuasicentrality:
 
 class TestChApply:
     def test_zero_profile(self, grid64, theta):
-        f = rational_vanishing_profile() * 0.0
+        f = rational_vanishing_profile() * constant_profile(0.0)
         out = ch_apply(f, shift_symbol(), 4.0, default_unit(), theta, grid64)
         assert operator_norm(out) == 0.0
 

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import clutching_projection, corner, naive_trace_pairing, unit_pair
-from psilab.index_theory import (BottPair, InconclusiveIndexError,
-                                 _count_above_half, analytic_index,
-                                 bott_projection, fredholm_index_svd,
-                                 higson_trace_index, index_report,
-                                 winding_number)
+from oracles import (clutching_projection, clutching_samples, corner,
+                     naive_trace_pairing, sampled_quantization)
+from psilab.index_theory import (InconclusiveIndexError, _count_above_half,
+                                 _pairing_matrix, analytic_index,
+                                 fredholm_index_svd, higson_trace_index,
+                                 index_report, winding_number)
 from psilab.numerics import CircleGrid
-from psilab.quantize import quantize_sampled
 from psilab.symbols import CutFunction, HomogeneousSymbol, Loop
 from psilab.presets import index_suite, winding_pair
 
@@ -32,10 +31,10 @@ def graph_projection(B):
     return np.concatenate([top, bot], axis=-2)
 
 
-def reference_samples(pair, x, xis):
+def reference_samples(sigma, x, xis):
     """p_sigma - corner column by column, one inverse per sample."""
-    return np.stack([graph_projection(abs(xi) * pair.sigma(x, xi))
-                     - corner(pair.k)[None] for xi in xis], axis=1)
+    return np.stack([graph_projection(abs(xi) * sigma(x, xi))
+                     - corner(sigma.k)[None] for xi in xis], axis=1)
 
 
 def dominant_loop(k, shift, perturbation):
@@ -162,41 +161,41 @@ class TestAnalytic:
 
 class TestBottProjection:
     def test_identity_symbol_gives_equal_pair(self):
-        pair = bott_projection(HomogeneousSymbol.unit(1))
+        sigma = HomogeneousSymbol.unit(1)
         x = np.linspace(0, 2 * np.pi, 9)
         for xi in (-3.0, 0.0, 2.0, 50.0):
-            assert np.max(np.abs(clutching_projection(pair, x, xi)
-                                 - clutching_projection(unit_pair(1), x, xi))) == 0.0
+            assert np.max(np.abs(clutching_projection(sigma, x, xi)
+                                 - clutching_projection(HomogeneousSymbol.unit(1), x, xi))) == 0.0
 
     def test_pointwise_projection_algebra(self):
-        pair = bott_projection(winding_pair(1, 0))
+        sigma = winding_pair(1, 0)
         rng = np.random.default_rng(7)
         worst_idem = worst_adj = worst_trace = 0.0
         for _ in range(1000):
             x = np.array([rng.uniform(0, 2 * np.pi)])
             xi = rng.uniform(-50, 50)
-            p = clutching_projection(pair, x, xi)[0]
+            p = clutching_projection(sigma, x, xi)[0]
             worst_idem = max(worst_idem, float(np.max(np.abs(p @ p - p))))
             worst_adj = max(worst_adj, float(np.max(np.abs(p - p.conj().T))))
-            worst_trace = max(worst_trace, abs(float(np.trace(p).real) - pair.k))
+            worst_trace = max(worst_trace, abs(float(np.trace(p).real) - sigma.k))
         assert worst_idem < 1e-12
         assert worst_adj < 1e-12
         assert worst_trace < 1e-12
 
     def test_difference_vanishes_at_fiber_infinity(self):
-        pair = bott_projection(winding_pair(1, 0))
+        sigma = winding_pair(1, 0)
         x = np.array([0.3])
-        diffs = [np.max(np.abs(clutching_projection(pair, x, xi)
-                               - clutching_projection(unit_pair(1), x, xi)))
+        diffs = [np.max(np.abs(clutching_projection(sigma, x, xi)
+                               - clutching_projection(HomogeneousSymbol.unit(1), x, xi)))
                  for xi in (10.0, 100.0, 1000.0)]
         assert diffs[0] > diffs[1] > diffs[2]
         assert diffs[2] < 1e-3
 
-    def test_non_invertible_rejected(self):
+    def test_non_invertible_rejected(self, grid32):
         bad = HomogeneousSymbol(Loop.from_scalar_modes({1: 0.5, -1: 0.5}),
                                 Loop.identity(1))
         with pytest.raises(ValueError):
-            bott_projection(bad)
+            higson_trace_index(bad, 8.0, grid32)
 
 
 class TestClosedFormAgainstReference:
@@ -206,51 +205,62 @@ class TestClosedFormAgainstReference:
     def test_entrywise_against_inverse(self, k):
         sigma = HomogeneousSymbol(random_dominant_loop(1, k, 1),
                                   random_dominant_loop(2, k, -2))
-        pair = bott_projection(sigma)
         x = 2 * np.pi * np.arange(36) / 36
         s = np.linalg.svd(sigma.plus(x), compute_uv=False)
         assert np.ptp(s) > 0.5  # the branch is far from unitary
-        factors = pair.factors(x)
         # both signs in one block, and blocks of one sign only
         for xis in (self.XIS, self.XIS[:4], self.XIS[4:]):
-            fast = pair.samples(factors, xis)
-            assert np.max(np.abs(fast - reference_samples(pair, x, xis))) <= 1e-13
+            fast = clutching_samples(sigma, x, xis)
+            assert np.max(np.abs(fast - reference_samples(sigma, x, xis))) <= 1e-13
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_singular_branch_needs_no_inverse(self, k):
         # u with a zero singular value somewhere: the closed form still
         # matches the graph projection
         sigma = HomogeneousSymbol(Loop.from_scalar_modes({1: 0.5, -1: 0.5}, k=k),
-                                  Loop.identity(k))
-        pair = BottPair(sigma)  # bott_projection would reject u
+                                  Loop.identity(k))  # higson_trace_index rejects u
         x = np.array([0.0, np.pi / 2, 1.0])
-        fast = pair.samples(pair.factors(x), self.XIS)
-        assert np.max(np.abs(fast - reference_samples(pair, x, self.XIS))) <= 1e-13
+        fast = clutching_samples(sigma, x, self.XIS)
+        assert np.max(np.abs(fast - reference_samples(sigma, x, self.XIS))) <= 1e-13
 
     @settings(max_examples=40, deadline=None)
     @given(k=st.integers(1, 2), seed=st.integers(0, 2**32 - 1),
            shift=st.integers(-2, 2), total=st.floats(0.05, 0.9),
            xi=st.floats(-100.0, 100.0))
     def test_property_projection_algebra(self, k, seed, shift, total, xi):
-        pair = bott_projection(HomogeneousSymbol(random_dominant_loop(seed, k, shift, total),
-                                                 random_dominant_loop(seed + 1, k, -shift, total)))
+        sigma = HomogeneousSymbol(random_dominant_loop(seed, k, shift, total),
+                                  random_dominant_loop(seed + 1, k, -shift, total))
         x = 2 * np.pi * np.arange(24) / 24
-        p = clutching_projection(pair, x, xi)
+        p = clutching_projection(sigma, x, xi)
         assert np.max(np.abs(p @ p - p)) <= 1e-12
         assert np.max(np.abs(p - np.swapaxes(p.conj(), -1, -2))) <= 1e-12
         assert np.max(np.abs(np.trace(p, axis1=1, axis2=2) - k)) <= 1e-12
 
     @pytest.mark.parametrize("label,sigma", index_suite())
     def test_counts_match_per_column_reference(self, grid32, label, sigma):
-        pair = bott_projection(sigma)
-        g2 = CircleGrid(J=grid32.J, N=grid32.N, k=2 * pair.k)
+        g2 = CircleGrid(J=grid32.J, N=grid32.N, k=2 * sigma.k)
         for t in (4.0, 8.0, 16.0):
-            mat = quantize_sampled(lambda x, xis: reference_samples(pair, x, xis), t, g2).mat
-            mat += np.kron(np.eye(g2.n_modes), corner(pair.k))
+            mat = sampled_quantization(lambda x, xis: reference_samples(sigma, x, xis), t, g2)
+            mat += np.kron(np.eye(g2.n_modes), corner(sigma.k))
             evals = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
-            count, gap = _count_above_half(pair, t, grid32)
+            count, gap = _count_above_half(sigma, t, grid32)
             assert count == int(np.sum(evals > 0.5))
             assert gap == pytest.approx(float(np.min(np.abs(evals - 0.5))), abs=1e-12)
+
+
+class TestPairingMatrix:
+    """Bitwise equality (== treats -0 and +0 alike) with a gather reference."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("N", [5, 32, 70])
+    def test_matches_gather(self, N, k):
+        # N = 70 has 141 column modes: two column blocks of the assembly
+        g = CircleGrid(J=4 * N + 6, N=N, k=k)
+        sigma = HomogeneousSymbol(random_dominant_loop(3, k, 1),
+                                  random_dominant_loop(4, k, -2))
+        expect = sampled_quantization(lambda x, xis: clutching_samples(sigma, x, xis),
+                                      2.5, CircleGrid(J=g.J, N=N, k=2 * k))
+        assert np.array_equal(_pairing_matrix(sigma, 2.5, g), expect)
 
 
 class TestSpectralPairing:
@@ -269,12 +279,12 @@ class TestSpectralPairing:
     def test_base_count_is_exact(self, N, k):
         # the x-independent companion deforms to one rank-k projection per
         # mode; this is the slow reference for the analytic base count
-        base = unit_pair(k)
+        base = HomogeneousSymbol.unit(k)
         g2 = CircleGrid(J=4 * N + 4, N=N, k=2 * k)
         for t in (2.0, N / 4.0):
-            mat = quantize_sampled(lambda x, xis: np.stack(
+            mat = sampled_quantization(lambda x, xis: np.stack(
                 [clutching_projection(base, x, xi) - corner(k)[None] for xi in xis],
-                axis=1), t, g2).mat
+                axis=1), t, g2)
             mat += np.kron(np.eye(g2.n_modes), corner(k))
             evals = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
             assert int(np.sum(evals > 0.5)) == k * (2 * N + 1)

@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from oracles import matrix_loop
+from oracles import matrix_loop, sampled_quantization
 from psilab.numerics import CircleGrid, operator_norm
 from psilab.quantize import (Atlas, _assemble, multiplication_operator, op_quantize,
-                             padded_grid, quantize_sampled, restrict_to,
-                             t_quantize, t_quantize_charts)
+                             padded_grid, restrict_to, t_quantize, t_quantize_charts)
 from psilab.symbols import (HomogeneousSymbol, Loop, Symbol, SymbolClass,
                             cap_profile, constant_profile, dilate,
                             rational_decay_profile,
@@ -86,8 +85,8 @@ class TestTQuantize:
             return loop.fn(x)[:, None] * prof(xis)[None, :, None, None]
 
         exact = t_quantize(sym, 3.0, grid32)
-        sampled = quantize_sampled(fn, 3.0, grid32)
-        assert np.max(np.abs(exact.mat - sampled.mat)) < 1e-13
+        sampled = sampled_quantization(fn, 3.0, grid32)
+        assert np.max(np.abs(exact.mat - sampled)) < 1e-13
 
 
 class TestOpQuantize:
@@ -265,16 +264,6 @@ class TestBlockSizeMismatch:
         with pytest.raises(ValueError, match="block size"):
             op_quantize(HomogeneousSymbol(loop_c1(), loop_c1()), theta, g)
 
-    def test_sampled_scalar_function_on_matrix_grid_raises(self):
-        g = CircleGrid(J=132, N=32, k=2)
-        with pytest.raises(ValueError, match="block size"):
-            quantize_sampled(lambda x, xis: np.ones((x.size, xis.size, 1, 1)), 2.0, g)
-
-    def test_per_column_sampler_rejected(self, grid32):
-        # a sampler must return one block of columns, not a single column
-        with pytest.raises(ValueError, match="sampler returned shape"):
-            quantize_sampled(lambda x, xis: np.ones((x.size, 1, 1)), 2.0, grid32)
-
 
 # -- write-once kernels against the slow references they replace -------------
 
@@ -287,35 +276,6 @@ def zero_filled_assemble(grid, terms):
         toeplitz = sliding_window_view(coeffs, n, axis=0)[..., ::-1]
         table += toeplitz.transpose(0, 1, 3, 2) * weights[None, None, :, None]
     return table.reshape(grid.dim, grid.dim)
-
-
-def fancy_index_sampled(fn, t, grid, chunk=128):
-    """Reference gather: spectrum rows picked by an (n - m) mod J index array."""
-    modes = grid.modes
-    n, k = grid.n_modes, grid.k
-    table = np.zeros((n, k, n, k), dtype=complex)
-    for start in range(0, n, chunk):
-        cols = modes[start:start + chunk]
-        vals = np.asarray(fn(grid.x, cols / t), dtype=complex)
-        spectrum = np.fft.fft(vals, axis=0) / grid.J
-        idx = (modes[:, None] - cols[None, :]) % grid.J
-        block = spectrum[idx, np.arange(len(cols))[None, :]]
-        table[:, :, start:start + len(cols), :] = block.transpose(0, 2, 1, 3)
-    return table.reshape(grid.dim, grid.dim)
-
-
-def non_hermitian_sampler(k):
-    """Sampled symbol outside the separable vocabulary, not Hermitian."""
-    a = matrix_loop(k=k, seed=21, degree=3)
-    b = matrix_loop(k=k, seed=22, degree=2)
-
-    def fn(x, xis):
-        av, bv = np.asarray(a.fn(x)), np.asarray(b.fn(x))
-        phase = np.exp(1j * np.outer(np.sin(x), np.arctan(xis)))
-        return (av[:, None] * (1.0 / (1.0 + xis ** 2))[None, :, None, None]
-                + bv[:, None] * phase[:, :, None, None])
-
-    return fn
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -355,11 +315,3 @@ class TestWriteOnceAgainstReference:
         expect = zero_filled_assemble(g, [(plus.coefficients(g),
                                            np.ones(g.n_modes, dtype=complex))])
         assert np.array_equal(multiplication_operator(plus, g).mat, expect)
-
-    @pytest.mark.parametrize("chunk", [128, 16])
-    def test_quantize_sampled(self, N, k, chunk):
-        g = self.grid(N, k)
-        fn = non_hermitian_sampler(k)
-        got = quantize_sampled(fn, 2.5, g, chunk=chunk).mat
-        assert np.array_equal(got, fancy_index_sampled(fn, 2.5, g, chunk=chunk))
-        assert np.max(np.abs(got - got.conj().T)) > 1e-3

@@ -87,8 +87,7 @@ class TestDilate:
 
 class TestSmash:
     def test_zero_profile(self):
-        f = constant_profile(0.0)
-        f = rational_vanishing_profile() * 0.0
+        f = rational_vanishing_profile() * constant_profile(0.0)
         g = smash(f, homog_example())
         for x, xi in POINTS[:10]:
             assert np.max(np.abs(g(x, xi))) == 0.0
