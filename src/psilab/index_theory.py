@@ -83,9 +83,18 @@ def winding_number(loop):
 
 # -- Fredholm route ----------------------------------------------------------
 
+#: an inconclusive kernel count is taken again at 2N and 4N up to this N
+_REFINE_MAX_N = 256
+
 
 def _gapped_small_count(svals, eps):
-    """Number of singular values below eps, conclusive only with a 1e3 gap."""
+    """Number of singular values below eps, conclusive only with a 1e3 gap.
+
+    With values below eps the smallest value above must be 1e3 times the
+    largest below.  With none below, it must reach 1e3 eps: a value in
+    [eps, 1e3 eps) may be the cut tail of a kernel vector as well as a
+    genuine singular value.
+    """
     svals = np.sort(svals)
     counted = svals[svals < eps]
     uncounted = svals[svals >= eps]
@@ -95,7 +104,7 @@ def _gapped_small_count(svals, eps):
         raise InconclusiveIndexError(
             f"singular values {top:.3e} and {bottom:.3e} straddle eps={eps:.1e} "
             "without a 1e+03 gap; increase N or adjust eps_rank")
-    if not counted.size and bottom < 10.0 * eps:
+    if not counted.size and bottom < 1e3 * eps:
         raise InconclusiveIndexError(
             f"smallest singular value {bottom:.3e} sits too close to eps={eps:.1e}")
     return int(counted.size)
@@ -108,9 +117,14 @@ def fredholm_index_svd(sigma, theta, grid, eps_rank=1e-6):
     cokernel dimensions agree by rank-nullity), so both counts are taken on
     tall column-complete truncations: domain modes |m| <= N, range modes
     enlarged by the symbol bandwidth plus 8.  These converge to the kernel
-    and cokernel of the untruncated operator.  A count is inconclusive
-    unless a factor 1e3 separates the singular values below eps_rank from
-    those above it.
+    and cokernel of the untruncated operator: a kernel or cokernel vector
+    decays geometrically in |m|, and its cut tail leaves a singular value
+    of that size.  A count is inconclusive unless a factor 1e3 separates
+    the singular values below eps_rank from those above it, or, with none
+    below, the smallest reaches 1e3 eps_rank.  An inconclusive count is
+    taken again at 2N and at 4N, as far as they stay within 256 modes (a
+    tail shrinks, a genuine singular value stays); only the last
+    inconclusive count raises.
 
     Raises InconclusiveIndexError unless r0 + degree < N: otherwise the
     cutting function does not reach one on a full symbol band inside the
@@ -118,29 +132,33 @@ def fredholm_index_svd(sigma, theta, grid, eps_rank=1e-6):
     """
     if not isinstance(sigma, HomogeneousSymbol):
         raise TypeError("expected a homogeneous symbol")
-    for branch in (sigma.plus, sigma.minus):
-        winding_number(branch)  # raises if a branch is not invertible
+    sigma.windings  # raises ValueError unless both branches are invertible
     deg = sigma.degree if sigma.degree is not None else 16
     if not theta.r0 + deg < grid.N:
         raise InconclusiveIndexError(
             f"cutting radius {theta.r0:g} plus symbol degree {deg} reaches the "
             f"mode cutoff N={grid.N}; increase N")
-    big = padded_grid(grid, deg + 8)
-    X = op_quantize(sigma, theta, big).mat
-    keep = ~big.tail_mask(grid.N)
-    tall = X[:, keep]
-    tall_adj = X.conj().T[:, keep]
-    k_ker = _gapped_small_count(np.linalg.svd(tall, compute_uv=False), eps_rank)
-    k_coker = _gapped_small_count(np.linalg.svd(tall_adj, compute_uv=False), eps_rank)
-    return k_ker - k_coker
+    sizes = [grid.N] + [n for n in (2 * grid.N, 4 * grid.N) if n <= _REFINE_MAX_N]
+    for n in sizes:
+        big = padded_grid(grid, n - grid.N + deg + 8)
+        X = op_quantize(sigma, theta, big).mat
+        keep = ~big.tail_mask(n)
+        try:
+            k_ker = _gapped_small_count(np.linalg.svd(X[:, keep], compute_uv=False), eps_rank)
+            k_coker = _gapped_small_count(
+                np.linalg.svd(X.conj().T[:, keep], compute_uv=False), eps_rank)
+        except InconclusiveIndexError:
+            if n == sizes[-1]:
+                raise
+            continue
+        return k_ker - k_coker
 
 
 def analytic_index(sigma):
     """Winding formula: ANALYTIC_SIGN * (w(minus) - w(plus))."""
     if not isinstance(sigma, HomogeneousSymbol):
         raise TypeError("expected a homogeneous symbol")
-    w_plus = winding_number(sigma.plus)
-    w_minus = winding_number(sigma.minus)
+    w_plus, w_minus = sigma.windings
     return ANALYTIC_SIGN * (w_minus - w_plus)
 
 
@@ -188,37 +206,61 @@ def _clutching_samples(factors, r, out):
 
 #: columns of the pairing matrix sampled and transformed together
 _BLOCK = 128
+#: a band is used once the norm of what it drops is at most this
+_BAND_TOL = 1e-4
+#: the band is at most this share of N wide
+_BAND_CAP = 0.25
+#: a pivot block of the band LDL^H with an eigenvalue below this in modulus
+#: sends the count to the dense eigenvalue solve
+_PIVOT_FLOOR = 1e-8
+#: margin kept for the rounding of the band LDL^H; a larger backward-error
+#: bound sends the count to the dense eigenvalue solve
+_LDL_ALLOWANCE = 1e-8
+#: fewest mode-blocks per super-block of the band LDL^H
+_SUPER = 4
 
 
-def _pairing_matrix(sigma, t, grid):
-    """T_t(p_sigma - corner) on the modes |m| <= N, 2k x 2k blocks.
+def _sampled_columns(sigma, t, grid):
+    """Closed-form samples of p_sigma - corner, 128 column modes at a time.
 
     The clutching symbol is b(x, xi) = |xi| sigma(x, xi); its graph
     projection p is exact and p - diag(0, I) vanishes at fiber infinity like
-    1 / |xi|.  Each branch is factored once on the grid points.  Every block
-    of 128 ascending column modes m is then sampled in closed form at
-    xi = m / t, negative modes from the minus branch and the rest (m = 0
-    included) from the plus branch, as two contiguous column slices; entry
-    (n, m) is the x-Fourier coefficient c_m(n - m) of column m.
+    1 / |xi|.  Each branch is factored once on the grid points.  Yields
+    (start, vals) for every block of 128 ascending column modes m, vals of
+    shape (J, columns, 4k^2) sampled at xi = m / t: negative modes from the
+    minus branch and the rest (m = 0 included) from the plus branch, as two
+    contiguous column slices.
     """
-    x, N, n, k2 = grid.x, grid.N, grid.n_modes, 2 * sigma.k
+    x, k2 = grid.x, 2 * sigma.k
     minus, plus = (_clutching_factors(sigma.branch(sign).fn(x)) for sign in (-1, +1))
     modes = grid.modes
-    table = np.empty((n, k2, n, k2), dtype=complex)
-    for start in range(0, n, _BLOCK):
+    for start in range(0, grid.n_modes, _BLOCK):
         xis = modes[start:start + _BLOCK] / t
         r = np.abs(xis)
         split = int(np.searchsorted(xis, 0.0))
         vals = np.empty((grid.J, xis.size, k2 * k2), dtype=complex)
         _clutching_samples(minus, r[:split], vals[:, :split])
         _clutching_samples(plus, r[split:], vals[:, split:])
+        yield start, vals
+
+
+def _pairing_matrix(sigma, t, grid):
+    """T_t(p_sigma - corner) on the modes |m| <= N, 2k x 2k blocks.
+
+    Entry (n, m) is the x-Fourier coefficient c_m(n - m) of column m, taken
+    by FFT from the samples of ``_sampled_columns``.
+    """
+    N, n, k2 = grid.N, grid.n_modes, 2 * sigma.k
+    table = np.empty((n, k2, n, k2), dtype=complex)
+    for start, vals in _sampled_columns(sigma, t, grid):
+        cols = vals.shape[1]
         # centred[l + 2N, b] = c_b(l), |l| <= 2N, for the column of block index b
-        centred = fourier_coefficients(grid, vals.reshape(grid.J, xis.size, k2, k2))
+        centred = fourier_coefficients(grid, vals.reshape(grid.J, cols, k2, k2))
         # entry (n, b) = c_b(n - start - b): a Toeplitz view skewed by one column
         s0, s1, s2, s3 = centred.strides
-        block = as_strided(centred[2 * N - start:], shape=(n, xis.size, k2, k2),
+        block = as_strided(centred[2 * N - start:], shape=(n, cols, k2, k2),
                            strides=(s0, s1 - s0, s2, s3), writeable=False)
-        table[:, :, start:start + xis.size, :] = block.transpose(0, 2, 1, 3)
+        table[:, :, start:start + cols, :] = block.transpose(0, 2, 1, 3)
     return table.reshape(n * k2, n * k2)
 
 
@@ -226,6 +268,7 @@ def _count_above_half(sigma, t, grid):
     """Eigenvalue count > 1/2 of P_inf + T_t(p_sigma - corner), with its gap.
 
     P_inf is the corner diag(0, I) in every mode, added on the diagonal.
+    This dense solve is the fallback of the band count and its reference.
     """
     k = sigma.k
     mat = _pairing_matrix(sigma, t, grid)
@@ -235,6 +278,224 @@ def _count_above_half(sigma, t, grid):
     evals = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
     gap = float(np.min(np.abs(evals - 0.5)))
     return int(np.sum(evals > 0.5)), gap
+
+
+def _band_table(coeffs, k):
+    """Band of M = P_inf + T_t(p_sigma - corner) from the coefficients
+    coeffs[b + l, m] = c_m(l), |l| <= b, of shape (2b + 1, n, 4k^2).
+
+    band[b + l, m] is the 2k x 2k block (m + l, m) of M, zero where row
+    m + l leaves the mode range.
+    """
+    w, n = coeffs.shape[:2]
+    b = w // 2
+    band = coeffs.reshape(w, n, 2 * k, 2 * k)
+    rows = np.arange(n)[None, :] + np.arange(-b, b + 1)[:, None]
+    band[(rows < 0) | (rows >= n)] = 0.0
+    band[b, :, k:, k:] += np.eye(k)
+    return band
+
+
+def _band_coefficients(sigma, t, grid, b):
+    """The pairing matrix on the band |n - m| <= b, with a bound on the rest.
+
+    Returns (band, delta): band is the ``_band_table`` of M, and delta
+    bounds ||H - H_b|| for the Hermitian parts H of M and H_b of the band.
+    The coefficients c_m(l), |l| <= b, of every sampled column come from one
+    (2b + 1) x J DFT-matrix product.  By Parseval on the J grid points the
+    dropped coefficients of a column entry satisfy
+
+        sum_{|l| > b} |c_m(l)|^2 = mean_x |s(x, m)|^2 - sum_{|l| <= b} |c_m(l)|^2
+                                 = mean_x |s(x, m) - s_b(x, m)|^2,
+
+    s_b the band's resynthesis.  The last form is a sum of squares, so it has
+    no cancellation floor, and since s_b is built from the rounded
+    coefficients it also bounds their error.  Summed over all entries it
+    bounds ||M - M_b||_F^2 >= ||H - H_b||^2.  The rounding allowance covers
+    the resynthesis and the subtraction, at most
+    (2b + 4) sqrt(2b + 1) eps sqrt(mean |s|^2) per entry in the mean square
+    over x (Cauchy-Schwarz on the 2b + 1 terms), added over all entries by
+    Minkowski, and the summation of the squares (factor 1.001).
+    """
+    J, n, k = grid.J, grid.n_modes, sigma.k
+    ls = np.arange(-b, b + 1)
+    # e^{-i l x_j} from the exact phase (l j mod J) / J
+    analysis = np.exp(-2j * np.pi * (np.outer(ls, np.arange(J)) % J) / J) / J
+    synthesis = J * analysis.conj().T
+    coeffs = np.empty((2 * b + 1, n, 4 * k * k), dtype=complex)
+    tail = mass = 0.0
+    for start, vals in _sampled_columns(sigma, t, grid):
+        flat = vals.reshape(J, -1)
+        part = analysis @ flat
+        resid = synthesis @ part
+        resid -= flat
+        tail += np.vdot(resid, resid).real / J
+        mass += np.vdot(flat, flat).real / J
+        coeffs[:, start:start + vals.shape[1]] = part.reshape(2 * b + 1, -1, 4 * k * k)
+    eps = np.finfo(float).eps
+    allowance = (2 * b + 4) * np.sqrt(2 * b + 1) * eps * np.sqrt(mass)
+    return _band_table(coeffs, k), 1.001 * np.sqrt(tail) + allowance
+
+
+def _spectrum_band(sigma, t, grid, b_min):
+    """(band, delta) of the narrowest band b_min <= b <= _BAND_CAP * N whose
+    drop bound delta is at most _BAND_TOL, from one FFT pass; or None.
+
+    The FFT gives every column entry its whole spectrum on the J grid
+    points, so by Parseval the dropped part of every width at once is a sum
+    of squares of computed coefficients, summed from the outside in (no
+    cancellation): the sum over entries and |l| > b of |c_m(l)|^2 bounds
+    ||M - M_b||_F^2.  The rounding allowance is 5 log2(J) eps sqrt(mean |s|^2)
+    per entry for the error of the FFT, counted once for the kept and once
+    for the dropped coefficients and added over all entries by Minkowski;
+    the factor 1.001 covers the summation of the squares.
+    """
+    J, n, k = grid.J, grid.n_modes, sigma.k
+    cap = int(_BAND_CAP * grid.N)
+    if b_min > cap:
+        return None
+    ls = np.arange(-cap, cap + 1)
+    coeffs = np.empty((2 * cap + 1, n, 4 * k * k), dtype=complex)
+    # |l| of every FFT bin, and the power of every |l| over all entries
+    freq = np.minimum(np.arange(J), J - np.arange(J))
+    power = np.zeros(J // 2 + 1)
+    for start, vals in _sampled_columns(sigma, t, grid):
+        spec = np.fft.fft(vals, axis=0)
+        spec /= J
+        power += np.bincount(freq, np.sum(spec.real ** 2 + spec.imag ** 2, axis=(1, 2)),
+                             J // 2 + 1)
+        coeffs[:, start:start + vals.shape[1]] = spec[ls % J]
+    # outside[a]: the power of all |l| >= a
+    outside = np.cumsum(power[::-1])[::-1]
+    eps = np.finfo(float).eps
+    widths = np.arange(b_min, cap + 1)
+    deltas = 1.001 * np.sqrt(outside[widths + 1]) + 10 * np.log2(J) * eps * np.sqrt(outside[0])
+    fits = np.flatnonzero(deltas <= _BAND_TOL)
+    if not fits.size:
+        return None
+    b = int(widths[fits[0]])
+    return _band_table(coeffs[cap - b:cap + b + 1], k), float(deltas[fits[0]])
+
+
+def _pairing_band(sigma, t, grid):
+    """(band, delta) of the narrowest band, at most _BAND_CAP * N wide, whose
+    drop bound delta is at most _BAND_TOL; or None.
+
+    The first try is the declared degree of the branches (1 without one), at
+    which unitary trigonometric branches leave nothing out, by one thin
+    DFT-matrix product (``_band_coefficients``).  When that drops too much,
+    one FFT pass (``_spectrum_band``) bounds every wider band at once.
+    """
+    b = sigma.degree or 1
+    if b > _BAND_CAP * grid.N:
+        return None
+    band, delta = _band_coefficients(sigma, t, grid, b)
+    if delta <= _BAND_TOL:
+        return band, delta
+    return _spectrum_band(sigma, t, grid, b + 1)
+
+
+def _band_inertia(band, shifts):
+    """Eigenvalue counts of H_b above every shift with a backward-error
+    bound, or None on a small pivot.
+
+    H_b is the Hermitian part of the banded matrix of ``_band_table``.
+    Grouped into super-blocks of q = max(b, _SUPER) modes it is block
+    tridiagonal, so the block LDL^H recurrence
+
+        D_0 = A_0 - s,   D_i = A_i - s - C_i D_{i-1}^{-1} C_i^H
+
+    (A_i the diagonal and C_i the sub-diagonal super-blocks) needs one
+    Hermitian eigen-solve per pivot D_i, batched over the shifts.  By
+    Sylvester's law of inertia and Haynsworth's additivity the number of
+    eigenvalues of H_b above s is the number of positive eigenvalues of all
+    pivots.  The factorization does not pivot, which needs a guard (Bunch
+    and Kaufman): a pivot with an eigenvalue below _PIVOT_FLOOR in modulus
+    returns None.  The last super-block is padded with zero modes: their
+    eigenvalue 0 lies below every positive shift and adds nothing to a count.
+
+    Returns (counts, err).  In floating point the counts are exact for some
+    H_b + E, and to first order in eps the backward error of a block LDL^H
+    factorization with pivot size p = 2kq is
+
+        ||E|| <= err = 4 p eps max_i (||D_i|| + ||C_i||_F^2 / min |lambda(D_{i-1})|),
+
+    the second term the growth through the inverted pivots.
+    """
+    w, n, k2 = band.shape[:3]
+    b = w // 2
+    q = max(b, _SUPER)
+    nb = -(-n // q)
+    padded = np.zeros((w, nb * q) + band.shape[2:], dtype=complex)
+    padded[:, :n] = band
+    i = np.arange(q)
+
+    def blocks(dr):
+        # M_b[R_{s + dr}, R_s] for every super-block s with a partner s + dr
+        l = dr * q + i[:, None] - i[None, :] + b
+        inside = (l >= 0) & (l < w)
+        s = np.arange(max(0, -dr), nb - max(0, dr))
+        out = padded[np.where(inside, l, 0), (s * q)[:, None, None] + i]
+        out[:, ~inside] = 0.0
+        return out.transpose(0, 1, 3, 2, 4).reshape(s.size, q * k2, q * k2)
+
+    def adjoint(a):
+        return a.conj().swapaxes(-1, -2)
+
+    diag = blocks(0)
+    diag = 0.5 * (diag + adjoint(diag))
+    sub = 0.5 * (blocks(1) + adjoint(blocks(-1)))
+    shift = shifts[:, None, None] * np.eye(q * k2)
+    above = np.zeros(shifts.size, dtype=int)
+    worst = growth = 0.0
+    for s in range(nb):
+        pivot = diag[s] - shift
+        if s:
+            g = sub[s - 1] @ vecs
+            pivot -= (g / vals[:, None, :]) @ adjoint(g)
+            growth = np.linalg.norm(sub[s - 1]) ** 2 / np.min(np.abs(vals))
+        vals, vecs = np.linalg.eigh(pivot)
+        if np.min(np.abs(vals)) < _PIVOT_FLOOR:
+            return None
+        worst = max(worst, np.max(np.abs(vals)) + growth)
+        above += np.sum(vals > 0.0, axis=1)
+    return above, 4 * q * k2 * np.finfo(float).eps * worst
+
+
+def _band_count(band, delta):
+    """(count above 1/2, conclusive) for any H with ||H - H_b|| <= delta, or
+    None when the band cannot decide.
+
+    The inertia of ``_band_inertia`` is exact for some H_b + E with
+    ||E|| <= err; with err at most _LDL_ALLOWANCE, Weyl gives
+    |lambda_i(H) - lambda_i(H_b + E)| <= m = delta + _LDL_ALLOWANCE.  If
+    H_b + E has no eigenvalue in [0.4 - m, 0.6 + m], H has none in
+    (0.4, 0.6) and its count above 1/2 is the count above 0.6 + m.  If it
+    has one in (0.4 + m, 0.6 - m), so has H: inconclusive.  Anything else,
+    a small pivot or a larger err is left to the dense solve.
+    """
+    m = delta + _LDL_ALLOWANCE
+    lo, hi = 0.5 - PAIRING_GAP, 0.5 + PAIRING_GAP
+    inertia = _band_inertia(band, np.array([lo - m, lo + m, hi - m, hi + m]))
+    if inertia is None or inertia[1] > _LDL_ALLOWANCE:
+        return None
+    above = inertia[0]
+    if above[1] > above[2]:
+        return int(above[3]), False
+    if above[0] == above[3]:
+        return int(above[3]), True
+    return None
+
+
+def _pairing_count(sigma, t, grid):
+    """(count above 1/2, conclusive) of P_inf + T_t(p_sigma - corner): the
+    band count when it decides, else the dense eigenvalue solve."""
+    band = _pairing_band(sigma, t, grid)
+    counted = None if band is None else _band_count(*band)
+    if counted is not None:
+        return counted
+    count, gap = _count_above_half(sigma, t, grid)
+    return count, gap >= PAIRING_GAP
 
 
 def higson_trace_index(sigma, t, grid):
@@ -247,25 +508,36 @@ def higson_trace_index(sigma, t, grid):
     is block diagonal with one rank-k projection per mode: its count is
     exactly k (2N + 1), with gap 1/2.
 
-    Raises InconclusiveIndexError when the clutching cannot develop inside
-    the mode range (radius N / t below PAIRING_MIN_RADIUS) or when
-    an eigenvalue sits within PAIRING_GAP of 1/2; past the edge the
-    deformation collapses to the zero-section value and the counts would
-    silently agree.
+    The count is conclusive iff no eigenvalue of the Hermitian matrix H lies
+    in (0.4, 0.6).  It is taken on the band H_b of the narrowest width whose
+    Parseval drop bound delta >= ||H - H_b|| is at most 1e-4, by block
+    LDL^H inertia at the shifts 0.4 -+ m and 0.6 -+ m, m = delta + 1e-8.
+    The backward-error margin is Weyl's: |lambda_i(H) - lambda_i(H_b)| <=
+    delta, and the inertia is exact for H_b + E, ||E|| <= 1e-8 (the
+    factorization's first-order backward error, checked on every count).
+    So no eigenvalue of H_b + E in [0.4 - m, 0.6 + m] makes the count
+    conclusive, taken above 0.6 + m, and one in (0.4 + m, 0.6 - m) makes it
+    inconclusive.  Otherwise, and when the band would pass N / 4 or a pivot
+    falls below 1e-8, H is counted densely.
+
+    Raises ValueError unless both branches are invertible.  Raises
+    InconclusiveIndexError when the clutching cannot develop inside the mode
+    range (radius N / t below PAIRING_MIN_RADIUS) or when an eigenvalue sits
+    within PAIRING_GAP of 1/2; past the edge the deformation collapses to the
+    zero-section value and the counts would silently agree.
 
     The literal entrywise trace of the difference vanishes identically
     (both projections have pointwise trace k), so the class content is
     carried entirely by the spectral counts.
     """
-    for branch in (sigma.plus, sigma.minus):
-        winding_number(branch)  # raises if a branch is not invertible
+    sigma.windings  # raises ValueError unless both branches are invertible
     if grid.N / t < PAIRING_MIN_RADIUS:
         raise InconclusiveIndexError(
             f"clutching radius {grid.N / t:.2f} at the mode cutoff is below "
             f"{PAIRING_MIN_RADIUS}; the clutching does not complete at t={t}, "
             "reduce t or increase N")
-    cnt, gap = _count_above_half(sigma, t, grid)
-    if gap < PAIRING_GAP:
+    cnt, conclusive = _pairing_count(sigma, t, grid)
+    if not conclusive:
         raise InconclusiveIndexError(
             f"eigenvalue within {PAIRING_GAP} of 1/2 at t={t}; "
             "the deformation has reached the mode cutoff, reduce t or increase N")
@@ -299,13 +571,14 @@ class IndexReport:
 def index_report(sigma, grid, theta, t_grid, label, eps_rank=1e-6):
     """Run all three routes and flag agreement.
 
-    Higson values that are inconclusive at large t are reported as None; the
-    limit is the value at the largest conclusive t, rounded only when within
-    0.25 of an integer.  Agreement requires every conclusive route to give
-    the same integer; an inconclusive route never counts as agreement.
+    Every route reads the branch windings from ``sigma.windings``, taken
+    once per symbol.  Higson values that are inconclusive at large t are
+    reported as None; the limit is the value at the largest conclusive t,
+    rounded only when within 0.25 of an integer.  Agreement requires every
+    conclusive route to give the same integer; an inconclusive route never
+    counts as agreement.
     """
-    w_plus = winding_number(sigma.plus)
-    w_minus = winding_number(sigma.minus)
+    w_plus, w_minus = sigma.windings
     analytic = analytic_index(sigma)
 
     fredholm, fredholm_bad = None, False

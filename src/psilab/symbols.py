@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -448,6 +449,13 @@ class HomogeneousSymbol:
     def degree(self):
         degs = [d for d in (self.plus.degree, self.minus.degree) if d is not None]
         return max(degs) if degs else None
+
+    @cached_property
+    def windings(self):
+        """(w_plus, w_minus), the winding numbers of the two branches, taken
+        once per symbol; raises ValueError unless both are invertible."""
+        from .index_theory import winding_number
+        return winding_number(self.plus), winding_number(self.minus)
 
     def branch(self, sign):
         return self.plus if sign >= 0 else self.minus

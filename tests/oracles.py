@@ -180,6 +180,29 @@ def clutching_projection(sigma, x, xi):
     return clutching_samples(sigma, x, [xi])[:, 0] + corner(sigma.k)
 
 
+def band_matrix(band):
+    """The dense matrix of a band table: block (m + l, m) is band[b + l, m]."""
+    w, n, k2 = band.shape[:3]
+    b = w // 2
+    out = np.zeros((n, k2, n, k2), dtype=complex)
+    for l in range(-b, b + 1):
+        m = np.arange(max(0, -l), min(n, n - l))
+        out[m + l, :, m, :] = band[b + l, m]
+    return out.reshape(n * k2, n * k2)
+
+
+def matrix_band(mat, k2, b):
+    """Band table of the 2k x 2k blocks (n, m), |n - m| <= b, of a dense
+    matrix; zero where row m + l leaves the matrix."""
+    n = mat.shape[0] // k2
+    blocks = mat.reshape(n, k2, n, k2)
+    band = np.zeros((2 * b + 1, n, k2, k2), dtype=complex)
+    for l in range(-b, b + 1):
+        m = np.arange(max(0, -l), min(n, n - l))
+        band[b + l, m] = blocks[m + l, :, m, :]
+    return band
+
+
 def naive_trace_pairing(sigma, t, grid):
     """Entrywise trace of T_t(p_sigma - p_unit), both sampled in closed form."""
     unit = HomogeneousSymbol.unit(sigma.k)

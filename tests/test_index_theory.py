@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (clutching_projection, clutching_samples, corner,
-                     naive_trace_pairing, sampled_quantization)
-from psilab.index_theory import (InconclusiveIndexError, _count_above_half,
-                                 _pairing_matrix, analytic_index,
+from oracles import (band_matrix, clutching_projection, clutching_samples,
+                     corner, matrix_band, naive_trace_pairing, sampled_quantization)
+from psilab import index_theory
+from psilab.index_theory import (PAIRING_GAP, InconclusiveIndexError,
+                                 _band_coefficients, _band_count, _band_inertia,
+                                 _count_above_half, _gapped_small_count,
+                                 _pairing_band, _pairing_count, _pairing_matrix,
+                                 _spectrum_band, analytic_index,
                                  fredholm_index_svd, higson_trace_index,
                                  index_report, winding_number)
 from psilab.numerics import CircleGrid
@@ -132,6 +136,24 @@ class TestFredholm:
         positive = Loop.from_scalar_modes({0: 2.0, 1: 0.3, -1: 0.3})
         pos = HomogeneousSymbol(positive, positive)
         assert fredholm_index_svd(pos * sigma, theta, grid32) == -1
+
+    @pytest.mark.parametrize("seed,total", [(31061, 0.5625),
+                                            (3907307436, 0.5778580368127912)])
+    def test_slow_cokernel_tail_is_refined(self, grid32, theta, seed, total):
+        # index 0 with a kernel vector at the cut and a cokernel vector whose
+        # tail beyond N = 32 leaves a singular value of 1.4e-6 (first draw)
+        # or 1.9e-5 (second): at N = 32 alone the first count is
+        # inconclusive and the second a wrong 1; at 2N both tails are < 1e-9
+        sigma = HomogeneousSymbol(random_dominant_loop(seed, 1, 0, total),
+                                  random_dominant_loop(seed + 1, 1, 0, total))
+        assert fredholm_index_svd(sigma, theta, grid32) == 0
+
+    def test_counted_value_keeps_the_relative_gap(self):
+        # a genuine small singular value above eps does not block a count
+        # that has a value below eps and a 1e3 gap to it
+        assert _gapped_small_count(np.array([1e-10, 5e-4, 0.3]), 1e-6) == 1
+        with pytest.raises(InconclusiveIndexError):
+            _gapped_small_count(np.array([5e-4, 0.3]), 1e-6)
 
     def test_no_gap_is_inconclusive(self, grid32, theta):
         # eps placed inside the cutting-weight cluster: no usable gap
@@ -263,6 +285,153 @@ class TestPairingMatrix:
         assert np.array_equal(_pairing_matrix(sigma, 2.5, g), expect)
 
 
+def hermitian(mat):
+    return 0.5 * (mat + mat.conj().T)
+
+
+def check_band_against_dense(sigma, t, grid):
+    """(band width, verdict) of the pairing count at t, after holding the
+    band against the dense matrix: its drop bound covers the distance, and a
+    verdict it reaches is the dense one.  The verdict is whether the band
+    found the count conclusive, None when it left the count to the dense
+    solve; the width is None when the band gave up."""
+    count, gap = _count_above_half(sigma, t, grid)
+    dense_verdict = (count, True) if gap >= PAIRING_GAP else False
+    assert _pairing_count(sigma, t, grid)[1] == (gap >= PAIRING_GAP)
+    band = _pairing_band(sigma, t, grid)
+    if band is None:
+        return None, None
+    table, delta = band
+    dense = _pairing_matrix(sigma, t, grid) + np.kron(np.eye(grid.n_modes), corner(sigma.k))
+    assert np.linalg.norm(hermitian(dense) - hermitian(band_matrix(table)), 2) <= delta
+    verdict = _band_count(table, delta)
+    if verdict is not None:
+        assert (verdict if verdict[1] else False) == dense_verdict
+    return table.shape[0] // 2, None if verdict is None else verdict[1]
+
+
+class TestBandCount:
+    """The banded inertia count against the dense eigenvalue solve."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(1, 2), seed=st.integers(0, 2**32 - 1),
+           shift=st.integers(-2, 2), total=st.floats(0.05, 0.9),
+           t=st.sampled_from([2.0, 4.0, 8.0]))
+    def test_property_matches_dense(self, k, seed, shift, total, t):
+        sigma = HomogeneousSymbol(random_dominant_loop(seed, k, shift, total),
+                                  random_dominant_loop(seed + 1, k, -shift, total))
+        check_band_against_dense(sigma, t, CircleGrid(J=132, N=32, k=k))
+
+    @pytest.mark.parametrize("k,seed,shift,total,t,expect", [
+        (1, 4, 0, 0.1, 4.0, (6, True)),      # degree 2 widens to 6
+        (2, 0, 1, 0.1, 8.0, (6, True)),      # degree 3 widens to 6
+        (1, 3, -2, 0.1, 2.0, (8, False)),    # an eigenvalue near 1/2, found on the band
+        (1, 3, 0, 0.4, 4.0, (None, None)),   # passes N / 4 = 8: dense
+        (2, 2, 0, 0.8, 8.0, (None, None)),
+    ])
+    def test_band_widths(self, k, seed, shift, total, t, expect):
+        sigma = HomogeneousSymbol(random_dominant_loop(seed, k, shift, total),
+                                  random_dominant_loop(seed + 1, k, -shift, total))
+        assert check_band_against_dense(sigma, t, CircleGrid(J=132, N=32, k=k)) == expect
+
+    @pytest.mark.parametrize("label,sigma", index_suite())
+    def test_unitary_branches_need_their_degree(self, grid64, label, sigma):
+        for t in (8.0, 16.0, 32.0):
+            assert check_band_against_dense(sigma, t, grid64) == (sigma.degree or 1, True)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_coefficients_match_fft(self, k):
+        # N = 70: two column blocks; the DFT-matrix product against the FFT
+        g = CircleGrid(J=4 * 70 + 6, N=70, k=k)
+        sigma = HomogeneousSymbol(random_dominant_loop(3, k, 1),
+                                  random_dominant_loop(4, k, -2))
+        band, _ = _band_coefficients(sigma, 2.5, g, 5)
+        dense = _pairing_matrix(sigma, 2.5, g) + np.kron(np.eye(g.n_modes), corner(k))
+        assert np.max(np.abs(band - matrix_band(dense, 2 * k, 5))) <= 1e-13
+
+    @pytest.mark.parametrize("k,seed,shift,total,t", [(1, 4, 0, 0.1, 4.0),
+                                                      (2, 0, 1, 0.1, 8.0)])
+    def test_spectrum_band_matches_fft(self, k, seed, shift, total, t):
+        # the FFT pass keeps the dense path's coefficients
+        g = CircleGrid(J=132, N=32, k=k)
+        sigma = HomogeneousSymbol(random_dominant_loop(seed, k, shift, total),
+                                  random_dominant_loop(seed + 1, k, -shift, total))
+        band, _ = _spectrum_band(sigma, t, g, 1)
+        b = band.shape[0] // 2
+        dense = _pairing_matrix(sigma, t, g) + np.kron(np.eye(g.n_modes), corner(k))
+        assert np.max(np.abs(band - matrix_band(dense, 2 * k, b))) <= 1e-13
+
+    @pytest.mark.parametrize("n,k2,b", [(37, 2, 1), (40, 4, 3), (50, 2, 20)])
+    def test_inertia_matches_eigvalsh(self, n, k2, b):
+        # several super-blocks, a padded last one, and b above the
+        # super-block floor
+        rng = np.random.default_rng(n + b)
+        mat = rng.normal(size=(n * k2, n * k2)) + 1j * rng.normal(size=(n * k2, n * k2))
+        band = matrix_band(0.3 * hermitian(mat), k2, b)
+        evals = np.linalg.eigvalsh(hermitian(band_matrix(band)))
+        shifts = np.array([0.05, 0.1, 0.45, 1.3])  # positive, as the pairing uses
+        above, err = _band_inertia(band, shifts)
+        assert list(above) == [int(np.sum(evals > s)) for s in shifts]
+        assert err <= index_theory._LDL_ALLOWANCE
+
+
+class TestBandFallback:
+    """What the band cannot decide goes to the dense count, observed through
+    a stand-in for it."""
+
+    DELTA = 1e-3
+
+    def count(self, monkeypatch, mat):
+        band = matrix_band(mat, 2, 1)
+        calls = []
+        monkeypatch.setattr(index_theory, "_pairing_band", lambda *args: (band, self.DELTA))
+        monkeypatch.setattr(index_theory, "_count_above_half",
+                            lambda *args: calls.append(args) or (-1, 1.0))
+        return _pairing_count(winding_pair(1, 0), 4.0, CircleGrid(J=132, N=32)), bool(calls)
+
+    def placed(self, value):
+        # eigenvalues 0.1 and 0.9 and one placed value, mixed by unitaries on
+        # pairs of modes so that the matrix has band width one
+        evals = np.tile([0.1, 0.9], 20)
+        evals[13] = value
+        rng = np.random.default_rng(5)
+        q = np.zeros((40, 40), dtype=complex)
+        for i in range(0, 40, 4):
+            z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            q[i:i + 4, i:i + 4] = np.linalg.qr(z)[0]
+        return q @ np.diag(evals) @ q.conj().T
+
+    @pytest.mark.parametrize("value", [0.4 - 5e-4, 0.4 + 5e-4, 0.6 - 5e-4, 0.6 + 5e-4])
+    def test_eigenvalue_within_delta_of_the_edge(self, monkeypatch, value):
+        assert self.count(monkeypatch, self.placed(value)) == ((-1, True), True)
+
+    def test_clear_band_decides_alone(self, monkeypatch):
+        assert self.count(monkeypatch, self.placed(0.3)) == ((19, True), False)
+        assert self.count(monkeypatch, self.placed(0.7)) == ((20, True), False)
+        assert self.count(monkeypatch, self.placed(0.5)) == ((19, False), False)
+
+    def test_small_pivot(self, monkeypatch):
+        # a pair across the first super-block boundary with eigenvalues near
+        # s -+ 1, far from the window, but a pivot of 1e-12 at the shift s
+        s = 0.5 - PAIRING_GAP - self.DELTA - index_theory._LDL_ALLOWANCE
+        mat = np.diag(np.full(40, 0.9)).astype(complex)
+        i, j = 2 * index_theory._SUPER - 2, 2 * index_theory._SUPER
+        mat[i, i], mat[j, j] = s + 1e-12, s
+        mat[i, j] = mat[j, i] = 1.0
+        assert self.count(monkeypatch, mat) == ((-1, True), True)
+
+    def test_pivot_growth(self, monkeypatch):
+        # the same pair with a pivot of 1e-7, above the floor: the coupling
+        # through its inverse puts the rounding bound of the factorization
+        # past the allowance
+        s = 0.5 - PAIRING_GAP - self.DELTA - index_theory._LDL_ALLOWANCE
+        mat = np.diag(np.full(40, 0.9)).astype(complex)
+        i, j = 2 * index_theory._SUPER - 2, 2 * index_theory._SUPER
+        mat[i, i], mat[j, j] = s + 1e-7, s
+        mat[i, j] = mat[j, i] = 1.0
+        assert self.count(monkeypatch, mat) == ((-1, True), True)
+
+
 class TestSpectralPairing:
     @pytest.mark.parametrize("windings,expect", PAIRS)
     def test_calibration_suite(self, grid64, windings, expect):
@@ -330,6 +499,15 @@ class TestReport:
         assert not rep.agree
         with pytest.raises(InconclusiveIndexError):
             fredholm_index_svd(winding_pair(1, 0), CutFunction(15.0), grid16)
+
+    def test_windings_taken_once(self, monkeypatch, grid32, theta):
+        calls = []
+        monkeypatch.setattr(index_theory, "winding_number",
+                            lambda loop: calls.append(loop) or winding_number(loop))
+        sigma = winding_pair(2, -1)
+        rep = index_report(sigma, grid32, theta=theta, t_grid=(4.0, 8.0), label="w")
+        assert rep.agree
+        assert calls == [sigma.plus, sigma.minus]
 
     def test_report_serializes(self, grid32, theta):
         rep = index_report(winding_pair(0, 1), grid32, theta=theta,
