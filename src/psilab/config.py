@@ -113,6 +113,12 @@ SCHEMA = {
 }
 
 
+#: SCHEMA is a constant, so the validator is built once and the schema itself
+#: is checked by a test rather than on every load (``jsonschema.validate``
+#: would re-check it each time); ``best_match`` picks the error it would raise
+_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+
+
 def _deep_merge(base, override):
     out = dict(base)
     for key, val in override.items():
@@ -134,11 +140,10 @@ def load_config(path=None):
             raise ConfigError(f"cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(data, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        where = ".".join(map(str, exc.absolute_path)) or "top level"
-        raise ConfigError(f"config rejected by schema at {where}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(data))
+    if error is not None:
+        where = ".".join(map(str, error.absolute_path)) or "top level"
+        raise ConfigError(f"config rejected by schema at {where}: {error.message}") from error
     return _deep_merge(DEFAULTS, data)
 
 
@@ -420,11 +425,18 @@ def index_cfg(cfg):
 
 
 def _index_case(label, sigma):
-    """(label, sigma) once both branches are invertible loops; every index
-    route takes the winding numbers of the branches."""
-    for name in ("plus", "minus"):
-        try:
-            winding_number(getattr(sigma, name))
-        except ValueError as exc:
-            raise ConfigError(f"index_compare case {label!r}, {name} branch: {exc}") from exc
+    """(label, sigma) once both branches are invertible loops.  Every index
+    route reads ``sigma.windings``, which is taken once per symbol, so the
+    check costs no winding number of its own; only a failure probes the
+    branches one by one to name the one that is not invertible."""
+    try:
+        sigma.windings
+    except ValueError:
+        for name in ("plus", "minus"):
+            try:
+                winding_number(getattr(sigma, name))
+            except ValueError as exc:
+                raise ConfigError(
+                    f"index_compare case {label!r}, {name} branch: {exc}") from exc
+        raise
     return label, sigma

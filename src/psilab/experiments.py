@@ -15,8 +15,8 @@ from .homotopy import (endpoint_defect, equ1_defect, equ2_defect,
 from .index_theory import index_report
 from .numerics import operator_norm
 from .partition import build_partition
-from .quantize import (Atlas, op_quantize, padded_grid, restrict_to, t_quantize,
-                       t_quantize_charts)
+from .quantize import (Atlas, corner_product, op_quantize, padded_grid, restrict_to,
+                       t_quantize, t_quantize_charts)
 from .symbols import CutFunction, Symbol, SymbolClass, smash
 from . import presets
 
@@ -69,10 +69,13 @@ def loglog_slope(ts, vals):
 
 
 def mult_defect(a, b, t, grid):
-    """|| T_t(a) T_t(b) - T_t(ab) || with the product formed on a range padded by 8."""
+    """|| T_t(a) T_t(b) - T_t(ab) || with the factors assembled on a range
+    padded by 8; only the product's corner on ``grid`` is formed, summed over
+    the modes where T_t(a) is nonzero."""
     big = padded_grid(grid, 8)
-    prod = t_quantize(a, t, big) @ t_quantize(b, t, big) - t_quantize(a * b, t, big)
-    return operator_norm(restrict_to(prod, grid))
+    prod = (corner_product(t_quantize(a, t, big), t_quantize(b, t, big), grid)
+            - restrict_to(t_quantize(a * b, t, big), grid))
+    return operator_norm(prod)
 
 
 def adjoint_defect(a, t, grid):

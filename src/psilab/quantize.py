@@ -14,8 +14,9 @@ first, then the x-dependence):
 Chart-local assembly sums windowed quantizations against a partition of
 unity on two arcs.  Arcs of the circle carry the global angle coordinate,
 so chart-local quantization on the mode lattice coincides with windowed
-global assembly; products are formed on an enlarged mode range and
-compressed back, which keeps corner entries free of truncation artifacts.
+global assembly; products are formed on an enlarged mode range and only
+their corner on the target range is kept, which keeps corner entries free of
+truncation artifacts.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .symbols import HomogeneousSymbol, Loop, Symbol
 
 __all__ = [
     "Atlas",
+    "corner_product",
     "t_quantize",
     "t_quantize_charts",
     "op_quantize",
@@ -81,14 +83,38 @@ def padded_grid(grid, pad):
     return CircleGrid(J=grid.J + 4 * pad, N=grid.N + pad, k=grid.k)
 
 
+def _corner(source, grid):
+    """Flat index range of the modes |n| <= grid.N on the larger ``source``."""
+    if grid.k != source.k:
+        raise ValueError("block sizes differ")
+    if grid.N > source.N:
+        raise ValueError("target cutoff exceeds the source cutoff")
+    start = (source.N - grid.N) * grid.k
+    return slice(start, start + grid.dim)
+
+
 def restrict_to(op, grid):
     """Corner compression of an operator onto a coarser target grid."""
-    if grid.k != op.grid.k:
-        raise ValueError("block sizes differ")
-    if grid.N > op.grid.N:
-        raise ValueError("target cutoff exceeds the source cutoff")
-    keep = ~op.grid.tail_mask(grid.N)
-    return FourierOperator(grid, op.mat[np.ix_(keep, keep)])
+    keep = _corner(op.grid, grid)
+    return FourierOperator(grid, op.mat[keep, keep].copy())
+
+
+def corner_product(left, right, grid):
+    """restrict_to(left @ right, grid), summed over the live columns of ``left``.
+
+    Only the kept corner is computed, and only over the column range
+    [lo, hi) outside which ``left`` is identically zero: a symbol with
+    compact frequency support leaves the columns |m| >= t * hi of T_t(a)
+    zero.  Entries are finite, so the dropped terms are exact zeros and the
+    result differs from the full product by summation order only.
+    """
+    left._check(right)
+    keep = _corner(left.grid, grid)
+    live = np.flatnonzero(left.mat.any(axis=0))
+    if live.size == 0:
+        return FourierOperator.zero(grid)
+    lo, hi = live[0], live[-1] + 1
+    return FourierOperator(grid, left.mat[keep, lo:hi] @ right.mat[lo:hi, keep])
 
 
 # -- the rescaled family -----------------------------------------------------
@@ -233,20 +259,20 @@ def t_quantize_charts(a, t, atlas, grid, pad=64):
     """Chart-by-chart quantization f -> sum_k T_t(psi_k a)(phi_k f).
 
     Each chart term is the windowed quantization composed with
-    multiplication by phi_k.  The composition is carried out on a mode range
-    enlarged by ``pad`` and compressed back, so the returned corner agrees
-    with the untruncated product up to window-coefficient decay.
+    multiplication by phi_k.  Both factors are assembled on a mode range
+    enlarged by ``pad``, and ``corner_product`` forms only the corner on
+    ``grid``, summed over the modes where the windowed quantization is
+    nonzero, so the returned operator agrees with the untruncated product
+    up to window-coefficient decay.
     """
     if t <= 0:
         raise ValueError("need t > 0")
     atlas.validate(grid)
     big = padded_grid(grid, pad)
-    total = None
-    for phi, psi in zip(atlas.phis, atlas.psis):
-        chart_term = t_quantize(_windowed(a, psi), t, big)
-        product = chart_term.mat @ _scalar_multiplier(phi, big).mat
-        if total is None:
-            total = product
-        else:
-            total += product
-    return restrict_to(FourierOperator(big, total), grid)
+    products = (corner_product(t_quantize(_windowed(a, psi), t, big),
+                               _scalar_multiplier(phi, big), grid).mat
+                for phi, psi in zip(atlas.phis, atlas.psis))
+    total = next(products)
+    for product in products:
+        total += product
+    return FourierOperator(grid, total)

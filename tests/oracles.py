@@ -7,7 +7,9 @@ can hold the program's result against it."""
 import numpy as np
 
 from psilab.index_theory import _clutching_factors, _clutching_samples
-from psilab.numerics import CircleGrid
+from psilab.numerics import CircleGrid, FourierOperator
+from psilab.quantize import (_scalar_multiplier, _windowed, padded_grid, restrict_to,
+                             t_quantize)
 from psilab.presets import loop_c1, loop_c2
 from psilab.symbols import (HomogeneousSymbol, Loop, Symbol, SymbolClass,
                             bump_profile, cap_profile, rational_vanishing_profile)
@@ -146,6 +148,15 @@ def sampled_quantization(fn, t, grid):
         block = spectrum[idx, np.arange(len(cols))[None, :]]
         table[:, :, start:start + len(cols), :] = block.transpose(0, 2, 1, 3)
     return table.reshape(grid.dim, grid.dim)
+
+
+def padded_chart_quantization(a, t, atlas, grid, pad=64):
+    """sum_k T_t(psi_k a) M(phi_k), each product formed in full on the mode
+    range enlarged by ``pad`` and the sum compressed back onto ``grid``."""
+    big = padded_grid(grid, pad)
+    total = sum(t_quantize(_windowed(a, psi), t, big).mat @ _scalar_multiplier(phi, big).mat
+                for phi, psi in zip(atlas.phis, atlas.psis))
+    return restrict_to(FourierOperator(big, total), grid)
 
 
 # -- clutching projections ----------------------------------------------------

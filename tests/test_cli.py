@@ -1,9 +1,11 @@
 import json
 
+import jsonschema
 import pytest
 
+from psilab import config, index_theory
 from psilab.cli import main
-from psilab.config import ConfigError, DEFAULTS, load_config
+from psilab.config import ConfigError, DEFAULTS, SCHEMA, load_config
 
 SMALL = {
     "grid": {"N": 64, "J": 260, "k": 1},
@@ -53,6 +55,46 @@ class TestConfig:
         path = write_config(tmp_path, {"grid": {"N": "large"}})
         with pytest.raises(ConfigError):
             load_config(str(path))
+
+    def test_schema_is_valid(self):
+        # load_config validates against a prebuilt validator, which does not
+        # check the schema itself
+        jsonschema.validators.validator_for(SCHEMA).check_schema(SCHEMA)
+
+    @pytest.mark.parametrize("data", [
+        {"junk": 1},
+        {"grid": {"N": "large"}},
+        {"grid": {"N": 0, "J": "x"}},
+        {"defect_sweep": {"t_exponents": [1, "2"], "pair": 5}},
+        {"homotopy_verify": {"bands": [], "L": 1}},
+        {"index_compare": {"cases": []}},
+    ])
+    def test_schema_errors_as_jsonschema_validate(self, tmp_path, data):
+        with pytest.raises(jsonschema.ValidationError) as raised:
+            jsonschema.validate(data, SCHEMA)
+        exc = raised.value
+        where = ".".join(map(str, exc.absolute_path)) or "top level"
+        with pytest.raises(ConfigError) as err:
+            load_config(write_config(tmp_path, data))
+        assert str(err.value) == f"config rejected by schema at {where}: {exc.message}"
+
+    def test_record_case_takes_its_windings_once(self, tmp_path, monkeypatch):
+        calls = []
+        winding_number = index_theory.winding_number
+
+        def counted(loop):
+            calls.append(loop)
+            return winding_number(loop)
+
+        monkeypatch.setattr(config, "winding_number", counted)
+        monkeypatch.setattr(index_theory, "winding_number", counted)
+        path = write_config(tmp_path, {
+            "grid": {"N": 32, "J": 132},
+            "index_compare": {"cases": [{"label": "w", "winding": [1, 0]}],
+                              "higson_t_exponents": [3]}})
+        rc = main(["index-compare", "--config", path, "--out", str(tmp_path / "o.csv")])
+        assert rc == 0
+        assert len(calls) == 2
 
 
 class TestExitCodes:
@@ -289,6 +331,11 @@ class TestExitCodes:
             {"kind": "rational_decay"}, {"kind": "constant", "value": 2.0}]},
             "d": "default"}]}},
          "ch_compare cases ['y']: profile f must vanish at the origin"),
+        # the failing branch is named when the plus branch is invertible
+        ("index-compare", {"index_compare": {"cases": [
+            {"label": "m", "plus": "identity", "minus": {"modes": {"0": 0}}}]}},
+         "config error: index_compare case 'm', minus branch: loop has a "
+         "(numerically) non-invertible sample"),
     ])
     def test_malformed_record_exits_2(self, tmp_path, capsys, command, section, message):
         path = write_config(tmp_path, {"grid": {"N": 32, "J": 132}, **section})

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from oracles import matrix_loop, sampled_quantization
+from oracles import matrix_loop, padded_chart_quantization, sampled_quantization
 from psilab.numerics import CircleGrid, operator_norm
-from psilab.quantize import (Atlas, _assemble, multiplication_operator, op_quantize,
-                             padded_grid, restrict_to, t_quantize, t_quantize_charts)
+from psilab.quantize import (Atlas, _assemble, corner_product, multiplication_operator,
+                             op_quantize, padded_grid, restrict_to, t_quantize,
+                             t_quantize_charts)
 from psilab.symbols import (HomogeneousSymbol, Loop, Symbol, SymbolClass,
-                            cap_profile, constant_profile, dilate,
+                            bump_profile, cap_profile, constant_profile, dilate,
                             rational_decay_profile,
                             rational_vanishing_profile)
 from psilab.presets import chart_symbol, loop_c1
@@ -154,6 +155,54 @@ class TestMultiplication:
             multiplication_operator(Loop.from_scalar_modes({grid32.N + 1: 1.0}), grid32)
 
 
+def wide_loop(k, seed, degree):
+    """Random loop with coefficients of size 1 / (1 + |j|) up to ``degree``."""
+    rng = np.random.default_rng(seed)
+    shape = (2 * degree + 1, k, k)
+    damp = 1.0 / (1.0 + np.abs(np.arange(-degree, degree + 1)))[:, None, None]
+    return Loop.from_coeffs(damp * (rng.normal(size=shape) + 1j * rng.normal(size=shape)))
+
+
+class TestCornerProduct:
+    PAD = 8
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 2), kind=st.sampled_from(("compact", "annular", "full", "zero")),
+           seed=st.integers(0, 2**32 - 1), t=st.floats(0.25, 8.0),
+           lo=st.floats(0.1, 2.0), width=st.floats(0.5, 4.0))
+    def test_equals_restricted_full_product(self, k, kind, seed, t, lo, width):
+        # loops of degree PAD couple the outermost padded column to the corner,
+        # so every live column, the range ends included, reaches the result
+        grid = CircleGrid(J=68, N=16, k=k)
+        big = padded_grid(grid, self.PAD)
+        top = big.N / t  # largest rescaled frequency on the padded range
+        profile = {"compact": cap_profile(width),
+                   "annular": bump_profile(lo, lo + width),  # zero columns around m = 0
+                   "full": rational_decay_profile(width),
+                   "zero": bump_profile(top + lo, top + lo + width)}[kind]
+        left = t_quantize(Symbol.separable(wide_loop(k, seed, self.PAD), profile,
+                                           SymbolClass.FULL_C0), t, big)
+        right = multiplication_operator(wide_loop(k, seed + 1, self.PAD), big)
+        got = corner_product(left, right, grid)
+        expect = restrict_to(left @ right, grid)
+        assert got.grid == grid
+        bound = 1e-13 * operator_norm(left) * operator_norm(right)
+        assert np.max(np.abs(got.mat - expect.mat)) <= bound
+        if kind == "zero":
+            assert not left.mat.any()
+            assert np.array_equal(got.mat, np.zeros((grid.dim, grid.dim)))
+
+    def test_grids_checked(self, grid32):
+        big = padded_grid(grid32, 4)
+        eye = multiplication_operator(Loop.identity(1), big)
+        with pytest.raises(ValueError, match="different grids"):
+            corner_product(eye, multiplication_operator(Loop.identity(1), grid32), grid32)
+        with pytest.raises(ValueError, match="exceeds"):
+            corner_product(eye, eye, padded_grid(grid32, 5))
+        with pytest.raises(ValueError, match="block sizes"):
+            corner_product(eye, eye, CircleGrid(J=132, N=32, k=2))
+
+
 class TestCharts:
     def test_default_atlas_valid(self, grid32):
         assert Atlas.default_two_charts().validate(grid32)
@@ -183,6 +232,24 @@ class TestCharts:
         assert vals[0] == pytest.approx(0.6102122099282878, rel=1e-9)
         assert vals[6] == pytest.approx(1.4711487597018585e-03, rel=1e-9)
         assert vals[6] < 0.05 * vals[0]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_matches_full_product_reference(self, grid64, k):
+        # the corner summed over the live columns against the full padded product
+        atlas = Atlas.default_two_charts()
+        g = CircleGrid(J=grid64.J, N=grid64.N, k=k)
+        syms = [Symbol.separable(matrix_loop(k=k, seed=41), cap_profile(3.0),
+                                 SymbolClass.COMPACT_SUPPORT),
+                Symbol.separable(matrix_loop(k=k, seed=42), rational_decay_profile(2.0),
+                                 SymbolClass.FULL_C0)]
+        if k == 1:
+            syms.append(chart_symbol())
+        for a in syms:
+            for t in 2.0 ** np.arange(-2, 8):
+                got = t_quantize_charts(a, t, atlas, g)
+                ref = padded_chart_quantization(a, t, atlas, g)
+                assert got.grid == g
+                assert np.max(np.abs(got.mat - ref.mat)) <= 1e-13 * operator_norm(ref)
 
     def test_invalid_atlas(self, grid32):
         bad = Atlas((lambda x: np.full_like(x, 0.7),
