@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import FourierOperator, operator_norm
+from .numerics import FourierOperator
 from .partition import smooth_step
 from .quantize import multiplication_operator, op_quantize
 from .symbols import HomogeneousSymbol, Loop
@@ -29,7 +29,6 @@ __all__ = [
     "ApproximateUnit",
     "default_unit",
     "tail_deformed_unit",
-    "quasicentrality_defect",
     "ch_apply",
     "ch_extended_apply",
 ]
@@ -60,10 +59,6 @@ class ApproximateUnit:
             raise ValueError("need t > 0")
         return np.asarray(self.profile(np.abs(grid.modes) / t), dtype=float)
 
-    def diagonal(self, t, grid):
-        vals = np.repeat(self.values(t, grid), grid.k)
-        return FourierOperator(grid, np.diag(vals.astype(complex)))
-
     def weight(self, f, t, grid):
         """Diagonal weights f(kappa(m(|n|/t))), exact on the diagonal."""
         u = self.values(t, grid)
@@ -91,13 +86,6 @@ def tail_deformed_unit():
         return r * (1.0 + 0.04 * smooth_step((r - 32.0) / 8.0))
 
     return ApproximateUnit(lambda r: kappa_inv(eta(r)))
-
-
-def quasicentrality_defect(u, t, a, theta, grid):
-    """Commutator norm ||[u_t, Op(a)]||."""
-    U = u.diagonal(t, grid)
-    X = op_quantize(a, theta, grid)
-    return operator_norm(U @ X - X @ U)
 
 
 def ch_apply(f, d, t, u, theta, grid):

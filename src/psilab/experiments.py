@@ -293,8 +293,8 @@ def run_index_compare(grid, cfg):
     """Three-route index agreement over a suite of winding pairs.
 
     Exit criterion: every report is conclusive on every route and the three
-    integers coincide.  The Fredholm route counts kernels with the default
-    ``eps_rank`` of ``index_report``.
+    integers coincide.  The Fredholm route counts kernels below
+    ``index_theory.EPS_RANK``.
     """
     suite = cfg["cases"]
     t_grid = [2.0 ** e for e in cfg["higson_t_exponents"]]

@@ -1,4 +1,5 @@
-"""Banded block operators connecting the deformation back to the extension.
+"""Blocks of the banded operators connecting the deformation back to the
+extension.
 
 The inverse construction places rescaled quantizations of partition-
 windowed symbols on a tridiagonal block grid indexed by the dyadic scale;
@@ -6,70 +7,30 @@ the one-parameter family psi_s deforms this picture into the order-zero
 operator sitting in the single central block.  Exact translation
 invariance of the rescaled quantization makes the comparison between the
 two endpoints finite rank: all discrepancies live in the finitely many
-blocks where the cutting function is below one.
+blocks where the cutting function is below one.  The checks build and
+compare blocks one at a time; no block operator is assembled whole.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .numerics import operator_norm
 from .partition import DyadicPartition
-from .quantize import op_quantize, t_quantize
+from .quantize import t_quantize
 from .symbols import HomogeneousSymbol, gamma_profile, smash
 
 __all__ = [
-    "BlockOperator",
-    "i0_block_operator",
-    "psi_s",
     "equ1_defect",
     "equ2_defect",
     "endpoint_defect",
 ]
 
 
-@dataclass(frozen=True)
-class BlockOperator:
-    """Tridiagonal grid of mode-lattice operators, block index in [-L, L].
-
-    ``blocks`` maps (i, j) with |i - j| <= 1 to dense matrices; absent
-    entries are zero.  This is the finite model of operators on the
-    bilateral sequence space over the coefficient algebra.
-    """
-
-    L: int
-    grid: object
-    blocks: dict = field(repr=False)
-
-    def __post_init__(self):
-        for (i, j) in self.blocks:
-            if abs(i) > self.L or abs(j) > self.L:
-                raise ValueError(f"block index {(i, j)} outside range")
-            if abs(i - j) >= 2:
-                raise ValueError(f"block {(i, j)} violates bandedness")
-
-    def block(self, i, j):
-        d = self.grid.dim
-        got = self.blocks.get((i, j))
-        return np.zeros((d, d), dtype=complex) if got is None else got
-
-
 def _band(L):
     """Block indices (i, j) with |i|, |j| <= L and |i - j| <= 1, ascending."""
     return [(i, j) for i in range(-L, L + 1)
             for j in range(max(-L, i - 1), min(L, i + 1) + 1)]
-
-
-def _nonzero_blocks(L, grid, build):
-    """BlockOperator of the blocks ``build(i, j)`` that are not identically zero."""
-    blocks = {}
-    for i, j in _band(L):
-        mat = build(i, j).mat
-        if np.any(mat):
-            blocks[(i, j)] = mat
-    return BlockOperator(L, grid, blocks)
 
 
 def _psi_block(a, p_s, theta, i, j, grid):
@@ -89,35 +50,6 @@ def _check_inverse_inputs(a, p):
         raise TypeError("expected a homogeneous symbol")
     if not isinstance(p, DyadicPartition) or p.inv_s != 1.0:
         raise ValueError("the inverse construction uses the undeformed partition")
-
-
-def i0_block_operator(a, p, L, grid):
-    """Blocks T_{2^i} of the scale-windowed symbol, placed at (i, j).
-
-    Block (i, j) is the rescaled quantization, at time 2^i, of the symbol
-    gamma_0 * gamma_{j-i} (x) a; bandedness is inherited from the adjacency
-    of the partition bumps.  Blocks whose profile has no integer frequency
-    in its rescaled support vanish identically and are dropped.
-    """
-    _check_inverse_inputs(a, p)
-    if L < 2:
-        raise ValueError("need L >= 2")
-    return _nonzero_blocks(L, grid, lambda i, j: _inverse_block(a, p, i, j, grid))
-
-
-def psi_s(a, s, p_s, theta, L, grid):
-    """Deformation family: s = 0 is the order-zero endpoint.
-
-    For s > 0 block (i, j) quantizes gamma_i^s gamma_j^s theta (x) a at
-    time one; at s = 0 the only block is (0, 0) = Op(a).
-    """
-    if not isinstance(a, HomogeneousSymbol):
-        raise TypeError("expected a homogeneous symbol")
-    if s == 0:
-        return BlockOperator(L, grid, {(0, 0): op_quantize(a, theta, grid).mat})
-    if p_s is None:
-        raise ValueError("need the deformed partition for s > 0")
-    return _nonzero_blocks(L, grid, lambda i, j: _psi_block(a, p_s, theta, i, j, grid))
 
 
 def equ1_defect(a, op_a, p_s, vectors, theta, grid):

@@ -44,6 +44,8 @@ PAIRING_SIGN = +1
 PAIRING_GAP = 0.1
 #: the clutching radius |xi| must reach at least this inside the mode range
 PAIRING_MIN_RADIUS = 2.0
+#: singular values below this count as kernel in the Fredholm route
+EPS_RANK = 1e-6
 
 
 class InconclusiveIndexError(RuntimeError):
@@ -110,7 +112,7 @@ def _gapped_small_count(svals, eps):
     return int(counted.size)
 
 
-def fredholm_index_svd(sigma, theta, grid, eps_rank=1e-6):
+def fredholm_index_svd(sigma, theta, grid):
     """Kernel count of Op(sigma) minus kernel count of its adjoint.
 
     Square corners of an operator can never show an index (their kernel and
@@ -120,8 +122,8 @@ def fredholm_index_svd(sigma, theta, grid, eps_rank=1e-6):
     and cokernel of the untruncated operator: a kernel or cokernel vector
     decays geometrically in |m|, and its cut tail leaves a singular value
     of that size.  A count is inconclusive unless a factor 1e3 separates
-    the singular values below eps_rank from those above it, or, with none
-    below, the smallest reaches 1e3 eps_rank.  An inconclusive count is
+    the singular values below EPS_RANK from those above it, or, with none
+    below, the smallest reaches 1e3 EPS_RANK.  An inconclusive count is
     taken again at 2N and at 4N, as far as they stay within 256 modes (a
     tail shrinks, a genuine singular value stays); only the last
     inconclusive count raises.
@@ -144,9 +146,9 @@ def fredholm_index_svd(sigma, theta, grid, eps_rank=1e-6):
         X = op_quantize(sigma, theta, big).mat
         keep = ~big.tail_mask(n)
         try:
-            k_ker = _gapped_small_count(np.linalg.svd(X[:, keep], compute_uv=False), eps_rank)
+            k_ker = _gapped_small_count(np.linalg.svd(X[:, keep], compute_uv=False), EPS_RANK)
             k_coker = _gapped_small_count(
-                np.linalg.svd(X.conj().T[:, keep], compute_uv=False), eps_rank)
+                np.linalg.svd(X.conj().T[:, keep], compute_uv=False), EPS_RANK)
         except InconclusiveIndexError:
             if n == sizes[-1]:
                 raise
@@ -568,7 +570,7 @@ class IndexReport:
         return asdict(self)
 
 
-def index_report(sigma, grid, theta, t_grid, label, eps_rank=1e-6):
+def index_report(sigma, grid, theta, t_grid, label):
     """Run all three routes and flag agreement.
 
     Every route reads the branch windings from ``sigma.windings``, taken
@@ -583,7 +585,7 @@ def index_report(sigma, grid, theta, t_grid, label, eps_rank=1e-6):
 
     fredholm, fredholm_bad = None, False
     try:
-        fredholm = fredholm_index_svd(sigma, theta, grid, eps_rank=eps_rank)
+        fredholm = fredholm_index_svd(sigma, theta, grid)
     except InconclusiveIndexError:
         fredholm_bad = True
 
@@ -614,5 +616,5 @@ def index_report(sigma, grid, theta, t_grid, label, eps_rank=1e-6):
         higson_rounded=rounded,
         agree=agree,
         params={"N": grid.N, "J": grid.J, "k": grid.k,
-                "eps_rank": eps_rank, "theta_r0": theta.r0},
+                "eps_rank": EPS_RANK, "theta_r0": theta.r0},
     )

@@ -18,7 +18,6 @@ __all__ = [
     "FourierOperator",
     "fourier_coefficients",
     "operator_norm",
-    "compact_tail_norm",
 ]
 
 
@@ -98,10 +97,6 @@ class FourierOperator:
         self._check(other)
         return FourierOperator(self.grid, self.mat - other.mat)
 
-    def __matmul__(self, other):
-        self._check(other)
-        return FourierOperator(self.grid, self.mat @ other.mat)
-
     def adjoint(self):
         return FourierOperator(self.grid, self.mat.conj().T)
 
@@ -153,8 +148,9 @@ _GRAM_FLOOR = 1e-250
 def operator_norm(op):
     """Largest singular value (spectral norm), certified to 5e-14 relative.
 
-    Lanczos with full reorthogonalization runs on the smaller Gram matrix,
-    ``A^H A`` or ``A A^H``, applied as two matrix-vector products per step,
+    Lanczos with full reorthogonalization runs on the Gram matrix ``A^H A``
+    (pass a wide matrix as its adjoint to get the smaller one), applied as
+    two matrix-vector products per step,
     from a complex Gaussian start vector with a fixed seed (so the result is
     byte-deterministic).  It stops when the Ritz residual ``beta_j * |y_j|``
     of the top Ritz value ``theta`` is at most ``1e-13 * theta``: some
@@ -170,15 +166,11 @@ def operator_norm(op):
     mat = op.mat if isinstance(op, FourierOperator) else np.asarray(op)
     if mat.size == 0:
         return 0.0
-    rows, cols = mat.shape
-    if cols <= rows:
-        dim = cols
-        def gram(v):  # A^H (A v)
-            return ((mat @ v).conj() @ mat).conj()
-    else:
-        dim = rows
-        def gram(u):  # A (A^H u)
-            return mat @ (u.conj() @ mat).conj()
+    dim = mat.shape[1]
+
+    def gram(v):  # A^H (A v)
+        return ((mat @ v).conj() @ mat).conj()
+
     rng = np.random.default_rng(_LANCZOS_SEED)
     q = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     q /= np.linalg.norm(q)
@@ -208,15 +200,3 @@ def operator_norm(op):
         tri[j, j + 1] = tri[j + 1, j] = beta
         q = w / beta
     return float(np.linalg.svd(mat, compute_uv=False)[0])
-
-
-def compact_tail_norm(op, K):
-    """max(||X (I - P_K)||, ||(I - P_K) X||) with P_K the cutoff projection.
-
-    Decay of this quantity as K grows is the finite-size surrogate for
-    membership of X in the compact ideal.
-    """
-    mask = op.grid.tail_mask(K)
-    col = operator_norm(op.mat[:, mask])
-    row = operator_norm(op.mat[mask, :])
-    return max(col, row)

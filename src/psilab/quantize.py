@@ -100,7 +100,8 @@ def restrict_to(op, grid):
 
 
 def corner_product(left, right, grid):
-    """restrict_to(left @ right, grid), summed over the live columns of ``left``.
+    """The product left right restricted to ``grid``, summed over the live
+    columns of ``left``.
 
     Only the kept corner is computed, and only over the column range
     [lo, hi) outside which ``left`` is identically zero: a symbol with
@@ -173,6 +174,9 @@ def multiplication_operator(c, grid):
 
 
 # -- charts ------------------------------------------------------------------
+
+#: modes added on both sides of the range on which chart products are formed
+CHART_PAD = 64
 
 
 def _wrap(x):
@@ -255,12 +259,12 @@ def _scalar_multiplier(window, grid):
     return multiplication_operator(loop, grid)
 
 
-def t_quantize_charts(a, t, atlas, grid, pad=64):
+def t_quantize_charts(a, t, atlas, grid):
     """Chart-by-chart quantization f -> sum_k T_t(psi_k a)(phi_k f).
 
     Each chart term is the windowed quantization composed with
     multiplication by phi_k.  Both factors are assembled on a mode range
-    enlarged by ``pad``, and ``corner_product`` forms only the corner on
+    enlarged by CHART_PAD, and ``corner_product`` forms only the corner on
     ``grid``, summed over the modes where the windowed quantization is
     nonzero, so the returned operator agrees with the untruncated product
     up to window-coefficient decay.
@@ -268,7 +272,7 @@ def t_quantize_charts(a, t, atlas, grid, pad=64):
     if t <= 0:
         raise ValueError("need t > 0")
     atlas.validate(grid)
-    big = padded_grid(grid, pad)
+    big = padded_grid(grid, CHART_PAD)
     products = (corner_product(t_quantize(_windowed(a, psi), t, big),
                                _scalar_multiplier(phi, big), grid).mat
                 for phi, psi in zip(atlas.phis, atlas.psis))

@@ -4,9 +4,9 @@ Two representations cover everything the calculus needs:
 
 * ``Symbol`` -- a finite sum of separable terms ``P(x) * rho(xi)`` where
   ``P`` is a matrix-valued loop on the circle and ``rho`` an evaluable
-  profile of the frequency.  Products, adjoints and frequency dilations stay
-  inside the family, and quantization matrices assemble exactly from the
-  Fourier coefficients of the loops.
+  profile of the frequency.  Products and adjoints stay inside the family,
+  and quantization matrices assemble exactly from the Fourier coefficients
+  of the loops.
 * ``HomogeneousSymbol`` -- order-zero homogeneous data, i.e. a pair of loops
   ``(a_plus, a_minus)`` giving the value on the two components of the unit
   cotangent bundle (xi = +1 and xi = -1).
@@ -34,7 +34,6 @@ __all__ = [
     "CutFunction",
     "Symbol",
     "HomogeneousSymbol",
-    "dilate",
     "smash",
 ]
 
@@ -174,14 +173,6 @@ class RadialProfile:
         scalar = xi.ndim == 0
         vals = np.asarray(self.fn(np.atleast_1d(xi)), dtype=complex)
         return complex(vals[0]) if scalar else vals
-
-    def dilate(self, s):
-        """Profile xi -> rho(xi / s)."""
-        if s <= 0:
-            raise ValueError("dilation parameter must be positive")
-        sup = None if self.support is None else (self.support[0] * s, self.support[1] * s)
-        return RadialProfile(lambda xi: self.fn(xi / s), self.vanishes_at_zero,
-                             self.vanishes_at_infinity, sup)
 
     def __mul__(self, other):
         sup = _intersect(self.support, other.support)
@@ -336,6 +327,11 @@ class CutFunction:
 
 #: size cap of one block of stacked samples in Symbol.sup_norm
 SUP_NORM_BLOCK_BYTES = 2 ** 22
+#: sample grid of Symbol.sup_norm: x points on the circle, xi points on
+#: [-SUP_NORM_XI_MAX, SUP_NORM_XI_MAX]
+SUP_NORM_X_SAMPLES = 256
+SUP_NORM_XI_MAX = 64.0
+SUP_NORM_XI_SAMPLES = 2048
 # Relative slack of the Frobenius-versus-column pruning in Symbol.sup_norm
 # (rounding of the squared norms and of the SVD is ~1e-15), and the range
 # of squared norms that neither underflowed nor overflowed; a block outside
@@ -368,10 +364,6 @@ class Symbol:
             out += np.asarray(loop(x)) * prof(xi)
         return out
 
-    def dilate(self, s):
-        terms = tuple((loop, prof.dilate(s)) for loop, prof in self.terms)
-        return Symbol(terms, self.k, self.tag)
-
     def adjoint(self):
         def conj_profile(prof):
             return RadialProfile(lambda xi: np.conj(prof.fn(xi)), prof.vanishes_at_zero,
@@ -381,18 +373,16 @@ class Symbol:
         return Symbol(terms, self.k, self.tag)
 
     def __mul__(self, other):
-        if isinstance(other, Symbol):
-            if other.k != self.k:
-                raise ValueError("block sizes differ")
-            terms = tuple((la * lb, pa * pb)
-                          for la, pa in self.terms for lb, pb in other.terms)
-            return Symbol(terms, self.k, _combine_tags(self.tag, other.tag))
-        if isinstance(other, HomogeneousSymbol):
-            return _mixed_product(self, other, homog_left=False)
-        raise TypeError(f"cannot multiply Symbol with {type(other)!r}")
+        if not isinstance(other, Symbol):
+            raise TypeError(f"cannot multiply Symbol with {type(other)!r}")
+        if other.k != self.k:
+            raise ValueError("block sizes differ")
+        terms = tuple((la * lb, pa * pb)
+                      for la, pa in self.terms for lb, pb in other.terms)
+        return Symbol(terms, self.k, _combine_tags(self.tag, other.tag))
 
-    def sup_norm(self, x_samples=256, xi_max=64.0, xi_samples=2048):
-        """Largest singular value over an x-by-xi sample grid.
+    def sup_norm(self):
+        """Largest singular value over the SUP_NORM_* x-by-xi sample grid.
 
         The xi samples are taken a block at a time, with one stacked SVD per
         block; a block of samples stays under SUP_NORM_BLOCK_BYTES.  The
@@ -402,8 +392,9 @@ class Symbol:
         the sample with the largest singular value is always among them
         and the result equals the SVD of the whole block.
         """
+        x_samples, xi_samples = SUP_NORM_X_SAMPLES, SUP_NORM_XI_SAMPLES
         x = 2.0 * np.pi * np.arange(x_samples) / x_samples
-        xs = np.linspace(-xi_max, xi_max, xi_samples)
+        xs = np.linspace(-SUP_NORM_XI_MAX, SUP_NORM_XI_MAX, xi_samples)
         loops = [np.asarray(loop.fn(x)) for loop, _ in self.terms]
         step = max(1, SUP_NORM_BLOCK_BYTES // (16 * x_samples * self.k * self.k))
         best = 0.0
@@ -463,56 +454,13 @@ class HomogeneousSymbol:
     def __call__(self, x, xi):
         return np.asarray(self.branch(+1 if xi >= 0 else -1)(x))
 
-    def dilate(self, s):
-        if s <= 0:
-            raise ValueError("dilation parameter must be positive")
-        return self
-
-    def adjoint(self):
-        return HomogeneousSymbol(self.plus.adjoint(), self.minus.adjoint())
-
-    def __mul__(self, other):
-        if isinstance(other, HomogeneousSymbol):
-            if other.k != self.k:
-                raise ValueError("block sizes differ")
-            return HomogeneousSymbol(self.plus * other.plus, self.minus * other.minus)
-        if isinstance(other, Symbol):
-            return _mixed_product(other, self, homog_left=True)
-        raise TypeError(f"cannot multiply HomogeneousSymbol with {type(other)!r}")
-
     @staticmethod
     def unit(k=1):
         eye = Loop.identity(k)
         return HomogeneousSymbol(eye, eye)
 
 
-def _mixed_product(sym, homog, homog_left):
-    """Product of a separable symbol with a homogeneous one.
-
-    Splits every profile into its two half-axis restrictions so each branch
-    multiplies the matching homogeneous loop; the result is separable again.
-    """
-    if sym.k != homog.k:
-        raise ValueError("block sizes differ")
-    terms = []
-    for loop, prof in sym.terms:
-        for sign, hloop in ((+1, homog.plus), (-1, homog.minus)):
-            pair = (hloop * loop) if homog_left else (loop * hloop)
-            terms.append((pair, prof.one_sided(sign)))
-    tag = _combine_tags(sym.tag, SymbolClass.HOMOGENEOUS_ZERO)
-    if tag == SymbolClass.HOMOGENEOUS_ZERO:
-        tag = SymbolClass.FULL_C0
-    return Symbol(tuple(terms), sym.k, tag)
-
-
 # -- the operations of the calculus ----------------------------------------
-
-
-def dilate(a, s):
-    """a_s(x, xi) = a(x, xi / s); class is preserved."""
-    if s <= 0:
-        raise ValueError("dilation parameter must be positive")
-    return a.dilate(s)
 
 
 def smash(f, a):

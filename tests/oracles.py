@@ -6,13 +6,15 @@ can hold the program's result against it."""
 
 import numpy as np
 
+from psilab.homotopy import _band, _inverse_block, _psi_block
 from psilab.index_theory import _clutching_factors, _clutching_samples
-from psilab.numerics import CircleGrid, FourierOperator
-from psilab.quantize import (_scalar_multiplier, _windowed, padded_grid, restrict_to,
-                             t_quantize)
+from psilab.numerics import CircleGrid, FourierOperator, operator_norm
+from psilab.quantize import (_scalar_multiplier, _windowed, multiplication_operator,
+                             op_quantize, padded_grid, restrict_to, t_quantize)
 from psilab.presets import loop_c1, loop_c2
-from psilab.symbols import (HomogeneousSymbol, Loop, Symbol, SymbolClass,
-                            bump_profile, cap_profile, rational_vanishing_profile)
+from psilab.symbols import (HomogeneousSymbol, Loop, RadialProfile, Symbol,
+                            SymbolClass, bump_profile, cap_profile,
+                            rational_vanishing_profile)
 
 
 # -- test loops and symbols --------------------------------------------------
@@ -37,6 +39,13 @@ def smooth_loop(seed=23, degree=96, rate=8.0):
     mags = np.exp(-np.abs(js) / rate)
     phases = np.exp(2j * np.pi * rng.uniform(size=js.size))
     return Loop.from_coeffs((mags * phases)[:, None, None])
+
+
+def dilated(sym, s):
+    """a_s(x, xi) = a(x, xi / s), term by term."""
+    terms = tuple((loop, RadialProfile(lambda xi, fn=prof.fn: fn(xi / s)))
+                  for loop, prof in sym.terms)
+    return Symbol(terms, sym.k, SymbolClass.FULL_C0)
 
 
 def translation_symbols():
@@ -100,30 +109,79 @@ def gamma_sup_on_modes(p, i, N):
     return float(np.max(p.gamma(i, np.arange(1, N + 1, dtype=float))))
 
 
-# -- block operators ----------------------------------------------------------
+# -- block operators and the extension -----------------------------------------
+
+
+def psi_blocks(a, s, p_s, theta, L, grid):
+    """{(i, j): matrix} of the family psi_s: the single block Op(a) at s = 0,
+    else every block |i - j| <= 1 with |i|, |j| <= L."""
+    if s == 0:
+        return {(0, 0): op_quantize(a, theta, grid).mat}
+    return {(i, j): _psi_block(a, p_s, theta, i, j, grid).mat for i, j in _band(L)}
+
+
+def inverse_blocks(a, p, L, grid):
+    """{(i, j): matrix} of the inverse map, every block of the band up to L."""
+    return {(i, j): _inverse_block(a, p, i, j, grid).mat for i, j in _band(L)}
 
 
 def block_difference(A, B):
-    """Blockwise A - B over the union of the stored keys, in set order."""
-    return {key: A.block(*key) - B.block(*key) for key in set(A.blocks) | set(B.blocks)}
+    """Blockwise A - B over the union of the keys, in set order."""
+    return {key: A.get(key, 0.0) - B.get(key, 0.0) for key in set(A) | set(B)}
 
 
-def block_dense(B):
-    """The assembled (2L+1) dim square matrix of a block operator."""
-    n, d = 2 * B.L + 1, B.grid.dim
-    out = np.zeros((n * d, n * d), dtype=complex)
-    for (i, j), mat in B.blocks.items():
-        out[(i + B.L) * d:(i + B.L + 1) * d, (j + B.L) * d:(j + B.L + 1) * d] = mat
+def block_dense(blocks, L):
+    """The assembled (2L+1) dim square matrix of a block dict."""
+    d = next(iter(blocks.values())).shape[0]
+    out = np.zeros(((2 * L + 1) * d, (2 * L + 1) * d), dtype=complex)
+    for (i, j), mat in blocks.items():
+        out[(i + L) * d:(i + L + 1) * d, (j + L) * d:(j + L + 1) * d] = mat
     return out
 
 
-def block_apply(B, vec):
-    """B applied to a block vector of shape (2L+1, dim)."""
+def block_apply(blocks, vec):
+    """A block dict applied to a block vector of shape (2L+1, dim)."""
     vec = np.asarray(vec, dtype=complex)
+    L = (len(vec) - 1) // 2
     out = np.zeros_like(vec)
-    for (i, j), mat in B.blocks.items():
-        out[i + B.L] += mat @ vec[j + B.L]
+    for (i, j), mat in blocks.items():
+        out[i + L] += mat @ vec[j + L]
     return out
+
+
+def tail_norm(op, K):
+    """max(||X (I - P_K)||, ||(I - P_K) X||), P_K the projection onto the modes
+    |n| <= K; its decay in K is the finite-size surrogate for membership of X
+    in the compact ideal."""
+    mask = op.grid.tail_mask(K)
+    return max(operator_norm(op.mat[:, mask]), operator_norm(op.mat[mask, :].conj().T))
+
+
+def op_defects(a, b, theta, grid):
+    """Op(a) Op(b) - Op(ab) and [Op(a), Op(b)], formed on a range padded by
+    the larger declared degree plus 8 (by 96 when neither declares one) and
+    compressed onto ``grid``."""
+    degs = [s.degree for s in (a, b) if s.degree is not None]
+    big = padded_grid(grid, max(degs) + 8 if degs else 96)
+    ab = HomogeneousSymbol(a.plus * b.plus, a.minus * b.minus)
+    Xa, Xb, Xab = (op_quantize(s, theta, big).mat for s in (a, b, ab))
+    return (restrict_to(FourierOperator(big, Xa @ Xb - Xab), grid),
+            restrict_to(FourierOperator(big, Xa @ Xb - Xb @ Xa), grid))
+
+
+def lifting_tail(c, theta, grid):
+    """Column tail ||(Op(c) - pi(c)) (I - P_K)|| of a fiber-constant loop c at
+    K = r0 + deg c, where the cutting function reaches one on every band."""
+    diff = (op_quantize(HomogeneousSymbol(c, c), theta, grid).mat
+            - multiplication_operator(c, grid).mat)
+    return operator_norm(diff[:, grid.tail_mask(int(np.ceil(theta.r0)) + c.degree)])
+
+
+def unit_commutator(u, t, a, theta, grid):
+    """||[u_t, Op(a)]|| for the diagonal approximate unit u_t."""
+    w = np.repeat(u.values(t, grid), grid.k)
+    X = op_quantize(a, theta, grid).mat
+    return operator_norm(w[:, None] * X - X * w[None, :])
 
 
 # -- sampled quantization -----------------------------------------------------

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import matrix_loop, tail_norm, unit_commutator
+from psilab.config import parse_profile
 from psilab.connes_higson import (ch_apply, ch_extended_apply, default_unit,
-                                  kappa, kappa_inv, quasicentrality_defect,
-                                  tail_deformed_unit)
-from psilab.numerics import compact_tail_norm, operator_norm
+                                  kappa, kappa_inv, tail_deformed_unit)
+from psilab.experiments import EXACT_TOL
+from psilab.numerics import CircleGrid, FourierOperator, operator_norm
 from psilab.quantize import t_quantize
 from psilab.symbols import (HomogeneousSymbol, Loop, Symbol, SymbolClass,
                             RadialProfile, constant_profile, rational_decay_profile,
@@ -44,8 +47,9 @@ class TestApproximateUnit:
         assert np.min(v_big) > 0.79
 
     def test_each_unit_numerically_compact(self, grid64):
-        U = default_unit().diagonal(4.0, grid64)
-        tails = [compact_tail_norm(U, K) for K in (8, 16, 32, 60)]
+        u = default_unit().values(4.0, grid64)
+        U = FourierOperator(grid64, np.diag(u.astype(complex)))
+        tails = [tail_norm(U, K) for K in (8, 16, 32, 60)]
         assert all(y < x for x, y in zip(tails, tails[1:]))
 
     def test_units_differ_beyond_onset(self, grid64):
@@ -58,18 +62,17 @@ class TestQuasicentrality:
     def test_fiber_independent_commutes(self, grid64, theta):
         two = Loop.constant(np.array([[2.0]]))
         const = HomogeneousSymbol(two, two)
-        assert quasicentrality_defect(default_unit(), 4.0, const, theta, grid64) < 1e-14
+        assert unit_commutator(default_unit(), 4.0, const, theta, grid64) < 1e-14
 
     def test_unit_symbol_commutes(self, grid64, theta):
-        assert quasicentrality_defect(default_unit(), 4.0,
-                                      HomogeneousSymbol.unit(1), theta, grid64) < 1e-14
+        assert unit_commutator(default_unit(), 4.0,
+                               HomogeneousSymbol.unit(1), theta, grid64) < 1e-14
 
     def test_shift_defect_decay(self, grid64, theta):
         # frozen from a direct sweep: the defect peaks once the profile's
         # variation clears the cutting region (t = 4), then falls like 1/t
         ts = 2.0 ** np.arange(2, 9)
-        vals = np.array([quasicentrality_defect(default_unit(), t,
-                                                shift_symbol(), theta, grid64)
+        vals = np.array([unit_commutator(default_unit(), t, shift_symbol(), theta, grid64)
                          for t in ts])
         assert np.all(np.diff(vals) < 0.0)
         tail = slice(3, None)  # fit over t in [32, 256]
@@ -145,6 +148,25 @@ class TestChExtended:
             T = t_quantize(sym, t, grid64)
             assert operator_norm(CH - T) < 1e-13
 
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(1, 2), seed=st.integers(0, 2**32 - 1), degree=st.integers(0, 3),
+           t=st.floats(4.0, 64.0),
+           record=st.one_of(
+               st.builds(lambda hi: {"kind": "cap", "hi": hi}, st.floats(0.5, 64.0)),
+               st.builds(lambda scale: {"kind": "rational_decay", "scale": scale},
+                         st.floats(0.25, 16.0)),
+               st.builds(lambda lo, width: {"kind": "bump", "lo": lo, "hi": lo + width},
+                         st.floats(0.0, 8.0), st.floats(1.0, 64.0))))
+    def test_property_default_unit_is_exact(self, k, seed, degree, t, record):
+        # CH_t(g (x) c) = T_t(g(|xi|) c) with the default unit, for any loop c
+        # and config profile g; the grid reaches |n| / t = 64, past the onset
+        # r = 32 of the tail-deformed unit
+        grid = CircleGrid(J=1028, N=256, k=k)
+        c, g = matrix_loop(k=k, seed=seed, degree=degree), parse_profile(record)
+        CH = ch_extended_apply(g, c, t, default_unit(), grid)
+        T = t_quantize(Symbol.separable(c, g.even(), SymbolClass.FULL_C0), t, grid)
+        assert operator_norm(CH - T) <= EXACT_TOL
+
     def test_branch_compatibility(self, grid64, theta):
         # on the overlap (vanishing profile, fiber-constant symbol) the two
         # liftings differ by a finite-rank block with a dying weight
@@ -165,17 +187,18 @@ class TestChAlgebra:
         unit = default_unit()
         f1, f2 = rational_vanishing_profile(), rational_vanishing_profile(2.0)
         d1, d2 = shift_symbol(), HomogeneousSymbol.unit(1)
+        d12 = HomogeneousSymbol(d1.plus * d2.plus, d1.minus * d2.minus)
         vals = []
         for t in (4.0, 16.0, 64.0):
-            lhs = ch_apply(f1 * f2, d1 * d2, t, unit, theta, grid64)
-            rhs = (ch_apply(f1, d1, t, unit, theta, grid64)
-                   @ ch_apply(f2, d2, t, unit, theta, grid64))
-            vals.append(operator_norm(lhs - rhs))
+            lhs = ch_apply(f1 * f2, d12, t, unit, theta, grid64)
+            rhs = (ch_apply(f1, d1, t, unit, theta, grid64).mat
+                   @ ch_apply(f2, d2, t, unit, theta, grid64).mat)
+            vals.append(operator_norm(lhs.mat - rhs))
         assert vals[2] < vals[1] < vals[0]
 
     def test_output_numerically_compact(self, grid64, theta):
         out = ch_apply(rational_vanishing_profile(), shift_symbol(), 4.0,
                        default_unit(), theta, grid64)
-        tails = [compact_tail_norm(out, K) for K in (8, 16, 32, 60)]
+        tails = [tail_norm(out, K) for K in (8, 16, 32, 60)]
         assert all(y < x for x, y in zip(tails, tails[1:]))
         assert tails[-1] < 0.2 * tails[0]

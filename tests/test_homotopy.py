@@ -2,18 +2,20 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import block_apply, block_dense, block_difference, homogeneous_sup_norm
+from oracles import (block_apply, block_dense, block_difference, homogeneous_sup_norm,
+                     inverse_blocks, matrix_loop, psi_blocks)
 from psilab import experiments, homotopy
 from psilab.config import build_grid, homotopy_cfg, load_config
-from psilab.homotopy import (BlockOperator, endpoint_defect, equ1_defect,
-                             equ2_defect, i0_block_operator, psi_s,
-                             theta_discrepancy_norm)
-from psilab.numerics import operator_norm
+from psilab.experiments import EXACT_TOL
+from psilab.homotopy import (_band, _inverse_block, _psi_block, endpoint_defect,
+                             equ1_defect, equ2_defect, theta_discrepancy_norm)
+from psilab.numerics import CircleGrid, operator_norm
 from psilab.partition import build_partition
-from psilab.quantize import op_quantize
+from psilab.quantize import op_quantize, t_quantize
 from psilab.symbols import (HomogeneousSymbol, Loop, Symbol, SymbolClass,
-                            constant_profile)
+                            constant_profile, gamma_profile, smash)
 from psilab.presets import band_vector, homotopy_symbol
 
 S_GRID = (1 / 2, 1 / 3, 1 / 4, 1 / 6, 1 / 8)
@@ -32,8 +34,8 @@ def endpoint_reference(a, p, theta, L, K, grid, ascending):
     block norms summed over |i| >= i0(K), in the set order of the keys (the
     former endpoint formula) or in ascending (i, j) order."""
     i0 = max(0, int(np.ceil(np.log2(max(K, 1)))))
-    diff = block_difference(psi_s(a, 1.0, p, theta, L, grid),
-                            i0_block_operator(a, p, L, grid))
+    diff = block_difference(psi_blocks(a, 1.0, p, theta, L, grid),
+                            inverse_blocks(a, p, L, grid))
     total = 0.0
     for (i, j) in (sorted(diff) if ascending else diff):
         if abs(i) >= i0:
@@ -46,70 +48,47 @@ def part1():
     return build_partition(1.0, 8)
 
 
-class TestBlockOperator:
-    def test_bandedness_enforced(self, grid32):
-        with pytest.raises(ValueError):
-            BlockOperator(3, grid32, {(0, 2): np.zeros((grid32.dim, grid32.dim))})
-
-    def test_index_range_enforced(self, grid32):
-        with pytest.raises(ValueError):
-            BlockOperator(3, grid32, {(4, 4): np.zeros((grid32.dim, grid32.dim))})
-
-
 class TestInverseConstruction:
     def test_zero_symbol(self, grid32, part1):
         zero = HomogeneousSymbol(Loop.constant(np.zeros((1, 1))),
                                  Loop.constant(np.zeros((1, 1))))
-        B = i0_block_operator(zero, part1, 4, grid32)
-        assert all(operator_norm(B.block(i, j)) == 0.0 for (i, j) in B.blocks) or not B.blocks
+        B = inverse_blocks(zero, part1, 4, grid32)
+        assert all(not mat.any() for mat in B.values())
 
     def test_banded_exactly(self, grid64, part1):
-        B = i0_block_operator(shift_symbol(), part1, 6, grid64)
-        assert all(abs(i - j) <= 1 for (i, j) in B.blocks)
+        # gamma_0 gamma_{j-i} = 0 off the band: blocks two apart vanish
+        for i in range(-6, 6):
+            assert not _inverse_block(shift_symbol(), part1, i, i + 2, grid64).mat.any()
+            assert not _inverse_block(shift_symbol(), part1, i + 2, i, grid64).mat.any()
 
     def test_negative_scales_vanish(self, grid64, part1):
         # rescaling by 2^i pushes the window below the first nonzero mode
-        B = i0_block_operator(shift_symbol(), part1, 8, grid64)
-        for i in range(-8, 0):
-            for j in (i - 1, i, i + 1):
-                if abs(j) <= 8:
-                    assert operator_norm(B.block(i, j)) == 0.0
+        B = inverse_blocks(shift_symbol(), part1, 8, grid64)
+        for (i, j), mat in B.items():
+            if i < 0:
+                assert operator_norm(mat) == 0.0
 
-    def test_requires_undeformed_partition(self, grid32):
-        with pytest.raises(ValueError):
-            i0_block_operator(shift_symbol(), build_partition(0.5, 4), 4, grid32)
-
-    def test_requires_homogeneous_symbol(self, grid32, part1):
+    def test_requires_homogeneous_symbol(self, grid32, theta, part1):
         with pytest.raises(TypeError, match="homogeneous"):
-            i0_block_operator(separable_symbol(), part1, 4, grid32)
+            endpoint_defect(separable_symbol(), part1, theta, [4], 8, grid32)
 
 
 class TestPsiFamily:
-    def test_requires_homogeneous_symbol(self, grid32, theta, part1):
-        with pytest.raises(TypeError, match="homogeneous"):
-            psi_s(separable_symbol(), 1.0, part1, theta, 4, grid32)
-
-    def test_s_zero_is_order_zero_endpoint(self, grid64, theta):
-        B = psi_s(shift_symbol(), 0.0, None, theta, 6, grid64)
-        assert set(B.blocks) == {(0, 0)}
-        expect = op_quantize(shift_symbol(), theta, grid64)
-        assert np.array_equal(B.block(0, 0), expect.mat)
-
     def test_unit_symbol_diagonal_weights(self, grid64, theta, part1):
-        B = psi_s(HomogeneousSymbol.unit(1), 1.0, part1, theta, 6, grid64)
+        B = psi_blocks(HomogeneousSymbol.unit(1), 1.0, part1, theta, 6, grid64)
         modes = np.abs(grid64.modes).astype(float)
         for i in (1, 3):
             expect = np.zeros(grid64.dim)
             pos = modes > 0
             expect[pos] = part1.gamma(i, modes[pos]) ** 2 * theta(modes[pos])
-            assert np.allclose(np.diag(B.block(i, i)).real, expect, atol=1e-14)
+            assert np.allclose(np.diag(B[(i, i)]).real, expect, atol=1e-14)
 
     @pytest.mark.parametrize("s", [1.0, 0.5, 0.25, 0.125])
     def test_uniform_boundedness(self, grid64, theta, s):
         # frozen sweep: the family norm never exceeds twice the symbol sup
         a = shift_symbol()
-        B = psi_s(a, s, build_partition(s, 6), theta, 6, grid64)
-        assert operator_norm(block_dense(B)) <= 2.0 * homogeneous_sup_norm(a) + 1e-9
+        B = psi_blocks(a, s, build_partition(s, 6), theta, 6, grid64)
+        assert operator_norm(block_dense(B, 6)) <= 2.0 * homogeneous_sup_norm(a) + 1e-9
 
     def test_strong_continuity_surrogate(self, grid64, theta):
         # the jump of the family on a block test vector decomposes exactly
@@ -118,11 +97,11 @@ class TestPsiFamily:
         f = band_vector(grid64, 20, seed=3)
         vec = np.zeros((13, grid64.dim), dtype=complex)
         vec[6] = f
-        B0 = psi_s(a, 0.0, None, theta, 6, grid64)
+        B0 = psi_blocks(a, 0.0, None, theta, 6, grid64)
         op_a = op_quantize(a, theta, grid64)
         for s in (0.5, 0.25):
             p = build_partition(s, 6)
-            B = psi_s(a, s, p, theta, 6, grid64)
+            B = psi_blocks(a, s, p, theta, 6, grid64)
             jump = np.linalg.norm(block_apply(B, vec) - block_apply(B0, vec))
             [e1] = equ1_defect(a, op_a, p, [f], theta, grid64)
             [e2_right] = equ2_defect(a, p, 1, 0, [f], theta, grid64)
@@ -137,9 +116,8 @@ class TestPsiFamily:
         # whole-family defect does not vanish with N (it is N-stable)
         a = HomogeneousSymbol(Loop.from_scalar_modes({1: 0.5, -1: 0.5}),
                               Loop.identity(1))
-        B = psi_s(a, 1.0, part1, theta, 6, grid64)
-        norms = [operator_norm(B.block(i, i) - B.block(i, i).conj().T)
-                 for i in range(0, 6)]
+        B = psi_blocks(a, 1.0, part1, theta, 6, grid64)
+        norms = [operator_norm(B[(i, i)] - B[(i, i)].conj().T) for i in range(0, 6)]
         peak = int(np.argmax(norms))
         assert all(y < x for x, y in zip(norms[peak:], norms[peak + 1:]))
         assert max(norms) <= 2.0 * homogeneous_sup_norm(a)
@@ -216,12 +194,25 @@ class TestEndpoint:
         assert theta_discrepancy_norm(shift_symbol(), part1, theta, i0 - 1,
                                       i0 - 1, grid64) > 1e-3
 
-    def test_translation_invariance_of_blocks(self, grid64, theta, part1):
-        # inverse-map blocks at scale 2^i coincide with time-one blocks
-        B1 = psi_s(shift_symbol(), 1.0, part1, theta, 8, grid64)
-        B2 = i0_block_operator(shift_symbol(), part1, 8, grid64)
-        for i in (3, 5, 7):
-            assert operator_norm(B1.block(i, i) - B2.block(i, i)) < 1e-13
+    @settings(max_examples=10, deadline=None)
+    @given(k=st.integers(1, 2), seed=st.integers(0, 2**32 - 1), degree=st.integers(0, 3))
+    def test_property_translation_invariance_of_blocks(self, theta, k, seed, degree):
+        # T_{2^i}(gamma_0 gamma_{j-i} (x) a) = T_1(gamma_i gamma_j (x) a) for
+        # every block, and from the scale where theta = 1 on the window on
+        # it is the psi_1 block, which endpoint_defect relies on
+        grid, L = CircleGrid(J=132, N=32, k=k), 5
+        a = HomogeneousSymbol(matrix_loop(k=k, seed=seed, degree=degree),
+                              matrix_loop(k=k, seed=seed + 1, degree=degree))
+        p = build_partition(1.0, L)
+        i_theta = int(np.ceil(np.log2(2.0 * theta.r0)))
+        for i, j in _band(L):
+            block = _inverse_block(a, p, i, j, grid)
+            window = gamma_profile(p, i) * gamma_profile(p, j)
+            T1 = t_quantize(smash(window, a), 1.0, grid)
+            assert operator_norm(block - T1) <= EXACT_TOL, (i, j)
+            if i >= i_theta:
+                psi = _psi_block(a, p, theta, i, j, grid)
+                assert operator_norm(block - psi) <= EXACT_TOL, (i, j)
 
     def test_tail_aggregate_vanishes(self, grid64, theta, part1):
         vals = endpoint_defect(shift_symbol(), part1, theta, (4, 6, 8), 8, grid64)

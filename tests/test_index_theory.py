@@ -1,3 +1,5 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -113,12 +115,14 @@ class TestFredholm:
     def test_adjoint_antisymmetry(self, grid32, theta):
         for windings, expect in PAIRS:
             sigma = winding_pair(*windings)
-            assert (fredholm_index_svd(sigma.adjoint(), theta, grid32)
+            adjoint = HomogeneousSymbol(sigma.plus.adjoint(), sigma.minus.adjoint())
+            assert (fredholm_index_svd(adjoint, theta, grid32)
                     == -fredholm_index_svd(sigma, theta, grid32))
 
     def test_multiplicative(self, grid32, theta):
         a, b = winding_pair(1, 0), winding_pair(2, -1)
-        assert fredholm_index_svd(a * b, theta, grid32) == (
+        ab = HomogeneousSymbol(a.plus * b.plus, a.minus * b.minus)
+        assert fredholm_index_svd(ab, theta, grid32) == (
             fredholm_index_svd(a, theta, grid32)
             + fredholm_index_svd(b, theta, grid32))
 
@@ -126,7 +130,8 @@ class TestFredholm:
         sigma = winding_pair(2, -1)
         v32 = fredholm_index_svd(sigma, theta, grid32)
         v64 = fredholm_index_svd(sigma, theta, grid64)
-        v_eps = fredholm_index_svd(sigma, theta, grid64, eps_rank=1e-7)
+        with patch.object(index_theory, "EPS_RANK", 1e-7):
+            v_eps = fredholm_index_svd(sigma, theta, grid64)
         assert v32 == v64 == v_eps == -3
 
     def test_positive_multiplier_invariance(self, grid32, theta):
@@ -134,8 +139,8 @@ class TestFredholm:
         # not move the index
         sigma = winding_pair(1, 0)
         positive = Loop.from_scalar_modes({0: 2.0, 1: 0.3, -1: 0.3})
-        pos = HomogeneousSymbol(positive, positive)
-        assert fredholm_index_svd(pos * sigma, theta, grid32) == -1
+        product = HomogeneousSymbol(positive * sigma.plus, positive * sigma.minus)
+        assert fredholm_index_svd(product, theta, grid32) == -1
 
     @pytest.mark.parametrize("seed,total", [(31061, 0.5625),
                                             (3907307436, 0.5778580368127912)])
@@ -157,8 +162,9 @@ class TestFredholm:
 
     def test_no_gap_is_inconclusive(self, grid32, theta):
         # eps placed inside the cutting-weight cluster: no usable gap
-        with pytest.raises(InconclusiveIndexError):
-            fredholm_index_svd(winding_pair(1, 0), theta, grid32, eps_rank=0.1)
+        with patch.object(index_theory, "EPS_RANK", 0.1), \
+                pytest.raises(InconclusiveIndexError):
+            fredholm_index_svd(winding_pair(1, 0), theta, grid32)
 
     def test_non_invertible_symbol_rejected(self, grid32, theta):
         bad = HomogeneousSymbol(Loop.from_scalar_modes({1: 0.5, -1: 0.5}),
@@ -482,8 +488,9 @@ class TestReport:
         assert rep.higson_trace == (-3.0, -3.0, -3.0)
 
     def test_inconclusive_marks_no_false_agreement(self, grid32, theta):
-        rep = index_report(winding_pair(1, 0), grid32, theta=theta,
-                           t_grid=(8.0,), eps_rank=0.1, label="cluster")
+        with patch.object(index_theory, "EPS_RANK", 0.1):
+            rep = index_report(winding_pair(1, 0), grid32, theta=theta,
+                               t_grid=(8.0,), label="cluster")
         assert rep.fredholm_inconclusive
         assert rep.fredholm_index is None
         assert not rep.agree

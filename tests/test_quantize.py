@@ -1,15 +1,18 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from oracles import matrix_loop, padded_chart_quantization, sampled_quantization
-from psilab.numerics import CircleGrid, operator_norm
+from oracles import dilated, matrix_loop, padded_chart_quantization, sampled_quantization
+from psilab import quantize
+from psilab.numerics import CircleGrid, FourierOperator, operator_norm
 from psilab.quantize import (Atlas, _assemble, corner_product, multiplication_operator,
                              op_quantize, padded_grid, restrict_to, t_quantize,
                              t_quantize_charts)
 from psilab.symbols import (HomogeneousSymbol, Loop, Symbol, SymbolClass,
-                            bump_profile, cap_profile, constant_profile, dilate,
+                            bump_profile, cap_profile, constant_profile,
                             rational_decay_profile,
                             rational_vanishing_profile)
 from psilab.presets import chart_symbol, loop_c1
@@ -42,7 +45,7 @@ class TestTQuantize:
         sym = Symbol.separable(loop_c1(), cap_profile(2.0), SymbolClass.COMPACT_SUPPORT)
         for t in (1.0, 4.0):
             lhs = t_quantize(sym, t * s, grid32)
-            rhs = t_quantize(dilate(sym, s), t, grid32)
+            rhs = t_quantize(dilated(sym, s), t, grid32)
             assert np.max(np.abs(lhs.mat - rhs.mat)) < 1e-13
 
     def test_linearity(self, grid32):
@@ -63,7 +66,7 @@ class TestTQuantize:
         g = CircleGrid(J=68, N=16, k=k)
         sym = random_symbol(k, seed)
         lhs = t_quantize(sym, t * s, g)
-        rhs = t_quantize(dilate(sym, s), t, g)
+        rhs = t_quantize(dilated(sym, s), t, g)
         assert np.max(np.abs(lhs.mat - rhs.mat)) <= 1e-12
 
     def test_requires_positive_t(self, grid32):
@@ -134,20 +137,21 @@ class TestMultiplication:
     def test_band_confinement(self, grid32):
         c = Loop.from_scalar_modes({1: 0.5, -2: 1.0})
         d = Loop.from_scalar_modes({3: 1.0})
-        D = (multiplication_operator(c, grid32) @ multiplication_operator(d, grid32)
-             - multiplication_operator(c * d, grid32))
+        D = (multiplication_operator(c, grid32).mat @ multiplication_operator(d, grid32).mat
+             - multiplication_operator(c * d, grid32).mat)
         K = grid32.N - 2 - 3
         keep = ~grid32.tail_mask(K)
         # the homomorphism defect lives entirely in the boundary band
-        assert np.max(np.abs(D.mat[np.ix_(keep, keep)])) < 1e-14
-        assert np.max(np.abs(D.mat[keep, :])) < 1e-14
+        assert np.max(np.abs(D[np.ix_(keep, keep)])) < 1e-14
+        assert np.max(np.abs(D[keep, :])) < 1e-14
 
     def test_padded_product_exact(self, grid32):
         c = Loop.from_scalar_modes({1: 0.5, -2: 1.0})
         d = Loop.from_scalar_modes({3: 1.0})
         big = padded_grid(grid32, 5)
-        D = restrict_to(multiplication_operator(c, big) @ multiplication_operator(d, big)
-                        - multiplication_operator(c * d, big), grid32)
+        D = (multiplication_operator(c, big).mat @ multiplication_operator(d, big).mat
+             - multiplication_operator(c * d, big).mat)
+        D = restrict_to(FourierOperator(big, D), grid32)
         assert operator_norm(D) < 1e-13
 
     def test_degree_cap(self, grid32):
@@ -184,7 +188,7 @@ class TestCornerProduct:
                                            SymbolClass.FULL_C0), t, big)
         right = multiplication_operator(wide_loop(k, seed + 1, self.PAD), big)
         got = corner_product(left, right, grid)
-        expect = restrict_to(left @ right, grid)
+        expect = restrict_to(FourierOperator(big, left.mat @ right.mat), grid)
         assert got.grid == grid
         bound = 1e-13 * operator_norm(left) * operator_norm(right)
         assert np.max(np.abs(got.mat - expect.mat)) <= bound
@@ -210,14 +214,16 @@ class TestCharts:
     def test_zero_symbol(self, grid32):
         zero = Symbol.separable(Loop.constant(np.zeros((1, 1))),
                                 constant_profile(1.0), SymbolClass.FULL_C0)
-        T = t_quantize_charts(zero, 2.0, Atlas.default_two_charts(), grid32, pad=8)
+        with patch.object(quantize, "CHART_PAD", 8):
+            T = t_quantize_charts(zero, 2.0, Atlas.default_two_charts(), grid32)
         assert operator_norm(T) == 0.0
 
     def test_degenerate_atlas_collapses(self, grid32):
         sym = Symbol.separable(loop_c1(), constant_profile(1.0), SymbolClass.FULL_C0)
         # a single effective chart: phi_1 = psi_1 = 1, phi_2 = psi_2 = 0
         one, zero = np.ones_like, np.zeros_like
-        Tc = t_quantize_charts(sym, 2.0, Atlas((one, zero), (one, zero)), grid32, pad=8)
+        with patch.object(quantize, "CHART_PAD", 8):
+            Tc = t_quantize_charts(sym, 2.0, Atlas((one, zero), (one, zero)), grid32)
         Tg = t_quantize(sym, 2.0, grid32)
         assert operator_norm(Tc - Tg) < 1e-13
 
@@ -225,9 +231,10 @@ class TestCharts:
         # frozen from a direct sweep at this scale; values are grid-stable
         atlas = Atlas.default_two_charts()
         a = chart_symbol()
-        vals = [operator_norm(t_quantize_charts(a, 2.0 ** k, atlas, grid64, pad=32)
-                              - t_quantize(a, 2.0 ** k, grid64))
-                for k in range(0, 7)]
+        with patch.object(quantize, "CHART_PAD", 32):
+            vals = [operator_norm(t_quantize_charts(a, 2.0 ** k, atlas, grid64)
+                                  - t_quantize(a, 2.0 ** k, grid64))
+                    for k in range(0, 7)]
         assert all(y < x for x, y in zip(vals, vals[1:]))
         assert vals[0] == pytest.approx(0.6102122099282878, rel=1e-9)
         assert vals[6] == pytest.approx(1.4711487597018585e-03, rel=1e-9)

@@ -1,15 +1,20 @@
-"""The public surface: every exported name resolves, and the package
-re-exports only names that their defining modules export; the README's
-configuration table lists every config key once."""
+"""The public surface: every exported name resolves, the package re-exports
+only names that their defining modules export and every function it exports
+is one the four sweeps run; the README's configuration table lists every
+config key once."""
 
 import importlib
+import inspect
+import json
 import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
 import psilab
+from psilab import config, experiments
 from psilab.config import DEFAULTS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -30,6 +35,38 @@ def test_package_exports_are_module_exports():
              for name in psilab.__all__}
     assert [f"{name} ({home.__name__})" for name, home in homes.items()
             if name not in home.__all__] == []
+
+
+def test_package_exports_only_what_the_sweeps_run(tmp_path):
+    # the four runners at a small grid, with every entered code object recorded
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "grid": {"N": 32, "J": 132},
+        "defect_sweep": {"t_exponents": [-2, -1, 0, 2]},
+        "ch_compare": {"t_exponents": [1, 2]},
+        "homotopy_verify": {"bands": [8, 16], "L": 6, "L_list": [3, 4],
+                            "s_values": [0.5, 0.25]},
+        "index_compare": {"higson_t_exponents": [3]}}))
+    data = config.load_config(str(path))
+    grid = config.build_grid(data)
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        experiments.run_defect_sweep(grid, config.defect_sweep_cfg(data))
+        experiments.run_ch_compare(grid, config.ch_compare_cfg(data))
+        experiments.run_homotopy_verify(grid, config.homotopy_cfg(data))
+        experiments.run_index_compare(grid, config.index_cfg(data))
+    finally:
+        sys.setprofile(None)
+    functions = {name: getattr(psilab, name) for name in psilab.__all__
+                 if inspect.isfunction(getattr(psilab, name))}
+    assert len(functions) > 10
+    assert [name for name, fn in functions.items() if fn.__code__ not in entered] == []
 
 
 def leaf_keys(table, prefix=""):
