@@ -68,6 +68,13 @@ class TestInverseConstruction:
             if i < 0:
                 assert operator_norm(mat) == 0.0
 
+    def test_requires_undeformed_partition(self, part1):
+        # the guard of the inverse construction: a deformed partition is
+        # refused, the undeformed one accepted
+        with pytest.raises(ValueError, match="undeformed"):
+            homotopy._check_inverse_inputs(shift_symbol(), build_partition(0.5, 4))
+        homotopy._check_inverse_inputs(shift_symbol(), part1)
+
     def test_requires_homogeneous_symbol(self, grid32, theta, part1):
         with pytest.raises(TypeError, match="homogeneous"):
             endpoint_defect(separable_symbol(), part1, theta, [4], 8, grid32)
