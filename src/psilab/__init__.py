@@ -6,7 +6,7 @@ quadratic partition machinery, the approximate-unit construction relating
 the two, and integer index pairings with three independent routes.
 """
 
-from .numerics import CircleGrid, FourierOperator, fourier_coefficients, operator_norm
+from .numerics import CircleGrid, fourier_coefficients, operator_norm
 from .partition import DyadicPartition, SmoothStep, build_partition
 from .symbols import (CutFunction, HomogeneousSymbol, Loop, RadialProfile,
                       Symbol, SymbolClass, smash)
@@ -20,7 +20,7 @@ from .index_theory import (InconclusiveIndexError, IndexReport,
                            higson_trace_index, index_report, winding_number)
 
 __all__ = [
-    "CircleGrid", "FourierOperator", "fourier_coefficients", "operator_norm",
+    "CircleGrid", "fourier_coefficients", "operator_norm",
     "DyadicPartition", "SmoothStep", "build_partition",
     "CutFunction", "HomogeneousSymbol", "Loop", "RadialProfile", "Symbol",
     "SymbolClass", "smash",

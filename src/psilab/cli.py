@@ -9,6 +9,7 @@ with 0 (all criteria met), 1 (a criterion failed) or 2 (bad config).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 
@@ -55,12 +56,12 @@ def _columns(rows):
 
 
 def write_csv(rows, path):
+    """Header plus one line per row; a field holding a comma or quote is quoted."""
     cols = _columns(rows)
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(c)) for c in cols))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(cols)
+        writer.writerows([_fmt(row.get(c)) for c in cols] for row in rows)
 
 
 def write_json(rows, checks, path):

@@ -129,13 +129,22 @@ def _deep_merge(base, override):
     return out
 
 
+def _finite_number(text):
+    """A JSON number as a float; NaN, Infinity and overflows are config errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config number {text} is not finite")
+    return value
+
+
 def load_config(path=None):
     """Read, merge and validate a configuration file (defaults if None)."""
     data = {}
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+                data = json.load(fh, parse_float=_finite_number,
+                                 parse_constant=_finite_number)
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:
@@ -381,6 +390,9 @@ def ch_compare_cfg(cfg):
             (label, parse_profile(g), parse_loop(c)) for label, g, c in
             (_fields(e, ("label", "g", "c"), "ch_compare extended case")
              for e in section["extended_cases"])])
+    # every label names the columns of one case; a repeat would overwrite them
+    _once("ch_compare labels", [str(label) for label, _, _ in out["cases"]]
+          + [f"ext:{label}" for label, _, _ in out["extended_cases"]], "label")
     # smash lifts a homogeneous d only through an f with f(0) = 0
     flat = [label for label, f, _ in out["cases"] if not f.vanishes_at_zero]
     if flat:

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import FourierOperator
 from .partition import smooth_step
 from .quantize import multiplication_operator, op_quantize
 from .symbols import HomogeneousSymbol, Loop
@@ -99,8 +98,7 @@ def ch_apply(f, d, t, u, theta, grid):
     if not isinstance(d, HomogeneousSymbol):
         raise TypeError("ch_apply expects a homogeneous symbol")
     w = u.weight(f, t, grid)
-    X = op_quantize(d, theta, grid)
-    return FourierOperator(grid, X.mat * np.repeat(w, grid.k)[None, :])
+    return op_quantize(d, theta, grid) * np.repeat(w, grid.k)[None, :]
 
 
 def ch_extended_apply(g, c, t, u, grid):
@@ -112,5 +110,4 @@ def ch_extended_apply(g, c, t, u, grid):
     if not isinstance(c, Loop):
         raise TypeError("ch_extended_apply expects a fiber-constant Loop")
     w = u.weight(g, t, grid)
-    X = multiplication_operator(c, grid)
-    return FourierOperator(grid, X.mat * np.repeat(w, grid.k)[None, :])
+    return multiplication_operator(c, grid) * np.repeat(w, grid.k)[None, :]

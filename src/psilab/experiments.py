@@ -80,7 +80,7 @@ def mult_defect(a, b, t, grid):
 
 def adjoint_defect(a, t, grid):
     """|| T_t(a)^* - T_t(a^*) ||."""
-    return operator_norm(t_quantize(a, t, grid).adjoint()
+    return operator_norm(t_quantize(a, t, grid).conj().T
                          - t_quantize(a.adjoint(), t, grid))
 
 

@@ -58,7 +58,7 @@ def equ1_defect(a, op_a, p_s, vectors, theta, grid):
     ``op_a`` is Op(a), which does not depend on s.
     """
     A1 = _psi_block(a, p_s, theta, 0, 0, grid)
-    return [float(np.linalg.norm(A1.apply(f) - op_a.apply(f))) for f in vectors]
+    return [float(np.linalg.norm(A1 @ f - op_a @ f)) for f in vectors]
 
 
 def equ2_defect(a, p_s, i, j, vectors, theta, grid):
@@ -69,7 +69,7 @@ def equ2_defect(a, p_s, i, j, vectors, theta, grid):
     if abs(i - j) >= 2:
         raise ValueError("nonadjacent blocks vanish identically")
     A = _psi_block(a, p_s, theta, i, j, grid)
-    return [float(np.linalg.norm(A.apply(f))) for f in vectors]
+    return [float(np.linalg.norm(A @ f)) for f in vectors]
 
 
 def theta_discrepancy_norm(a, p, theta, i, j, grid):
@@ -99,8 +99,8 @@ def endpoint_defect(a, p, theta, L_list, K, grid):
     norms = {}
     for i, j in _band(max(L_list)):
         if abs(i) >= i0:
-            diff = (_psi_block(a, p, theta, i, j, grid).mat
-                    - _inverse_block(a, p, i, j, grid).mat)
+            diff = (_psi_block(a, p, theta, i, j, grid)
+                    - _inverse_block(a, p, i, j, grid))
             if np.any(diff):
                 norms[(i, j)] = operator_norm(diff)
     totals = []

@@ -143,7 +143,7 @@ def fredholm_index_svd(sigma, theta, grid):
     sizes = [grid.N] + [n for n in (2 * grid.N, 4 * grid.N) if n <= _REFINE_MAX_N]
     for n in sizes:
         big = padded_grid(grid, n - grid.N + deg + 8)
-        X = op_quantize(sigma, theta, big).mat
+        X = op_quantize(sigma, theta, big)
         keep = ~big.tail_mask(n)
         try:
             k_ker = _gapped_small_count(np.linalg.svd(X[:, keep], compute_uv=False), EPS_RANK)

@@ -2,20 +2,21 @@
 
 Functions live on the ``J``-point uniform grid ``x_j = 2*pi*j/J``; operators
 act on the truncated mode range ``|n| <= N`` tensored with a ``k x k``
-coefficient block.  Everything is dense complex128.  "Compact" has no literal
+coefficient block.  Everything is dense complex128: an operator is a plain
+``(dim, dim)`` array indexed by (mode n, block row) x (mode m, block col) with
+the flat index (n + N) * k + alpha.  "Compact" has no literal
 meaning at finite size, so it is replaced throughout by the decay of tail
 norms against the mode-cutoff projections ``P_K``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "CircleGrid",
-    "FourierOperator",
     "fourier_coefficients",
     "operator_norm",
 ]
@@ -74,45 +75,6 @@ class CircleGrid:
         return np.abs(self.mode_of_index()) > K
 
 
-@dataclass(frozen=True)
-class FourierOperator:
-    """Dense operator on truncated Fourier modes tensored with k x k blocks.
-
-    ``mat`` is indexed by (mode n, block row) x (mode m, block col) with the
-    flat index (n + N) * k + alpha.
-    """
-
-    grid: CircleGrid
-    mat: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        d = self.grid.dim
-        if self.mat.shape != (d, d):
-            raise ValueError(f"matrix shape {self.mat.shape} != ({d}, {d})")
-        if not np.isfinite(self.mat).all():
-            raise ValueError("operator entries must be finite")
-
-    # -- algebra ---------------------------------------------------------
-    def __sub__(self, other):
-        self._check(other)
-        return FourierOperator(self.grid, self.mat - other.mat)
-
-    def adjoint(self):
-        return FourierOperator(self.grid, self.mat.conj().T)
-
-    def apply(self, vec):
-        return self.mat @ np.asarray(vec, dtype=complex)
-
-    def _check(self, other):
-        if self.grid != other.grid:
-            raise ValueError("operators live on different grids")
-
-    # -- constructors ----------------------------------------------------
-    @staticmethod
-    def zero(grid):
-        return FourierOperator(grid, np.zeros((grid.dim, grid.dim), dtype=complex))
-
-
 # -- sampling -> coefficients -------------------------------------------
 
 
@@ -136,6 +98,12 @@ def fourier_coefficients(grid, samples):
 # -- norms ---------------------------------------------------------------
 
 
+def check_finite(values):
+    """Raise unless every entry is finite (run by _assemble and operator_norm)."""
+    if not np.isfinite(values).all():
+        raise ValueError("operator entries must be finite")
+
+
 # Lanczos norm engine: certificate tolerance on the Ritz residual relative to
 # the Ritz value, step cap before the SVD fallback, seed of the start vector,
 # and the Gram-eigenvalue floor below which A^H A may have underflowed.
@@ -145,8 +113,9 @@ _LANCZOS_SEED = 0
 _GRAM_FLOOR = 1e-250
 
 
-def operator_norm(op):
-    """Largest singular value (spectral norm), certified to 5e-14 relative.
+def operator_norm(mat):
+    """Largest singular value (spectral norm), certified to 5e-14 relative;
+    non-finite entries raise ``ValueError``.
 
     Lanczos with full reorthogonalization runs on the Gram matrix ``A^H A``
     (pass a wide matrix as its adjoint to get the smaller one), applied as
@@ -163,7 +132,8 @@ def operator_norm(op):
     ``min(dim, 120)`` steps, or the Gram matrix may have underflowed, the
     value comes from the full ``np.linalg.svd`` instead.
     """
-    mat = op.mat if isinstance(op, FourierOperator) else np.asarray(op)
+    mat = np.asarray(mat)
+    check_finite(mat)
     if mat.size == 0:
         return 0.0
     dim = mat.shape[1]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .numerics import CircleGrid, FourierOperator
+from .numerics import CircleGrid, check_finite
 from .partition import smooth_step
 from .symbols import HomogeneousSymbol, Loop, Symbol
 
@@ -55,7 +55,8 @@ def _assemble(grid, terms):
     """Operator with entries sum c(n - m) * w(m) over (coeffs, weights) terms.
 
     ``coeffs`` holds c(j), |j| <= 2N, with shape (4N+1, k, k); ``weights``
-    holds one value per column mode.  The first term is written straight
+    holds one value per column mode; a non-finite value in either raises
+    ``ValueError``.  The first term is written straight
     into an uninitialized (n, k, n, k) table through a strided Toeplitz
     view of its coefficients and later terms are added in place, so every
     entry is written once per term and the table reshapes to the flat
@@ -65,6 +66,8 @@ def _assemble(grid, terms):
     table = None
     for coeffs, weights in terms:
         _check_block(coeffs.shape[1:], k)
+        check_finite(coeffs)
+        check_finite(weights)
         # window[r, :, :, l] = c(r + l - 2N); reversing l gives c(r - m)
         toeplitz = sliding_window_view(coeffs, n, axis=0)[..., ::-1].transpose(0, 1, 3, 2)
         weighted = weights[None, None, :, None]
@@ -74,8 +77,8 @@ def _assemble(grid, terms):
         else:
             table += toeplitz * weighted
     if table is None:
-        return FourierOperator.zero(grid)
-    return FourierOperator(grid, table.reshape(grid.dim, grid.dim))
+        return np.zeros((grid.dim, grid.dim), dtype=complex)
+    return table.reshape(grid.dim, grid.dim)
 
 
 def padded_grid(grid, pad):
@@ -83,20 +86,21 @@ def padded_grid(grid, pad):
     return CircleGrid(J=grid.J + 4 * pad, N=grid.N + pad, k=grid.k)
 
 
-def _corner(source, grid):
-    """Flat index range of the modes |n| <= grid.N on the larger ``source``."""
-    if grid.k != source.k:
+def _corner(size, grid):
+    """Flat index range of the modes |n| <= grid.N on a matrix of side
+    ``size = (2N' + 1) k`` over modes |n| <= N', with the grid's block size k."""
+    if size % (2 * grid.k) != grid.k:
         raise ValueError("block sizes differ")
-    if grid.N > source.N:
+    if size < grid.dim:
         raise ValueError("target cutoff exceeds the source cutoff")
-    start = (source.N - grid.N) * grid.k
+    start = (size - grid.dim) // 2
     return slice(start, start + grid.dim)
 
 
 def restrict_to(op, grid):
     """Corner compression of an operator onto a coarser target grid."""
-    keep = _corner(op.grid, grid)
-    return FourierOperator(grid, op.mat[keep, keep].copy())
+    keep = _corner(op.shape[0], grid)
+    return op[keep, keep].copy()
 
 
 def corner_product(left, right, grid):
@@ -109,13 +113,14 @@ def corner_product(left, right, grid):
     zero.  Entries are finite, so the dropped terms are exact zeros and the
     result differs from the full product by summation order only.
     """
-    left._check(right)
-    keep = _corner(left.grid, grid)
-    live = np.flatnonzero(left.mat.any(axis=0))
+    if left.shape != right.shape:
+        raise ValueError("operators live on different grids")
+    keep = _corner(left.shape[0], grid)
+    live = np.flatnonzero(left.any(axis=0))
     if live.size == 0:
-        return FourierOperator.zero(grid)
+        return np.zeros((grid.dim, grid.dim), dtype=complex)
     lo, hi = live[0], live[-1] + 1
-    return FourierOperator(grid, left.mat[keep, lo:hi] @ right.mat[lo:hi, keep])
+    return left[keep, lo:hi] @ right[lo:hi, keep]
 
 
 # -- the rescaled family -----------------------------------------------------
@@ -274,9 +279,9 @@ def t_quantize_charts(a, t, atlas, grid):
     atlas.validate(grid)
     big = padded_grid(grid, CHART_PAD)
     products = (corner_product(t_quantize(_windowed(a, psi), t, big),
-                               _scalar_multiplier(phi, big), grid).mat
+                               _scalar_multiplier(phi, big), grid)
                 for phi, psi in zip(atlas.phis, atlas.psis))
     total = next(products)
     for product in products:
         total += product
-    return FourierOperator(grid, total)
+    return total

@@ -220,6 +220,8 @@ def bump_profile(lo, hi, rise=None):
     if not 0.0 <= lo < hi:
         raise ValueError("need 0 <= lo < hi")
     rise = (hi - lo) / 4.0 if rise is None else rise
+    if not rise > 0:
+        raise ValueError("need rise > 0")
 
     def fn(xi):
         r = np.abs(np.asarray(xi, dtype=float))
@@ -246,6 +248,8 @@ def cap_profile(hi, rise=None):
     if hi <= 0:
         raise ValueError("need hi > 0")
     rise = hi / 2.0 if rise is None else rise
+    if not rise > 0:
+        raise ValueError("need rise > 0")
 
     def fn(xi):
         r = np.abs(np.asarray(xi, dtype=float))
@@ -260,6 +264,8 @@ def rational_decay_profile(scale=1.0):
 
     Where (xi/scale)^2 overflows the value is 1 / inf = 0, without a warning.
     """
+    if not scale > 0:
+        raise ValueError("need scale > 0")
 
     def fn(xi):
         with np.errstate(over="ignore"):
@@ -275,6 +281,8 @@ def rational_vanishing_profile(scale=1.0):
     Where (xi/scale)^2 overflows, r / (1 + r^2) would be r / inf (or NaN
     once r itself overflows); there the value is scale / |xi| instead.
     """
+    if not scale > 0:
+        raise ValueError("need scale > 0")
 
     def fn(xi):
         a = np.abs(np.asarray(xi, dtype=float))

@@ -8,7 +8,7 @@ import numpy as np
 
 from psilab.homotopy import _band, _inverse_block, _psi_block
 from psilab.index_theory import _clutching_factors, _clutching_samples
-from psilab.numerics import CircleGrid, FourierOperator, operator_norm
+from psilab.numerics import CircleGrid, operator_norm
 from psilab.quantize import (_scalar_multiplier, _windowed, multiplication_operator,
                              op_quantize, padded_grid, restrict_to, t_quantize)
 from psilab.presets import loop_c1, loop_c2
@@ -116,13 +116,13 @@ def psi_blocks(a, s, p_s, theta, L, grid):
     """{(i, j): matrix} of the family psi_s: the single block Op(a) at s = 0,
     else every block |i - j| <= 1 with |i|, |j| <= L."""
     if s == 0:
-        return {(0, 0): op_quantize(a, theta, grid).mat}
-    return {(i, j): _psi_block(a, p_s, theta, i, j, grid).mat for i, j in _band(L)}
+        return {(0, 0): op_quantize(a, theta, grid)}
+    return {(i, j): _psi_block(a, p_s, theta, i, j, grid) for i, j in _band(L)}
 
 
 def inverse_blocks(a, p, L, grid):
     """{(i, j): matrix} of the inverse map, every block of the band up to L."""
-    return {(i, j): _inverse_block(a, p, i, j, grid).mat for i, j in _band(L)}
+    return {(i, j): _inverse_block(a, p, i, j, grid) for i, j in _band(L)}
 
 
 def block_difference(A, B):
@@ -149,12 +149,12 @@ def block_apply(blocks, vec):
     return out
 
 
-def tail_norm(op, K):
-    """max(||X (I - P_K)||, ||(I - P_K) X||), P_K the projection onto the modes
-    |n| <= K; its decay in K is the finite-size surrogate for membership of X
-    in the compact ideal."""
-    mask = op.grid.tail_mask(K)
-    return max(operator_norm(op.mat[:, mask]), operator_norm(op.mat[mask, :].conj().T))
+def tail_norm(op, grid, K):
+    """max(||X (I - P_K)||, ||(I - P_K) X||) of an operator X on ``grid``, P_K
+    the projection onto the modes |n| <= K; its decay in K is the finite-size
+    surrogate for membership of X in the compact ideal."""
+    mask = grid.tail_mask(K)
+    return max(operator_norm(op[:, mask]), operator_norm(op[mask, :].conj().T))
 
 
 def op_defects(a, b, theta, grid):
@@ -164,23 +164,23 @@ def op_defects(a, b, theta, grid):
     degs = [s.degree for s in (a, b) if s.degree is not None]
     big = padded_grid(grid, max(degs) + 8 if degs else 96)
     ab = HomogeneousSymbol(a.plus * b.plus, a.minus * b.minus)
-    Xa, Xb, Xab = (op_quantize(s, theta, big).mat for s in (a, b, ab))
-    return (restrict_to(FourierOperator(big, Xa @ Xb - Xab), grid),
-            restrict_to(FourierOperator(big, Xa @ Xb - Xb @ Xa), grid))
+    Xa, Xb, Xab = (op_quantize(s, theta, big) for s in (a, b, ab))
+    return (restrict_to(Xa @ Xb - Xab, grid),
+            restrict_to(Xa @ Xb - Xb @ Xa, grid))
 
 
 def lifting_tail(c, theta, grid):
     """Column tail ||(Op(c) - pi(c)) (I - P_K)|| of a fiber-constant loop c at
     K = r0 + deg c, where the cutting function reaches one on every band."""
-    diff = (op_quantize(HomogeneousSymbol(c, c), theta, grid).mat
-            - multiplication_operator(c, grid).mat)
+    diff = (op_quantize(HomogeneousSymbol(c, c), theta, grid)
+            - multiplication_operator(c, grid))
     return operator_norm(diff[:, grid.tail_mask(int(np.ceil(theta.r0)) + c.degree)])
 
 
 def unit_commutator(u, t, a, theta, grid):
     """||[u_t, Op(a)]|| for the diagonal approximate unit u_t."""
     w = np.repeat(u.values(t, grid), grid.k)
-    X = op_quantize(a, theta, grid).mat
+    X = op_quantize(a, theta, grid)
     return operator_norm(w[:, None] * X - X * w[None, :])
 
 
@@ -212,9 +212,9 @@ def padded_chart_quantization(a, t, atlas, grid, pad=64):
     """sum_k T_t(psi_k a) M(phi_k), each product formed in full on the mode
     range enlarged by ``pad`` and the sum compressed back onto ``grid``."""
     big = padded_grid(grid, pad)
-    total = sum(t_quantize(_windowed(a, psi), t, big).mat @ _scalar_multiplier(phi, big).mat
+    total = sum(t_quantize(_windowed(a, psi), t, big) @ _scalar_multiplier(phi, big)
                 for phi, psi in zip(atlas.phis, atlas.psis))
-    return restrict_to(FourierOperator(big, total), grid)
+    return restrict_to(total, grid)
 
 
 # -- clutching projections ----------------------------------------------------

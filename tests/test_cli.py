@@ -1,9 +1,10 @@
+import csv
 import json
 
 import jsonschema
 import pytest
 
-from psilab import config, index_theory
+from psilab import config, index_theory, presets
 from psilab.cli import main
 from psilab.config import ConfigError, DEFAULTS, SCHEMA, load_config
 
@@ -44,6 +45,15 @@ class TestConfig:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("number", ["-Infinity", "1e400"])
+    def test_nonfinite_number_rejected(self, tmp_path, number):
+        # NaN and Infinity are covered by test_malformed_record_exits_2; 1e400
+        # is no literal, but it parses to infinity all the same
+        path = tmp_path / "bad.json"
+        path.write_text('{"ch_compare": {"t_exponents": [%s]}}' % number)
+        with pytest.raises(ConfigError, match=f"config number {number} is not finite"):
             load_config(str(path))
 
     def test_schema_rejects_unknown_keys(self, tmp_path):
@@ -336,6 +346,29 @@ class TestExitCodes:
             {"label": "m", "plus": "identity", "minus": {"modes": {"0": 0}}}]}},
          "config error: index_compare case 'm', minus branch: loop has a "
          "(numerically) non-invertible sample"),
+        # a repeated label would write two cases into one set of columns
+        ("ch-compare", {"ch_compare": {
+            "cases": [{"label": "x", "f": {"kind": "rational_vanishing"}, "d": "default"},
+                      {"label": "x", "f": {"kind": "bump", "lo": 0.5, "hi": 4},
+                       "d": {"winding": [1, 0]}}],
+            "extended_cases": [
+                {"label": "e", "g": {"kind": "rational_decay"}, "c": "c1"},
+                {"label": "e", "g": {"kind": "rational_decay", "scale": 2}, "c": "c2"}]}},
+         "ch_compare labels ['ext:e', 'x']: each label may appear once"),
+        # degenerate profile parameters: non-finite entries or all-zero rows
+        ("ch-compare", {"ch_compare": {"extended_cases": [{"label": "x", "g": {
+            "kind": "rational_decay", "scale": 0}, "c": "c1"}]}}, "need scale > 0"),
+        ("ch-compare", {"ch_compare": {"extended_cases": [{"label": "x", "g": {
+            "kind": "constant", "value": float("nan")}, "c": "c1"}]}},
+         "config number NaN is not finite"),
+        ("ch-compare", {"ch_compare": {"cases": [{"label": "x", "f": {
+            "kind": "bump", "lo": 0.5, "hi": 4, "rise": 0}, "d": "default"}]}},
+         "need rise > 0"),
+        ("ch-compare", {"ch_compare": {"extended_cases": [{"label": "x", "g": {
+            "kind": "cap", "hi": 2, "rise": -1}, "c": "c1"}]}}, "need rise > 0"),
+        ("ch-compare", {"ch_compare": {"extended_cases": [{"label": "x", "g": {
+            "kind": "rational_decay", "scale": float("inf")}, "c": "c1"}]}},
+         "config number Infinity is not finite"),
     ])
     def test_malformed_record_exits_2(self, tmp_path, capsys, command, section, message):
         path = write_config(tmp_path, {"grid": {"N": 32, "J": 132}, **section})
@@ -410,6 +443,26 @@ class TestOutputs:
                           "rv05-mixed|default,rv05-mixed|alt,"
                           "ext:rd1-c1|default,ext:rd1-c1|alt,"
                           "ext:rd2-mode|default,ext:rd2-mode|alt")
+
+    @pytest.mark.parametrize("command", ["defect-sweep", "ch-compare",
+                                         "homotopy-verify", "index-compare"])
+    def test_csv_reads_back_field_for_field(self, tmp_path, command):
+        # index labels, the Higson tuples and the params dict hold commas
+        path = write_config(tmp_path, SMALL)
+        out = tmp_path / "o.csv"
+        main([command, "--config", str(path), "--out", str(out)])
+        with open(out, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert rows
+        for row in rows:
+            assert None not in row  # no surplus fields
+            assert None not in row.values()  # no missing fields
+            assert len(row) == len(reader.fieldnames)
+        if command == "index-compare":
+            assert [row["label"] for row in rows] == [
+                label for label, _ in presets.index_suite()]
+            assert rows[0]["params"].startswith("{'N': 64, ")
 
     def test_json_format(self, tmp_path):
         path = write_config(tmp_path, SMALL)

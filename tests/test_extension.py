@@ -24,8 +24,8 @@ def adjoint(a):
 def tails(a, b, theta, grid, K_list):
     """Tail norms of the product and of the commutator defect at each K."""
     product, commutator = op_defects(a, b, theta, grid)
-    return ([tail_norm(product, K) for K in K_list],
-            [tail_norm(commutator, K) for K in K_list])
+    return ([tail_norm(product, grid, K) for K in K_list],
+            [tail_norm(commutator, grid, K) for K in K_list])
 
 
 def smooth_pair(rate=3.0, degree=40):
@@ -86,8 +86,8 @@ class TestIdealMembership:
         a, _ = smooth_pair()
         X = op_quantize(a, theta, grid64)
         Y = op_quantize(adjoint(a), theta, grid64)
-        diff = X.adjoint() - Y
-        vals = [tail_norm(diff, K) for K in (8, 16, 32, 60)]
+        diff = X.conj().T - Y
+        vals = [tail_norm(diff, grid64, K) for K in (8, 16, 32, 60)]
         assert all(y <= x + 1e-13 for x, y in zip(vals, vals[1:]))
         assert vals[-1] < 1e-6
 
@@ -99,7 +99,7 @@ class TestIdealMembership:
     def test_vanishing_symbol_lands_in_ideal(self, grid64):
         g = smash(rational_vanishing_profile(), shift_symbol())
         T = t_quantize(g, 4.0, grid64)
-        vals = [tail_norm(T, K) for K in (8, 16, 32, 60)]
+        vals = [tail_norm(T, grid64, K) for K in (8, 16, 32, 60)]
         assert all(y < x for x, y in zip(vals, vals[1:]))
         assert vals[-1] < 0.2 * vals[0]
 

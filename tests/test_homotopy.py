@@ -58,8 +58,8 @@ class TestInverseConstruction:
     def test_banded_exactly(self, grid64, part1):
         # gamma_0 gamma_{j-i} = 0 off the band: blocks two apart vanish
         for i in range(-6, 6):
-            assert not _inverse_block(shift_symbol(), part1, i, i + 2, grid64).mat.any()
-            assert not _inverse_block(shift_symbol(), part1, i + 2, i, grid64).mat.any()
+            assert not _inverse_block(shift_symbol(), part1, i, i + 2, grid64).any()
+            assert not _inverse_block(shift_symbol(), part1, i + 2, i, grid64).any()
 
     def test_negative_scales_vanish(self, grid64, part1):
         # rescaling by 2^i pushes the window below the first nonzero mode

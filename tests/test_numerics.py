@@ -4,16 +4,14 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import inverse_fourier, tail_norm
 from psilab import numerics
-from psilab.numerics import (CircleGrid, FourierOperator, fourier_coefficients,
-                             operator_norm)
+from psilab.numerics import CircleGrid, fourier_coefficients, operator_norm
 from psilab.presets import t0_symbol
 from psilab.quantize import restrict_to, t_quantize
 
 
 def random_operator(grid, seed):
     rng = np.random.default_rng(seed)
-    mat = rng.normal(size=(grid.dim, grid.dim)) + 1j * rng.normal(size=(grid.dim, grid.dim))
-    return FourierOperator(grid, mat)
+    return rng.normal(size=(grid.dim, grid.dim)) + 1j * rng.normal(size=(grid.dim, grid.dim))
 
 
 def power_iteration_norm(mat, iters=2000):
@@ -80,32 +78,33 @@ class TestFourier:
 
 class TestOperatorNorm:
     def test_identity(self, grid16):
-        eye = FourierOperator(grid16, np.eye(grid16.dim, dtype=complex))
+        eye = np.eye(grid16.dim, dtype=complex)
         assert operator_norm(eye) == pytest.approx(1.0)
 
     def test_diagonal(self, grid16):
         mat = np.zeros((grid16.dim, grid16.dim), dtype=complex)
         mat[0, 0], mat[1, 1], mat[2, 2] = 3.0, 1.0, 0.0
-        assert operator_norm(FourierOperator(grid16, mat)) == pytest.approx(3.0)
+        assert operator_norm(mat) == pytest.approx(3.0)
 
     def test_against_power_iteration(self, grid16):
         X = random_operator(grid16, 1)
-        assert operator_norm(X) == pytest.approx(power_iteration_norm(X.mat), rel=1e-10)
+        assert operator_norm(X) == pytest.approx(power_iteration_norm(X), rel=1e-10)
 
     def test_submultiplicative_and_adjoint(self, grid16):
         for seed in range(5):
             X = random_operator(grid16, 10 + seed)
             Y = random_operator(grid16, 20 + seed)
-            assert operator_norm(X.mat @ Y.mat) <= operator_norm(X) * operator_norm(Y) * (1 + 1e-12)
-            assert operator_norm(X.adjoint()) == pytest.approx(operator_norm(X), rel=1e-12)
+            assert operator_norm(X @ Y) <= operator_norm(X) * operator_norm(Y) * (1 + 1e-12)
+            assert operator_norm(X.conj().T) == pytest.approx(operator_norm(X), rel=1e-12)
 
     def test_nonfinite_rejected(self, grid16):
-        for bad in (complex(np.nan, 0.0), complex(np.inf, 0.0),
-                    complex(0.0, np.nan), complex(0.0, -np.inf)):
+        # the norm is where a matrix becomes a printed number
+        for bad in (complex(np.nan, 0.0), complex(np.inf, 0.0), complex(-np.inf, 0.0),
+                    complex(0.0, np.nan), complex(0.0, np.inf), complex(0.0, -np.inf)):
             mat = np.zeros((grid16.dim, grid16.dim), dtype=complex)
             mat[3, 5] = bad
-            with pytest.raises(ValueError, match="finite"):
-                FourierOperator(grid16, mat)
+            with pytest.raises(ValueError, match="operator entries must be finite"):
+                operator_norm(mat)
 
 
 def svd_norm(mat):
@@ -137,7 +136,7 @@ class TestLanczosAgainstSVD:
     @pytest.mark.parametrize("seed", range(5))
     def test_random_operators(self, grid64, seed, svd_calls):
         X = random_operator(grid64, 100 + seed)
-        expect = svd_norm(X.mat)
+        expect = svd_norm(X)
         svd_calls.clear()
         assert operator_norm(X) == pytest.approx(expect, rel=1e-12)
         assert svd_calls == []
@@ -145,7 +144,7 @@ class TestLanczosAgainstSVD:
     @pytest.mark.parametrize("t", [4.0, 16.0])
     def test_paired_top_singular_values(self, grid64, t):
         X = t_quantize(t0_symbol(), t, grid64)
-        svals = np.linalg.svd(X.mat, compute_uv=False)
+        svals = np.linalg.svd(X, compute_uv=False)
         assert svals[1] / svals[0] > 0.999  # the top values come in a pair
         assert operator_norm(X) == pytest.approx(svals[0], rel=1e-12)
 
@@ -153,10 +152,10 @@ class TestLanczosAgainstSVD:
     def test_tail_slices(self, grid64, K):
         X = random_operator(grid64, 7)
         mask = grid64.tail_mask(K)
-        tall, wide = X.mat[:, mask], X.mat[mask, :]
+        tall, wide = X[:, mask], X[mask, :]
         assert operator_norm(tall) == pytest.approx(svd_norm(tall), rel=1e-12)
         assert operator_norm(wide) == pytest.approx(svd_norm(wide), rel=1e-12)
-        assert tail_norm(X, K) == pytest.approx(
+        assert tail_norm(X, grid64, K) == pytest.approx(
             max(svd_norm(tall), svd_norm(wide)), rel=1e-12)
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0), (1, 1), (7, 3), (3, 7), (65, 65)])
@@ -199,33 +198,34 @@ class TestCompactTail:
         mat = np.zeros((grid16.dim, grid16.dim), dtype=complex)
         inner = np.abs(grid16.mode_of_index()) <= 5
         mat[np.ix_(inner, inner)] = 1.0
-        assert tail_norm(FourierOperator(grid16, mat), 5) == 0.0
+        assert tail_norm(mat, grid16, 5) == 0.0
 
     def test_identity(self, grid16):
-        X = FourierOperator(grid16, np.eye(grid16.dim, dtype=complex))
+        X = np.eye(grid16.dim, dtype=complex)
         for K in (0, 5, 10):
-            assert tail_norm(X, K) == pytest.approx(1.0)
+            assert tail_norm(X, grid16, K) == pytest.approx(1.0)
 
     def test_decaying_diagonal_formula(self, grid16):
         vals = 1.0 / (1.0 + np.abs(grid16.mode_of_index()))
-        X = FourierOperator(grid16, np.diag(vals.astype(complex)))
+        X = np.diag(vals.astype(complex))
         for K in (2, 5, 9):
-            assert tail_norm(X, K) == pytest.approx(1.0 / (2.0 + K))
+            assert tail_norm(X, grid16, K) == pytest.approx(1.0 / (2.0 + K))
 
     def test_monotone_in_K(self, grid16):
         X = random_operator(grid16, 3)
-        tails = [tail_norm(X, K) for K in range(0, grid16.N + 1)]
+        tails = [tail_norm(X, grid16, K) for K in range(0, grid16.N + 1)]
         assert all(b <= a + 1e-13 for a, b in zip(tails, tails[1:]))
 
     def test_cutoff_bound(self, grid16):
         with pytest.raises(ValueError):
-            tail_norm(random_operator(grid16, 4), grid16.N + 1)
+            tail_norm(random_operator(grid16, 4), grid16, grid16.N + 1)
 
 
 class TestRestrict:
     def test_corner(self, grid16):
         X = random_operator(grid16, 6)
-        sub = restrict_to(X, CircleGrid(J=grid16.J, N=8))
-        assert sub.grid.N == 8
+        target = CircleGrid(J=grid16.J, N=8)
+        sub = restrict_to(X, target)
+        assert sub.shape == (target.dim, target.dim)
         keep = ~grid16.tail_mask(8)
-        assert np.array_equal(sub.mat, X.mat[np.ix_(keep, keep)])
+        assert np.array_equal(sub, X[np.ix_(keep, keep)])

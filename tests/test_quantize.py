@@ -7,12 +7,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from oracles import dilated, matrix_loop, padded_chart_quantization, sampled_quantization
 from psilab import quantize
-from psilab.numerics import CircleGrid, FourierOperator, operator_norm
+from psilab.numerics import CircleGrid, operator_norm
 from psilab.quantize import (Atlas, _assemble, corner_product, multiplication_operator,
                              op_quantize, padded_grid, restrict_to, t_quantize,
                              t_quantize_charts)
-from psilab.symbols import (HomogeneousSymbol, Loop, Symbol, SymbolClass,
-                            bump_profile, cap_profile, constant_profile,
+from psilab.symbols import (HomogeneousSymbol, Loop, RadialProfile, Symbol,
+                            SymbolClass, bump_profile, cap_profile, constant_profile,
                             rational_decay_profile,
                             rational_vanishing_profile)
 from psilab.presets import chart_symbol, loop_c1
@@ -27,18 +27,18 @@ class TestTQuantize:
     def test_fiber_only_diagonal(self, grid32):
         T = t_quantize(fiber_only(grid32), 2.0, grid32)
         expect = 1.0 / (1.0 + (grid32.modes / 2.0) ** 2)
-        assert np.allclose(np.diag(T.mat), expect, atol=1e-14)
-        off = T.mat - np.diag(np.diag(T.mat))
+        assert np.allclose(np.diag(T), expect, atol=1e-14)
+        off = T - np.diag(np.diag(T))
         assert np.max(np.abs(off)) < 1e-14
 
     def test_x_only_toeplitz_t_independent(self, grid32):
         sym = Symbol.separable(loop_c1(), constant_profile(1.0), SymbolClass.FULL_C0)
         T1 = t_quantize(sym, 1.0, grid32)
         T2 = t_quantize(sym, 11.7, grid32)
-        assert np.array_equal(T1.mat, T2.mat)
+        assert np.array_equal(T1, T2)
         n0 = grid32.N
-        assert T1.mat[n0 + 1, n0] == pytest.approx(0.5)
-        assert T1.mat[n0 - 2, n0] == pytest.approx(0.25)
+        assert T1[n0 + 1, n0] == pytest.approx(0.5)
+        assert T1[n0 - 2, n0] == pytest.approx(0.25)
 
     @pytest.mark.parametrize("s", [0.5, 2.0, 3.0])
     def test_translation_invariance(self, grid32, s):
@@ -46,7 +46,7 @@ class TestTQuantize:
         for t in (1.0, 4.0):
             lhs = t_quantize(sym, t * s, grid32)
             rhs = t_quantize(dilated(sym, s), t, grid32)
-            assert np.max(np.abs(lhs.mat - rhs.mat)) < 1e-13
+            assert np.max(np.abs(lhs - rhs)) < 1e-13
 
     def test_linearity(self, grid32):
         a = Symbol.separable(loop_c1(), cap_profile(2.0), SymbolClass.COMPACT_SUPPORT)
@@ -55,8 +55,8 @@ class TestTQuantize:
         scaled = Symbol(tuple((Loop.constant(2.5) * loop, prof) for loop, prof in b.terms),
                         b.k, b.tag)
         combined = Symbol(a.terms + scaled.terms, 1, SymbolClass.FULL_C0)
-        expect = t_quantize(a, 2.0, grid32).mat + 2.5 * t_quantize(b, 2.0, grid32).mat
-        assert np.allclose(t_quantize(combined, 2.0, grid32).mat, expect, atol=1e-14)
+        expect = t_quantize(a, 2.0, grid32) + 2.5 * t_quantize(b, 2.0, grid32)
+        assert np.allclose(t_quantize(combined, 2.0, grid32), expect, atol=1e-14)
 
     @settings(max_examples=40, deadline=None)
     @given(k=st.integers(1, 2), seed=st.integers(0, 2**32 - 1),
@@ -67,7 +67,7 @@ class TestTQuantize:
         sym = random_symbol(k, seed)
         lhs = t_quantize(sym, t * s, g)
         rhs = t_quantize(dilated(sym, s), t, g)
-        assert np.max(np.abs(lhs.mat - rhs.mat)) <= 1e-12
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_requires_positive_t(self, grid32):
         with pytest.raises(ValueError):
@@ -78,7 +78,7 @@ class TestTQuantize:
         sym = Symbol.separable(matrix_loop(k=2), cap_profile(3.0),
                                SymbolClass.COMPACT_SUPPORT)
         T = t_quantize(sym, 2.0, g)
-        assert T.mat.shape == (g.dim, g.dim)
+        assert T.shape == (g.dim, g.dim)
 
     def test_sampled_assembly_matches_exact(self, grid32):
         sym = Symbol.separable(loop_c1(), rational_decay_profile(),
@@ -90,20 +90,20 @@ class TestTQuantize:
 
         exact = t_quantize(sym, 3.0, grid32)
         sampled = sampled_quantization(fn, 3.0, grid32)
-        assert np.max(np.abs(exact.mat - sampled)) < 1e-13
+        assert np.max(np.abs(exact - sampled)) < 1e-13
 
 
 class TestOpQuantize:
     def test_unit_symbol_diagonal(self, grid32, theta):
         O = op_quantize(HomogeneousSymbol.unit(1), theta, grid32)
-        assert np.allclose(np.diag(O.mat), theta(np.abs(grid32.modes)), atol=1e-15)
+        assert np.allclose(np.diag(O), theta(np.abs(grid32.modes)), atol=1e-15)
 
     def test_sign_symbol(self, grid32, theta):
         sign = HomogeneousSymbol(Loop.identity(1), Loop.constant(-1.0))
         O = op_quantize(sign, theta, grid32)
         expect = np.sign(grid32.modes) * theta(np.abs(grid32.modes))
-        assert np.allclose(np.diag(O.mat), expect, atol=1e-14)
-        off = O.mat - np.diag(np.diag(O.mat))
+        assert np.allclose(np.diag(O), expect, atol=1e-14)
+        off = O - np.diag(np.diag(O))
         assert np.max(np.abs(off)) < 1e-14
 
     def test_fiber_constant_finite_rank_vs_multiplication(self, grid32, theta):
@@ -112,11 +112,11 @@ class TestOpQuantize:
                 - multiplication_operator(c, grid32))
         # columns with |m| >= r0 carry weight one: difference confined below
         mask = grid32.tail_mask(int(theta.r0) + 2)
-        assert operator_norm(diff.mat[:, mask]) == 0.0
+        assert operator_norm(diff[:, mask]) == 0.0
 
     def test_zero_column_at_origin(self, grid32, theta):
         O = op_quantize(HomogeneousSymbol(loop_c1(), loop_c1().adjoint()), theta, grid32)
-        col = O.mat[:, grid32.N]
+        col = O[:, grid32.N]
         assert np.max(np.abs(col)) == 0.0
 
     def test_wrong_type(self, grid32, theta):
@@ -127,18 +127,18 @@ class TestOpQuantize:
 class TestMultiplication:
     def test_identity(self, grid32):
         P = multiplication_operator(Loop.identity(1), grid32)
-        assert np.allclose(P.mat, np.eye(grid32.dim), atol=1e-15)
+        assert np.allclose(P, np.eye(grid32.dim), atol=1e-15)
 
     def test_adjoint_compatibility(self, grid32):
         c = loop_c1()
-        assert np.max(np.abs(multiplication_operator(c, grid32).adjoint().mat
-                             - multiplication_operator(c.adjoint(), grid32).mat)) < 1e-14
+        assert np.max(np.abs(multiplication_operator(c, grid32).conj().T
+                             - multiplication_operator(c.adjoint(), grid32))) < 1e-14
 
     def test_band_confinement(self, grid32):
         c = Loop.from_scalar_modes({1: 0.5, -2: 1.0})
         d = Loop.from_scalar_modes({3: 1.0})
-        D = (multiplication_operator(c, grid32).mat @ multiplication_operator(d, grid32).mat
-             - multiplication_operator(c * d, grid32).mat)
+        D = (multiplication_operator(c, grid32) @ multiplication_operator(d, grid32)
+             - multiplication_operator(c * d, grid32))
         K = grid32.N - 2 - 3
         keep = ~grid32.tail_mask(K)
         # the homomorphism defect lives entirely in the boundary band
@@ -149,9 +149,9 @@ class TestMultiplication:
         c = Loop.from_scalar_modes({1: 0.5, -2: 1.0})
         d = Loop.from_scalar_modes({3: 1.0})
         big = padded_grid(grid32, 5)
-        D = (multiplication_operator(c, big).mat @ multiplication_operator(d, big).mat
-             - multiplication_operator(c * d, big).mat)
-        D = restrict_to(FourierOperator(big, D), grid32)
+        D = (multiplication_operator(c, big) @ multiplication_operator(d, big)
+             - multiplication_operator(c * d, big))
+        D = restrict_to(D, grid32)
         assert operator_norm(D) < 1e-13
 
     def test_degree_cap(self, grid32):
@@ -188,13 +188,13 @@ class TestCornerProduct:
                                            SymbolClass.FULL_C0), t, big)
         right = multiplication_operator(wide_loop(k, seed + 1, self.PAD), big)
         got = corner_product(left, right, grid)
-        expect = restrict_to(FourierOperator(big, left.mat @ right.mat), grid)
-        assert got.grid == grid
+        expect = restrict_to(left @ right, grid)
+        assert got.shape == (grid.dim, grid.dim)
         bound = 1e-13 * operator_norm(left) * operator_norm(right)
-        assert np.max(np.abs(got.mat - expect.mat)) <= bound
+        assert np.max(np.abs(got - expect)) <= bound
         if kind == "zero":
-            assert not left.mat.any()
-            assert np.array_equal(got.mat, np.zeros((grid.dim, grid.dim)))
+            assert not left.any()
+            assert np.array_equal(got, np.zeros((grid.dim, grid.dim)))
 
     def test_grids_checked(self, grid32):
         big = padded_grid(grid32, 4)
@@ -255,8 +255,8 @@ class TestCharts:
             for t in 2.0 ** np.arange(-2, 8):
                 got = t_quantize_charts(a, t, atlas, g)
                 ref = padded_chart_quantization(a, t, atlas, g)
-                assert got.grid == g
-                assert np.max(np.abs(got.mat - ref.mat)) <= 1e-13 * operator_norm(ref)
+                assert got.shape == (g.dim, g.dim)
+                assert np.max(np.abs(got - ref)) <= 1e-13 * operator_norm(ref)
 
     def test_invalid_atlas(self, grid32):
         bad = Atlas((lambda x: np.full_like(x, 0.7),
@@ -305,7 +305,7 @@ class TestAssemblyAgainstDoubleLoop:
         t = 3.0
         expect = (reference_table(padded(ca, N), pa(g.modes / t), g)
                   + reference_table(padded(cb, N), pb(g.modes / t), g))
-        assert np.max(np.abs(t_quantize(sym, t, g).mat - expect)) < 1e-12
+        assert np.max(np.abs(t_quantize(sym, t, g) - expect)) < 1e-12
 
     def test_op_quantize(self, N, k, theta):
         g = self.grid(N, k)
@@ -314,14 +314,34 @@ class TestAssemblyAgainstDoubleLoop:
         w = theta(np.abs(g.modes))
         expect = (reference_table(padded(cp, N), np.where(g.modes >= 0, w, 0.0), g)
                   + reference_table(padded(cm, N), np.where(g.modes < 0, w, 0.0), g))
-        got = op_quantize(HomogeneousSymbol(lp, lm), theta, g).mat
+        got = op_quantize(HomogeneousSymbol(lp, lm), theta, g)
         assert np.max(np.abs(got - expect)) < 1e-12
 
     def test_multiplication_operator(self, N, k):
         g = self.grid(N, k)
         loop, c = known_loop(k, 4, seed=5)
         expect = reference_table(padded(c, N), np.ones(g.n_modes), g)
-        assert np.max(np.abs(multiplication_operator(loop, g).mat - expect)) < 1e-12
+        assert np.max(np.abs(multiplication_operator(loop, g) - expect)) < 1e-12
+
+
+class TestNonFiniteEntries:
+    """Values enter an operator only through ``_assemble``, which checks its
+    coefficient table and weight vector before building anything."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_profile_value_rejected(self, grid32, bad):
+        prof = RadialProfile(lambda xi: np.where(np.abs(xi) > 3.0, bad, 1.0))
+        sym = Symbol.separable(loop_c1(), prof, SymbolClass.FULL_C0)
+        with pytest.raises(ValueError, match="operator entries must be finite"):
+            t_quantize(sym, 2.0, grid32)
+
+    def test_loop_sample_rejected(self, grid32, theta):
+        loop = Loop(lambda x: np.full((np.size(x), 1, 1), np.nan), 1, None)
+        sym = Symbol.separable(loop, constant_profile(1.0), SymbolClass.FULL_C0)
+        with pytest.raises(ValueError, match="operator entries must be finite"):
+            t_quantize(sym, 2.0, grid32)
+        with pytest.raises(ValueError, match="operator entries must be finite"):
+            op_quantize(HomogeneousSymbol(loop, loop), theta, grid32)
 
 
 class TestBlockSizeMismatch:
@@ -373,9 +393,9 @@ class TestWriteOnceAgainstReference:
         g = self.grid(N, k)
         sym, terms = self.terms(g, 3.0)
         for count in range(len(terms) + 1):
-            got = _assemble(g, terms[:count]).mat
+            got = _assemble(g, terms[:count])
             assert np.array_equal(got, zero_filled_assemble(g, terms[:count]))
-        assert np.array_equal(t_quantize(sym, 3.0, g).mat, zero_filled_assemble(g, terms))
+        assert np.array_equal(t_quantize(sym, 3.0, g), zero_filled_assemble(g, terms))
 
     def test_op_quantize_and_multiplication(self, N, k, theta):
         g = self.grid(N, k)
@@ -384,8 +404,8 @@ class TestWriteOnceAgainstReference:
         expect = zero_filled_assemble(g, [
             (plus.coefficients(g), np.where(g.modes >= 0, w, 0.0)),
             (minus.coefficients(g), np.where(g.modes < 0, w, 0.0))])
-        assert np.array_equal(op_quantize(HomogeneousSymbol(plus, minus), theta, g).mat,
+        assert np.array_equal(op_quantize(HomogeneousSymbol(plus, minus), theta, g),
                               expect)
         expect = zero_filled_assemble(g, [(plus.coefficients(g),
                                            np.ones(g.n_modes, dtype=complex))])
-        assert np.array_equal(multiplication_operator(plus, g).mat, expect)
+        assert np.array_equal(multiplication_operator(plus, g), expect)
