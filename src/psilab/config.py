@@ -137,13 +137,24 @@ def _finite_number(text):
     return value
 
 
+def _fitting_int(text):
+    """A JSON integer as an int; one too large for a float is a config error."""
+    try:
+        value = int(text)
+        float(value)
+    except (OverflowError, ValueError) as exc:
+        digits = len(text.lstrip("-"))
+        raise ConfigError(f"config integer of {digits} digits does not fit a float") from exc
+    return value
+
+
 def load_config(path=None):
     """Read, merge and validate a configuration file (defaults if None)."""
     data = {}
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh, parse_float=_finite_number,
+                data = json.load(fh, parse_float=_finite_number, parse_int=_fitting_int,
                                  parse_constant=_finite_number)
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc

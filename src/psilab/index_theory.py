@@ -195,13 +195,30 @@ def _clutching_factors(u):
     return s, pieces.reshape(J, 2 * k, 4 * k * k)
 
 
+def _clutching_weights(s, r):
+    """The real weights w = [d0, r S d0] of the pieces at the radii r, shape
+    (2k, J, len(r)): the sample of p - corner at radius r_m is
+    sum_j w[j, :, m] pieces[:, j]."""
+    J, k = s.shape
+    w = np.empty((2 * k, J, r.size))
+    rs, d0 = w[k:], w[:k]
+    np.multiply(s.T[:, :, None], r, out=rs)
+    np.multiply(rs, rs, out=d0)
+    d0 += 1.0
+    np.reciprocal(d0, out=d0)
+    rs *= d0
+    return w
+
+
 def _clutching_samples(factors, r, out):
-    """Write the samples of p - corner for b = r u into out, (J, len(r), 4k^2)."""
+    """Write the samples of p - corner for b = r u into out, (J, len(r), 4k^2).
+
+    The real weights multiply the real and imaginary parts of the pieces in
+    one real product, on the interleaved float view of both.
+    """
     s, pieces = factors
-    rs = r[None, :, None] * s[:, None, :]
-    d0 = 1.0 / (1.0 + rs * rs)
-    weights = np.concatenate([d0, rs * d0], axis=-1).astype(complex)
-    np.matmul(weights, pieces, out=out)
+    weights = _clutching_weights(s, r).transpose(1, 2, 0)
+    np.matmul(weights, pieces.view(float), out=out.view(float))
 
 
 # -- the spectral pairing ----------------------------------------------------
@@ -220,6 +237,8 @@ _PIVOT_FLOOR = 1e-8
 _LDL_ALLOWANCE = 1e-8
 #: fewest mode-blocks per super-block of the band LDL^H
 _SUPER = 4
+#: grid points per block of the factored band product
+_POINTS = 32
 
 
 def _sampled_columns(sigma, t, grid):
@@ -298,45 +317,118 @@ def _band_table(coeffs, k):
     return band
 
 
+def _halving_sum(a):
+    """Sum of a 1-d array in ceil(log2 len(a)) rounds of pairwise additions,
+    so that no term passes through more additions than that; overwrites a."""
+    n = len(a)
+    while n > 1:
+        h = n // 2
+        a[:h] += a[n - h:n]
+        n -= h
+    return a[0]
+
+
+def _factored_band(factors, r, analysis):
+    """(coeffs, mass) of one branch's columns at the radii r, from its
+    factors and never from samples.
+
+    coeffs[i, m] are the coefficients of column m at the frequencies of the
+    rows i of ``analysis``, shape (rows, len(r), 4k^2).  mass bounds
+    sum_m mean_x |s(x, m)|^2 from above, up to the rounding of its sum (see
+    ``_band_coefficients``).
+    """
+    s, pieces = factors
+    J, k = s.shape
+    rows = analysis.shape[0]
+    w = _clutching_weights(s, r)
+    coeffs = np.zeros((r.size, rows * 8 * k * k))
+    for x in range(0, J, _POINTS):
+        wx = w[:, x:x + _POINTS].reshape(-1, r.size)
+        # A[l, x] P_j(x) on the block's points, as interleaved floats
+        q = (analysis[:, x:x + _POINTS].T[None, :, :, None]
+             * pieces[x:x + _POINTS].swapaxes(0, 1)[:, :, None, :])
+        coeffs += wx.T @ q.view(float).reshape(len(wx), -1)
+    gram = pieces @ pieces.conj().swapaxes(1, 2)
+    g = np.max(np.linalg.norm(gram.real - 2.0 * np.eye(2 * k), axis=(1, 2)))
+    g += 8 * k ** 3 * np.finfo(float).eps
+    # the weights are spent: their d0 half is summed in place
+    mass = 2.0 * _halving_sum(w[:k].reshape(-1)) / J * (1.0 + 0.5 * g)
+    return coeffs.view(complex).reshape(r.size, rows, 4 * k * k).swapaxes(0, 1), mass
+
+
 def _band_coefficients(sigma, t, grid, b):
     """The pairing matrix on the band |n - m| <= b, with a bound on the rest.
 
     Returns (band, delta): band is the ``_band_table`` of M, and delta
-    bounds ||H - H_b|| for the Hermitian parts H of M and H_b of the band.
-    The coefficients c_m(l), |l| <= b, of every sampled column come from one
-    (2b + 1) x J DFT-matrix product.  By Parseval on the J grid points the
-    dropped coefficients of a column entry satisfy
+    bounds ||H - H_b|| for the Hermitian parts H of M and H_b of the band,
+    M the pairing matrix of the samples built from the computed branch
+    factors.
 
-        sum_{|l| > b} |c_m(l)|^2 = mean_x |s(x, m)|^2 - sum_{|l| <= b} |c_m(l)|^2
-                                 = mean_x |s(x, m) - s_b(x, m)|^2,
+    The samples are never formed.  With (s, P) = ``_clutching_factors(u)``
+    and the real weights w(x, r) = [d0, r S d0] a sample is
+    s(x, m) = sum_j w_j(x, r_m) P_j(x), so with the analysis rows
+    A[l, x] = e^{-ilx} / J, |l| <= b,
 
-    s_b the band's resynthesis.  The last form is a sum of squares, so it has
-    no cancellation floor, and since s_b is built from the rounded
-    coefficients it also bounds their error.  Summed over all entries it
-    bounds ||M - M_b||_F^2 >= ||H - H_b||^2.  The rounding allowance covers
-    the resynthesis and the subtraction, at most
-    (2b + 4) sqrt(2b + 1) eps sqrt(mean |s|^2) per entry in the mean square
-    over x (Cauchy-Schwarz on the 2b + 1 terms), added over all entries by
-    Minkowski, and the summation of the squares (factor 1.001).
+        c_m(l) = sum_{x, j} (A[l, x] P_j(x)) w_j(x, r_m),
+
+    one real product per branch of the weights with the interleaved float
+    view of A P, taken over blocks of _POINTS grid points and accumulated.
+    By Parseval on the J grid points the dropped coefficients satisfy
+
+        tail = sum_{m, |l| > b} |c_m(l)|^2 = mass - sum_{m, |l| <= b} |c_m(l)|^2,
+
+    mass = sum_m mean_x |s(x, m)|^2, and tail bounds ||M - M_b||_F^2 >=
+    ||H - H_b||^2.  The mass comes in closed form: the Gram G(x) = P P^H of
+    the pieces is 2I in exact arithmetic (orthogonal pieces of Frobenius
+    norm sqrt 2), so sum_m mean_x w^T Re G w = (2 / J) sum d0, because
+    d0^2 + (r S d0)^2 = d0.  Computed pieces with ||Re G(x) - 2I|| <= g at
+    every x raise it by at most the factor 1 + g / 2; g is measured, plus
+    8 k^3 eps for the rounding of G.
+
+    The rounding allowance, to first order, counting every rounding as eps
+    (twice the unit roundoff):
+
+    * a kept coefficient is a sum of terms (A P)_j w_j that passes through at
+      most p = 2k _POINTS + ceil(J / _POINTS) - 1 additions (one block
+      product, then the blocks), and each term carries at most 20 eps from
+      the phase of A, the complex product and the weights.  For the real
+      and the imaginary part apart this gives the coefficient error
+      E <= (p + 20) eps ||(|A P|) w||_2 over the band, and Cauchy-Schwarz
+      over (x, j) with ||P_j(x)||_F^2 <= 2 + g gives
+      ||(|A P|) w||_2^2 <= 2k (2b + 1) mass;
+    * the mass and the power sum |c~|^2 of the computed coefficients c~
+      are sums of non-negative terms by ``_halving_sum``, each in at most
+      h = ceil(log2(8 (2b + 1) k^2 J n)) rounds, so with the roundings of
+      the weights and the squares both are within (h + 4) eps of their
+      values together;
+    * ||c|| >= ||c~|| - E, so sum |c|^2 >= power - 2 E sqrt(mass).
+
+    So tail <= mass - power + (h + 4) eps mass + 2 E sqrt(mass), and
+
+        delta = 1.001 sqrt(tail) + E,
+
+    E for the error of the kept coefficients (||M_b - M~_b||_F <= E) and the
+    factor 1.001 for the evaluation of the bound.
     """
     J, n, k = grid.J, grid.n_modes, sigma.k
     ls = np.arange(-b, b + 1)
     # e^{-i l x_j} from the exact phase (l j mod J) / J
     analysis = np.exp(-2j * np.pi * (np.outer(ls, np.arange(J)) % J) / J) / J
-    synthesis = J * analysis.conj().T
     coeffs = np.empty((2 * b + 1, n, 4 * k * k), dtype=complex)
-    tail = mass = 0.0
-    for start, vals in _sampled_columns(sigma, t, grid):
-        flat = vals.reshape(J, -1)
-        part = analysis @ flat
-        resid = synthesis @ part
-        resid -= flat
-        tail += np.vdot(resid, resid).real / J
-        mass += np.vdot(flat, flat).real / J
-        coeffs[:, start:start + vals.shape[1]] = part.reshape(2 * b + 1, -1, 4 * k * k)
+    xis = grid.modes / t
+    split = int(np.searchsorted(xis, 0.0))
+    mass = 0.0
+    for sign, cols in ((-1, slice(None, split)), (+1, slice(split, None))):
+        factors = _clutching_factors(sigma.branch(sign).fn(grid.x))
+        coeffs[:, cols], part = _factored_band(factors, np.abs(xis[cols]), analysis)
+        mass += part
+    power = _halving_sum(np.square(coeffs.view(float)).ravel())
     eps = np.finfo(float).eps
-    allowance = (2 * b + 4) * np.sqrt(2 * b + 1) * eps * np.sqrt(mass)
-    return _band_table(coeffs, k), 1.001 * np.sqrt(tail) + allowance
+    p = 2 * k * _POINTS + -(-J // _POINTS) - 1
+    h = np.ceil(np.log2(8 * (2 * b + 1) * k * k * J * n))
+    err = (p + 20) * eps * np.sqrt(2 * k * (2 * b + 1) * mass)
+    tail = mass - power + (h + 4) * eps * mass + 2 * err * np.sqrt(mass)
+    return _band_table(coeffs, k), 1.001 * np.sqrt(max(tail, 0.0)) + err
 
 
 def _spectrum_band(sigma, t, grid, b_min):
@@ -384,9 +476,10 @@ def _pairing_band(sigma, t, grid):
     drop bound delta is at most _BAND_TOL; or None.
 
     The first try is the declared degree of the branches (1 without one), at
-    which unitary trigonometric branches leave nothing out, by one thin
-    DFT-matrix product (``_band_coefficients``).  When that drops too much,
-    one FFT pass (``_spectrum_band``) bounds every wider band at once.
+    which unitary trigonometric branches leave nothing out, formed from the
+    branch factors without samples (``_band_coefficients``).  When that
+    drops too much, one FFT pass over the samples (``_spectrum_band``)
+    bounds every wider band at once.
     """
     b = sigma.degree or 1
     if b > _BAND_CAP * grid.N:

@@ -369,6 +369,13 @@ class TestExitCodes:
         ("ch-compare", {"ch_compare": {"extended_cases": [{"label": "x", "g": {
             "kind": "rational_decay", "scale": float("inf")}, "c": "c1"}]}},
          "config number Infinity is not finite"),
+        # an integer too large for a float would overflow where it is used
+        ("ch-compare", {"ch_compare": {"extended_cases": [{"label": "x", "g": {
+            "kind": "constant", "value": 10 ** 400}, "c": "c1"}]}},
+         "config integer of 401 digits does not fit a float"),
+        ("ch-compare", {"ch_compare": {"extended_cases": [{"label": "x", "g": {
+            "kind": "rational_decay", "scale": 10 ** 400}, "c": "c1"}]}},
+         "config integer of 401 digits does not fit a float"),
     ])
     def test_malformed_record_exits_2(self, tmp_path, capsys, command, section, message):
         path = write_config(tmp_path, {"grid": {"N": 32, "J": 132}, **section})

@@ -14,6 +14,7 @@ from psilab.index_theory import (PAIRING_GAP, InconclusiveIndexError,
                                  _spectrum_band, analytic_index,
                                  fredholm_index_svd, higson_trace_index,
                                  index_report, winding_number)
+from psilab.config import DEFAULTS
 from psilab.numerics import CircleGrid
 from psilab.symbols import CutFunction, HomogeneousSymbol, Loop
 from psilab.presets import index_suite, winding_pair
@@ -366,6 +367,45 @@ class TestBandCount:
         b = band.shape[0] // 2
         dense = _pairing_matrix(sigma, t, g) + np.kron(np.eye(g.n_modes), corner(k))
         assert np.max(np.abs(band - matrix_band(dense, 2 * k, b))) <= 1e-13
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_factored_mass_matches_samples(self, monkeypatch, k):
+        # N = 70: two column blocks of the sampler; non-unitary branches
+        g = CircleGrid(J=4 * 70 + 6, N=70, k=k)
+        sigma = HomogeneousSymbol(random_dominant_loop(3, k, 1),
+                                  random_dominant_loop(4, k, -2))
+        sampled = sum(np.vdot(vals, vals).real / g.J
+                      for _, vals in index_theory._sampled_columns(sigma, 2.5, g))
+        masses = []
+        factored = index_theory._factored_band
+
+        def recorded(*args):
+            coeffs, mass = factored(*args)
+            masses.append(mass)
+            return coeffs, mass
+
+        monkeypatch.setattr(index_theory, "_factored_band", recorded)
+        _band_coefficients(sigma, 2.5, g, 1)
+        assert len(masses) == 2
+        assert sum(masses) == pytest.approx(sampled, rel=1e-12)
+
+    @pytest.mark.parametrize("N,J,exponents", [
+        (256, 1028, DEFAULTS["index_compare"]["higson_t_exponents"]),
+        (512, 2052, [6]),  # the refinement grid of criterion 09
+    ])
+    def test_shipped_suite_decides_on_the_first_try(self, monkeypatch, N, J, exponents):
+        # the degree band of every shipped case, with room below the tolerance
+        passes = []
+        spectrum = index_theory._spectrum_band
+        monkeypatch.setattr(index_theory, "_spectrum_band",
+                            lambda *args: passes.append(args) or spectrum(*args))
+        g = CircleGrid(J=J, N=N, k=1)
+        for _, sigma in index_suite():
+            for t in 2.0 ** np.array(exponents):
+                band, delta = _pairing_band(sigma, t, g)
+                assert not passes
+                assert band.shape[0] == 2 * (sigma.degree or 1) + 1
+                assert delta <= index_theory._BAND_TOL / 4
 
     @pytest.mark.parametrize("n,k2,b", [(37, 2, 1), (40, 4, 3), (50, 2, 20)])
     def test_inertia_matches_eigvalsh(self, n, k2, b):
