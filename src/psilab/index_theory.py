@@ -23,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .numerics import fourier_coefficients
-from .quantize import op_quantize, padded_grid
+from .quantize import op_quantize, op_terms, padded_grid
 from .symbols import HomogeneousSymbol, Loop
 
 __all__ = [
@@ -87,6 +87,17 @@ def winding_number(loop):
 
 #: an inconclusive kernel count is taken again at 2N and 4N up to this N
 _REFINE_MAX_N = 256
+#: the band counts the singular values below a = _KERNEL_SHIFT * EPS_RANK
+_KERNEL_SHIFT = 1e4
+#: inverse-iteration steps for the kernel frame before the SVD takes over
+_FRAME_STEPS = 8
+#: seed of the start frame of the inverse iteration
+_FRAME_SEED = 0
+
+
+def _adjoint(a):
+    """Conjugate transpose of the trailing two axes."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def _gapped_small_count(svals, eps):
@@ -105,11 +116,138 @@ def _gapped_small_count(svals, eps):
     if counted.size and bottom < 1e3 * top:
         raise InconclusiveIndexError(
             f"singular values {top:.3e} and {bottom:.3e} straddle eps={eps:.1e} "
-            "without a 1e+03 gap; increase N or adjust eps_rank")
+            "without a 1e+03 gap; increase N or adjust index_theory.EPS_RANK")
     if not counted.size and bottom < 1e3 * eps:
         raise InconclusiveIndexError(
             f"smallest singular value {bottom:.3e} sits too close to eps={eps:.1e}")
     return int(counted.size)
+
+
+def _fredholm_bands(terms, grid, n, b):
+    """Band tables of the kernel and cokernel truncations, with two masses.
+
+    X = sum_t Toeplitz(c_t) diag(w_t) over the (coeffs, weights) terms of
+    ``op_terms`` on ``grid``; the kernel truncation is Z = X[:, keep] and
+    the cokernel truncation Z = X[keep, :]^H, keep the modes |m| <= n.
+    Each table T[b + l, i] is the block (i + l, i) of the band |l| <= b of
+    Z, with the columns i over keep; every row i + l lies inside the
+    grid, so Z has no cut row.  The kernel entries are those of the dense
+    X bit for bit, the cokernel entries their exact adjoints.
+
+    Returns (kernel, cokernel, s, d): s bounds the 1- and inf-norms of |Z_b|
+    (the l1 mass of the kept coefficients times the largest weight) and
+    d >= ||Z - Z_b||_2 (Young: the l1 sum of the spectral norms of the
+    dropped coefficients times the largest weight), both per term, added,
+    and raised by 1.001 for the rounding of the product and of the sums.
+    """
+    centre, offset = grid.N, 2 * grid.N
+    ls = np.arange(-b, b + 1)
+    cols = np.arange(-n - b, n + b + 1) + centre
+    band, s, d = None, 0.0, 0.0
+    for coeffs, weights in terms:
+        kept = coeffs[offset - b:offset + b + 1]
+        # summed in the order of the dense assembly, which keeps its bits
+        part = kept[:, None] * weights[cols][None, :, None, None]
+        band = part if band is None else band + part
+        top = np.max(np.abs(weights))
+        s += top * np.sum(np.abs(kept))
+        dropped = np.concatenate([coeffs[:offset - b], coeffs[offset + b + 1:]])
+        d += top * np.sum(np.linalg.norm(dropped, axis=(1, 2)))
+    i = np.arange(2 * n + 1)
+    kernel = band[:, b:b + 2 * n + 1]
+    # the block (i + l, i) of X[keep, :]^H is the adjoint of the block
+    # (i, i + l) of X, which sits at offset -l of column i + l
+    cokernel = _adjoint(band[b - ls[:, None], i[None, :] + ls[:, None] + b])
+    return kernel, cokernel, 1.001 * s, 1.001 * d
+
+
+def _gram_band(band):
+    """The band table of Z^H Z, half-width 2b, from the band table of Z
+    (``_fredholm_bands``): block (m + p, m) is sum_l T[b + l - p, m + p]^H
+    T[b + l, m] over |l|, |l - p| <= b.  The blocks below the diagonal are
+    summed and those above are their adjoints."""
+    w, n, k = band.shape[:3]
+    b = w // 2
+    gram = np.zeros((4 * b + 1, n, k, k), dtype=complex)
+    adj = _adjoint(band)
+    for p in range(w):
+        gram[2 * b + p, :n - p] = np.einsum("lmij,lmjk->mik", adj[:w - p, p:], band[p:, :n - p])
+        if p:
+            gram[2 * b - p, p:] = _adjoint(gram[2 * b + p, :n - p])
+    return gram
+
+
+def _band_apply(band, v):
+    """Z_b v for the band table of Z and v of shape (n, k, c): the rows
+    -b .. n + b - 1 of the product, shape (n + 2b, k, c)."""
+    w, n = band.shape[:2]
+    out = np.zeros((n + w - 1,) + v.shape[1:], dtype=complex)
+    for l in range(w):
+        out[l:l + n] += band[l] @ v
+    return out
+
+
+def _band_small_count(band, s, d):
+    """Number of singular values of Z below EPS_RANK, from the band table of
+    Z (``_fredholm_bands``), or None when the band cannot decide.
+
+    Counts by Sylvester's law of inertia on the Gram band G_b = Z_b^H Z_b
+    at the shift a^2, a = _KERNEL_SHIFT * EPS_RANK (read at call time):
+    ``_band_ldl`` of G~ - a^2 gives c, the number of eigenvalues below a^2
+    of G~ + E, for the computed Gram band G~ and ||E|| <= err.  The margin
+    of sigma_{c+1}(Z) >= lower = sqrt(a^2 - rho - err) - d holds with
+
+    * rho = (w k + 4) eps s^2 for the rounding of G~ (each entry a sum of
+      w k products, w = 2b + 1, plus its Hermitian part; entrywise within
+      that factor of |Z_b|^H |Z_b|, whose norm is at most s^2);
+    * err, the backward error of the block LDL^H;
+    * d >= ||Z - Z_b|| for the dropped band (Weyl for singular values).
+
+    For c > 0 a c-frame V bounds sigma_c from above by Courant-Fischer:
+    sigma_c(Z) <= ||Z V|| / sigma_min(V) <= upper =
+    (||Z_b V~||_F + (w k + 4) eps s ||V||_F + d ||V||) / sqrt(1 - f), with
+    f >= ||V^H V - I|| (measured, plus the rounding of the product) and
+    ||V|| <= sqrt(1 + f).  V comes from inverse iteration with G~ + a^2 I,
+    which is positive definite, factored by the same ``_band_ldl`` at the
+    shift -a^2, from a seeded Gaussian start, orthonormalized by QR after
+    each of at most _FRAME_STEPS steps.
+
+    The count is returned only when it reproduces ``_gapped_small_count``
+    with room to spare: lower >= 1e3 EPS_RANK and, for c > 0,
+    upper < EPS_RANK, so that an SVD finds c values below EPS_RANK and the
+    next at least 1e3 times the largest of them.  A small pivot, a margin
+    that eats the room, f >= 1/2 or the step cap give None.
+    """
+    eps_rank = EPS_RANK
+    a2 = (_KERNEL_SHIFT * eps_rank) ** 2
+    w, n, k = band.shape[:3]
+    eps = np.finfo(float).eps
+    gram = _gram_band(band)
+    ldl = _band_ldl(gram, np.array([a2, -a2]))
+    if ldl is None:
+        return None
+    vals, vecs, sub, err = ldl
+    c = n * k - int(np.sum(vals[:, 0] > 0.0))
+    rho = (w * k + 4) * eps * s * s
+    if np.sqrt(max(a2 - rho - err, 0.0)) - d < 1e3 * eps_rank:
+        return None
+    if c == 0:
+        return 0
+    rng = np.random.default_rng(_FRAME_SEED)
+    frame = np.zeros((vals[:, 1].size, c), dtype=complex)
+    v = rng.standard_normal((n * k, c)) + 1j * rng.standard_normal((n * k, c))
+    for _ in range(_FRAME_STEPS):
+        frame[:n * k] = v
+        v = np.linalg.qr(_ldl_solve(vals[:, 1], vecs[:, 1], sub, frame)[:n * k])[0]
+        f = 1.001 * np.linalg.norm(v.conj().T @ v - np.eye(c)) + (n * k + 4) * eps * c
+        if f >= 0.5:
+            return None
+        norm = 1.001 * np.linalg.norm(_band_apply(band, v.reshape(n, k, c)))
+        upper = (norm + (w * k + 4) * eps * s * np.sqrt(c * (1.0 + f))
+                 + d * np.sqrt(1.0 + f)) / np.sqrt(1.0 - f)
+        if upper < eps_rank:
+            return c
+    return None
 
 
 def fredholm_index_svd(sigma, theta, grid):
@@ -128,6 +266,20 @@ def fredholm_index_svd(sigma, theta, grid):
     tail shrinks, a genuine singular value stays); only the last
     inconclusive count raises.
 
+    Both counts are first taken on the band |n - m| <= degree of the
+    truncation (16 without a declared degree), by ``_band_small_count``:
+    the inertia of the Gram band at the shift a^2, a = 1e4 EPS_RANK, gives
+    the count c of singular values below a, with sigma_{c+1} bounded below
+    through three margins (the rounding of the Gram, the backward error of
+    its block LDL^H, and the norm d of the dropped coefficients), and for
+    c > 0 an inverse-iteration c-frame V bounds sigma_c <= ||X V|| from
+    above.  The band decides only when an SVD would return the same count
+    with room to spare: sigma_{c+1} >= 1e3 EPS_RANK and, for c > 0,
+    ||X V|| < EPS_RANK.  Otherwise both counts at that size come from the
+    full singular values of the dense truncation, which stays the reference
+    of the band count; a small pivot, a margin over its allowance and the
+    inverse iteration's step cap all end there.
+
     Raises InconclusiveIndexError unless r0 + degree < N: otherwise the
     cutting function does not reach one on a full symbol band inside the
     mode range, and the kernel counts would report a wrong integer.
@@ -143,6 +295,11 @@ def fredholm_index_svd(sigma, theta, grid):
     sizes = [grid.N] + [n for n in (2 * grid.N, 4 * grid.N) if n <= _REFINE_MAX_N]
     for n in sizes:
         big = padded_grid(grid, n - grid.N + deg + 8)
+        kernel, cokernel, s, d = _fredholm_bands(op_terms(sigma, theta, big), big, n, deg)
+        k_ker = _band_small_count(kernel, s, d)
+        k_coker = None if k_ker is None else _band_small_count(cokernel, s, d)
+        if k_coker is not None:
+            return k_ker - k_coker
         X = op_quantize(sigma, theta, big)
         keep = ~big.tail_mask(n)
         try:
@@ -490,28 +647,29 @@ def _pairing_band(sigma, t, grid):
     return _spectrum_band(sigma, t, grid, b + 1)
 
 
-def _band_inertia(band, shifts):
-    """Eigenvalue counts of H_b above every shift with a backward-error
-    bound, or None on a small pivot.
+def _band_ldl(band, shifts):
+    """Block LDL^H factorizations of H_b - s at every shift s, with a
+    backward-error bound, or None on a small pivot.
 
-    H_b is the Hermitian part of the banded matrix of ``_band_table``.
-    Grouped into super-blocks of q = max(b, _SUPER) modes it is block
-    tridiagonal, so the block LDL^H recurrence
+    H_b is the Hermitian part of a band table (block (m + l, m) at
+    band[b + l, m]) with blocks of any size k2.  Grouped into super-blocks
+    of q = max(b, _SUPER) modes it is block tridiagonal, so the block
+    LDL^H recurrence
 
         D_0 = A_0 - s,   D_i = A_i - s - C_i D_{i-1}^{-1} C_i^H
 
     (A_i the diagonal and C_i the sub-diagonal super-blocks) needs one
-    Hermitian eigen-solve per pivot D_i, batched over the shifts.  By
-    Sylvester's law of inertia and Haynsworth's additivity the number of
-    eigenvalues of H_b above s is the number of positive eigenvalues of all
-    pivots.  The factorization does not pivot, which needs a guard (Bunch
-    and Kaufman): a pivot with an eigenvalue below _PIVOT_FLOOR in modulus
-    returns None.  The last super-block is padded with zero modes: their
-    eigenvalue 0 lies below every positive shift and adds nothing to a count.
+    Hermitian eigen-solve per pivot D_i, batched over the shifts.  The
+    factorization does not pivot, which needs a guard (Bunch and Kaufman):
+    a pivot with an eigenvalue below _PIVOT_FLOOR in modulus returns None.
+    The last super-block is padded with zero modes, which the pivots carry
+    as the value -s.
 
-    Returns (counts, err).  In floating point the counts are exact for some
-    H_b + E, and to first order in eps the backward error of a block LDL^H
-    factorization with pivot size p = 2kq is
+    Returns (vals, vecs, sub, err): vals[i, j] and vecs[i, j] are the
+    eigenvalues and eigenvectors of D_i at the shift j, sub[i] = C_{i+1},
+    and err bounds the backward error.  In floating point the factorization
+    is exact for some H_b + E, and to first order in eps the backward error
+    of a block LDL^H factorization with pivot size p = k2 q is
 
         ||E|| <= err = 4 p eps max_i (||D_i|| + ||C_i||_F^2 / min |lambda(D_{i-1})|),
 
@@ -534,27 +692,58 @@ def _band_inertia(band, shifts):
         out[:, ~inside] = 0.0
         return out.transpose(0, 1, 3, 2, 4).reshape(s.size, q * k2, q * k2)
 
-    def adjoint(a):
-        return a.conj().swapaxes(-1, -2)
-
     diag = blocks(0)
-    diag = 0.5 * (diag + adjoint(diag))
-    sub = 0.5 * (blocks(1) + adjoint(blocks(-1)))
+    diag = 0.5 * (diag + _adjoint(diag))
+    sub = 0.5 * (blocks(1) + _adjoint(blocks(-1)))
     shift = shifts[:, None, None] * np.eye(q * k2)
-    above = np.zeros(shifts.size, dtype=int)
+    vals = np.empty((nb, shifts.size, q * k2))
+    vecs = np.empty((nb, shifts.size, q * k2, q * k2), dtype=complex)
     worst = growth = 0.0
     for s in range(nb):
         pivot = diag[s] - shift
         if s:
-            g = sub[s - 1] @ vecs
-            pivot -= (g / vals[:, None, :]) @ adjoint(g)
-            growth = np.linalg.norm(sub[s - 1]) ** 2 / np.min(np.abs(vals))
-        vals, vecs = np.linalg.eigh(pivot)
-        if np.min(np.abs(vals)) < _PIVOT_FLOOR:
+            g = sub[s - 1] @ vecs[s - 1]
+            pivot -= (g / vals[s - 1, :, None, :]) @ _adjoint(g)
+            growth = np.linalg.norm(sub[s - 1]) ** 2 / np.min(np.abs(vals[s - 1]))
+        vals[s], vecs[s] = np.linalg.eigh(pivot)
+        if np.min(np.abs(vals[s])) < _PIVOT_FLOOR:
             return None
-        worst = max(worst, np.max(np.abs(vals)) + growth)
-        above += np.sum(vals > 0.0, axis=1)
-    return above, 4 * q * k2 * np.finfo(float).eps * worst
+        worst = max(worst, np.max(np.abs(vals[s])) + growth)
+    return vals, vecs, sub, 4 * q * k2 * np.finfo(float).eps * worst
+
+
+def _band_inertia(band, shifts):
+    """Eigenvalue counts of H_b above every shift with the backward-error
+    bound err of ``_band_ldl``, or None on a small pivot.
+
+    By Sylvester's law of inertia and Haynsworth's additivity the number of
+    eigenvalues of H_b + E above s is the number of positive eigenvalues of
+    all pivots of H_b - s.  Padded zero modes add nothing to a count at a
+    positive shift.  Returns (counts, err).
+    """
+    ldl = _band_ldl(band, shifts)
+    if ldl is None:
+        return None
+    vals, _, _, err = ldl
+    return np.sum(vals > 0.0, axis=(0, 2)), err
+
+
+def _ldl_solve(vals, vecs, sub, rhs):
+    """(H_b - s)^{-1} rhs from the pivots (vals, vecs) of ``_band_ldl`` at
+    one shift s, rhs of shape (nb q k2, c) in the padded mode order.
+
+    With the pivot inverses D_i^{-1} and L_i = C_{i+1} D_i^{-1} the solve is
+    z_i -= L_{i-1} z_{i-1}, then z = D^{-1} z, then z_i -= L_i^H z_{i+1}.
+    """
+    inverse = (vecs / vals[:, None, :]) @ _adjoint(vecs)
+    lower = sub @ inverse[:-1]
+    z = rhs.reshape(len(vals), -1, rhs.shape[-1]).copy()
+    for i in range(1, len(z)):
+        z[i] -= lower[i - 1] @ z[i - 1]
+    z = inverse @ z
+    for i in range(len(z) - 2, -1, -1):
+        z[i] -= _adjoint(lower[i]) @ z[i + 1]
+    return z.reshape(rhs.shape)
 
 
 def _band_count(band, delta):

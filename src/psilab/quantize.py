@@ -36,6 +36,7 @@ __all__ = [
     "t_quantize",
     "t_quantize_charts",
     "op_quantize",
+    "op_terms",
     "multiplication_operator",
     "padded_grid",
     "restrict_to",
@@ -154,12 +155,19 @@ def op_quantize(a, theta, grid):
     """
     if not isinstance(a, HomogeneousSymbol):
         raise TypeError("op_quantize expects a HomogeneousSymbol")
+    return _assemble(grid, op_terms(a, theta, grid))
+
+
+def op_terms(a, theta, grid):
+    """The (coeffs, weights) terms that ``op_quantize`` assembles: the
+    coefficients c(j), |j| <= 2N, of each branch with the cutting weights
+    theta(|m|) on the columns of its half-axis and zero on the others."""
     modes = grid.modes
     w = np.asarray(theta(np.abs(modes)), dtype=complex)
-    return _assemble(grid, [
+    return [
         (a.plus.coefficients(grid), np.where(modes >= 0, w, 0.0)),
         (a.minus.coefficients(grid), np.where(modes < 0, w, 0.0)),
-    ])
+    ]
 
 
 def multiplication_operator(c, grid):

@@ -9,13 +9,16 @@ from oracles import (band_matrix, clutching_projection, clutching_samples,
 from psilab import index_theory
 from psilab.index_theory import (PAIRING_GAP, InconclusiveIndexError,
                                  _band_coefficients, _band_count, _band_inertia,
-                                 _count_above_half, _gapped_small_count,
-                                 _pairing_band, _pairing_count, _pairing_matrix,
-                                 _spectrum_band, analytic_index,
+                                 _band_ldl, _band_small_count, _count_above_half,
+                                 _fredholm_bands, _gapped_small_count, _gram_band,
+                                 _ldl_solve, _pairing_band, _pairing_count,
+                                 _pairing_matrix, _spectrum_band, analytic_index,
                                  fredholm_index_svd, higson_trace_index,
                                  index_report, winding_number)
+from psilab import config
 from psilab.config import DEFAULTS
 from psilab.numerics import CircleGrid
+from psilab.quantize import op_quantize, op_terms, padded_grid
 from psilab.symbols import CutFunction, HomogeneousSymbol, Loop
 from psilab.presets import index_suite, winding_pair
 
@@ -172,6 +175,143 @@ class TestFredholm:
                                 Loop.identity(1))
         with pytest.raises(ValueError):
             fredholm_index_svd(bad, theta, grid32)
+
+
+def fredholm_setup(sigma, theta, grid, n=None):
+    """The bands of ``fredholm_index_svd`` at size n (default N) and the
+    dense truncation they come from, with its kept modes."""
+    n = n or grid.N
+    deg = sigma.degree
+    big = padded_grid(grid, n - grid.N + deg + 8)
+    keep = ~big.tail_mask(n)
+    return _fredholm_bands(op_terms(sigma, theta, big), big, n, deg), op_quantize(sigma, theta, big), keep
+
+
+def svd_count(mat):
+    """The reference count of ``fredholm_index_svd``, None when inconclusive."""
+    try:
+        return _gapped_small_count(np.linalg.svd(mat, compute_uv=False), index_theory.EPS_RANK)
+    except InconclusiveIndexError:
+        return None
+
+
+def check_band_against_svd(sigma, theta, grid, n=None):
+    """(kernel, cokernel) of the band, each None where it leaves the count to
+    the SVD, after holding every count it decides against the full SVD."""
+    (kernel, cokernel, s, d), X, keep = fredholm_setup(sigma, theta, grid, n)
+    counts = []
+    for band, dense in ((kernel, X[:, keep]), (cokernel, X.conj().T[:, keep])):
+        count = _band_small_count(band, s, d)
+        if count is not None:
+            assert count == svd_count(dense)
+        counts.append(count)
+    return tuple(counts)
+
+
+def no_svd(*args, **kwargs):
+    raise AssertionError("the band was expected to decide")
+
+
+class TestFredholmBand:
+    """The banded kernel count against the full singular values."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(1, 2), seed=st.integers(0, 2**32 - 1),
+           shift=st.integers(-2, 2), total=st.floats(0.05, 0.9))
+    def test_property_matches_svd(self, theta, k, seed, shift, total):
+        sigma = HomogeneousSymbol(random_dominant_loop(seed, k, shift, total),
+                                  random_dominant_loop(seed + 1, k, -shift, total))
+        check_band_against_svd(sigma, theta, CircleGrid(J=132, N=32, k=k))
+
+    @pytest.mark.parametrize("N", [64, 256, 512])
+    def test_shipped_suite_decides_on_the_band(self, monkeypatch, theta, N):
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        g = CircleGrid(J=4 * N + 4, N=N)
+        for _, sigma in index_suite():
+            assert fredholm_index_svd(sigma, theta, g) == analytic_index(sigma)
+
+    def test_nonunitary_cases_decide_on_the_band(self, monkeypatch, theta):
+        # the cokernel vectors spread over many modes, so the count rests on
+        # the frame of the inverse iteration
+        data = config.load_config("configs/index-nonunitary.json")
+        g = config.build_grid(data)
+        cases = config.index_cfg(data)["cases"]
+        assert len(cases) == 2
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        for _, sigma in cases:
+            (kernel, cokernel, s, d), _, _ = fredholm_setup(sigma, theta, g)
+            assert _band_small_count(cokernel, s, d) > 0
+            assert fredholm_index_svd(sigma, theta, g) == analytic_index(sigma)
+
+    @pytest.mark.parametrize("seed,total", [(31061, 0.5625),
+                                            (3907307436, 0.5778580368127912)])
+    def test_slow_cokernel_tail_goes_to_the_svd(self, grid32, theta, seed, total):
+        # the cut tails of 1.4e-6 and 1.9e-5 at N = 32 sit above EPS_RANK
+        # and below a: the band declines, and decides at 2N
+        sigma = HomogeneousSymbol(random_dominant_loop(seed, 1, 0, total),
+                                  random_dominant_loop(seed + 1, 1, 0, total))
+        assert check_band_against_svd(sigma, theta, grid32) == (1, None)
+        assert check_band_against_svd(sigma, theta, grid32, 64) == (1, 1)
+        calls = []
+        svd = np.linalg.svd
+        with patch.object(np.linalg, "svd", lambda *a, **kw: calls.append(a) or svd(*a, **kw)):
+            assert fredholm_index_svd(sigma, theta, grid32) == 0
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_bands_are_the_dense_entries(self, theta, k):
+        # bit for bit: the kernel band is a slice of the dense truncation, the
+        # cokernel band a slice of its adjoint
+        g = CircleGrid(J=132, N=32, k=k)
+        sigma = HomogeneousSymbol(random_dominant_loop(7, k, 1),
+                                  random_dominant_loop(8, k, -1))
+        (kernel, cokernel, _, _), X, _ = fredholm_setup(sigma, theta, g)
+        b, n = sigma.degree, g.N
+        big = padded_grid(g, b + 8)
+        inner = ~big.tail_mask(n + b)
+        square = X[np.ix_(inner, inner)]
+        assert np.array_equal(kernel, matrix_band(square, k, b)[:, b:-b])
+        assert np.array_equal(cokernel, matrix_band(square.conj().T, k, b)[:, b:-b])
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_gram_bands_match_the_dense_products(self, theta, k):
+        # within the Gram's rounding, the dropped band and the rounding of
+        # the dense product
+        g = CircleGrid(J=132, N=32, k=k)
+        sigma = HomogeneousSymbol(random_dominant_loop(7, k, 1),
+                                  random_dominant_loop(8, k, -1))
+        (kernel, cokernel, s, d), X, keep = fredholm_setup(sigma, theta, g)
+        eps = np.finfo(float).eps
+        rho = ((2 * sigma.degree + 1) * k + 4) * eps * s * s
+        dense_rounding = (X.shape[0] + 4) * eps * s * s
+        for band, Z in ((kernel, X[:, keep]), (cokernel, X.conj().T[:, keep])):
+            gram = band_matrix(_gram_band(band))
+            assert np.linalg.norm(gram - Z.conj().T @ Z, 2) <= rho + d * (2 * s + d) + dense_rounding
+            assert np.array_equal(gram, gram.conj().T)
+
+    def test_no_second_shift_below_the_floor(self, monkeypatch, theta, grid32):
+        # a at 1e4 EPS_RANK = 1e-5: a^2 = 1e-10 is below the pivot floor, so
+        # every count goes to the SVD
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(index_theory, "EPS_RANK", 1e-9)
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(a) or svd(*a, **kw))
+        assert fredholm_index_svd(winding_pair(2, -1), theta, grid32) == -3
+        assert len(calls) == 2
+
+    def test_ldl_solve_matches_dense_solve(self):
+        rng = np.random.default_rng(2)
+        n, k2, b = 37, 2, 3
+        mat = rng.normal(size=(n * k2, n * k2)) + 1j * rng.normal(size=(n * k2, n * k2))
+        band = matrix_band(0.3 * hermitian(mat), k2, b)
+        dense = hermitian(band_matrix(band))
+        vals, vecs, sub, _ = _band_ldl(band, np.array([0.05, -2.0]))
+        rhs = np.zeros((vals.shape[0] * vals.shape[2], 3), dtype=complex)
+        rhs[:n * k2] = rng.normal(size=(n * k2, 3))
+        got = _ldl_solve(vals[:, 1], vecs[:, 1], sub, rhs)
+        expect = np.linalg.solve(dense + 2.0 * np.eye(n * k2), rhs[:n * k2])
+        assert np.max(np.abs(got[:n * k2] - expect)) <= 1e-10 * np.max(np.abs(expect))
+        assert np.max(np.abs(got[n * k2:])) == 0.0
 
 
 class TestAnalytic:

@@ -9,7 +9,7 @@ from oracles import dilated, matrix_loop, padded_chart_quantization, sampled_qua
 from psilab import quantize
 from psilab.numerics import CircleGrid, operator_norm
 from psilab.quantize import (Atlas, _assemble, corner_product, multiplication_operator,
-                             op_quantize, padded_grid, restrict_to, t_quantize,
+                             op_quantize, op_terms, padded_grid, restrict_to, t_quantize,
                              t_quantize_charts)
 from psilab.symbols import (HomogeneousSymbol, Loop, RadialProfile, Symbol,
                             SymbolClass, bump_profile, cap_profile, constant_profile,
@@ -113,6 +113,21 @@ class TestOpQuantize:
         # columns with |m| >= r0 carry weight one: difference confined below
         mask = grid32.tail_mask(int(theta.r0) + 2)
         assert operator_norm(diff[:, mask]) == 0.0
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_is_the_gather_of_its_terms(self, theta, k):
+        # bit for bit: entry (n, m) is c_+(n - m) w_+(m) + c_-(n - m) w_-(m)
+        # over the terms that the Fredholm band shares
+        g = CircleGrid(J=68, N=16, k=k)
+        sigma = HomogeneousSymbol(matrix_loop(k, seed=5), matrix_loop(k, seed=6))
+        (cp, wp), (cm, wm) = op_terms(sigma, theta, g)
+        n = g.n_modes
+        lag = np.arange(n)[:, None] - np.arange(n)[None, :] + 2 * g.N
+        expect = (cp[lag] * wp[None, :, None, None]) + (cm[lag] * wm[None, :, None, None])
+        expect = expect.transpose(0, 2, 1, 3).reshape(g.dim, g.dim)
+        assert np.array_equal(op_quantize(sigma, theta, g), expect)
+        w = theta(np.abs(g.modes))
+        assert np.array_equal(wp + wm, w.astype(complex))
 
     def test_zero_column_at_origin(self, grid32, theta):
         O = op_quantize(HomogeneousSymbol(loop_c1(), loop_c1().adjoint()), theta, grid32)
