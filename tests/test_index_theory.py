@@ -1,3 +1,4 @@
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -23,6 +24,7 @@ from psilab.symbols import CutFunction, HomogeneousSymbol, Loop
 from psilab.presets import index_suite, winding_pair
 
 PAIRS = [((0, 0), 0), ((1, 0), -1), ((0, 1), 1), ((2, -1), -3)]
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def graph_projection(B):
@@ -152,10 +154,18 @@ class TestFredholm:
         # index 0 with a kernel vector at the cut and a cokernel vector whose
         # tail beyond N = 32 leaves a singular value of 1.4e-6 (first draw)
         # or 1.9e-5 (second): at N = 32 alone the first count is
-        # inconclusive and the second a wrong 1; at 2N both tails are < 1e-9
+        # inconclusive and the second a wrong 1; at 2N both tails are < 1e-9.
+        # Both tails lie between EPS_RANK and a = 1e4 EPS_RANK, so the band
+        # leaves the cokernel count at N = 32 to the SVD and decides at 2N
         sigma = HomogeneousSymbol(random_dominant_loop(seed, 1, 0, total),
                                   random_dominant_loop(seed + 1, 1, 0, total))
-        assert fredholm_index_svd(sigma, theta, grid32) == 0
+        assert check_band_against_svd(sigma, theta, grid32) == (1, None)
+        assert check_band_against_svd(sigma, theta, grid32, 64) == (1, 1)
+        calls = []
+        svd = np.linalg.svd
+        with patch.object(np.linalg, "svd", lambda *a, **kw: calls.append(a) or svd(*a, **kw)):
+            assert fredholm_index_svd(sigma, theta, grid32) == 0
+        assert len(calls) == 2
 
     def test_counted_value_keeps_the_relative_gap(self):
         # a genuine small singular value above eps does not block a count
@@ -233,7 +243,7 @@ class TestFredholmBand:
     def test_nonunitary_cases_decide_on_the_band(self, monkeypatch, theta):
         # the cokernel vectors spread over many modes, so the count rests on
         # the frame of the inverse iteration
-        data = config.load_config("configs/index-nonunitary.json")
+        data = config.load_config(str(CONFIGS / "index-nonunitary.json"))
         g = config.build_grid(data)
         cases = config.index_cfg(data)["cases"]
         assert len(cases) == 2
@@ -242,21 +252,6 @@ class TestFredholmBand:
             (kernel, cokernel, s, d), _, _ = fredholm_setup(sigma, theta, g)
             assert _band_small_count(cokernel, s, d) > 0
             assert fredholm_index_svd(sigma, theta, g) == analytic_index(sigma)
-
-    @pytest.mark.parametrize("seed,total", [(31061, 0.5625),
-                                            (3907307436, 0.5778580368127912)])
-    def test_slow_cokernel_tail_goes_to_the_svd(self, grid32, theta, seed, total):
-        # the cut tails of 1.4e-6 and 1.9e-5 at N = 32 sit above EPS_RANK
-        # and below a: the band declines, and decides at 2N
-        sigma = HomogeneousSymbol(random_dominant_loop(seed, 1, 0, total),
-                                  random_dominant_loop(seed + 1, 1, 0, total))
-        assert check_band_against_svd(sigma, theta, grid32) == (1, None)
-        assert check_band_against_svd(sigma, theta, grid32, 64) == (1, 1)
-        calls = []
-        svd = np.linalg.svd
-        with patch.object(np.linalg, "svd", lambda *a, **kw: calls.append(a) or svd(*a, **kw)):
-            assert fredholm_index_svd(sigma, theta, grid32) == 0
-        assert len(calls) == 2
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_bands_are_the_dense_entries(self, theta, k):
@@ -289,9 +284,9 @@ class TestFredholmBand:
             assert np.linalg.norm(gram - Z.conj().T @ Z, 2) <= rho + d * (2 * s + d) + dense_rounding
             assert np.array_equal(gram, gram.conj().T)
 
-    def test_no_second_shift_below_the_floor(self, monkeypatch, theta, grid32):
-        # a at 1e4 EPS_RANK = 1e-5: a^2 = 1e-10 is below the pivot floor, so
-        # every count goes to the SVD
+    def test_shift_below_the_pivot_floor_goes_to_the_svd(self, monkeypatch, theta, grid32):
+        # EPS_RANK = 1e-9 puts a^2 = 1e-10 below the pivot floor of 1e-8:
+        # the band declines and both counts come from the SVD
         calls = []
         svd = np.linalg.svd
         monkeypatch.setattr(index_theory, "EPS_RANK", 1e-9)
