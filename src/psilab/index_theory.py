@@ -275,10 +275,10 @@ def fredholm_index_svd(sigma, theta, grid):
     c > 0 an inverse-iteration c-frame V bounds sigma_c <= ||X V|| from
     above.  The band decides only when an SVD would return the same count
     with room to spare: sigma_{c+1} >= 1e3 EPS_RANK and, for c > 0,
-    ||X V|| < EPS_RANK.  Otherwise both counts at that size come from the
-    full singular values of the dense truncation, which stays the reference
-    of the band count; a small pivot, a margin over its allowance and the
-    inverse iteration's step cap all end there.
+    ||X V|| < EPS_RANK.  Otherwise that count, and only that one, comes from
+    the full singular values of the dense truncation, which stays the
+    reference of the band count; a small pivot, a margin over its allowance
+    and the inverse iteration's step cap all end there.
 
     Raises InconclusiveIndexError unless r0 + degree < N: otherwise the
     cutting function does not reach one on a full symbol band inside the
@@ -296,21 +296,22 @@ def fredholm_index_svd(sigma, theta, grid):
     for n in sizes:
         big = padded_grid(grid, n - grid.N + deg + 8)
         kernel, cokernel, s, d = _fredholm_bands(op_terms(sigma, theta, big), big, n, deg)
-        k_ker = _band_small_count(kernel, s, d)
-        k_coker = None if k_ker is None else _band_small_count(cokernel, s, d)
-        if k_coker is not None:
-            return k_ker - k_coker
-        X = op_quantize(sigma, theta, big)
-        keep = ~big.tail_mask(n)
-        try:
-            k_ker = _gapped_small_count(np.linalg.svd(X[:, keep], compute_uv=False), EPS_RANK)
-            k_coker = _gapped_small_count(
-                np.linalg.svd(X.conj().T[:, keep], compute_uv=False), EPS_RANK)
-        except InconclusiveIndexError:
-            if n == sizes[-1]:
-                raise
-            continue
-        return k_ker - k_coker
+        counts = [_band_small_count(band, s, d) for band in (kernel, cokernel)]
+        if None in counts:
+            X = op_quantize(sigma, theta, big)
+            keep = ~big.tail_mask(n)
+            try:
+                if counts[0] is None:
+                    counts[0] = _gapped_small_count(
+                        np.linalg.svd(X[:, keep], compute_uv=False), EPS_RANK)
+                if counts[1] is None:
+                    counts[1] = _gapped_small_count(
+                        np.linalg.svd(X.conj().T[:, keep], compute_uv=False), EPS_RANK)
+            except InconclusiveIndexError:
+                if n == sizes[-1]:
+                    raise
+                continue
+        return counts[0] - counts[1]
 
 
 def analytic_index(sigma):
@@ -398,40 +399,28 @@ _SUPER = 4
 _POINTS = 32
 
 
-def _sampled_columns(sigma, t, grid):
-    """Closed-form samples of p_sigma - corner, 128 column modes at a time.
-
-    The clutching symbol is b(x, xi) = |xi| sigma(x, xi); its graph
-    projection p is exact and p - diag(0, I) vanishes at fiber infinity like
-    1 / |xi|.  Each branch is factored once on the grid points.  Yields
-    (start, vals) for every block of 128 ascending column modes m, vals of
-    shape (J, columns, 4k^2) sampled at xi = m / t: negative modes from the
-    minus branch and the rest (m = 0 included) from the plus branch, as two
-    contiguous column slices.
-    """
-    x, k2 = grid.x, 2 * sigma.k
-    minus, plus = (_clutching_factors(sigma.branch(sign).fn(x)) for sign in (-1, +1))
-    modes = grid.modes
-    for start in range(0, grid.n_modes, _BLOCK):
-        xis = modes[start:start + _BLOCK] / t
-        r = np.abs(xis)
-        split = int(np.searchsorted(xis, 0.0))
-        vals = np.empty((grid.J, xis.size, k2 * k2), dtype=complex)
-        _clutching_samples(minus, r[:split], vals[:, :split])
-        _clutching_samples(plus, r[split:], vals[:, split:])
-        yield start, vals
-
-
 def _pairing_matrix(sigma, t, grid):
     """T_t(p_sigma - corner) on the modes |m| <= N, 2k x 2k blocks.
 
-    Entry (n, m) is the x-Fourier coefficient c_m(n - m) of column m, taken
-    by FFT from the samples of ``_sampled_columns``.
+    The clutching symbol is b(x, xi) = |xi| sigma(x, xi); its graph
+    projection p is exact and p - diag(0, I) vanishes at fiber infinity like
+    1 / |xi|.  Each branch is factored once on the grid points, and the
+    columns are sampled in closed form at xi = m / t, 128 ascending modes m
+    at a time: negative modes from the minus branch and the rest (m = 0
+    included) from the plus branch, as two contiguous column slices.  Entry
+    (n, m) is the x-Fourier coefficient c_m(n - m) of column m, taken by FFT
+    from those samples.
     """
-    N, n, k2 = grid.N, grid.n_modes, 2 * sigma.k
+    x, N, n, k2 = grid.x, grid.N, grid.n_modes, 2 * sigma.k
+    minus, plus = (_clutching_factors(sigma.branch(sign).fn(x)) for sign in (-1, +1))
     table = np.empty((n, k2, n, k2), dtype=complex)
-    for start, vals in _sampled_columns(sigma, t, grid):
-        cols = vals.shape[1]
+    for start in range(0, n, _BLOCK):
+        xis = grid.modes[start:start + _BLOCK] / t
+        r, cols = np.abs(xis), xis.size
+        split = int(np.searchsorted(xis, 0.0))
+        vals = np.empty((grid.J, cols, k2 * k2), dtype=complex)
+        _clutching_samples(minus, r[:split], vals[:, :split])
+        _clutching_samples(plus, r[split:], vals[:, split:])
         # centred[l + 2N, b] = c_b(l), |l| <= 2N, for the column of block index b
         centred = fourier_coefficients(grid, vals.reshape(grid.J, cols, k2, k2))
         # entry (n, b) = c_b(n - start - b): a Toeplitz view skewed by one column
@@ -588,63 +577,25 @@ def _band_coefficients(sigma, t, grid, b):
     return _band_table(coeffs, k), 1.001 * np.sqrt(max(tail, 0.0)) + err
 
 
-def _spectrum_band(sigma, t, grid, b_min):
-    """(band, delta) of the narrowest band b_min <= b <= _BAND_CAP * N whose
-    drop bound delta is at most _BAND_TOL, from one FFT pass; or None.
-
-    The FFT gives every column entry its whole spectrum on the J grid
-    points, so by Parseval the dropped part of every width at once is a sum
-    of squares of computed coefficients, summed from the outside in (no
-    cancellation): the sum over entries and |l| > b of |c_m(l)|^2 bounds
-    ||M - M_b||_F^2.  The rounding allowance is 5 log2(J) eps sqrt(mean |s|^2)
-    per entry for the error of the FFT, counted once for the kept and once
-    for the dropped coefficients and added over all entries by Minkowski;
-    the factor 1.001 covers the summation of the squares.
-    """
-    J, n, k = grid.J, grid.n_modes, sigma.k
-    cap = int(_BAND_CAP * grid.N)
-    if b_min > cap:
-        return None
-    ls = np.arange(-cap, cap + 1)
-    coeffs = np.empty((2 * cap + 1, n, 4 * k * k), dtype=complex)
-    # |l| of every FFT bin, and the power of every |l| over all entries
-    freq = np.minimum(np.arange(J), J - np.arange(J))
-    power = np.zeros(J // 2 + 1)
-    for start, vals in _sampled_columns(sigma, t, grid):
-        spec = np.fft.fft(vals, axis=0)
-        spec /= J
-        power += np.bincount(freq, np.sum(spec.real ** 2 + spec.imag ** 2, axis=(1, 2)),
-                             J // 2 + 1)
-        coeffs[:, start:start + vals.shape[1]] = spec[ls % J]
-    # outside[a]: the power of all |l| >= a
-    outside = np.cumsum(power[::-1])[::-1]
-    eps = np.finfo(float).eps
-    widths = np.arange(b_min, cap + 1)
-    deltas = 1.001 * np.sqrt(outside[widths + 1]) + 10 * np.log2(J) * eps * np.sqrt(outside[0])
-    fits = np.flatnonzero(deltas <= _BAND_TOL)
-    if not fits.size:
-        return None
-    b = int(widths[fits[0]])
-    return _band_table(coeffs[cap - b:cap + b + 1], k), float(deltas[fits[0]])
-
-
 def _pairing_band(sigma, t, grid):
-    """(band, delta) of the narrowest band, at most _BAND_CAP * N wide, whose
-    drop bound delta is at most _BAND_TOL; or None.
+    """(band, delta) of the first width in b0, 2 b0, 4 b0, ... whose drop
+    bound delta is at most _BAND_TOL, the last try clipped to exactly
+    _BAND_CAP * N; or None when no width up to there fits.
 
-    The first try is the declared degree of the branches (1 without one), at
-    which unitary trigonometric branches leave nothing out, formed from the
-    branch factors without samples (``_band_coefficients``).  When that
-    drops too much, one FFT pass over the samples (``_spectrum_band``)
-    bounds every wider band at once.
+    b0 is the declared degree of the branches (1 without one), at which
+    unitary trigonometric branches leave nothing out.  Every try is formed
+    from the branch factors without samples (``_band_coefficients``), and
+    its delta bounds what that width drops.
     """
-    b = sigma.degree or 1
-    if b > _BAND_CAP * grid.N:
-        return None
-    band, delta = _band_coefficients(sigma, t, grid, b)
-    if delta <= _BAND_TOL:
-        return band, delta
-    return _spectrum_band(sigma, t, grid, b + 1)
+    b, cap = sigma.degree or 1, int(_BAND_CAP * grid.N)
+    while b <= cap:
+        band, delta = _band_coefficients(sigma, t, grid, b)
+        if delta <= _BAND_TOL:
+            return band, delta
+        if b == cap:
+            return None
+        b = min(2 * b, cap)
+    return None
 
 
 def _band_ldl(band, shifts):
@@ -712,22 +663,6 @@ def _band_ldl(band, shifts):
     return vals, vecs, sub, 4 * q * k2 * np.finfo(float).eps * worst
 
 
-def _band_inertia(band, shifts):
-    """Eigenvalue counts of H_b above every shift with the backward-error
-    bound err of ``_band_ldl``, or None on a small pivot.
-
-    By Sylvester's law of inertia and Haynsworth's additivity the number of
-    eigenvalues of H_b + E above s is the number of positive eigenvalues of
-    all pivots of H_b - s.  Padded zero modes add nothing to a count at a
-    positive shift.  Returns (counts, err).
-    """
-    ldl = _band_ldl(band, shifts)
-    if ldl is None:
-        return None
-    vals, _, _, err = ldl
-    return np.sum(vals > 0.0, axis=(0, 2)), err
-
-
 def _ldl_solve(vals, vecs, sub, rhs):
     """(H_b - s)^{-1} rhs from the pivots (vals, vecs) of ``_band_ldl`` at
     one shift s, rhs of shape (nb q k2, c) in the padded mode order.
@@ -750,20 +685,27 @@ def _band_count(band, delta):
     """(count above 1/2, conclusive) for any H with ||H - H_b|| <= delta, or
     None when the band cannot decide.
 
-    The inertia of ``_band_inertia`` is exact for some H_b + E with
-    ||E|| <= err; with err at most _LDL_ALLOWANCE, Weyl gives
-    |lambda_i(H) - lambda_i(H_b + E)| <= m = delta + _LDL_ALLOWANCE.  If
-    H_b + E has no eigenvalue in [0.4 - m, 0.6 + m], H has none in
-    (0.4, 0.6) and its count above 1/2 is the count above 0.6 + m.  If it
-    has one in (0.4 + m, 0.6 - m), so has H: inconclusive.  Anything else,
-    a small pivot or a larger err is left to the dense solve.
+    ``_band_ldl`` factors H_b - s at the four shifts s = 0.4 -+ m,
+    0.6 -+ m, m = delta + _LDL_ALLOWANCE.  By Sylvester's law of inertia
+    and Haynsworth's additivity the number of eigenvalues of H_b + E above
+    s is the number of positive eigenvalues of all pivots of H_b - s, for
+    the backward error ||E|| <= err; padded zero modes add nothing to a
+    count at a positive shift.  With err at most _LDL_ALLOWANCE, Weyl gives
+    |lambda_i(H) - lambda_i(H_b + E)| <= m.  If H_b + E has no eigenvalue
+    in [0.4 - m, 0.6 + m], H has none in (0.4, 0.6) and its count above
+    1/2 is the count above 0.6 + m.  If it has one in (0.4 + m, 0.6 - m),
+    so has H: inconclusive.  Anything else, a small pivot or a larger err
+    is left to the dense solve.
     """
     m = delta + _LDL_ALLOWANCE
     lo, hi = 0.5 - PAIRING_GAP, 0.5 + PAIRING_GAP
-    inertia = _band_inertia(band, np.array([lo - m, lo + m, hi - m, hi + m]))
-    if inertia is None or inertia[1] > _LDL_ALLOWANCE:
+    ldl = _band_ldl(band, np.array([lo - m, lo + m, hi - m, hi + m]))
+    if ldl is None:
         return None
-    above = inertia[0]
+    vals, _, _, err = ldl
+    if err > _LDL_ALLOWANCE:
+        return None
+    above = np.sum(vals > 0.0, axis=(0, 2))
     if above[1] > above[2]:
         return int(above[3]), False
     if above[0] == above[3]:
@@ -793,16 +735,18 @@ def higson_trace_index(sigma, t, grid):
     exactly k (2N + 1), with gap 1/2.
 
     The count is conclusive iff no eigenvalue of the Hermitian matrix H lies
-    in (0.4, 0.6).  It is taken on the band H_b of the narrowest width whose
-    Parseval drop bound delta >= ||H - H_b|| is at most 1e-4, by block
-    LDL^H inertia at the shifts 0.4 -+ m and 0.6 -+ m, m = delta + 1e-8.
-    The backward-error margin is Weyl's: |lambda_i(H) - lambda_i(H_b)| <=
-    delta, and the inertia is exact for H_b + E, ||E|| <= 1e-8 (the
-    factorization's first-order backward error, checked on every count).
-    So no eigenvalue of H_b + E in [0.4 - m, 0.6 + m] makes the count
-    conclusive, taken above 0.6 + m, and one in (0.4 + m, 0.6 - m) makes it
-    inconclusive.  Otherwise, and when the band would pass N / 4 or a pivot
-    falls below 1e-8, H is counted densely.
+    in (0.4, 0.6).  It is taken on the band H_b of the first width in
+    b0, 2 b0, 4 b0, ... (b0 the branch degree, the last try clipped to
+    N / 4) whose Parseval drop bound delta >= ||H - H_b|| is at most 1e-4,
+    by block LDL^H inertia at the shifts 0.4 -+ m and 0.6 -+ m,
+    m = delta + 1e-8.  The backward-error margin is Weyl's:
+    |lambda_i(H) - lambda_i(H_b)| <= delta, and the inertia is exact for
+    H_b + E, ||E|| <= 1e-8 (the factorization's first-order backward error,
+    checked on every count).  So no eigenvalue of H_b + E in
+    [0.4 - m, 0.6 + m] makes the count conclusive, taken above 0.6 + m, and
+    one in (0.4 + m, 0.6 - m) makes it inconclusive.  Otherwise, and when
+    no width up to N / 4 fits or a pivot falls below 1e-8, H is counted
+    densely.
 
     Raises ValueError unless both branches are invertible.  Raises
     InconclusiveIndexError when the clutching cannot develop inside the mode

@@ -9,11 +9,10 @@ from oracles import (band_matrix, clutching_projection, clutching_samples,
                      corner, matrix_band, naive_trace_pairing, sampled_quantization)
 from psilab import index_theory
 from psilab.index_theory import (PAIRING_GAP, InconclusiveIndexError,
-                                 _band_coefficients, _band_count, _band_inertia,
-                                 _band_ldl, _band_small_count, _count_above_half,
+                                 _band_coefficients, _band_count, _band_ldl, _band_small_count, _count_above_half,
                                  _fredholm_bands, _gapped_small_count, _gram_band,
                                  _ldl_solve, _pairing_band, _pairing_count,
-                                 _pairing_matrix, _spectrum_band, analytic_index,
+                                 _pairing_matrix, analytic_index,
                                  fredholm_index_svd, higson_trace_index,
                                  index_report, winding_number)
 from psilab import config
@@ -156,7 +155,8 @@ class TestFredholm:
         # or 1.9e-5 (second): at N = 32 alone the first count is
         # inconclusive and the second a wrong 1; at 2N both tails are < 1e-9.
         # Both tails lie between EPS_RANK and a = 1e4 EPS_RANK, so the band
-        # leaves the cokernel count at N = 32 to the SVD and decides at 2N
+        # leaves the cokernel count at N = 32 to the SVD and decides both
+        # counts at 2N: one SVD, for the one count the band declined
         sigma = HomogeneousSymbol(random_dominant_loop(seed, 1, 0, total),
                                   random_dominant_loop(seed + 1, 1, 0, total))
         assert check_band_against_svd(sigma, theta, grid32) == (1, None)
@@ -165,7 +165,7 @@ class TestFredholm:
         svd = np.linalg.svd
         with patch.object(np.linalg, "svd", lambda *a, **kw: calls.append(a) or svd(*a, **kw)):
             assert fredholm_index_svd(sigma, theta, grid32) == 0
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_counted_value_keeps_the_relative_gap(self):
         # a genuine small singular value above eps does not block a count
@@ -465,7 +465,7 @@ class TestBandCount:
         check_band_against_dense(sigma, t, CircleGrid(J=132, N=32, k=k))
 
     @pytest.mark.parametrize("k,seed,shift,total,t,expect", [
-        (1, 4, 0, 0.1, 4.0, (6, True)),      # degree 2 widens to 6
+        (1, 4, 0, 0.1, 4.0, (8, True)),      # degree 2 widens through 4 to 8
         (2, 0, 1, 0.1, 8.0, (6, True)),      # degree 3 widens to 6
         (1, 3, -2, 0.1, 2.0, (8, False)),    # an eigenvalue near 1/2, found on the band
         (1, 3, 0, 0.4, 4.0, (None, None)),   # passes N / 4 = 8: dense
@@ -491,26 +491,14 @@ class TestBandCount:
         dense = _pairing_matrix(sigma, 2.5, g) + np.kron(np.eye(g.n_modes), corner(k))
         assert np.max(np.abs(band - matrix_band(dense, 2 * k, 5))) <= 1e-13
 
-    @pytest.mark.parametrize("k,seed,shift,total,t", [(1, 4, 0, 0.1, 4.0),
-                                                      (2, 0, 1, 0.1, 8.0)])
-    def test_spectrum_band_matches_fft(self, k, seed, shift, total, t):
-        # the FFT pass keeps the dense path's coefficients
-        g = CircleGrid(J=132, N=32, k=k)
-        sigma = HomogeneousSymbol(random_dominant_loop(seed, k, shift, total),
-                                  random_dominant_loop(seed + 1, k, -shift, total))
-        band, _ = _spectrum_band(sigma, t, g, 1)
-        b = band.shape[0] // 2
-        dense = _pairing_matrix(sigma, t, g) + np.kron(np.eye(g.n_modes), corner(k))
-        assert np.max(np.abs(band - matrix_band(dense, 2 * k, b))) <= 1e-13
-
     @pytest.mark.parametrize("k", [1, 2])
     def test_factored_mass_matches_samples(self, monkeypatch, k):
         # N = 70: two column blocks of the sampler; non-unitary branches
         g = CircleGrid(J=4 * 70 + 6, N=70, k=k)
         sigma = HomogeneousSymbol(random_dominant_loop(3, k, 1),
                                   random_dominant_loop(4, k, -2))
-        sampled = sum(np.vdot(vals, vals).real / g.J
-                      for _, vals in index_theory._sampled_columns(sigma, 2.5, g))
+        vals = clutching_samples(sigma, g.x, g.modes / 2.5)
+        sampled = np.vdot(vals, vals).real / g.J
         masses = []
         factored = index_theory._factored_band
 
@@ -529,18 +517,34 @@ class TestBandCount:
         (512, 2052, [6]),  # the refinement grid of criterion 09
     ])
     def test_shipped_suite_decides_on_the_first_try(self, monkeypatch, N, J, exponents):
-        # the degree band of every shipped case, with room below the tolerance
-        passes = []
-        spectrum = index_theory._spectrum_band
-        monkeypatch.setattr(index_theory, "_spectrum_band",
-                            lambda *args: passes.append(args) or spectrum(*args))
+        # one band per pairing, at the degree of every shipped case, with
+        # room below the tolerance
+        widths = []
+        coefficients = index_theory._band_coefficients
+        monkeypatch.setattr(index_theory, "_band_coefficients",
+                            lambda *args: widths.append(args[3]) or coefficients(*args))
         g = CircleGrid(J=J, N=N, k=1)
         for _, sigma in index_suite():
             for t in 2.0 ** np.array(exponents):
+                widths.clear()
                 band, delta = _pairing_band(sigma, t, g)
-                assert not passes
+                assert widths == [sigma.degree or 1]
                 assert band.shape[0] == 2 * (sigma.degree or 1) + 1
                 assert delta <= index_theory._BAND_TOL / 4
+
+    def test_widths_double_to_the_cap(self, monkeypatch):
+        # degree 3 at N = 32: widths 3, 6 and the cap N / 4 = 8; when none
+        # fits, the count is dense
+        widths, dense = [], []
+        monkeypatch.setattr(index_theory, "_band_coefficients",
+                            lambda sigma, t, grid, b: widths.append(b) or (None, 1.0))
+        monkeypatch.setattr(index_theory, "_count_above_half",
+                            lambda *args: dense.append(args) or (-1, 1.0))
+        sigma = HomogeneousSymbol(Loop.from_scalar_modes({3: 1.0}), Loop.identity(1))
+        assert sigma.degree == 3
+        assert _pairing_count(sigma, 4.0, CircleGrid(J=132, N=32)) == (-1, True)
+        assert widths == [3, 6, 8]
+        assert len(dense) == 1
 
     @pytest.mark.parametrize("n,k2,b", [(37, 2, 1), (40, 4, 3), (50, 2, 20)])
     def test_inertia_matches_eigvalsh(self, n, k2, b):
@@ -551,8 +555,8 @@ class TestBandCount:
         band = matrix_band(0.3 * hermitian(mat), k2, b)
         evals = np.linalg.eigvalsh(hermitian(band_matrix(band)))
         shifts = np.array([0.05, 0.1, 0.45, 1.3])  # positive, as the pairing uses
-        above, err = _band_inertia(band, shifts)
-        assert list(above) == [int(np.sum(evals > s)) for s in shifts]
+        vals, _, _, err = _band_ldl(band, shifts)
+        assert list(np.sum(vals > 0.0, axis=(0, 2))) == [int(np.sum(evals > s)) for s in shifts]
         assert err <= index_theory._LDL_ALLOWANCE
 
 
