@@ -1,13 +1,16 @@
 """The public surface: every exported name resolves, the package re-exports
 only names that their defining modules export and every function it exports
-is one the four sweeps run; the README's configuration table lists every
+is one the four sweeps run; the command line loads no package outside the
+standard library but numpy; the README's configuration table lists every
 config key once."""
 
 import importlib
 import inspect
 import json
+import os
 import pkgutil
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -67,6 +70,19 @@ def test_package_exports_only_what_the_sweeps_run(tmp_path):
                  if inspect.isfunction(getattr(psilab, name))}
     assert len(functions) > 10
     assert [name for name, fn in functions.items() if fn.__code__ not in entered] == []
+
+
+def test_cli_imports_numpy_alone():
+    # a fresh process, so that no module a test has imported is counted
+    code = ("import sys; before = set(sys.modules); import psilab.cli; "
+            "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))")
+    src = Path(psilab.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    outside = set(loaded) - set(sys.stdlib_module_names) - {"numpy", "psilab"}
+    assert sorted(outside) == []
 
 
 def leaf_keys(table, prefix=""):
