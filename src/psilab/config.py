@@ -407,7 +407,10 @@ def homotopy_cfg(cfg):
     of each deformed partition (cut(1) = 1/s) and of the bumps up to
     max(L_list) of the undeformed one (cut(i) = i), so 1/s (snapped to a
     half-integer) is at most 1022.5 and every L_list entry at most 1022:
-    beyond that the support's end 2**(cut(i) + 1) overflows a float."""
+    beyond that the support's end 2**(cut(i) + 1) overflows a float.  The
+    endpoint blocks down to i = -L quantize at t = 2**-L, whose top rescaled
+    frequency is N * 2**L, so that must be a finite float as well (L <= 1018
+    at N = 32)."""
     section = cfg["homotopy_verify"]
     out = {"bands": list(section["bands"]),
            "s_values": list(section["s_values"]),
@@ -424,10 +427,14 @@ def homotopy_cfg(cfg):
         if wide:
             raise ConfigError(f"{key} {wide}: need 1/s <= 1022.5 and L_list entries "
                               "<= 1022, or a partition support overflows a float")
+    N = cfg["grid"]["N"]
+    wide = [v for v in out["L_list"] if not math.isfinite(N * 2.0 ** v)]
+    if wide:
+        raise ConfigError(f"L_list {wide}: need N * 2**L finite (N={N}), or the "
+                          "rescaled frequencies of the endpoint blocks overflow a float")
     _once("s_values", out["s_values"], "partition", [p.inv_s for p in parts])
     _once("bands", out["bands"], "band")
     _once("L_list", out["L_list"], "block range")
-    N = cfg["grid"]["N"]
     wide = [b for b in out["bands"] if b > N]
     if wide:
         raise ConfigError(f"bands {wide} exceed the mode cutoff N={N}")

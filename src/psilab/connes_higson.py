@@ -87,27 +87,34 @@ def tail_deformed_unit():
     return ApproximateUnit(lambda r: kappa_inv(eta(r)))
 
 
-def ch_apply(f, d, t, u, theta, grid):
+def ch_apply(f, d, t, u, theta, grid, op=None, out=None):
     """Image of the tensor f (x) d, with the order-zero lifting.
 
     Returns Op(d) * diag f(kappa(m(|n|/t))); requires f to vanish at the
-    origin, matching the suspended domain.
+    origin, matching the suspended domain.  Only the diagonal depends on t:
+    ``op`` is Op(d), built here when not given, and the image is written
+    into ``out`` when given.
     """
     if not f.vanishes_at_zero:
         raise ValueError("profile must vanish at the origin")
     if not isinstance(d, HomogeneousSymbol):
         raise TypeError("ch_apply expects a homogeneous symbol")
     w = u.weight(f, t, grid)
-    return op_quantize(d, theta, grid) * np.repeat(w, grid.k)[None, :]
+    if op is None:
+        op = op_quantize(d, theta, grid)
+    return np.multiply(op, np.repeat(w, grid.k)[None, :], out=out)
 
 
-def ch_extended_apply(g, c, t, u, grid):
+def ch_extended_apply(g, c, t, u, grid, op=None, out=None):
     """Image of g (x) c for fiber-constant c, with the multiplication lifting.
 
     Returns pi(c) * diag g(kappa(m(|n|/t))); g need not vanish at the
-    origin, only at infinity.
+    origin, only at infinity.  ``op`` is pi(c), built here when not given,
+    and the image is written into ``out`` when given.
     """
     if not isinstance(c, Loop):
         raise TypeError("ch_extended_apply expects a fiber-constant Loop")
     w = u.weight(g, t, grid)
-    return multiplication_operator(c, grid) * np.repeat(w, grid.k)[None, :]
+    if op is None:
+        op = multiplication_operator(c, grid)
+    return np.multiply(op, np.repeat(w, grid.k)[None, :], out=out)

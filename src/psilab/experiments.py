@@ -15,15 +15,16 @@ from .homotopy import (endpoint_defect, equ1_defect, equ2_defect,
 from .index_theory import index_report
 from .numerics import operator_norm
 from .partition import build_partition
-from .quantize import (Atlas, corner_product, op_quantize, padded_grid, restrict_to,
-                       t_quantize, t_quantize_charts)
+from .quantize import (Atlas, CHART_PAD, chart_pieces, corner_product, loop_tables,
+                       multiplication_operator, op_quantize, padded_grid, t_quantize,
+                       t_quantize_charts)
 from .symbols import CutFunction, Symbol, SymbolClass, smash
 from . import presets
 
 __all__ = [
-    "mult_defect",
-    "adjoint_defect",
-    "chart_defect",
+    "mult_defects",
+    "adjoint_defects",
+    "chart_defects",
     "run_defect_sweep",
     "run_ch_compare",
     "run_homotopy_verify",
@@ -65,29 +66,73 @@ def loglog_slope(ts, vals):
     return float(np.polyfit(np.log2(ts), np.log2(vals), 1)[0])
 
 
-# -- individual defect quantities --------------------------------------------
+# -- defect columns ------------------------------------------------------------
+#
+# Each column takes the coefficient tables of its symbols once, allocates its
+# full-size work arrays once and writes every t into them; per t only the
+# column weights are assembled.
+
+#: modes added on both sides of the range on which mult_defects forms products
+MULT_PAD = 8
 
 
-def mult_defect(a, b, t, grid):
-    """|| T_t(a) T_t(b) - T_t(ab) || with the factors assembled on a range
-    padded by 8; only the product's corner on ``grid`` is formed, summed over
-    the modes where T_t(a) is nonzero."""
-    big = padded_grid(grid, 8)
-    prod = (corner_product(t_quantize(a, t, big), t_quantize(b, t, big), grid)
-            - restrict_to(t_quantize(a * b, t, big), grid))
-    return operator_norm(prod)
+def mult_defects(a, b, ts, grid):
+    """|| T_t(a) T_t(b) - T_t(ab) || at each t of ``ts``, with the factors
+    assembled on a range padded by MULT_PAD; only the product's corner on
+    ``grid`` is formed, summed over the modes where T_t(a) is nonzero, and
+    only the rows of T_t(b) that meet them are built."""
+    big = padded_grid(grid, MULT_PAD)
+    ab = a * b
+    ta, tb, tab = (loop_tables(s, big) for s in (a, b, ab))
+    inner = slice(MULT_PAD, MULT_PAD + grid.n_modes)
+    left = np.empty((big.dim, big.dim), dtype=complex)
+    right = np.empty((big.dim, grid.dim), dtype=complex)
+    out = np.empty((grid.dim, grid.dim), dtype=complex)
+    values = []
+    for t in ts:
+        t_quantize(a, t, big, ta, out=left)
+        corner_product(left, lambda rows: t_quantize(b, t, big, tb, right, rows, inner),
+                       grid, out)
+        out -= t_quantize(ab, t, big, tab, right, inner, inner)
+        values.append(operator_norm(out))
+    return values
 
 
-def adjoint_defect(a, t, grid):
-    """|| T_t(a)^* - T_t(a^*) ||."""
-    return operator_norm(t_quantize(a, t, grid).conj().T
-                         - t_quantize(a.adjoint(), t, grid))
+def adjoint_defects(a, ts, grid):
+    """|| T_t(a)^* - T_t(a^*) || at each t of ``ts``."""
+    adj = a.adjoint()
+    ta, tadj = loop_tables(a, grid), loop_tables(adj, grid)
+    op = np.empty((grid.dim, grid.dim), dtype=complex)
+    out = np.empty((grid.dim, grid.dim), dtype=complex)
+    values = []
+    for t in ts:
+        np.conjugate(t_quantize(a, t, grid, ta, out=op), out=op)
+        np.subtract(op.T, t_quantize(adj, t, grid, tadj, out=out), out=out)
+        values.append(operator_norm(out))
+    return values
 
 
-def chart_defect(a, t, atlas, grid):
-    """|| chart-assembled quantization - global quantization ||."""
-    return operator_norm(t_quantize_charts(a, t, atlas, grid)
-                         - t_quantize(a, t, grid))
+def chart_defects(a, ts, atlas, grid):
+    """|| chart-assembled quantization - global quantization || at each t of
+    ``ts``."""
+    pieces = chart_pieces(a, atlas, grid)
+    tables = loop_tables(a, grid)
+    big = padded_grid(grid, CHART_PAD)
+    work = (np.empty((big.dim, big.dim), dtype=complex),
+            np.empty((big.dim, grid.dim), dtype=complex))
+    out = np.empty((grid.dim, grid.dim), dtype=complex)
+    values = []
+    for t in ts:
+        t_quantize_charts(a, t, atlas, grid, pieces, out, work)
+        out -= t_quantize(a, t, grid, tables, out=work[1])
+        values.append(operator_norm(out))
+    return values
+
+
+def _quantization_norms(a, ts, grid):
+    """|| T_t(a) || at each t of ``ts``."""
+    tables, op = loop_tables(a, grid), np.empty((grid.dim, grid.dim), dtype=complex)
+    return [operator_norm(t_quantize(a, t, grid, tables, out=op)) for t in ts]
 
 
 # -- defect sweep -------------------------------------------------------------
@@ -109,16 +154,13 @@ def run_defect_sweep(grid, cfg):
 
     ts = [2.0 ** e for e in sorted(cfg["t_exponents"])]
 
-    def row(t):
-        return {
-            "t": t,
-            "mult_defect": mult_defect(a, b, t, grid),
-            "adjoint_defect": adjoint_defect(a, t, grid),
-            "chart_defect": chart_defect(chart_sym, t, atlas, grid),
-            "t0_norm": operator_norm(t_quantize(t0_sym, t, grid)),
-        }
-
-    rows = [row(t) for t in ts]
+    # one column at a time: each frees its work arrays before the next starts
+    columns = {"mult_defect": mult_defects(a, b, ts, grid),
+               "adjoint_defect": adjoint_defects(a, ts, grid),
+               "chart_defect": chart_defects(chart_sym, ts, atlas, grid),
+               "t0_norm": _quantization_norms(t0_sym, ts, grid)}
+    rows = [{"t": t, **{name: values[i] for name, values in columns.items()}}
+            for i, t in enumerate(ts)]
     checks = []
 
     big_ts = [r["t"] for r in rows if r["t"] >= 1.0]
@@ -182,23 +224,30 @@ def run_ch_compare(grid, cfg):
     units = [("default", default_unit()), ("alt", tail_deformed_unit())]
 
     ts = [2.0 ** e for e in sorted(cfg["t_exponents"])]
+    rows = [{"t": t} for t in ts]
+    T, diff = (np.empty((grid.dim, grid.dim), dtype=complex) for _ in range(2))
 
-    def row(t):
-        out = {"t": t}
-        for label, f, d in cases:
-            T = t_quantize(smash(f, d), t, grid)
+    def fill(label, sym, coeffs, lift, image):
+        """The columns ``label|unit`` of one case: || image - T_t(sym) || with
+        the case's lifted operator ``lift`` built once for every t."""
+        for row in rows:
+            t = row["t"]
+            t_quantize(sym, t, grid, coeffs, out=T)
             for uname, unit in units:
-                CH = ch_apply(f, d, t, unit, THETA, grid)
-                out[f"{label}|{uname}"] = operator_norm(CH - T)
-        for label, g, c in ext_cases:
-            sym = Symbol.separable(c, g.even(), SymbolClass.FULL_C0)
-            T = t_quantize(sym, t, grid)
-            for uname, unit in units:
-                CH = ch_extended_apply(g, c, t, unit, grid)
-                out[f"ext:{label}|{uname}"] = operator_norm(CH - T)
-        return out
+                CH = image(t, unit, lift, diff)
+                CH -= T
+                row[f"{label}|{uname}"] = operator_norm(CH)
 
-    rows = [row(t) for t in ts]
+    # case by case, so that only one case's operator is alive
+    for label, f, d in cases:
+        coeffs = loop_tables(d, grid)
+        fill(label, smash(f, d), coeffs, op_quantize(d, THETA, grid, coeffs),
+             lambda t, unit, op, out: ch_apply(f, d, t, unit, THETA, grid, op, out))
+    for label, g, c in ext_cases:
+        coeffs = loop_tables(c, grid)
+        fill(f"ext:{label}", Symbol.separable(c, g.even(), SymbolClass.FULL_C0), coeffs,
+             multiplication_operator(c, grid, coeffs),
+             lambda t, unit, op, out: ch_extended_apply(g, c, t, unit, grid, op, out))
     checks = []
     for label, _, _ in cases:
         for uname, _ in units:
@@ -246,22 +295,25 @@ def run_homotopy_verify(grid, cfg):
     i_theta = int(np.ceil(np.log2(2.0 * THETA.r0)))
     p1 = build_partition(1.0, max(L, max(L_list), i_theta + 3))
 
-    op_a = op_quantize(a, THETA, grid)
+    coeffs = loop_tables(a, grid)
+    op_a = op_quantize(a, THETA, grid, coeffs)
 
     def band_row(kind, s, values):
         return {"kind": kind, "key": s,
                 **{f"band{band}": v for band, v in zip(bands, values)}}
 
     s_desc = sorted(s_values, reverse=True)
-    rows = ([band_row("equ1", s, equ1_defect(a, op_a, parts[s], vectors, THETA, grid))
+    rows = ([band_row("equ1", s, equ1_defect(a, op_a, parts[s], vectors, THETA, grid,
+                                             coeffs))
              for s in s_desc]
-            + [band_row("equ2", s, equ2_defect(a, parts[s], 1, 1, vectors, THETA, grid))
+            + [band_row("equ2", s, equ2_defect(a, parts[s], 1, 1, vectors, THETA, grid,
+                                               coeffs))
                for s in s_desc])
 
     for i in range(i_theta - 1, i_theta + 3):
         rows.append({"kind": "theta", "key": i,
-                     "value": theta_discrepancy_norm(a, p1, THETA, i, i, grid)})
-    tail = endpoint_defect(a, p1, THETA, L_list, 2.0 * THETA.r0, grid)
+                     "value": theta_discrepancy_norm(a, p1, THETA, i, i, grid, coeffs)})
+    tail = endpoint_defect(a, p1, THETA, L_list, 2.0 * THETA.r0, grid, coeffs)
     for Lv, value in zip(L_list, tail):
         rows.append({"kind": "endpoint", "key": Lv, "value": value})
 

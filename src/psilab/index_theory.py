@@ -411,8 +411,8 @@ def _pairing_matrix(sigma, t, grid):
     (n, m) is the x-Fourier coefficient c_m(n - m) of column m, taken by FFT
     from those samples.
     """
-    x, N, n, k2 = grid.x, grid.N, grid.n_modes, 2 * sigma.k
-    minus, plus = (_clutching_factors(sigma.branch(sign).fn(x)) for sign in (-1, +1))
+    N, n, k2 = grid.N, grid.n_modes, 2 * sigma.k
+    minus, plus = _branch_factors(sigma, grid)
     table = np.empty((n, k2, n, k2), dtype=complex)
     for start in range(0, n, _BLOCK):
         xis = grid.modes[start:start + _BLOCK] / t
@@ -502,13 +502,18 @@ def _factored_band(factors, r, analysis):
     return coeffs.view(complex).reshape(r.size, rows, 4 * k * k).swapaxes(0, 1), mass
 
 
-def _band_coefficients(sigma, t, grid, b):
+def _branch_factors(sigma, grid):
+    """``_clutching_factors`` of the (minus, plus) branches on the grid points."""
+    return tuple(_clutching_factors(sigma.branch(sign).fn(grid.x)) for sign in (-1, +1))
+
+
+def _band_coefficients(factors, t, grid, b):
     """The pairing matrix on the band |n - m| <= b, with a bound on the rest.
 
     Returns (band, delta): band is the ``_band_table`` of M, and delta
     bounds ||H - H_b|| for the Hermitian parts H of M and H_b of the band,
     M the pairing matrix of the samples built from the computed branch
-    factors.
+    factors ``factors`` (``_branch_factors``).
 
     The samples are never formed.  With (s, P) = ``_clutching_factors(u)``
     and the real weights w(x, r) = [d0, r S d0] a sample is
@@ -556,7 +561,7 @@ def _band_coefficients(sigma, t, grid, b):
     E for the error of the kept coefficients (||M_b - M~_b||_F <= E) and the
     factor 1.001 for the evaluation of the bound.
     """
-    J, n, k = grid.J, grid.n_modes, sigma.k
+    J, n, k = grid.J, grid.n_modes, factors[0][0].shape[1]
     ls = np.arange(-b, b + 1)
     # e^{-i l x_j} from the exact phase (l j mod J) / J
     analysis = np.exp(-2j * np.pi * (np.outer(ls, np.arange(J)) % J) / J) / J
@@ -564,9 +569,8 @@ def _band_coefficients(sigma, t, grid, b):
     xis = grid.modes / t
     split = int(np.searchsorted(xis, 0.0))
     mass = 0.0
-    for sign, cols in ((-1, slice(None, split)), (+1, slice(split, None))):
-        factors = _clutching_factors(sigma.branch(sign).fn(grid.x))
-        coeffs[:, cols], part = _factored_band(factors, np.abs(xis[cols]), analysis)
+    for branch, cols in zip(factors, (slice(None, split), slice(split, None))):
+        coeffs[:, cols], part = _factored_band(branch, np.abs(xis[cols]), analysis)
         mass += part
     power = _halving_sum(np.square(coeffs.view(float)).ravel())
     eps = np.finfo(float).eps
@@ -583,13 +587,14 @@ def _pairing_band(sigma, t, grid):
     _BAND_CAP * N; or None when no width up to there fits.
 
     b0 is the declared degree of the branches (1 without one), at which
-    unitary trigonometric branches leave nothing out.  Every try is formed
-    from the branch factors without samples (``_band_coefficients``), and
-    its delta bounds what that width drops.
+    unitary trigonometric branches leave nothing out.  The branches are
+    factored once, and every try is formed from those factors without
+    samples (``_band_coefficients``); its delta bounds what that width drops.
     """
     b, cap = sigma.degree or 1, int(_BAND_CAP * grid.N)
+    factors = _branch_factors(sigma, grid)
     while b <= cap:
-        band, delta = _band_coefficients(sigma, t, grid, b)
+        band, delta = _band_coefficients(factors, t, grid, b)
         if delta <= _BAND_TOL:
             return band, delta
         if b == cap:

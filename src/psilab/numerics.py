@@ -146,14 +146,16 @@ def operator_norm(mat):
     q /= np.linalg.norm(q)
     steps = min(dim, _LANCZOS_MAX_STEPS)
     basis = np.empty((steps, dim), dtype=complex)
+    conj_basis = np.empty((steps, dim), dtype=complex)  # each row conjugated once
     tri = np.zeros((steps, steps))
     for j in range(steps):
         basis[j] = q
+        np.conjugate(q, out=conj_basis[j])
         w = gram(q)
-        span = basis[:j + 1]
-        coef = span.conj() @ w
+        span, conj_span = basis[:j + 1], conj_basis[:j + 1]
+        coef = conj_span @ w
         w -= coef @ span
-        coef2 = span.conj() @ w  # second pass: "twice is enough"
+        coef2 = conj_span @ w  # second pass: "twice is enough"
         w -= coef2 @ span
         tri[j, j] = (coef[j] + coef2[j]).real
         beta = np.linalg.norm(w)

@@ -17,6 +17,11 @@ so chart-local quantization on the mode lattice coincides with windowed
 global assembly; products are formed on an enlarged mode range and only
 their corner on the target range is kept, which keeps corner entries free of
 truncation artifacts.
+
+Every rule is linear in the Fourier coefficient tables of its loops
+(``loop_tables``), which do not depend on t.  A sweep takes them once and
+passes them in, so that per t only the column weights are evaluated and
+assembled, into work arrays that it allocates once.
 """
 
 from __future__ import annotations
@@ -32,18 +37,22 @@ from .symbols import HomogeneousSymbol, Loop, Symbol
 
 __all__ = [
     "Atlas",
+    "chart_pieces",
     "corner_product",
+    "loop_tables",
     "t_quantize",
     "t_quantize_charts",
     "op_quantize",
     "op_terms",
     "multiplication_operator",
     "padded_grid",
-    "restrict_to",
 ]
 
 
 # -- low-level assembly ----------------------------------------------------
+
+#: mode rows per block of the scratch through which later terms are added
+_BLOCK_ROWS = 32
 
 
 def _check_block(block_shape, k):
@@ -52,34 +61,87 @@ def _check_block(block_shape, k):
                          f"grid block size k={k}")
 
 
-def _assemble(grid, terms):
-    """Operator with entries sum c(n - m) * w(m) over (coeffs, weights) terms.
+def _blocks(n, size=_BLOCK_ROWS):
+    """[start, stop) ranges covering range(n) in steps of ``size``; a short
+    remainder joins the last block, so a block has fewer than ``size`` rows
+    only when n does (a one-row block would take numpy's matrix-vector path)."""
+    starts = list(range(0, n, size))
+    if len(starts) > 1 and n % size:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def _leading(out, shape):
+    """The leading entries of the C-contiguous array ``out`` as an array of
+    ``shape`` (a new uninitialized one when ``out`` is None)."""
+    if out is None:
+        return np.empty(shape, dtype=complex)
+    size = int(np.prod(shape))
+    if not out.flags.c_contiguous or out.size < size or out.dtype != complex:
+        raise ValueError(f"output buffer cannot hold a complex block of shape {shape}")
+    return out.reshape(-1)[:size].reshape(shape)
+
+
+def _assemble(grid, terms, out=None, rows=slice(None), cols=slice(None)):
+    """Block [rows, cols] of the operator with entries sum c(n - m) * w(m)
+    over (coeffs, weights) terms.
 
     ``coeffs`` holds c(j), |j| <= 2N, with shape (4N+1, k, k); ``weights``
     holds one value per column mode; a non-finite value in either raises
-    ``ValueError``.  The first term is written straight
-    into an uninitialized (n, k, n, k) table through a strided Toeplitz
-    view of its coefficients and later terms are added in place, so every
-    entry is written once per term and the table reshapes to the flat
-    (dim, dim) matrix without a copy.  No terms give the zero operator.
+    ``ValueError``.  ``rows`` and ``cols`` are slices of the mode indices
+    0..2N, the whole range by default.  The block is written into the
+    leading entries of ``out`` when given (any C-contiguous complex array at
+    least that large, so one work array serves blocks of every size).  The
+    first term is written straight into an (rows, k, cols, k) view of it
+    through a strided Toeplitz view of its coefficients, and later terms are
+    formed a few rows at a time in a small scratch and added in place, so
+    every entry is written once per term, no full-size temporary is made and
+    the table is the flat (rows k, cols k) matrix without a copy.  No terms
+    give the zero block.
     """
     n, k = grid.n_modes, grid.k
-    table = None
+    rows, cols = range(n)[rows], range(n)[cols]
+    table = _leading(out, (len(rows), k, len(cols), k))
+    blocks, scratch, first = _blocks(len(rows)), None, True
     for coeffs, weights in terms:
         _check_block(coeffs.shape[1:], k)
         check_finite(coeffs)
         check_finite(weights)
         # window[r, :, :, l] = c(r + l - 2N); reversing l gives c(r - m)
         toeplitz = sliding_window_view(coeffs, n, axis=0)[..., ::-1].transpose(0, 1, 3, 2)
-        weighted = weights[None, None, :, None]
-        if table is None:
-            table = np.multiply(toeplitz, weighted,
-                                out=np.empty((n, k, n, k), dtype=complex))
-        else:
-            table += toeplitz * weighted
-    if table is None:
-        return np.zeros((grid.dim, grid.dim), dtype=complex)
-    return table.reshape(grid.dim, grid.dim)
+        toeplitz = toeplitz[rows.start:rows.stop, :, cols.start:cols.stop]
+        weighted = weights[None, None, cols.start:cols.stop, None]
+        if first:
+            np.multiply(toeplitz, weighted, out=table)
+            first = False
+            continue
+        if scratch is None:
+            scratch = np.empty((max(hi - lo for lo, hi in blocks), k, len(cols), k),
+                               dtype=complex)
+        for lo, hi in blocks:
+            table[lo:hi] += np.multiply(toeplitz[lo:hi], weighted, out=scratch[:hi - lo])
+    if first:
+        table.fill(0.0)
+    return table.reshape(len(rows) * k, len(cols) * k)
+
+
+def loop_tables(a, grid):
+    """Coefficient tables c(j), |j| <= 2N, of the loops of a ``Symbol``'s
+    terms, of a ``HomogeneousSymbol``'s (plus, minus) branches or of a
+    single ``Loop``, in that order.  They are the t-independent part of
+    every operator assembled from those loops; a loop object that occurs
+    twice is transformed once.  ``smash(f, a)`` has the tables of ``a``."""
+    if isinstance(a, Symbol):
+        loops = [loop for loop, _ in a.terms]
+    elif isinstance(a, HomogeneousSymbol):
+        loops = [a.plus, a.minus]
+    else:
+        loops = [a]
+    tables = []
+    for i, loop in enumerate(loops):
+        same = [tables[j] for j in range(i) if loops[j] is loop]
+        tables.append(same[0] if same else loop.coefficients(grid))
+    return tables
 
 
 def padded_grid(grid, pad):
@@ -98,92 +160,111 @@ def _corner(size, grid):
     return slice(start, start + grid.dim)
 
 
-def restrict_to(op, grid):
-    """Corner compression of an operator onto a coarser target grid."""
-    keep = _corner(op.shape[0], grid)
-    return op[keep, keep].copy()
+def corner_product(left, right, grid, out=None, add=False):
+    """The product left R restricted to ``grid``, summed over the live
+    columns of ``left``; written into the leading entries of ``out`` (see
+    ``_assemble``), or added to ``out`` with ``add``.
 
-
-def corner_product(left, right, grid):
-    """The product left right restricted to ``grid``, summed over the live
-    columns of ``left``.
-
-    Only the kept corner is computed, and only over the column range
+    ``left`` is a square operator on a mode range around ``grid``'s, and
+    ``right(rows)`` returns the rows of R for a slice ``rows`` of its mode
+    indices on the columns of ``grid``'s range, as a (len(rows) k, dim)
+    array.  Only the kept corner is computed, and only over the column range
     [lo, hi) outside which ``left`` is identically zero: a symbol with
     compact frequency support leaves the columns |m| >= t * hi of T_t(a)
-    zero.  Entries are finite, so the dropped terms are exact zeros and the
-    result differs from the full product by summation order only.
+    zero, and only the rows of R that meet [lo, hi) are built.  Entries are
+    finite, so the dropped terms are exact zeros and the result differs from
+    the full product by summation order only.  An added product is formed a
+    few rows at a time in a small scratch.
     """
-    if left.shape != right.shape:
-        raise ValueError("operators live on different grids")
-    keep = _corner(left.shape[0], grid)
+    keep, k = _corner(left.shape[0], grid), grid.k
+    out = _leading(out, (grid.dim, grid.dim))
     live = np.flatnonzero(left.any(axis=0))
     if live.size == 0:
-        return np.zeros((grid.dim, grid.dim), dtype=complex)
+        if not add:
+            out.fill(0.0)
+        return out
     lo, hi = live[0], live[-1] + 1
-    return left[keep, lo:hi] @ right[lo:hi, keep]
+    first, stop = lo // k, -(-hi // k)
+    block = right(slice(first, stop))
+    if block.shape != ((stop - first) * k, grid.dim):
+        raise ValueError("operators live on different grids")
+    block = block[lo - first * k:hi - first * k]
+    kept = left[keep, lo:hi]
+    if not add:
+        return np.matmul(kept, block, out=out)
+    blocks = _blocks(grid.dim)
+    scratch = np.empty((max(b - a for a, b in blocks), grid.dim), dtype=complex)
+    for a, b in blocks:
+        out[a:b] += np.matmul(kept[a:b], block, out=scratch[:b - a])
+    return out
 
 
 # -- the rescaled family -----------------------------------------------------
 
 
-def t_quantize(a, t, grid):
+def t_quantize(a, t, grid, coeffs=None, out=None, rows=slice(None), cols=slice(None)):
     """Operator of the rescaled symbol a(x, xi/t) on the mode lattice.
 
     Linear in the symbol; for a separable term c(x) rho(xi) M the entry
-    (n, m) is exactly c_hat(n - m) * rho(m / t) * M.
+    (n, m) is exactly c_hat(n - m) * rho(m / t) * M.  Only the column
+    weights rho(m / t) depend on t: ``coeffs``, the ``loop_tables`` of
+    ``a`` on ``grid``, are taken here when not given.  ``out``, ``rows`` and
+    ``cols`` select a block and its buffer as for ``_assemble``.
     """
     if t <= 0:
         raise ValueError("need t > 0")
     if not isinstance(a, Symbol):
         raise TypeError("t_quantize expects a separable Symbol")
+    if coeffs is None:
+        coeffs = loop_tables(a, grid)
     freqs = grid.modes / t
-    return _assemble(grid, ((loop.coefficients(grid),
-                             np.asarray(prof(freqs), dtype=complex))
-                            for loop, prof in a.terms))
+    return _assemble(grid, ((table, np.asarray(prof(freqs), dtype=complex))
+                            for table, (_, prof) in zip(coeffs, a.terms)),
+                     out, rows, cols)
 
 
 # -- order-zero quantization -------------------------------------------------
 
 
-def op_quantize(a, theta, grid):
+def op_quantize(a, theta, grid, coeffs=None):
     """Order-zero operator of a homogeneous symbol with cutting function.
 
     Column m is weighted by theta(|m|) and uses the loop of the matching
     half-axis; theta(0) = 0 makes the m = 0 column vanish, so the branch
-    convention there is immaterial.
+    convention there is immaterial.  ``coeffs`` are the ``loop_tables`` of
+    ``a``, taken here when not given.
     """
     if not isinstance(a, HomogeneousSymbol):
         raise TypeError("op_quantize expects a HomogeneousSymbol")
-    return _assemble(grid, op_terms(a, theta, grid))
+    return _assemble(grid, op_terms(a, theta, grid, coeffs))
 
 
-def op_terms(a, theta, grid):
+def op_terms(a, theta, grid, coeffs=None):
     """The (coeffs, weights) terms that ``op_quantize`` assembles: the
-    coefficients c(j), |j| <= 2N, of each branch with the cutting weights
-    theta(|m|) on the columns of its half-axis and zero on the others."""
+    coefficients c(j), |j| <= 2N, of each branch (its ``loop_tables`` when
+    given) with the cutting weights theta(|m|) on the columns of its
+    half-axis and zero on the others."""
+    plus, minus = loop_tables(a, grid) if coeffs is None else coeffs
     modes = grid.modes
     w = np.asarray(theta(np.abs(modes)), dtype=complex)
-    return [
-        (a.plus.coefficients(grid), np.where(modes >= 0, w, 0.0)),
-        (a.minus.coefficients(grid), np.where(modes < 0, w, 0.0)),
-    ]
+    return [(plus, np.where(modes >= 0, w, 0.0)), (minus, np.where(modes < 0, w, 0.0))]
 
 
-def multiplication_operator(c, grid):
+def multiplication_operator(c, grid, coeffs=None):
     """pi(c): multiplication by a loop, entries c_hat(n - m).
 
     A declared trigonometric degree above N would alias: rejected.  Loops
     without a declared degree (smooth windows) are accepted; their
     coefficients must decay inside the band, which the construction of the
-    window vocabulary guarantees.
+    window vocabulary guarantees.  ``coeffs`` are the ``loop_tables`` of
+    ``c``, taken here when not given.
     """
     if not isinstance(c, Loop):
         raise TypeError("multiplication_operator expects a Loop")
     if c.degree is not None and c.degree > grid.N:
         raise ValueError(f"loop degree {c.degree} exceeds the cutoff N={grid.N}")
-    unit = np.ones(grid.n_modes, dtype=complex)
-    return _assemble(grid, [(c.coefficients(grid), unit)])
+    [table] = loop_tables(c, grid) if coeffs is None else coeffs
+    return _assemble(grid, [(table, np.ones(grid.n_modes, dtype=complex))])
 
 
 # -- charts ------------------------------------------------------------------
@@ -265,31 +346,54 @@ def _windowed(a, window):
     return Symbol(tuple(terms), a.k, a.tag)
 
 
-def _scalar_multiplier(window, grid):
-    """Multiplication operator of a scalar window (identity coefficient block)."""
-    loop = Loop(lambda x, _w=window: np.asarray(_w(x))[..., None, None]
-                * np.eye(grid.k)[None, :, :], grid.k, None)
-    return multiplication_operator(loop, grid)
+def _scalar_window(window, k):
+    """A scalar window of the angle as a loop with identity k x k blocks."""
+    return Loop(lambda x: np.asarray(window(x))[..., None, None] * np.eye(k)[None, :, :],
+                k, None)
 
 
-def t_quantize_charts(a, t, atlas, grid):
+def chart_pieces(a, atlas, grid):
+    """What ``t_quantize_charts`` uses that does not depend on t, after
+    checking the atlas on ``grid``: per chart, the windowed symbol psi_k a,
+    the ``loop_tables`` of its terms and the coefficient table of phi_k, all
+    on the mode range enlarged by CHART_PAD."""
+    atlas.validate(grid)
+    big = padded_grid(grid, CHART_PAD)
+    pieces = []
+    for phi, psi in zip(atlas.phis, atlas.psis):
+        sym = _windowed(a, psi)
+        [phi_table] = loop_tables(_scalar_window(phi, grid.k), big)
+        pieces.append((sym, loop_tables(sym, big), phi_table))
+    return pieces
+
+
+def t_quantize_charts(a, t, atlas, grid, pieces=None, out=None, work=None):
     """Chart-by-chart quantization f -> sum_k T_t(psi_k a)(phi_k f).
 
     Each chart term is the windowed quantization composed with
-    multiplication by phi_k.  Both factors are assembled on a mode range
-    enlarged by CHART_PAD, and ``corner_product`` forms only the corner on
-    ``grid``, summed over the modes where the windowed quantization is
-    nonzero, so the returned operator agrees with the untruncated product
-    up to window-coefficient decay.
+    multiplication by phi_k, both on a mode range enlarged by CHART_PAD.
+    ``corner_product`` forms only the corner on ``grid``, summed over the
+    modes where the windowed quantization is nonzero, and builds only the
+    rows of the multiplier that meet them, so the returned operator agrees
+    with the untruncated product up to window-coefficient decay.
+
+    ``pieces`` (``chart_pieces``) are taken here when not given.  ``work``
+    is a pair of C-contiguous complex arrays of at least D^2 and D dim
+    entries, D the enlarged dimension, for the windowed quantization and the
+    rows of the multiplier; the result goes to the leading entries of
+    ``out``.  Both are allocated here when not given.
     """
     if t <= 0:
         raise ValueError("need t > 0")
-    atlas.validate(grid)
+    if pieces is None:
+        pieces = chart_pieces(a, atlas, grid)
     big = padded_grid(grid, CHART_PAD)
-    products = (corner_product(t_quantize(_windowed(a, psi), t, big),
-                               _scalar_multiplier(phi, big), grid)
-                for phi, psi in zip(atlas.phis, atlas.psis))
-    total = next(products)
-    for product in products:
-        total += product
-    return total
+    left, right = (None, None) if work is None else work
+    unit = np.ones(big.n_modes, dtype=complex)
+    inner = slice(CHART_PAD, CHART_PAD + grid.n_modes)
+    for i, (sym, coeffs, phi) in enumerate(pieces):
+        windowed = t_quantize(sym, t, big, coeffs, out=left)
+        out = corner_product(windowed,
+                             lambda rows: _assemble(big, [(phi, unit)], right, rows, inner),
+                             grid, out, add=i > 0)
+    return out

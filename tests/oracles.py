@@ -6,15 +6,19 @@ can hold the program's result against it."""
 
 import numpy as np
 
+from psilab.connes_higson import (ch_apply, ch_extended_apply, default_unit,
+                                  tail_deformed_unit)
+from psilab.experiments import THETA
 from psilab.homotopy import _band, _inverse_block, _psi_block
 from psilab.index_theory import _clutching_factors, _clutching_samples
 from psilab.numerics import CircleGrid, operator_norm
-from psilab.quantize import (_scalar_multiplier, _windowed, multiplication_operator,
-                             op_quantize, padded_grid, restrict_to, t_quantize)
-from psilab.presets import loop_c1, loop_c2
+from psilab.partition import build_partition
+from psilab.quantize import (CHART_PAD, Atlas, _corner, _scalar_window, _windowed,
+                             multiplication_operator, op_quantize, padded_grid, t_quantize)
+from psilab.presets import band_vector, loop_c1, loop_c2
 from psilab.symbols import (HomogeneousSymbol, Loop, RadialProfile, Symbol,
-                            SymbolClass, bump_profile, cap_profile,
-                            rational_vanishing_profile)
+                            SymbolClass, bump_profile, cap_profile, gamma_profile,
+                            rational_vanishing_profile, smash)
 
 
 # -- test loops and symbols --------------------------------------------------
@@ -107,6 +111,130 @@ def sum_of_squares(p, x):
 def gamma_sup_on_modes(p, i, N):
     """sup of gamma_i^s over the nonzero integer frequencies |m| <= N."""
     return float(np.max(p.gamma(i, np.arange(1, N + 1, dtype=float))))
+
+
+# -- corner compressions ------------------------------------------------------
+
+
+def restrict_to(op, grid):
+    """Corner compression of an operator onto a coarser target grid."""
+    keep = _corner(op.shape[0], grid)
+    return op[keep, keep].copy()
+
+
+def live_corner_product(left, right, grid):
+    """left right restricted to ``grid``, both factors in full, summed over
+    the column range outside which ``left`` is zero (zero when it all is)."""
+    keep = _corner(left.shape[0], grid)
+    live = np.flatnonzero(left.any(axis=0))
+    if live.size == 0:
+        return np.zeros((grid.dim, grid.dim), dtype=complex)
+    lo, hi = live[0], live[-1] + 1
+    return left[keep, lo:hi] @ right[lo:hi, keep]
+
+
+# -- the sweeps' rows, every operator rebuilt at every t ------------------------
+
+
+def chart_quantization(a, t, atlas, grid):
+    """sum_k T_t(psi_k a)(phi_k f) with both factors of every chart built in
+    full on the range padded by CHART_PAD, each product's corner summed over
+    the live columns and added to the first."""
+    atlas.validate(grid)
+    big = padded_grid(grid, CHART_PAD)
+    products = (live_corner_product(t_quantize(_windowed(a, psi), t, big),
+                                    multiplication_operator(_scalar_window(phi, grid.k), big),
+                                    grid)
+                for phi, psi in zip(atlas.phis, atlas.psis))
+    total = next(products)
+    for product in products:
+        total += product
+    return total
+
+
+def defect_sweep_rows(grid, cfg):
+    """The rows of ``run_defect_sweep``, t by t."""
+    a, b = cfg["pair"]
+    big = padded_grid(grid, 8)
+    atlas = Atlas.default_two_charts()
+
+    def row(t):
+        chart = cfg["chart_symbol"]
+        return {
+            "t": t,
+            "mult_defect": operator_norm(
+                live_corner_product(t_quantize(a, t, big), t_quantize(b, t, big), grid)
+                - restrict_to(t_quantize(a * b, t, big), grid)),
+            "adjoint_defect": operator_norm(t_quantize(a, t, grid).conj().T
+                                            - t_quantize(a.adjoint(), t, grid)),
+            "chart_defect": operator_norm(chart_quantization(chart, t, atlas, grid)
+                                          - t_quantize(chart, t, grid)),
+            "t0_norm": operator_norm(t_quantize(cfg["t0_symbol"], t, grid)),
+        }
+
+    return [row(2.0 ** e) for e in sorted(cfg["t_exponents"])]
+
+
+def ch_compare_rows(grid, cfg):
+    """The rows of ``run_ch_compare``, t by t, with Op(d) and pi(c) rebuilt
+    for every image."""
+    units = [("default", default_unit()), ("alt", tail_deformed_unit())]
+
+    def row(t):
+        out = {"t": t}
+        for label, f, d in cfg["cases"]:
+            T = t_quantize(smash(f, d), t, grid)
+            for uname, unit in units:
+                out[f"{label}|{uname}"] = operator_norm(
+                    ch_apply(f, d, t, unit, THETA, grid) - T)
+        for label, g, c in cfg["extended_cases"]:
+            T = t_quantize(Symbol.separable(c, g.even(), SymbolClass.FULL_C0), t, grid)
+            for uname, unit in units:
+                out[f"ext:{label}|{uname}"] = operator_norm(
+                    ch_extended_apply(g, c, t, unit, grid) - T)
+        return out
+
+    return [row(2.0 ** e) for e in sorted(cfg["t_exponents"])]
+
+
+def homotopy_rows(grid, cfg):
+    """The rows of ``run_homotopy_verify``, every block quantized from its
+    symbol and every difference a new array."""
+    a, bands, L_list = cfg["symbol"], cfg["bands"], cfg["L_list"]
+    vectors = [band_vector(grid, band, seed=3 + i) for i, band in enumerate(bands)]
+    parts = {s: build_partition(s, cfg["L"]) for s in cfg["s_values"]}
+    i_theta = int(np.ceil(np.log2(2.0 * THETA.r0)))
+    p1 = build_partition(1.0, max(cfg["L"], max(L_list), i_theta + 3))
+    op_a = op_quantize(a, THETA, grid)
+    s_desc = sorted(cfg["s_values"], reverse=True)
+    rows = []
+    for s in s_desc:
+        A = _psi_block(a, parts[s], THETA, 0, 0, grid)
+        rows.append({"kind": "equ1", "key": s,
+                     **{f"band{band}": float(np.linalg.norm(A @ f - op_a @ f))
+                        for band, f in zip(bands, vectors)}})
+    for s in s_desc:
+        A = _psi_block(a, parts[s], THETA, 1, 1, grid)
+        rows.append({"kind": "equ2", "key": s,
+                     **{f"band{band}": float(np.linalg.norm(A @ f))
+                        for band, f in zip(bands, vectors)}})
+    for i in range(i_theta - 1, i_theta + 3):
+        without = t_quantize(smash(gamma_profile(p1, i) * gamma_profile(p1, i), a), 1.0, grid)
+        rows.append({"kind": "theta", "key": i, "value": operator_norm(
+            _psi_block(a, p1, THETA, i, i, grid) - without)})
+    norms = {}
+    for i, j in _band(max(L_list)):
+        if abs(i) >= i_theta:
+            diff = _psi_block(a, p1, THETA, i, j, grid) - _inverse_block(a, p1, i, j, grid)
+            if np.any(diff):
+                norms[(i, j)] = operator_norm(diff)
+    for L in L_list:
+        total = 0.0
+        for (i, j), value in norms.items():
+            if max(abs(i), abs(j)) <= L:
+                total += value
+        rows.append({"kind": "endpoint", "key": L, "value": total})
+    return rows
 
 
 # -- block operators and the extension -----------------------------------------
@@ -212,7 +340,8 @@ def padded_chart_quantization(a, t, atlas, grid, pad=64):
     """sum_k T_t(psi_k a) M(phi_k), each product formed in full on the mode
     range enlarged by ``pad`` and the sum compressed back onto ``grid``."""
     big = padded_grid(grid, pad)
-    total = sum(t_quantize(_windowed(a, psi), t, big) @ _scalar_multiplier(phi, big)
+    total = sum(t_quantize(_windowed(a, psi), t, big)
+                @ multiplication_operator(_scalar_window(phi, grid.k), big)
                 for phi, psi in zip(atlas.phis, atlas.psis))
     return restrict_to(total, grid)
 

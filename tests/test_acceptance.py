@@ -21,8 +21,8 @@ from psilab import index_theory
 from psilab.cli import main as cli_main
 from psilab.connes_higson import (ch_apply, ch_extended_apply, default_unit,
                                   tail_deformed_unit)
-from psilab.experiments import (adjoint_defect, chart_defect,
-                                decreasing_to_zero, loglog_slope, mult_defect,
+from psilab.experiments import (adjoint_defects, chart_defects,
+                                decreasing_to_zero, loglog_slope, mult_defects,
                                 strictly_decreasing)
 from psilab.homotopy import (endpoint_defect, equ1_defect, equ2_defect,
                              theta_discrepancy_norm)
@@ -83,8 +83,8 @@ def test_criterion_03_multiplicativity_and_adjoint_decay():
     with criterion(3, "asymptotic multiplicativity and adjoint decay", 60.0):
         ts = 2.0 ** np.arange(0, 9)
         for a, b in (presets.cs_pair(), presets.v00_pair()):
-            mults = [mult_defect(a, b, t, GRID) for t in ts]
-            adjs = [adjoint_defect(a, t, GRID) for t in ts]
+            mults = mult_defects(a, b, ts, GRID)
+            adjs = adjoint_defects(a, ts, GRID)
             for vals in (mults, adjs):
                 assert strictly_decreasing(vals)
                 assert loglog_slope(ts[4:], vals[4:]) <= -0.8
@@ -96,7 +96,7 @@ def test_criterion_04_chart_independence():
         from psilab.quantize import Atlas
         atlas = Atlas.default_two_charts()
         sym = presets.chart_symbol()
-        vals = [chart_defect(sym, 2.0 ** k, atlas, GRID) for k in range(2, 9)]
+        vals = chart_defects(sym, [2.0 ** k for k in range(2, 9)], atlas, GRID)
         assert strictly_decreasing(vals)
         assert vals[-1] < 0.05 * vals[0]
 

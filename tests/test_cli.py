@@ -396,6 +396,10 @@ class TestExitCodes:
          "s_values [1e-06]: need 1/s <= 1022.5"),
         ("homotopy-verify", {"homotopy_verify": dict(HV, L_list=[1023])},
          "L_list [1023]: need 1/s <= 1022.5 and L_list entries <= 1022"),
+        # the endpoint block at i = -1019 quantizes at t = 2**-1019, where
+        # N / t = 2**1024 overflows
+        ("homotopy-verify", {"homotopy_verify": dict(HV, L_list=[1019])},
+         "L_list [1019]: need N * 2**L finite (N=32)"),
     ])
     def test_malformed_record_exits_2(self, tmp_path, capsys, command, section, message):
         path = write_config(tmp_path, {"grid": {"N": 32, "J": 132}, **section})
@@ -430,6 +434,17 @@ class TestExitCodes:
         rc = main([command, "--config", path, "--out", str(tmp_path / "o.csv")])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    def test_widest_endpoint_range_runs_clean(self, tmp_path, capsys):
+        # N * 2**1018 = 2**1023 is the top rescaled frequency at N = 32
+        data = {"grid": {"N": 32, "J": 132}, "homotopy_verify": dict(HV, L_list=[1018])}
+        out = tmp_path / "h.csv"
+        rc = main(["homotopy-verify", "--config", write_config(tmp_path, data),
+                   "--out", str(out)])
+        assert rc == 0
+        assert "nan" not in out.read_text()
+        assert capsys.readouterr().err == ""
 
     def test_profile_overflow_exits_0(self, tmp_path, capsys):
         # N / t = 2**1023 makes |xi / scale| overflow in the rv05 case

@@ -1,10 +1,17 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from oracles import ch_compare_rows, defect_sweep_rows, homotopy_rows, matrix_loop
+from psilab import connes_higson, experiments, presets, quantize
 from psilab.config import (ConfigError, parse_homogeneous, parse_loop,
                            parse_profile, parse_symbol)
-from psilab.experiments import decreasing_to_zero, loglog_slope, strictly_decreasing
-from psilab.symbols import SymbolClass
+from psilab.experiments import (decreasing_to_zero, loglog_slope, run_ch_compare,
+                                run_defect_sweep, run_homotopy_verify, strictly_decreasing)
+from psilab.numerics import CircleGrid
+from psilab.symbols import (HomogeneousSymbol, Loop, Symbol, SymbolClass, bump_profile,
+                            cap_profile, rational_decay_profile, rational_vanishing_profile)
 
 
 class TestPredicates:
@@ -99,3 +106,75 @@ class TestSymbolParsing:
     def test_homogeneous_bad_record(self):
         with pytest.raises(ConfigError):
             parse_homogeneous({"plus": {"modes": {"1": 1.0}}})
+
+
+# -- the runners against the per-t reference ----------------------------------
+
+
+def bits(rows):
+    """Rows with every float as its hex string, so that == compares bits."""
+    return [{key: value.hex() if isinstance(value, float) else value
+             for key, value in row.items()} for row in rows]
+
+
+def sweep_configs(k):
+    """Run configs of the three norm sweeps: the shipped symbols at k = 1,
+    seeded matrix symbols at k = 2.  The t grids reach a T_t(a) that is
+    identically zero (the bump pair at t = 1/16) and charts whose windowed
+    quantization is live on every padded column (t = 256)."""
+    defect_ts = [-4, -2, 0, 1, 3, 5, 8]
+    if k == 1:
+        return ({"t_exponents": defect_ts, "pair": presets.cs_pair(),
+                 "t0_symbol": presets.t0_symbol(), "chart_symbol": presets.chart_symbol()},
+                {"t_exponents": [1, 2, 4, 6], "cases": presets.ch_cases(),
+                 "extended_cases": presets.ch_extended_cases()},
+                {"symbol": presets.homotopy_symbol(), "bands": [8, 20],
+                 "s_values": [0.5, 0.25, 0.125], "L": 6, "L_list": [3, 5]})
+    a = Symbol(((matrix_loop(k=2, seed=51), bump_profile(0.5, 6.0)),
+                (matrix_loop(k=2, seed=52, degree=3), cap_profile(3.0))),
+               2, SymbolClass.COMPACT_SUPPORT)
+    b = Symbol.separable(matrix_loop(k=2, seed=53), rational_decay_profile(1.5),
+                         SymbolClass.FULL_C0)
+    same = matrix_loop(k=2, seed=54)
+    d = HomogeneousSymbol(matrix_loop(k=2, seed=55), matrix_loop(k=2, seed=56, degree=1))
+    return ({"t_exponents": defect_ts, "pair": (a, b), "t0_symbol": b,
+             "chart_symbol": Symbol.separable(matrix_loop(k=2, seed=57), cap_profile(1.0),
+                                              SymbolClass.COMPACT_SUPPORT)},
+            {"t_exponents": [1, 2, 4, 6],
+             "cases": [("d", rational_vanishing_profile(1.0), d),
+                       ("same", rational_vanishing_profile(2.0), HomogeneousSymbol(same, same))],
+             "extended_cases": [("c", rational_decay_profile(1.0), matrix_loop(k=2, seed=58))]},
+            {"symbol": d, "bands": [8, 20], "s_values": [0.5, 0.25], "L": 6,
+             "L_list": [3, 5]})
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("N", [32, 64])
+def test_runners_match_the_per_t_reference(N, k):
+    # hoisted tables, one column or case at a time and reused work arrays
+    # leave every value the same floating-point expression
+    grid = CircleGrid(J=4 * N + 4, N=N, k=k)
+    defect, ch, homotopy = sweep_configs(k)
+    assert bits(run_defect_sweep(grid, defect)[0]) == bits(defect_sweep_rows(grid, defect))
+    assert bits(run_ch_compare(grid, ch)[0]) == bits(ch_compare_rows(grid, ch))
+    assert bits(run_homotopy_verify(grid, homotopy)[0]) == bits(homotopy_rows(grid, homotopy))
+
+
+def test_ch_compare_builds_each_operator_once(monkeypatch):
+    # Op(d) once per case, and every loop transformed at most once per grid
+    grid = CircleGrid(J=260, N=64)
+    cfg = {"t_exponents": [2, 3, 4], "cases": presets.ch_cases(),
+           "extended_cases": presets.ch_extended_cases()}
+    ops, tables = [], Counter()
+    op_quantize = quantize.op_quantize
+    for module in (experiments, connes_higson):
+        monkeypatch.setattr(module, "op_quantize",
+                            lambda d, *args: ops.append(d) or op_quantize(d, *args))
+    coefficients = Loop.coefficients
+    monkeypatch.setattr(Loop, "coefficients",
+                        lambda loop, g: tables.update([(id(loop), g)]) or coefficients(loop, g))
+    run_ch_compare(grid, cfg)
+    assert ops == [d for _, _, d in cfg["cases"]]
+    assert max(tables.values()) == 1
+    # the unit case has one loop on both branches
+    assert len(tables) == 2 + 1 + 2 + 2

@@ -9,7 +9,7 @@ from oracles import (band_matrix, clutching_projection, clutching_samples,
                      corner, matrix_band, naive_trace_pairing, sampled_quantization)
 from psilab import index_theory
 from psilab.index_theory import (PAIRING_GAP, InconclusiveIndexError,
-                                 _band_coefficients, _band_count, _band_ldl, _band_small_count, _count_above_half,
+                                 _band_coefficients, _band_count, _band_ldl, _band_small_count, _branch_factors, _count_above_half,
                                  _fredholm_bands, _gapped_small_count, _gram_band,
                                  _ldl_solve, _pairing_band, _pairing_count,
                                  _pairing_matrix, analytic_index,
@@ -487,7 +487,7 @@ class TestBandCount:
         g = CircleGrid(J=4 * 70 + 6, N=70, k=k)
         sigma = HomogeneousSymbol(random_dominant_loop(3, k, 1),
                                   random_dominant_loop(4, k, -2))
-        band, _ = _band_coefficients(sigma, 2.5, g, 5)
+        band, _ = _band_coefficients(_branch_factors(sigma, g), 2.5, g, 5)
         dense = _pairing_matrix(sigma, 2.5, g) + np.kron(np.eye(g.n_modes), corner(k))
         assert np.max(np.abs(band - matrix_band(dense, 2 * k, 5))) <= 1e-13
 
@@ -508,7 +508,7 @@ class TestBandCount:
             return coeffs, mass
 
         monkeypatch.setattr(index_theory, "_factored_band", recorded)
-        _band_coefficients(sigma, 2.5, g, 1)
+        _band_coefficients(_branch_factors(sigma, g), 2.5, g, 1)
         assert len(masses) == 2
         assert sum(masses) == pytest.approx(sampled, rel=1e-12)
 

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import inverse_fourier, tail_norm
+from oracles import inverse_fourier, restrict_to, tail_norm
 from psilab import numerics
 from psilab.numerics import CircleGrid, fourier_coefficients, operator_norm
 from psilab.presets import t0_symbol
-from psilab.quantize import restrict_to, t_quantize
+from psilab.quantize import t_quantize
 
 
 def random_operator(grid, seed):
@@ -116,6 +116,18 @@ def random_matrix(rows, cols, seed):
     return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
 
 
+def clustered_matrix(rows, cols, seed, gap):
+    """Random singular vectors with top singular values 1, 1 - gap, 1 - 2 gap,
+    1 - 3 gap and the rest spread over [0, 0.5]."""
+    rng = np.random.default_rng(seed)
+    r = min(rows, cols)
+    u, _ = np.linalg.qr(random_matrix(rows, r, seed))
+    v, _ = np.linalg.qr(random_matrix(cols, r, seed + 1))
+    svals = np.concatenate([1.0 - gap * np.arange(min(r, 4)),
+                            np.sort(rng.uniform(0.0, 0.5, max(r - 4, 0)))[::-1]])
+    return (u * svals) @ v.conj().T
+
+
 @pytest.fixture
 def svd_calls(monkeypatch):
     # counts the full SVDs operator_norm falls back to
@@ -189,6 +201,18 @@ class TestLanczosAgainstSVD:
     def test_property_matches_svd(self, rows, cols, seed, scale):
         mat = scale * random_matrix(rows, cols, seed)
         assert operator_norm(mat) == pytest.approx(svd_norm(mat), rel=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=st.integers(1, 64), cols=st.integers(1, 64),
+           seed=st.integers(0, 2**32 - 2), scale=st.sampled_from([1e-9, 1.0, 1e6]),
+           gap=st.sampled_from([None, 1e-3, 1e-6, 1e-9]))
+    def test_property_certified_to_5e_14(self, rows, cols, seed, scale, gap):
+        # the certified bound, on random matrices and on clustered top
+        # singular values
+        mat = scale * (random_matrix(rows, cols, seed) if gap is None
+                       else clustered_matrix(rows, cols, seed, gap))
+        expect = svd_norm(mat)
+        assert abs(operator_norm(mat) - expect) <= 5e-14 * expect
 
 
 class TestCompactTail:

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from oracles import dilated, matrix_loop, padded_chart_quantization, sampled_quantization
+from oracles import (dilated, matrix_loop, padded_chart_quantization, restrict_to,
+                     sampled_quantization)
 from psilab import quantize
 from psilab.numerics import CircleGrid, operator_norm
 from psilab.quantize import (Atlas, _assemble, corner_product, multiplication_operator,
-                             op_quantize, op_terms, padded_grid, restrict_to, t_quantize,
+                             op_quantize, op_terms, padded_grid, t_quantize,
                              t_quantize_charts)
 from psilab.symbols import (HomogeneousSymbol, Loop, RadialProfile, Symbol,
                             SymbolClass, bump_profile, cap_profile, constant_profile,
@@ -182,6 +183,13 @@ def wide_loop(k, seed, degree):
     return Loop.from_coeffs(damp * (rng.normal(size=shape) + 1j * rng.normal(size=shape)))
 
 
+def full_rows(right, grid):
+    """``corner_product``'s row function of a full right factor: its rows for
+    a mode slice, on the columns of ``grid``'s range."""
+    k, start = grid.k, (right.shape[1] - grid.dim) // 2
+    return lambda rows: right[rows.start * k:rows.stop * k, start:start + grid.dim]
+
+
 class TestCornerProduct:
     PAD = 8
 
@@ -202,7 +210,7 @@ class TestCornerProduct:
         left = t_quantize(Symbol.separable(wide_loop(k, seed, self.PAD), profile,
                                            SymbolClass.FULL_C0), t, big)
         right = multiplication_operator(wide_loop(k, seed + 1, self.PAD), big)
-        got = corner_product(left, right, grid)
+        got = corner_product(left, full_rows(right, grid), grid)
         expect = restrict_to(left @ right, grid)
         assert got.shape == (grid.dim, grid.dim)
         bound = 1e-13 * operator_norm(left) * operator_norm(right)
@@ -215,11 +223,12 @@ class TestCornerProduct:
         big = padded_grid(grid32, 4)
         eye = multiplication_operator(Loop.identity(1), big)
         with pytest.raises(ValueError, match="different grids"):
-            corner_product(eye, multiplication_operator(Loop.identity(1), grid32), grid32)
+            corner_product(eye, full_rows(multiplication_operator(Loop.identity(1), grid32),
+                                          grid32), grid32)
         with pytest.raises(ValueError, match="exceeds"):
-            corner_product(eye, eye, padded_grid(grid32, 5))
+            corner_product(eye, full_rows(eye, grid32), padded_grid(grid32, 5))
         with pytest.raises(ValueError, match="block sizes"):
-            corner_product(eye, eye, CircleGrid(J=132, N=32, k=2))
+            corner_product(eye, full_rows(eye, grid32), CircleGrid(J=132, N=32, k=2))
 
 
 class TestCharts:
@@ -387,6 +396,20 @@ def zero_filled_assemble(grid, terms):
     return table.reshape(grid.dim, grid.dim)
 
 
+def full_temporary_assemble(grid, terms):
+    """Reference kernel: the first term written into a new table, each later
+    one added as a full-size temporary."""
+    n, table = grid.n_modes, None
+    for coeffs, weights in terms:
+        toeplitz = sliding_window_view(coeffs, n, axis=0)[..., ::-1].transpose(0, 1, 3, 2)
+        term = toeplitz * weights[None, None, :, None]
+        if table is None:
+            table = term
+        else:
+            table += term
+    return table.reshape(grid.dim, grid.dim)
+
+
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("N", [5, 32, 70])
 class TestWriteOnceAgainstReference:
@@ -411,6 +434,26 @@ class TestWriteOnceAgainstReference:
             got = _assemble(g, terms[:count])
             assert np.array_equal(got, zero_filled_assemble(g, terms[:count]))
         assert np.array_equal(t_quantize(sym, 3.0, g), zero_filled_assemble(g, terms))
+
+    def test_blocks_into_a_buffer(self, N, k):
+        # 65 and 141 modes are no multiple of the 32-row scratch block, nor
+        # is a 37-row block; the block lands in the leading entries of a
+        # larger buffer, bit for bit
+        g = self.grid(N, k)
+        _, terms = self.terms(g, 3.0)
+        n = g.n_modes
+        blocks = [(slice(None), slice(None)), (slice(2, n - 1), slice(n // 3, n)),
+                  (slice(max(0, n - 37), n), slice(0, 5))]
+        for count in (1, 2, 3):
+            full = full_temporary_assemble(g, terms[:count]).reshape(n, k, n, k)
+            for rows, cols in blocks:
+                buf = np.full(g.dim * g.dim + 7, np.nan, dtype=complex)
+                got = _assemble(g, terms[:count], out=buf, rows=rows, cols=cols)
+                expect = full[rows, :, cols, :]
+                assert np.shares_memory(got, buf)
+                assert got.shape == (expect.shape[0] * k, expect.shape[2] * k)
+                assert np.array_equal(got.view(np.uint64),
+                                      expect.reshape(got.shape).view(np.uint64))
 
     def test_op_quantize_and_multiplication(self, N, k, theta):
         g = self.grid(N, k)
