@@ -119,9 +119,10 @@ def bits(rows):
 
 def sweep_configs(k):
     """Run configs of the three norm sweeps: the shipped symbols at k = 1,
-    seeded matrix symbols at k = 2.  The t grids reach a T_t(a) that is
-    identically zero (the bump pair at t = 1/16) and charts whose windowed
-    quantization is live on every padded column (t = 256)."""
+    seeded matrix symbols at k = 2, two-term ones in every sweep.
+    The t grids reach a T_t(a) that is identically zero (the bump symbol a
+    at t = 1/16) and charts whose windowed quantization is live on every
+    padded column (t = 256)."""
     defect_ts = [-4, -2, 0, 1, 3, 5, 8]
     if k == 1:
         return ({"t_exponents": defect_ts, "pair": presets.cs_pair(),
@@ -130,11 +131,11 @@ def sweep_configs(k):
                  "extended_cases": presets.ch_extended_cases()},
                 {"symbol": presets.homotopy_symbol(), "bands": [8, 20],
                  "s_values": [0.5, 0.25, 0.125], "L": 6, "L_list": [3, 5]})
-    a = Symbol(((matrix_loop(k=2, seed=51), bump_profile(0.5, 6.0)),
-                (matrix_loop(k=2, seed=52, degree=3), cap_profile(3.0))),
-               2, SymbolClass.COMPACT_SUPPORT)
-    b = Symbol.separable(matrix_loop(k=2, seed=53), rational_decay_profile(1.5),
-                         SymbolClass.FULL_C0)
+    a = Symbol.separable(matrix_loop(k=2, seed=51), bump_profile(0.5, 6.0),
+                         SymbolClass.COMPACT_SUPPORT)
+    b = Symbol(((matrix_loop(k=2, seed=52, degree=3), cap_profile(3.0)),
+                (matrix_loop(k=2, seed=53), rational_decay_profile(1.5))),
+               2, SymbolClass.FULL_C0)
     same = matrix_loop(k=2, seed=54)
     d = HomogeneousSymbol(matrix_loop(k=2, seed=55), matrix_loop(k=2, seed=56, degree=1))
     return ({"t_exponents": defect_ts, "pair": (a, b), "t0_symbol": b,
