@@ -228,12 +228,25 @@ def _mode(key):
         raise ConfigError(f"mode index must be an integer, got {key!r}") from exc
 
 
+#: largest modulus of a loop coefficient (each entry of a matrix mode).
+#: Below it the Gram products stay finite floats with room to spare: those
+#: of the Fredholm band, whose entries reach the square of the l1 mass of
+#: the coefficients, the block LDL^H recurrence on them, which squares them
+#: again over pivots down to 1e-8, and the Gram of a product of two loops in
+#: a norm, whose Frobenius norm squares it again
+COEFF_MAX = 1e30
+
+
 def _coeff(value):
     if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(value[0], value[1])
-    raise ConfigError(f"coefficient must be a number or [re, im]: {value!r}")
+        c = complex(value)
+    elif isinstance(value, (list, tuple)) and len(value) == 2:
+        c = complex(value[0], value[1])
+    else:
+        raise ConfigError(f"coefficient must be a number or [re, im]: {value!r}")
+    if not abs(c) <= COEFF_MAX:
+        raise ConfigError(f"coefficient {value!r} exceeds the modulus {COEFF_MAX:g}")
+    return c
 
 
 def _matrix(rows):
@@ -391,10 +404,12 @@ def ch_compare_cfg(cfg):
     # every label names the columns of one case; a repeat would overwrite them
     _once("ch_compare labels", [str(label) for label, _, _ in out["cases"]]
           + [f"ext:{label}" for label, _, _ in out["extended_cases"]], "label")
-    # smash lifts a homogeneous d only through an f with f(0) = 0
-    flat = [label for label, f, _ in out["cases"] if not f.vanishes_at_zero]
-    if flat:
-        raise ConfigError(f"ch_compare cases {flat}: profile f must vanish at the origin")
+    # smash lifts a homogeneous d only through an f with f(0) = 0 = f(oo)
+    for where, flag in (("the origin", "vanishes_at_zero"),
+                        ("infinity", "vanishes_at_infinity")):
+        flat = [label for label, f, _ in out["cases"] if not getattr(f, flag)]
+        if flat:
+            raise ConfigError(f"ch_compare cases {flat}: profile f must vanish at {where}")
     if not (out["cases"] or out["extended_cases"]):
         raise ConfigError("ch_compare needs at least one case or extended case")
     _check_block_sizes(cfg, [d for _, _, d in out["cases"]]

@@ -58,6 +58,16 @@ def decreasing_to_zero(vals, floor):
     return all(y < x or (x <= floor and y <= floor) for x, y in zip(vals, vals[1:]))
 
 
+def _final_ratio_check(column, vals):
+    """The check that vals[-1] < FINAL_RATIO * vals[0] for a column, with the
+    ratio as its detail; a zero initial value fails it, and its detail says
+    so."""
+    name = f"{column} final/initial < {FINAL_RATIO}"
+    if vals[0] == 0.0:
+        return name, False, "initial value 0: no final/initial ratio"
+    return name, vals[-1] < FINAL_RATIO * vals[0], vals[-1] / vals[0]
+
+
 def loglog_slope(ts, vals):
     """Least-squares slope of log2(vals) against log2(ts)."""
     ts, vals = np.asarray(ts, dtype=float), np.asarray(vals, dtype=float)
@@ -177,8 +187,7 @@ def run_defect_sweep(grid, cfg):
         slope = loglog_slope(big_ts[half:], vals[half:])
         checks.append((f"{col} strictly decreasing", strictly_decreasing(vals), vals))
         checks.append((f"{col} tail slope <= {DECAY_SLOPE}", slope <= DECAY_SLOPE, slope))
-        checks.append((f"{col} final/initial < {FINAL_RATIO}",
-                       vals[-1] < FINAL_RATIO * vals[0], vals[-1] / vals[0]))
+        checks.append(_final_ratio_check(col, vals))
 
     chart_vals = [r["chart_defect"] for r in rows if r["t"] >= 4.0]
     if chart_vals and max(chart_vals) <= EXACT_TOL:
@@ -189,9 +198,7 @@ def run_defect_sweep(grid, cfg):
     else:
         checks.append(("chart_defect decreasing", strictly_decreasing(chart_vals),
                        chart_vals))
-        checks.append((f"chart_defect final/initial < {FINAL_RATIO}",
-                       chart_vals[-1] < FINAL_RATIO * chart_vals[0],
-                       chart_vals[-1] / chart_vals[0]))
+        checks.append(_final_ratio_check("chart_defect", chart_vals))
 
     small = [(r["t"], r["t0_norm"]) for r in rows if r["t"] <= 0.5]
     if small:
@@ -257,8 +264,7 @@ def run_ch_compare(grid, cfg):
                                True, max(vals)))
                 continue
             checks.append((f"{label}|{uname} decreasing", strictly_decreasing(vals), vals))
-            checks.append((f"{label}|{uname} final/initial < {FINAL_RATIO}",
-                           vals[-1] < FINAL_RATIO * vals[0], vals[-1] / vals[0]))
+            checks.append(_final_ratio_check(f"{label}|{uname}", vals))
     for label, _, _ in ext_cases:
         vals = [r[f"ext:{label}|default"] for r in rows]
         checks.append((f"ext:{label}|default exact",

@@ -399,20 +399,20 @@ _SUPER = 4
 _POINTS = 32
 
 
-def _pairing_matrix(sigma, t, grid):
+def _pairing_matrix(factors, t, grid):
     """T_t(p_sigma - corner) on the modes |m| <= N, 2k x 2k blocks.
 
     The clutching symbol is b(x, xi) = |xi| sigma(x, xi); its graph
     projection p is exact and p - diag(0, I) vanishes at fiber infinity like
-    1 / |xi|.  Each branch is factored once on the grid points, and the
-    columns are sampled in closed form at xi = m / t, 128 ascending modes m
-    at a time: negative modes from the minus branch and the rest (m = 0
-    included) from the plus branch, as two contiguous column slices.  Entry
-    (n, m) is the x-Fourier coefficient c_m(n - m) of column m, taken by FFT
-    from those samples.
+    1 / |xi|.  Both branches come factored on the grid points
+    (``_branch_factors``), and the columns are sampled in closed form at
+    xi = m / t, 128 ascending modes m at a time: negative modes from the
+    minus branch and the rest (m = 0 included) from the plus branch, as two
+    contiguous column slices.  Entry (n, m) is the x-Fourier coefficient
+    c_m(n - m) of column m, taken by FFT from those samples.
     """
-    N, n, k2 = grid.N, grid.n_modes, 2 * sigma.k
-    minus, plus = _branch_factors(sigma, grid)
+    minus, plus = factors
+    N, n, k2 = grid.N, grid.n_modes, 2 * minus[0].shape[1]
     table = np.empty((n, k2, n, k2), dtype=complex)
     for start in range(0, n, _BLOCK):
         xis = grid.modes[start:start + _BLOCK] / t
@@ -431,14 +431,15 @@ def _pairing_matrix(sigma, t, grid):
     return table.reshape(n * k2, n * k2)
 
 
-def _count_above_half(sigma, t, grid):
-    """Eigenvalue count > 1/2 of P_inf + T_t(p_sigma - corner), with its gap.
+def _count_above_half(factors, t, grid):
+    """Eigenvalue count > 1/2 of P_inf + T_t(p_sigma - corner), with its gap,
+    from the ``_branch_factors`` of sigma.
 
     P_inf is the corner diag(0, I) in every mode, added on the diagonal.
     This dense solve is the fallback of the band count and its reference.
     """
-    k = sigma.k
-    mat = _pairing_matrix(sigma, t, grid)
+    k = factors[0][0].shape[1]
+    mat = _pairing_matrix(factors, t, grid)
     bottom = (2 * k * np.arange(grid.n_modes)[:, None]
               + np.arange(k, 2 * k)[None, :]).ravel()
     mat[bottom, bottom] += 1.0
@@ -474,31 +475,62 @@ def _halving_sum(a):
     return a[0]
 
 
-def _factored_band(factors, r, analysis):
-    """(coeffs, mass) of one branch's columns at the radii r, from its
-    factors and never from samples.
+def _piece_products(analysis, pieces):
+    """The products A[l, x] P_j(x) of the analysis rows with the pieces, as
+    interleaved floats of shape (2k p, rows 8k^2), one block of
+    p <= _POINTS grid points at a time."""
+    for x in range(0, len(pieces), _POINTS):
+        q = (analysis[:, x:x + _POINTS].T[None, :, :, None]
+             * pieces[x:x + _POINTS].swapaxes(0, 1)[:, :, None, :])
+        yield q.view(float).reshape(q.shape[0] * q.shape[1], -1)
+
+
+def _band_tables(factors, grid, b, once=False):
+    """The t-independent part of ``_band_coefficients`` at the width b.
+
+    Returns (b, branches), one (s, blocks, g) per branch of ``factors``
+    (``_branch_factors``): s its singular values, blocks the
+    ``_piece_products`` of the analysis rows A[l, x] = e^{-ilx} / J,
+    |l| <= b, with its pieces P, and g >= max_x ||Re G(x) - 2I|| for the
+    Gram G = P P^H of the pieces, measured plus 8 k^3 eps for the rounding
+    of G.  The blocks are held for reuse at every t; with ``once``, for a
+    width tried at one t only, they are formed as they are read, so that
+    the products of a wide band are never held together.
+    """
+    J = grid.J
+    ls = np.arange(-b, b + 1)
+    # e^{-i l x_j} from the exact phase (l j mod J) / J
+    analysis = np.exp(-2j * np.pi * (np.outer(ls, np.arange(J)) % J) / J) / J
+    branches = []
+    for s, pieces in factors:
+        k = s.shape[1]
+        blocks = _piece_products(analysis, pieces)
+        gram = pieces @ pieces.conj().swapaxes(1, 2)
+        g = np.max(np.linalg.norm(gram.real - 2.0 * np.eye(2 * k), axis=(1, 2)))
+        branches.append((s, blocks if once else list(blocks),
+                         g + 8 * k ** 3 * np.finfo(float).eps))
+    return b, branches
+
+
+def _factored_band(branch, r, rows):
+    """(coeffs, mass) of one branch's columns at the radii r, from one
+    (s, blocks, g) of ``_band_tables`` and never from samples.
 
     coeffs[i, m] are the coefficients of column m at the frequencies of the
-    rows i of ``analysis``, shape (rows, len(r), 4k^2).  mass bounds
+    analysis rows i, shape (rows, len(r), 4k^2).  mass bounds
     sum_m mean_x |s(x, m)|^2 from above, up to the rounding of its sum (see
     ``_band_coefficients``).
     """
-    s, pieces = factors
+    s, blocks, g = branch
     J, k = s.shape
-    rows = analysis.shape[0]
-    w = _clutching_weights(s, r)
     coeffs = np.zeros((r.size, rows * 8 * k * k))
-    for x in range(0, J, _POINTS):
-        wx = w[:, x:x + _POINTS].reshape(-1, r.size)
-        # A[l, x] P_j(x) on the block's points, as interleaved floats
-        q = (analysis[:, x:x + _POINTS].T[None, :, :, None]
-             * pieces[x:x + _POINTS].swapaxes(0, 1)[:, :, None, :])
-        coeffs += wx.T @ q.view(float).reshape(len(wx), -1)
-    gram = pieces @ pieces.conj().swapaxes(1, 2)
-    g = np.max(np.linalg.norm(gram.real - 2.0 * np.eye(2 * k), axis=(1, 2)))
-    g += 8 * k ** 3 * np.finfo(float).eps
-    # the weights are spent: their d0 half is summed in place
-    mass = 2.0 * _halving_sum(w[:k].reshape(-1)) / J * (1.0 + 0.5 * g)
+    # the weights are taken block by block; only their d0 half is kept
+    d0 = np.empty((k, J, r.size))
+    for x, q in zip(range(0, J, _POINTS), blocks):
+        w = _clutching_weights(s[x:x + _POINTS], r)
+        coeffs += w.reshape(-1, r.size).T @ q
+        d0[:, x:x + _POINTS] = w[:k]
+    mass = 2.0 * _halving_sum(d0.reshape(-1)) / J * (1.0 + 0.5 * g)
     return coeffs.view(complex).reshape(r.size, rows, 4 * k * k).swapaxes(0, 1), mass
 
 
@@ -507,13 +539,13 @@ def _branch_factors(sigma, grid):
     return tuple(_clutching_factors(sigma.branch(sign).fn(grid.x)) for sign in (-1, +1))
 
 
-def _band_coefficients(factors, t, grid, b):
+def _band_coefficients(tables, t, grid):
     """The pairing matrix on the band |n - m| <= b, with a bound on the rest.
 
-    Returns (band, delta): band is the ``_band_table`` of M, and delta
-    bounds ||H - H_b|| for the Hermitian parts H of M and H_b of the band,
-    M the pairing matrix of the samples built from the computed branch
-    factors ``factors`` (``_branch_factors``).
+    Returns (band, delta) from the ``_band_tables`` of the width b: band is
+    the ``_band_table`` of M, and delta bounds ||H - H_b|| for the Hermitian
+    parts H of M and H_b of the band, M the pairing matrix of the samples
+    built from the computed branch factors.
 
     The samples are never formed.  With (s, P) = ``_clutching_factors(u)``
     and the real weights w(x, r) = [d0, r S d0] a sample is
@@ -524,6 +556,7 @@ def _band_coefficients(factors, t, grid, b):
 
     one real product per branch of the weights with the interleaved float
     view of A P, taken over blocks of _POINTS grid points and accumulated.
+    Only the weights depend on t; the products A P come with the tables.
     By Parseval on the J grid points the dropped coefficients satisfy
 
         tail = sum_{m, |l| > b} |c_m(l)|^2 = mass - sum_{m, |l| <= b} |c_m(l)|^2,
@@ -561,16 +594,14 @@ def _band_coefficients(factors, t, grid, b):
     E for the error of the kept coefficients (||M_b - M~_b||_F <= E) and the
     factor 1.001 for the evaluation of the bound.
     """
-    J, n, k = grid.J, grid.n_modes, factors[0][0].shape[1]
-    ls = np.arange(-b, b + 1)
-    # e^{-i l x_j} from the exact phase (l j mod J) / J
-    analysis = np.exp(-2j * np.pi * (np.outer(ls, np.arange(J)) % J) / J) / J
+    b, branches = tables
+    J, n, k = grid.J, grid.n_modes, branches[0][0].shape[1]
     coeffs = np.empty((2 * b + 1, n, 4 * k * k), dtype=complex)
     xis = grid.modes / t
     split = int(np.searchsorted(xis, 0.0))
     mass = 0.0
-    for branch, cols in zip(factors, (slice(None, split), slice(split, None))):
-        coeffs[:, cols], part = _factored_band(branch, np.abs(xis[cols]), analysis)
+    for branch, cols in zip(branches, (slice(None, split), slice(split, None))):
+        coeffs[:, cols], part = _factored_band(branch, np.abs(xis[cols]), 2 * b + 1)
         mass += part
     power = _halving_sum(np.square(coeffs.view(float)).ravel())
     eps = np.finfo(float).eps
@@ -581,31 +612,47 @@ def _band_coefficients(factors, t, grid, b):
     return _band_table(coeffs, k), 1.001 * np.sqrt(max(tail, 0.0)) + err
 
 
-def _pairing_band(sigma, t, grid):
+def _pairing_tables(sigma, grid):
+    """The t-independent part of every pairing count of sigma on grid.
+
+    Returns (factors, first): the ``_branch_factors`` of both branches, and
+    the ``_band_tables`` of the first band width b0 (the declared degree of
+    the branches, 1 without one), None when b0 exceeds _BAND_CAP * N.  The
+    singular values s of each branch come with the factors, so a check of
+    the clutching window (where |xi| s turns through 1) can read them here.
+    """
+    factors = _branch_factors(sigma, grid)
+    b = sigma.degree or 1
+    return factors, (_band_tables(factors, grid, b) if b <= int(_BAND_CAP * grid.N)
+                     else None)
+
+
+def _pairing_band(tables, t, grid):
     """(band, delta) of the first width in b0, 2 b0, 4 b0, ... whose drop
     bound delta is at most _BAND_TOL, the last try clipped to exactly
     _BAND_CAP * N; or None when no width up to there fits.
 
     b0 is the declared degree of the branches (1 without one), at which
-    unitary trigonometric branches leave nothing out.  The branches are
-    factored once, and every try is formed from those factors without
-    samples (``_band_coefficients``); its delta bounds what that width drops.
+    unitary trigonometric branches leave nothing out.  ``tables`` are the
+    ``_pairing_tables`` of the symbol, which carry the factors of both
+    branches and the tables of b0; the tables of a wider try are formed from
+    the factors for this t alone, and every try is formed without samples
+    (``_band_coefficients``); its delta bounds what that width drops.
     """
-    b, cap = sigma.degree or 1, int(_BAND_CAP * grid.N)
-    factors = _branch_factors(sigma, grid)
-    while b <= cap:
-        band, delta = _band_coefficients(factors, t, grid, b)
+    factors, width = tables
+    cap = int(_BAND_CAP * grid.N)
+    while width is not None:
+        band, delta = _band_coefficients(width, t, grid)
         if delta <= _BAND_TOL:
             return band, delta
-        if b == cap:
-            return None
-        b = min(2 * b, cap)
+        b = width[0]
+        width = None if b == cap else _band_tables(factors, grid, min(2 * b, cap), once=True)
     return None
 
 
 def _band_ldl(band, shifts):
     """Block LDL^H factorizations of H_b - s at every shift s, with a
-    backward-error bound, or None on a small pivot.
+    backward-error bound, or None on a small or non-finite pivot.
 
     H_b is the Hermitian part of a band table (block (m + l, m) at
     band[b + l, m]) with blocks of any size k2.  Grouped into super-blocks
@@ -617,7 +664,9 @@ def _band_ldl(band, shifts):
     (A_i the diagonal and C_i the sub-diagonal super-blocks) needs one
     Hermitian eigen-solve per pivot D_i, batched over the shifts.  The
     factorization does not pivot, which needs a guard (Bunch and Kaufman):
-    a pivot with an eigenvalue below _PIVOT_FLOOR in modulus returns None.
+    a pivot with an eigenvalue below _PIVOT_FLOOR in modulus returns None,
+    and so does a pivot with an entry that is not finite, before it reaches
+    the eigen-solve.  The loop runs only the recurrence and these exits.
     The last super-block is padded with zero modes, which the pivots carry
     as the value -s.
 
@@ -629,7 +678,8 @@ def _band_ldl(band, shifts):
 
         ||E|| <= err = 4 p eps max_i (||D_i|| + ||C_i||_F^2 / min |lambda(D_{i-1})|),
 
-    the second term the growth through the inverted pivots.
+    the second term the growth through the inverted pivots, both taken
+    over all pivots at once after the loop.
     """
     w, n, k2 = band.shape[:3]
     b = w // 2
@@ -654,17 +704,20 @@ def _band_ldl(band, shifts):
     shift = shifts[:, None, None] * np.eye(q * k2)
     vals = np.empty((nb, shifts.size, q * k2))
     vecs = np.empty((nb, shifts.size, q * k2, q * k2), dtype=complex)
-    worst = growth = 0.0
     for s in range(nb):
         pivot = diag[s] - shift
         if s:
             g = sub[s - 1] @ vecs[s - 1]
             pivot -= (g / vals[s - 1, :, None, :]) @ _adjoint(g)
-            growth = np.linalg.norm(sub[s - 1]) ** 2 / np.min(np.abs(vals[s - 1]))
-        vals[s], vecs[s] = np.linalg.eigh(pivot)
-        if np.min(np.abs(vals[s])) < _PIVOT_FLOOR:
+        if not np.isfinite(pivot).all():
             return None
-        worst = max(worst, np.max(np.abs(vals[s])) + growth)
+        vals[s], vecs[s] = np.linalg.eigh(pivot)
+        if abs(vals[s]).min() < _PIVOT_FLOOR:
+            return None
+    moduli = abs(vals).reshape(nb, -1)
+    growth = np.zeros(nb)
+    growth[1:] = np.linalg.norm(sub, axis=(1, 2)) ** 2 / moduli[:-1].min(axis=1)
+    worst = np.max(moduli.max(axis=1) + growth)
     return vals, vecs, sub, 4 * q * k2 * np.finfo(float).eps * worst
 
 
@@ -690,46 +743,59 @@ def _band_count(band, delta):
     """(count above 1/2, conclusive) for any H with ||H - H_b|| <= delta, or
     None when the band cannot decide.
 
-    ``_band_ldl`` factors H_b - s at the four shifts s = 0.4 -+ m,
-    0.6 -+ m, m = delta + _LDL_ALLOWANCE.  By Sylvester's law of inertia
-    and Haynsworth's additivity the number of eigenvalues of H_b + E above
-    s is the number of positive eigenvalues of all pivots of H_b - s, for
-    the backward error ||E|| <= err; padded zero modes add nothing to a
-    count at a positive shift.  With err at most _LDL_ALLOWANCE, Weyl gives
-    |lambda_i(H) - lambda_i(H_b + E)| <= m.  If H_b + E has no eigenvalue
-    in [0.4 - m, 0.6 + m], H has none in (0.4, 0.6) and its count above
-    1/2 is the count above 0.6 + m.  If it has one in (0.4 + m, 0.6 - m),
-    so has H: inconclusive.  Anything else, a small pivot or a larger err
-    is left to the dense solve.
+    By Sylvester's law of inertia and Haynsworth's additivity the number of
+    eigenvalues of H_b + E above a shift s is the number of positive
+    eigenvalues of all pivots of the ``_band_ldl`` of H_b - s, for its
+    backward error ||E|| <= err; padded zero modes add nothing to a count at
+    a positive shift.  With err at most _LDL_ALLOWANCE, Weyl gives
+    |lambda_i(H) - lambda_i(H_b + E)| <= m, m = delta + _LDL_ALLOWANCE.
+
+    The two outer shifts 0.4 - m and 0.6 + m are factored first.  H has at
+    most as many eigenvalues above 0.4 as H_b + E has above 0.4 - m, and at
+    least as many above 0.6 as H_b + E has above 0.6 + m (Weyl, at each
+    shift with its own E).  So equal counts there leave H no eigenvalue in
+    (0.4, 0.6]: the count is conclusive, and it is the count above 0.6 + m.
+    Only when they differ are all four shifts 0.4 -+ m, 0.6 -+ m factored:
+    an eigenvalue of H_b + E in (0.4 + m, 0.6 - m] puts one of H in
+    (0.4, 0.6), inconclusive, and anything else is left to the dense solve.
+    So is a small or non-finite pivot, and an err above _LDL_ALLOWANCE, at
+    any factored shift.
     """
     m = delta + _LDL_ALLOWANCE
     lo, hi = 0.5 - PAIRING_GAP, 0.5 + PAIRING_GAP
-    ldl = _band_ldl(band, np.array([lo - m, lo + m, hi - m, hi + m]))
-    if ldl is None:
+
+    def above(shifts):
+        ldl = _band_ldl(band, np.array(shifts))
+        if ldl is None or ldl[3] > _LDL_ALLOWANCE:
+            return None
+        return np.sum(ldl[0] > 0.0, axis=(0, 2))
+
+    outer = above([lo - m, hi + m])
+    if outer is None:
         return None
-    vals, _, _, err = ldl
-    if err > _LDL_ALLOWANCE:
+    if outer[0] == outer[1]:
+        return int(outer[1]), True
+    counts = above([lo - m, lo + m, hi - m, hi + m])
+    if counts is None:
         return None
-    above = np.sum(vals > 0.0, axis=(0, 2))
-    if above[1] > above[2]:
-        return int(above[3]), False
-    if above[0] == above[3]:
-        return int(above[3]), True
+    if counts[1] > counts[2]:
+        return int(counts[3]), False
     return None
 
 
-def _pairing_count(sigma, t, grid):
-    """(count above 1/2, conclusive) of P_inf + T_t(p_sigma - corner): the
-    band count when it decides, else the dense eigenvalue solve."""
-    band = _pairing_band(sigma, t, grid)
+def _pairing_count(tables, t, grid):
+    """(count above 1/2, conclusive) of P_inf + T_t(p_sigma - corner) from
+    the ``_pairing_tables`` of sigma: the band count when it decides, else
+    the dense eigenvalue solve."""
+    band = _pairing_band(tables, t, grid)
     counted = None if band is None else _band_count(*band)
     if counted is not None:
         return counted
-    count, gap = _count_above_half(sigma, t, grid)
+    count, gap = _count_above_half(tables[0], t, grid)
     return count, gap >= PAIRING_GAP
 
 
-def higson_trace_index(sigma, t, grid):
+def higson_trace_index(sigma, t, grid, tables=None):
     """Spectral pairing of the clutching class with the deformation at time t.
 
     Counts eigenvalues above 1/2 of the deformed clutching projection and
@@ -743,15 +809,23 @@ def higson_trace_index(sigma, t, grid):
     in (0.4, 0.6).  It is taken on the band H_b of the first width in
     b0, 2 b0, 4 b0, ... (b0 the branch degree, the last try clipped to
     N / 4) whose Parseval drop bound delta >= ||H - H_b|| is at most 1e-4,
-    by block LDL^H inertia at the shifts 0.4 -+ m and 0.6 -+ m,
-    m = delta + 1e-8.  The backward-error margin is Weyl's:
-    |lambda_i(H) - lambda_i(H_b)| <= delta, and the inertia is exact for
-    H_b + E, ||E|| <= 1e-8 (the factorization's first-order backward error,
-    checked on every count).  So no eigenvalue of H_b + E in
-    [0.4 - m, 0.6 + m] makes the count conclusive, taken above 0.6 + m, and
-    one in (0.4 + m, 0.6 - m) makes it inconclusive.  Otherwise, and when
-    no width up to N / 4 fits or a pivot falls below 1e-8, H is counted
-    densely.
+    by block LDL^H inertia, m = delta + 1e-8.  The backward-error margin is
+    Weyl's: |lambda_i(H) - lambda_i(H_b)| <= delta, and the inertia is
+    exact for H_b + E, ||E|| <= 1e-8 (the factorization's first-order
+    backward error, checked on every count).  The two outer shifts 0.4 - m
+    and 0.6 + m are factored first: equal counts there leave H no
+    eigenvalue in (0.4, 0.6], and the count, taken above 0.6 + m, is
+    conclusive.  Only when they differ are the inner shifts 0.4 + m and
+    0.6 - m factored as well: an eigenvalue of H_b + E in (0.4 + m, 0.6 - m]
+    makes the count inconclusive.  Otherwise, and when no width up to N / 4
+    fits or a pivot falls below 1e-8, H is counted densely.
+
+    ``tables`` are the ``_pairing_tables`` of sigma on grid, which do not
+    depend on t: the factors of both branches (one batched SVD each) and
+    the band tables of the first width.  ``index_report`` takes them once
+    per symbol and hands them to every t; without them they are taken
+    here.  Their per-branch singular values are what a check of the
+    clutching window can read.
 
     Raises ValueError unless both branches are invertible.  Raises
     InconclusiveIndexError when the clutching cannot develop inside the mode
@@ -769,7 +843,9 @@ def higson_trace_index(sigma, t, grid):
             f"clutching radius {grid.N / t:.2f} at the mode cutoff is below "
             f"{PAIRING_MIN_RADIUS}; the clutching does not complete at t={t}, "
             "reduce t or increase N")
-    cnt, conclusive = _pairing_count(sigma, t, grid)
+    if tables is None:
+        tables = _pairing_tables(sigma, grid)
+    cnt, conclusive = _pairing_count(tables, t, grid)
     if not conclusive:
         raise InconclusiveIndexError(
             f"eigenvalue within {PAIRING_GAP} of 1/2 at t={t}; "
@@ -805,7 +881,9 @@ def index_report(sigma, grid, theta, t_grid, label):
     """Run all three routes and flag agreement.
 
     Every route reads the branch windings from ``sigma.windings``, taken
-    once per symbol.  Higson values that are inconclusive at large t are
+    once per symbol, and the pairing at every t reads the
+    ``_pairing_tables`` (the branch factors and the first band tables),
+    also taken once per symbol.  Higson values that are inconclusive at large t are
     reported as None; the limit is the value at the largest conclusive t,
     rounded only when within 0.25 of an integer.  Agreement requires every
     conclusive route to give the same integer; an inconclusive route never
@@ -820,10 +898,11 @@ def index_report(sigma, grid, theta, t_grid, label):
     except InconclusiveIndexError:
         fredholm_bad = True
 
+    tables = _pairing_tables(sigma, grid)
     traces = []
     for t in t_grid:
         try:
-            traces.append(higson_trace_index(sigma, t, grid))
+            traces.append(higson_trace_index(sigma, t, grid, tables))
         except InconclusiveIndexError:
             traces.append(None)
     conclusive = [v for v in traces if v is not None]

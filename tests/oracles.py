@@ -10,7 +10,9 @@ from psilab.connes_higson import (ch_apply, ch_extended_apply, default_unit,
                                   tail_deformed_unit)
 from psilab.experiments import THETA
 from psilab.homotopy import _band, _inverse_block, _psi_block
-from psilab.index_theory import _clutching_factors, _clutching_samples
+from psilab.index_theory import (_LDL_ALLOWANCE, PAIRING_GAP, _band_ldl, _clutching_factors,
+                                 _clutching_samples, _count_above_half, _pairing_band,
+                                 _pairing_tables)
 from psilab.numerics import CircleGrid, operator_norm
 from psilab.partition import build_partition
 from psilab.quantize import (CHART_PAD, Atlas, _corner, _scalar_window, _windowed,
@@ -410,3 +412,52 @@ def naive_trace_pairing(sigma, t, grid):
 
     g2 = CircleGrid(J=grid.J, N=grid.N, k=2 * sigma.k)
     return float(np.real(np.trace(sampled_quantization(q_fn, t, g2))))
+
+
+def four_shift_band_count(band, delta):
+    """``index_theory._band_count`` with all four shifts factored at once.
+
+    One block LDL^H of H_b - s at s = 0.4 -+ m, 0.6 -+ m, m = delta + the
+    allowance: an eigenvalue of H_b + E in (0.4 + m, 0.6 - m] is
+    inconclusive, none in (0.4 - m, 0.6 + m] is conclusive, anything else
+    (or a small pivot, or a backward error above the allowance at any of
+    the four shifts) is None.
+    """
+    m = delta + _LDL_ALLOWANCE
+    lo, hi = 0.5 - PAIRING_GAP, 0.5 + PAIRING_GAP
+    ldl = _band_ldl(band, np.array([lo - m, lo + m, hi - m, hi + m]))
+    if ldl is None:
+        return None
+    vals, _, _, err = ldl
+    if err > _LDL_ALLOWANCE:
+        return None
+    above = np.sum(vals > 0.0, axis=(0, 2))
+    if above[1] > above[2]:
+        return int(above[3]), False
+    if above[0] == above[3]:
+        return int(above[3]), True
+    return None
+
+
+def per_t_pairing_count(sigma, t, grid):
+    """(count above 1/2, conclusive) of the pairing at t with everything
+    taken at this t alone: the branch factors and the first band tables,
+    the band count at four shifts, and the dense count where it declines."""
+    tables = _pairing_tables(sigma, grid)
+    band = _pairing_band(tables, t, grid)
+    counted = None if band is None else four_shift_band_count(*band)
+    if counted is not None:
+        return counted
+    count, gap = _count_above_half(tables[0], t, grid)
+    return count, gap >= PAIRING_GAP
+
+
+def ldl_error_bound(vals, sub):
+    """The backward-error bound of ``_band_ldl`` pivot by pivot:
+    4 p eps max_i (||D_i|| + ||C_i||_F^2 / min |lambda(D_{i-1})|)."""
+    worst = growth = 0.0
+    for i in range(len(vals)):
+        if i:
+            growth = np.linalg.norm(sub[i - 1]) ** 2 / np.min(np.abs(vals[i - 1]))
+        worst = max(worst, np.max(np.abs(vals[i])) + growth)
+    return 4 * vals.shape[-1] * np.finfo(float).eps * worst

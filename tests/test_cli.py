@@ -400,6 +400,18 @@ class TestExitCodes:
         # N / t = 2**1024 overflows
         ("homotopy-verify", {"homotopy_verify": dict(HV, L_list=[1019])},
          "L_list [1019]: need N * 2**L finite (N=32)"),
+        # the Gram products of the Fredholm band would overflow
+        ("index-compare", {"index_compare": {"cases": [
+            {"plus": {"modes": {"1": 1e300}}, "minus": {"modes": {"0": 1.0}}}]}},
+         "coefficient 1e+300 exceeds the modulus 1e+30"),
+        ("ch-compare", {"ch_compare": {"extended_cases": [{"label": "x", "g": {
+            "kind": "rational_decay"}, "c": {"matrix_modes": {"0": [[[0, 2e30]]]}}}]}},
+         "exceeds the modulus 1e+30"),
+        # smash needs a profile f that vanishes at infinity too; a step
+        # rises to one there
+        ("ch-compare", {"ch_compare": {"cases": [{"label": "x", "f": {
+            "kind": "step", "lo": 0.5, "hi": 1.5}, "d": {"winding": [1, 0]}}]}},
+         "ch_compare cases ['x']: profile f must vanish at infinity"),
     ])
     def test_malformed_record_exits_2(self, tmp_path, capsys, command, section, message):
         path = write_config(tmp_path, {"grid": {"N": 32, "J": 132}, **section})
@@ -455,6 +467,25 @@ class TestExitCodes:
         assert rc == 0
         assert "nan" not in out.read_text()
         assert "Warning" not in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_initial_value_fails_its_ratio(self, tmp_path, capsys):
+        # at t = 1/8 both operators of the bump case are zero: the
+        # final/initial checks fail and say why, and the JSON is written
+        data = {"grid": {"N": 16, "J": 68}, "ch_compare": {
+            "t_exponents": [-3, 0, 2], "extended_cases": [], "cases": [
+                {"label": "x", "f": {"kind": "bump", "lo": 0.5, "hi": 1.5},
+                 "d": {"winding": [1, 0]}}]}}
+        out = tmp_path / "c.json"
+        rc = main(["ch-compare", "--config", write_config(tmp_path, data),
+                   "--format", "json", "--out", str(out)])
+        assert rc == 1
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        for unit in ("default", "alt"):
+            check = checks[f"x|{unit} final/initial < 0.05"]
+            assert check == {"name": f"x|{unit} final/initial < 0.05", "passed": False,
+                             "detail": "initial value 0: no final/initial ratio"}
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_truncated_sweep_exits_1(self, tmp_path):
         # a tiny t-window cannot meet the decay ratios

@@ -161,6 +161,23 @@ def test_runners_match_the_per_t_reference(N, k):
     assert bits(run_homotopy_verify(grid, homotopy)[0]) == bits(homotopy_rows(grid, homotopy))
 
 
+def test_defect_sweep_zero_initial_value_fails_its_ratio(monkeypatch):
+    # columns that start at zero: each final/initial check fails and says so
+    grid = CircleGrid(J=132, N=32)
+    ts = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0]
+    # mult and adjoint are judged from t = 1 on, the chart from t = 4 on
+    for name, column in (("mult_defects", [0.0, 0.0, 1.0, 0.5, 0.25, 0.125]),
+                         ("adjoint_defects", [0.0, 0.0, 1.0, 0.5, 0.25, 0.125]),
+                         ("chart_defects", [1.0, 1.0, 1.0, 0.0, 0.5, 0.25])):
+        monkeypatch.setattr(experiments, name, lambda *args, column=column: column)
+    defect, _, _ = sweep_configs(1)
+    rows, checks = run_defect_sweep(grid, dict(defect, t_exponents=[-1, 0, 1, 2, 3, 4]))
+    assert [r["t"] for r in rows] == ts
+    ratios = {name: (ok, detail) for name, ok, detail in checks if "final/initial" in name}
+    assert ratios == {f"{col} final/initial < 0.05": (False, "initial value 0: no final/initial ratio")
+                      for col in ("mult_defect", "adjoint_defect", "chart_defect")}
+
+
 def test_ch_compare_builds_each_operator_once(monkeypatch):
     # Op(d) once per case, and every loop transformed at most once per grid
     grid = CircleGrid(J=260, N=64)

@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (band_matrix, clutching_projection, clutching_samples,
-                     corner, matrix_band, naive_trace_pairing, sampled_quantization)
+                     corner, four_shift_band_count, ldl_error_bound, matrix_band,
+                     naive_trace_pairing, per_t_pairing_count, sampled_quantization)
 from psilab import index_theory
 from psilab.index_theory import (PAIRING_GAP, InconclusiveIndexError,
-                                 _band_coefficients, _band_count, _band_ldl, _band_small_count, _branch_factors, _count_above_half,
+                                 _band_coefficients, _band_count, _band_ldl, _band_small_count,
+                                 _band_tables, _branch_factors, _count_above_half,
                                  _fredholm_bands, _gapped_small_count, _gram_band,
                                  _ldl_solve, _pairing_band, _pairing_count,
-                                 _pairing_matrix, analytic_index,
+                                 _pairing_matrix, _pairing_tables, analytic_index,
                                  fredholm_index_svd, higson_trace_index,
                                  index_report, winding_number)
 from psilab import config
@@ -407,7 +409,7 @@ class TestClosedFormAgainstReference:
             mat = sampled_quantization(lambda x, xis: reference_samples(sigma, x, xis), t, g2)
             mat += np.kron(np.eye(g2.n_modes), corner(sigma.k))
             evals = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
-            count, gap = _count_above_half(sigma, t, grid32)
+            count, gap = _count_above_half(_branch_factors(sigma, grid32), t, grid32)
             assert count == int(np.sum(evals > 0.5))
             assert gap == pytest.approx(float(np.min(np.abs(evals - 0.5))), abs=1e-12)
 
@@ -424,7 +426,7 @@ class TestPairingMatrix:
                                   random_dominant_loop(4, k, -2))
         expect = sampled_quantization(lambda x, xis: clutching_samples(sigma, x, xis),
                                       2.5, CircleGrid(J=g.J, N=N, k=2 * k))
-        assert np.array_equal(_pairing_matrix(sigma, 2.5, g), expect)
+        assert np.array_equal(_pairing_matrix(_branch_factors(sigma, g), 2.5, g), expect)
 
 
 def hermitian(mat):
@@ -437,14 +439,16 @@ def check_band_against_dense(sigma, t, grid):
     verdict it reaches is the dense one.  The verdict is whether the band
     found the count conclusive, None when it left the count to the dense
     solve; the width is None when the band gave up."""
-    count, gap = _count_above_half(sigma, t, grid)
+    tables = _pairing_tables(sigma, grid)
+    count, gap = _count_above_half(tables[0], t, grid)
     dense_verdict = (count, True) if gap >= PAIRING_GAP else False
-    assert _pairing_count(sigma, t, grid)[1] == (gap >= PAIRING_GAP)
-    band = _pairing_band(sigma, t, grid)
+    assert _pairing_count(tables, t, grid)[1] == (gap >= PAIRING_GAP)
+    band = _pairing_band(tables, t, grid)
     if band is None:
         return None, None
     table, delta = band
-    dense = _pairing_matrix(sigma, t, grid) + np.kron(np.eye(grid.n_modes), corner(sigma.k))
+    dense = (_pairing_matrix(tables[0], t, grid)
+             + np.kron(np.eye(grid.n_modes), corner(sigma.k)))
     assert np.linalg.norm(hermitian(dense) - hermitian(band_matrix(table)), 2) <= delta
     verdict = _band_count(table, delta)
     if verdict is not None:
@@ -487,8 +491,9 @@ class TestBandCount:
         g = CircleGrid(J=4 * 70 + 6, N=70, k=k)
         sigma = HomogeneousSymbol(random_dominant_loop(3, k, 1),
                                   random_dominant_loop(4, k, -2))
-        band, _ = _band_coefficients(_branch_factors(sigma, g), 2.5, g, 5)
-        dense = _pairing_matrix(sigma, 2.5, g) + np.kron(np.eye(g.n_modes), corner(k))
+        factors = _branch_factors(sigma, g)
+        band, _ = _band_coefficients(_band_tables(factors, g, 5), 2.5, g)
+        dense = _pairing_matrix(factors, 2.5, g) + np.kron(np.eye(g.n_modes), corner(k))
         assert np.max(np.abs(band - matrix_band(dense, 2 * k, 5))) <= 1e-13
 
     @pytest.mark.parametrize("k", [1, 2])
@@ -508,7 +513,7 @@ class TestBandCount:
             return coeffs, mass
 
         monkeypatch.setattr(index_theory, "_factored_band", recorded)
-        _band_coefficients(_branch_factors(sigma, g), 2.5, g, 1)
+        _band_coefficients(_band_tables(_branch_factors(sigma, g), g, 1), 2.5, g)
         assert len(masses) == 2
         assert sum(masses) == pytest.approx(sampled, rel=1e-12)
 
@@ -522,12 +527,13 @@ class TestBandCount:
         widths = []
         coefficients = index_theory._band_coefficients
         monkeypatch.setattr(index_theory, "_band_coefficients",
-                            lambda *args: widths.append(args[3]) or coefficients(*args))
+                            lambda *args: widths.append(args[0][0]) or coefficients(*args))
         g = CircleGrid(J=J, N=N, k=1)
         for _, sigma in index_suite():
+            tables = _pairing_tables(sigma, g)
             for t in 2.0 ** np.array(exponents):
                 widths.clear()
-                band, delta = _pairing_band(sigma, t, g)
+                band, delta = _pairing_band(tables, t, g)
                 assert widths == [sigma.degree or 1]
                 assert band.shape[0] == 2 * (sigma.degree or 1) + 1
                 assert delta <= index_theory._BAND_TOL / 4
@@ -537,12 +543,13 @@ class TestBandCount:
         # fits, the count is dense
         widths, dense = [], []
         monkeypatch.setattr(index_theory, "_band_coefficients",
-                            lambda sigma, t, grid, b: widths.append(b) or (None, 1.0))
+                            lambda tables, t, grid: widths.append(tables[0]) or (None, 1.0))
         monkeypatch.setattr(index_theory, "_count_above_half",
                             lambda *args: dense.append(args) or (-1, 1.0))
         sigma = HomogeneousSymbol(Loop.from_scalar_modes({3: 1.0}), Loop.identity(1))
         assert sigma.degree == 3
-        assert _pairing_count(sigma, 4.0, CircleGrid(J=132, N=32)) == (-1, True)
+        g = CircleGrid(J=132, N=32)
+        assert _pairing_count(_pairing_tables(sigma, g), 4.0, g) == (-1, True)
         assert widths == [3, 6, 8]
         assert len(dense) == 1
 
@@ -559,6 +566,118 @@ class TestBandCount:
         assert list(np.sum(vals > 0.0, axis=(0, 2))) == [int(np.sum(evals > s)) for s in shifts]
         assert err <= index_theory._LDL_ALLOWANCE
 
+    @pytest.mark.parametrize("n,k2,b", [(37, 2, 1), (40, 4, 3), (50, 2, 20)])
+    def test_error_bound_matches_the_pivot_loop(self, n, k2, b):
+        rng = np.random.default_rng(n + b)
+        mat = rng.normal(size=(n * k2, n * k2)) + 1j * rng.normal(size=(n * k2, n * k2))
+        vals, _, sub, err = _band_ldl(matrix_band(0.3 * hermitian(mat), k2, b),
+                                      np.array([0.05, 0.1, 0.45, 1.3]))
+        assert err == pytest.approx(ldl_error_bound(vals, sub), rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("entry", [np.inf, np.nan])
+    def test_non_finite_pivot_declines(self, entry):
+        # a non-finite entry in the second super-block: the first pivot is
+        # factored, the second declines before its eigen-solve
+        band = matrix_band(np.diag(np.full(40, 0.9)).astype(complex), 2, 1)
+        band[1, index_theory._SUPER + 1] = entry
+        with patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            assert _band_ldl(band, np.array([0.3, 0.7])) is None
+        assert eigh.call_count == 1
+
+
+SHIFTS = ("lo - m", "lo + m", "hi - m", "hi + m")
+
+
+def planted_band(k2, b, n, seed, delta, planted, pivot):
+    """A Hermitian band table of n modes, blocks k2 x k2, width b: random
+    eigenvalues away from [0.3, 0.7] plus the ``planted`` ones at places
+    relative to the window [0.4 - m, 0.6 + m], m = delta + the allowance,
+    mixed by unitaries on groups of b + 1 modes that straddle the
+    super-blocks.  ``pivot`` names a shift at which the first pivot gets an
+    eigenvalue of 1e-12, or is None: the last entry of the first super-block
+    and the first of the next, left out of the mixing, then hold
+    [[s + 1e-12, 1], [1, s]], whose eigenvalues s -+ 1 lie far from the
+    window."""
+    rng = np.random.default_rng(seed)
+    m = delta + index_theory._LDL_ALLOWANCE
+    lo, hi = 0.5 - PAIRING_GAP, 0.5 + PAIRING_GAP
+    dim = n * k2
+    evals = np.where(rng.random(dim) < 0.5, rng.uniform(-1.0, 0.3, dim),
+                     rng.uniform(0.7, 2.0, dim))
+    places = {"inside": lambda u: lo + m + u * (hi - lo - 2 * m),
+              "lo margin": lambda u: lo - m + 2 * u * m,
+              "hi margin": lambda u: hi - m + 2 * u * m,
+              "below": lambda u: lo - m - (0.01 + u) * m,
+              "above": lambda u: hi + m + (0.01 + u) * m}
+    for i, place in enumerate(planted):
+        evals[3 * i + 1] = places[place](rng.random())
+    q = np.eye(dim, dtype=complex)
+    g = (b + 1) * k2
+    cut = max(b, index_theory._SUPER) * k2  # the first entry of the second super-block
+    spans = [(0, dim)] if pivot is None else [(0, cut - 1), (cut + 1, dim)]
+    for first, end in spans:
+        for start in range(first + int(rng.integers(0, g)), end - g + 1, g):
+            z = rng.normal(size=(g, g)) + 1j * rng.normal(size=(g, g))
+            q[start:start + g, start:start + g] = np.linalg.qr(z)[0]
+    mat = q @ np.diag(evals) @ q.conj().T
+    if pivot is not None:
+        s = dict(zip(SHIFTS, (lo - m, lo + m, hi - m, hi + m)))[pivot]
+        mat[cut - 1, cut - 1], mat[cut, cut] = s + 1e-12, s
+        mat[cut - 1, cut] = mat[cut, cut - 1] = 1.0
+    return matrix_band(hermitian(mat), k2, b)
+
+
+class TestOuterShiftsFirst:
+    """The band count against the four-shift reference that it replaces."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(k2=st.sampled_from([2, 4]), b=st.integers(1, 4), n=st.integers(8, 24),
+           seed=st.integers(0, 2**32 - 1), delta=st.sampled_from([0.0, 1e-7, 1e-5, 1e-3]),
+           planted=st.lists(st.sampled_from(["inside", "lo margin", "hi margin",
+                                             "below", "above"]), max_size=2),
+           pivot=st.sampled_from((None,) + SHIFTS))
+    def test_property_matches_four_shifts(self, k2, b, n, seed, delta, planted, pivot):
+        band = planted_band(k2, b, n, seed, delta, planted, pivot)
+        expect = four_shift_band_count(band, delta)
+        got = _band_count(band, delta)
+        if expect is not None:
+            assert got == expect
+        elif got is not None:
+            # the outer shifts decided where an inner one declined (a small
+            # pivot or a larger backward error there): the dense spectrum
+            # must confirm the verdict
+            evals = np.linalg.eigvalsh(hermitian(band_matrix(band)))
+            assert got[1]
+            assert got[0] == int(np.sum(evals > 0.5))
+            assert not np.any((evals > 0.5 - PAIRING_GAP) & (evals <= 0.5 + PAIRING_GAP))
+
+    @pytest.mark.parametrize("pivot", SHIFTS)
+    def test_small_pivot_at_each_shift(self, pivot):
+        # only a small pivot at an outer shift stops the outer count; one at
+        # an inner shift is never factored once the outer counts agree
+        band = planted_band(2, 1, 16, 7, 1e-3, [], pivot)
+        expect = four_shift_band_count(band, 1e-3)
+        assert expect is None
+        got = _band_count(band, 1e-3)
+        if pivot in ("lo - m", "hi + m"):
+            assert got is None
+        else:
+            evals = np.linalg.eigvalsh(hermitian(band_matrix(band)))
+            assert got == (int(np.sum(evals > 0.5)), True)
+
+    @pytest.mark.parametrize("place,shifts", [
+        ([], [2]), (["below", "above"], [2]), (["inside"], [2, 4]),
+        (["lo margin"], [2, 4]), (["hi margin"], [2, 4])])
+    def test_inner_shifts_only_when_the_outer_counts_differ(self, place, shifts):
+        calls = []
+        ldl = index_theory._band_ldl
+        band = planted_band(2, 2, 20, 3, 1e-5, place, None)
+        with patch.object(index_theory, "_band_ldl",
+                          lambda band, s: calls.append(s.size) or ldl(band, s)):
+            _band_count(band, 1e-5)
+        assert calls == shifts
+
 
 class TestBandFallback:
     """What the band cannot decide goes to the dense count, observed through
@@ -572,7 +691,8 @@ class TestBandFallback:
         monkeypatch.setattr(index_theory, "_pairing_band", lambda *args: (band, self.DELTA))
         monkeypatch.setattr(index_theory, "_count_above_half",
                             lambda *args: calls.append(args) or (-1, 1.0))
-        return _pairing_count(winding_pair(1, 0), 4.0, CircleGrid(J=132, N=32)), bool(calls)
+        g = CircleGrid(J=132, N=32)
+        return _pairing_count(_pairing_tables(winding_pair(1, 0), g), 4.0, g), bool(calls)
 
     def placed(self, value):
         # eigenvalues 0.1 and 0.9 and one placed value, mixed by unitaries on
@@ -685,6 +805,35 @@ class TestReport:
         assert not rep.agree
         with pytest.raises(InconclusiveIndexError):
             fredholm_index_svd(winding_pair(1, 0), CutFunction(15.0), grid16)
+
+    @pytest.mark.parametrize("t_grid", [(8.0,), (4.0, 8.0), (2.0, 4.0, 8.0, 4096.0)])
+    def test_branches_factored_once_per_case(self, monkeypatch, grid32, theta, t_grid):
+        calls = []
+        factors = index_theory._clutching_factors
+        monkeypatch.setattr(index_theory, "_clutching_factors",
+                            lambda u: calls.append(u) or factors(u))
+        for windings, _ in PAIRS:
+            calls.clear()
+            index_report(winding_pair(*windings), grid32, theta=theta, t_grid=t_grid,
+                         label="w")
+            assert len(calls) == 2
+
+    @pytest.mark.parametrize("k,shift,total", [(1, 1, 0.1), (1, 0, 0.4), (2, 1, 0.1),
+                                               (1, -2, 0.8)])
+    def test_matches_the_per_t_reference(self, grid32, theta, k, shift, total):
+        # factors and first band tables taken once against every t apart,
+        # with the four-shift band count: degree 2 widens through 4 to 8,
+        # and total = 0.4 and 0.8 pass N / 4 to the dense count
+        sigma = HomogeneousSymbol(random_dominant_loop(4, k, shift, total),
+                                  random_dominant_loop(5, k, -shift, total))
+        g = CircleGrid(J=grid32.J, N=grid32.N, k=k)
+        t_grid = (2.0, 4.0, 8.0, 16.0)
+        expect = []
+        for t in t_grid:
+            count, conclusive = per_t_pairing_count(sigma, t, g)
+            expect.append(float(count - k * g.n_modes) if conclusive else None)
+        rep = index_report(sigma, g, theta=theta, t_grid=t_grid, label="r")
+        assert rep.higson_trace == tuple(expect)
 
     def test_windings_taken_once(self, monkeypatch, grid32, theta):
         calls = []
