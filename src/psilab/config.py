@@ -192,6 +192,11 @@ def parse_profile(spec):
         raise ConfigError(f"unknown profile kind {kind!r}")
     factory, argnames = _PROFILES[kind]
     kwargs = {k: spec[k] for k in argnames if k in spec}
+    for name, value in kwargs.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"profile {spec!r}: {name!r} must be a number")
+    if kind == "constant" and not abs(kwargs.get("value", 1.0)) <= COEFF_MAX:
+        raise ConfigError(f"profile {spec!r}: value exceeds the modulus {COEFF_MAX:g}")
     try:
         return factory(**kwargs)
     except (TypeError, ValueError) as exc:  # missing or out-of-range parameters
@@ -228,12 +233,12 @@ def _mode(key):
         raise ConfigError(f"mode index must be an integer, got {key!r}") from exc
 
 
-#: largest modulus of a loop coefficient (each entry of a matrix mode).
-#: Below it the Gram products stay finite floats with room to spare: those
-#: of the Fredholm band, whose entries reach the square of the l1 mass of
-#: the coefficients, the block LDL^H recurrence on them, which squares them
-#: again over pivots down to 1e-8, and the Gram of a product of two loops in
-#: a norm, whose Frobenius norm squares it again
+#: largest modulus of a loop coefficient (each entry of a matrix mode) and of
+#: a constant profile value, so a term stays within 1e60.  Below it the Gram
+#: products of the Fredholm band, whose entries reach the square of the l1
+#: mass of the coefficients, and the block LDL^H recurrence on them, which
+#: squares them again over pivots down to 1e-8, stay finite floats with room
+#: to spare; a norm whose Gram overflows is taken on a rescaled copy
 COEFF_MAX = 1e30
 
 

@@ -15,7 +15,7 @@ from .homotopy import (endpoint_defect, equ1_defect, equ2_defect,
 from .index_theory import index_report
 from .numerics import operator_norm
 from .partition import build_partition
-from .quantize import (Atlas, CHART_PAD, chart_pieces, corner_product, loop_tables,
+from .quantize import (Atlas, CHART_PAD, chart_pieces, corner_product,
                        multiplication_operator, op_quantize, padded_grid, t_quantize,
                        t_quantize_charts)
 from .symbols import CutFunction, Symbol, SymbolClass, smash
@@ -78,9 +78,9 @@ def loglog_slope(ts, vals):
 
 # -- defect columns ------------------------------------------------------------
 #
-# Each column takes the coefficient tables of its symbols once, allocates its
-# full-size work arrays once and writes every t into them; per t only the
-# column weights are assembled.
+# Each column holds its symbols across t, so their loops transform once
+# (``Loop.table``), allocates its full-size work arrays once and writes every
+# t into them; per t only the column weights are assembled.
 
 #: modes added on both sides of the range on which mult_defects forms products
 MULT_PAD = 8
@@ -93,17 +93,16 @@ def mult_defects(a, b, ts, grid):
     only the rows of T_t(b) that meet them are built."""
     big = padded_grid(grid, MULT_PAD)
     ab = a * b
-    ta, tb, tab = (loop_tables(s, big) for s in (a, b, ab))
     inner = slice(MULT_PAD, MULT_PAD + grid.n_modes)
     left = np.empty((big.dim, big.dim), dtype=complex)
     right = np.empty((big.dim, grid.dim), dtype=complex)
     out = np.empty((grid.dim, grid.dim), dtype=complex)
     values = []
     for t in ts:
-        t_quantize(a, t, big, ta, out=left)
-        corner_product(left, lambda rows: t_quantize(b, t, big, tb, right, rows, inner),
+        t_quantize(a, t, big, out=left)
+        corner_product(left, lambda rows: t_quantize(b, t, big, right, rows, inner),
                        grid, out)
-        out -= t_quantize(ab, t, big, tab, right, inner, inner)
+        out -= t_quantize(ab, t, big, right, inner, inner)
         values.append(operator_norm(out))
     return values
 
@@ -111,13 +110,12 @@ def mult_defects(a, b, ts, grid):
 def adjoint_defects(a, ts, grid):
     """|| T_t(a)^* - T_t(a^*) || at each t of ``ts``."""
     adj = a.adjoint()
-    ta, tadj = loop_tables(a, grid), loop_tables(adj, grid)
     op = np.empty((grid.dim, grid.dim), dtype=complex)
     out = np.empty((grid.dim, grid.dim), dtype=complex)
     values = []
     for t in ts:
-        np.conjugate(t_quantize(a, t, grid, ta, out=op), out=op)
-        np.subtract(op.T, t_quantize(adj, t, grid, tadj, out=out), out=out)
+        np.conjugate(t_quantize(a, t, grid, out=op), out=op)
+        np.subtract(op.T, t_quantize(adj, t, grid, out=out), out=out)
         values.append(operator_norm(out))
     return values
 
@@ -126,7 +124,6 @@ def chart_defects(a, ts, atlas, grid):
     """|| chart-assembled quantization - global quantization || at each t of
     ``ts``."""
     pieces = chart_pieces(a, atlas, grid)
-    tables = loop_tables(a, grid)
     big = padded_grid(grid, CHART_PAD)
     work = (np.empty((big.dim, big.dim), dtype=complex),
             np.empty((big.dim, grid.dim), dtype=complex))
@@ -134,15 +131,15 @@ def chart_defects(a, ts, atlas, grid):
     values = []
     for t in ts:
         t_quantize_charts(a, t, atlas, grid, pieces, out, work)
-        out -= t_quantize(a, t, grid, tables, out=work[1])
+        out -= t_quantize(a, t, grid, out=work[1])
         values.append(operator_norm(out))
     return values
 
 
 def _quantization_norms(a, ts, grid):
     """|| T_t(a) || at each t of ``ts``."""
-    tables, op = loop_tables(a, grid), np.empty((grid.dim, grid.dim), dtype=complex)
-    return [operator_norm(t_quantize(a, t, grid, tables, out=op)) for t in ts]
+    op = np.empty((grid.dim, grid.dim), dtype=complex)
+    return [operator_norm(t_quantize(a, t, grid, out=op)) for t in ts]
 
 
 # -- defect sweep -------------------------------------------------------------
@@ -234,12 +231,12 @@ def run_ch_compare(grid, cfg):
     rows = [{"t": t} for t in ts]
     T, diff = (np.empty((grid.dim, grid.dim), dtype=complex) for _ in range(2))
 
-    def fill(label, sym, coeffs, lift, image):
+    def fill(label, sym, lift, image):
         """The columns ``label|unit`` of one case: || image - T_t(sym) || with
         the case's lifted operator ``lift`` built once for every t."""
         for row in rows:
             t = row["t"]
-            t_quantize(sym, t, grid, coeffs, out=T)
+            t_quantize(sym, t, grid, out=T)
             for uname, unit in units:
                 CH = image(t, unit, lift, diff)
                 CH -= T
@@ -247,13 +244,11 @@ def run_ch_compare(grid, cfg):
 
     # case by case, so that only one case's operator is alive
     for label, f, d in cases:
-        coeffs = loop_tables(d, grid)
-        fill(label, smash(f, d), coeffs, op_quantize(d, THETA, grid, coeffs),
+        fill(label, smash(f, d), op_quantize(d, THETA, grid),
              lambda t, unit, op, out: ch_apply(f, d, t, unit, THETA, grid, op, out))
     for label, g, c in ext_cases:
-        coeffs = loop_tables(c, grid)
-        fill(f"ext:{label}", Symbol.separable(c, g.even(), SymbolClass.FULL_C0), coeffs,
-             multiplication_operator(c, grid, coeffs),
+        fill(f"ext:{label}", Symbol.separable(c, g.even(), SymbolClass.FULL_C0),
+             multiplication_operator(c, grid),
              lambda t, unit, op, out: ch_extended_apply(g, c, t, unit, grid, op, out))
     checks = []
     for label, _, _ in cases:
@@ -301,25 +296,22 @@ def run_homotopy_verify(grid, cfg):
     i_theta = int(np.ceil(np.log2(2.0 * THETA.r0)))
     p1 = build_partition(1.0, max(L, max(L_list), i_theta + 3))
 
-    coeffs = loop_tables(a, grid)
-    op_a = op_quantize(a, THETA, grid, coeffs)
+    op_a = op_quantize(a, THETA, grid)
 
     def band_row(kind, s, values):
         return {"kind": kind, "key": s,
                 **{f"band{band}": v for band, v in zip(bands, values)}}
 
     s_desc = sorted(s_values, reverse=True)
-    rows = ([band_row("equ1", s, equ1_defect(a, op_a, parts[s], vectors, THETA, grid,
-                                             coeffs))
+    rows = ([band_row("equ1", s, equ1_defect(a, op_a, parts[s], vectors, THETA, grid))
              for s in s_desc]
-            + [band_row("equ2", s, equ2_defect(a, parts[s], 1, 1, vectors, THETA, grid,
-                                               coeffs))
+            + [band_row("equ2", s, equ2_defect(a, parts[s], 1, 1, vectors, THETA, grid))
                for s in s_desc])
 
     for i in range(i_theta - 1, i_theta + 3):
         rows.append({"kind": "theta", "key": i,
-                     "value": theta_discrepancy_norm(a, p1, THETA, i, i, grid, coeffs)})
-    tail = endpoint_defect(a, p1, THETA, L_list, 2.0 * THETA.r0, grid, coeffs)
+                     "value": theta_discrepancy_norm(a, p1, THETA, i, i, grid)})
+    tail = endpoint_defect(a, p1, THETA, L_list, 2.0 * THETA.r0, grid)
     for Lv, value in zip(L_list, tail):
         rows.append({"kind": "endpoint", "key": Lv, "value": value})
 

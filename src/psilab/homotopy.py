@@ -10,8 +10,8 @@ two endpoints finite rank: all discrepancies live in the finitely many
 blocks where the cutting function is below one.  The checks build and
 compare blocks one at a time; no block operator is assembled whole.
 Every block is a rescaled quantization of smash(profile, a), whose loops
-are the branches of a: the checks take ``coeffs``, the ``loop_tables`` of
-a, and compute them only when not given.
+are the branches of a, so every block reads the branches' own tables
+(``Loop.table``) and only its column weights are new.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .numerics import operator_norm
 from .partition import DyadicPartition
-from .quantize import loop_tables, t_quantize
+from .quantize import t_quantize
 from .symbols import HomogeneousSymbol, gamma_profile, smash
 
 __all__ = [
@@ -36,16 +36,16 @@ def _band(L):
             for j in range(max(-L, i - 1), min(L, i + 1) + 1)]
 
 
-def _psi_block(a, p_s, theta, i, j, grid, coeffs=None, out=None):
+def _psi_block(a, p_s, theta, i, j, grid, out=None):
     """Block (i, j) of psi_s for s > 0: T_1(gamma_i^s gamma_j^s theta (x) a)."""
     prof = gamma_profile(p_s, i) * gamma_profile(p_s, j) * theta.profile
-    return t_quantize(smash(prof, a), 1.0, grid, coeffs, out)
+    return t_quantize(smash(prof, a), 1.0, grid, out)
 
 
-def _inverse_block(a, p, i, j, grid, coeffs=None, out=None):
+def _inverse_block(a, p, i, j, grid, out=None):
     """Block (i, j) of the inverse map: T_{2^i}(gamma_0 gamma_{j-i} (x) a)."""
     prof = gamma_profile(p, 0) * gamma_profile(p, j - i)
-    return t_quantize(smash(prof, a), 2.0 ** i, grid, coeffs, out)
+    return t_quantize(smash(prof, a), 2.0 ** i, grid, out)
 
 
 def _check_inverse_inputs(a, p):
@@ -55,38 +55,37 @@ def _check_inverse_inputs(a, p):
         raise ValueError("the inverse construction uses the undeformed partition")
 
 
-def equ1_defect(a, op_a, p_s, vectors, theta, grid, coeffs=None):
+def equ1_defect(a, op_a, p_s, vectors, theta, grid):
     """|| T_1((gamma_0^s)^2 theta (x) a) f - Op(a) f || for each test vector f.
 
     ``op_a`` is Op(a), which does not depend on s.
     """
-    A1 = _psi_block(a, p_s, theta, 0, 0, grid, coeffs)
+    A1 = _psi_block(a, p_s, theta, 0, 0, grid)
     return [float(np.linalg.norm(A1 @ f - op_a @ f)) for f in vectors]
 
 
-def equ2_defect(a, p_s, i, j, vectors, theta, grid, coeffs=None):
+def equ2_defect(a, p_s, i, j, vectors, theta, grid):
     """|| T_1(gamma_i^s gamma_j^s theta (x) a) f || for each test vector f,
     (i, j) != (0, 0)."""
     if (i, j) == (0, 0):
         raise ValueError("the central block is covered by equ1_defect")
     if abs(i - j) >= 2:
         raise ValueError("nonadjacent blocks vanish identically")
-    A = _psi_block(a, p_s, theta, i, j, grid, coeffs)
+    A = _psi_block(a, p_s, theta, i, j, grid)
     return [float(np.linalg.norm(A @ f)) for f in vectors]
 
 
-def theta_discrepancy_norm(a, p, theta, i, j, grid, coeffs=None):
+def theta_discrepancy_norm(a, p, theta, i, j, grid):
     """|| T_1(gamma_i gamma_j theta (x) a) - T_1(gamma_i gamma_j (x) a) ||.
 
     Exactly zero once the support of gamma_i sits where the cutting
     function equals one, i.e. for i >= log2(2 r0).
     """
-    without = t_quantize(smash(gamma_profile(p, i) * gamma_profile(p, j), a), 1.0, grid,
-                         coeffs)
-    return operator_norm(_psi_block(a, p, theta, i, j, grid, coeffs) - without)
+    without = t_quantize(smash(gamma_profile(p, i) * gamma_profile(p, j), a), 1.0, grid)
+    return operator_norm(_psi_block(a, p, theta, i, j, grid) - without)
 
 
-def endpoint_defect(a, p, theta, L_list, K, grid, coeffs=None):
+def endpoint_defect(a, p, theta, L_list, K, grid):
     """Tail aggregate of || psi_1 block - inverse-map block || over |i| >= i0(K),
     one value per block range L in ``L_list``.
 
@@ -100,15 +99,13 @@ def endpoint_defect(a, p, theta, L_list, K, grid, coeffs=None):
     work arrays.
     """
     _check_inverse_inputs(a, p)
-    if coeffs is None:
-        coeffs = loop_tables(a, grid)
     i0 = max(0, int(np.ceil(np.log2(max(K, 1)))))
     diff, inverse = (np.empty((grid.dim, grid.dim), dtype=complex) for _ in range(2))
     norms = {}
     for i, j in _band(max(L_list)):
         if abs(i) >= i0:
-            _psi_block(a, p, theta, i, j, grid, coeffs, out=diff)
-            diff -= _inverse_block(a, p, i, j, grid, coeffs, out=inverse)
+            _psi_block(a, p, theta, i, j, grid, out=diff)
+            diff -= _inverse_block(a, p, i, j, grid, out=inverse)
             if np.any(diff):
                 norms[(i, j)] = operator_norm(diff)
     totals = []

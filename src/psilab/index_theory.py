@@ -824,13 +824,14 @@ def higson_trace_index(sigma, t, grid, tables=None):
     depend on t: the factors of both branches (one batched SVD each) and
     the band tables of the first width.  ``index_report`` takes them once
     per symbol and hands them to every t; without them they are taken
-    here.  Their per-branch singular values are what a check of the
-    clutching window can read.
+    here.  Their per-branch singular values bound the clutching weights.
 
     Raises ValueError unless both branches are invertible.  Raises
     InconclusiveIndexError when the clutching cannot develop inside the mode
-    range (radius N / t below PAIRING_MIN_RADIUS) or when an eigenvalue sits
-    within PAIRING_GAP of 1/2; past the edge the deformation collapses to the
+    range (radius N / t below PAIRING_MIN_RADIUS), when the clutching
+    weights overflow (r S)^2 at the top radius r = N / t for the largest
+    singular value S of the branches, or when an eigenvalue sits within
+    PAIRING_GAP of 1/2; past the edge the deformation collapses to the
     zero-section value and the counts would silently agree.
 
     The literal entrywise trace of the difference vanishes identically
@@ -845,6 +846,10 @@ def higson_trace_index(sigma, t, grid, tables=None):
             "reduce t or increase N")
     if tables is None:
         tables = _pairing_tables(sigma, grid)
+    top = grid.N / t * max(float(s.max()) for s, _ in tables[0])
+    if not np.isfinite(top * top):
+        raise InconclusiveIndexError(f"clutching weight (r S)^2 = ({top:.3g})^2 at the "
+                                     f"mode cutoff overflows a float at t={t}; increase t")
     cnt, conclusive = _pairing_count(tables, t, grid)
     if not conclusive:
         raise InconclusiveIndexError(

@@ -130,7 +130,9 @@ def operator_norm(mat):
     matrices, or a breakdown with ``theta = 0`` on a zero matrix) return
     exactly ``0.0``.  If the certificate is not met within
     ``min(dim, 120)`` steps, or the Gram matrix may have underflowed, the
-    value comes from the full ``np.linalg.svd`` instead.
+    value comes from the full ``np.linalg.svd`` instead.  If it overflows
+    (a step's diagonal entry or beta is not finite), the norm is taken of
+    the matrix scaled by an exact power of two and scaled back.
     """
     mat = np.asarray(mat)
     check_finite(mat)
@@ -148,27 +150,39 @@ def operator_norm(mat):
     basis = np.empty((steps, dim), dtype=complex)
     conj_basis = np.empty((steps, dim), dtype=complex)  # each row conjugated once
     tri = np.zeros((steps, steps))
-    for j in range(steps):
-        basis[j] = q
-        np.conjugate(q, out=conj_basis[j])
-        w = gram(q)
-        span, conj_span = basis[:j + 1], conj_basis[:j + 1]
-        coef = conj_span @ w
-        w -= coef @ span
-        coef2 = conj_span @ w  # second pass: "twice is enough"
-        w -= coef2 @ span
-        tri[j, j] = (coef[j] + coef2[j]).real
-        beta = np.linalg.norm(w)
-        vals, vecs = np.linalg.eigh(tri[:j + 1, :j + 1])
-        theta = vals[-1]
-        if beta * abs(vecs[-1, -1]) <= _LANCZOS_TOL * theta:
-            if theta >= _GRAM_FLOOR:
-                return float(np.sqrt(theta))
-            if not mat.any():
-                return 0.0
-            break
-        if beta == 0.0 or j + 1 == steps:
-            break
-        tri[j, j + 1] = tri[j + 1, j] = beta
-        q = w / beta
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(steps):
+            basis[j] = q
+            np.conjugate(q, out=conj_basis[j])
+            w = gram(q)
+            span, conj_span = basis[:j + 1], conj_basis[:j + 1]
+            coef = conj_span @ w
+            w -= coef @ span
+            coef2 = conj_span @ w  # second pass: "twice is enough"
+            w -= coef2 @ span
+            tri[j, j] = (coef[j] + coef2[j]).real
+            beta = np.linalg.norm(w)
+            if not (np.isfinite(beta) and np.isfinite(tri[j, j])):
+                return _rescaled_norm(mat)
+            vals, vecs = np.linalg.eigh(tri[:j + 1, :j + 1])
+            theta = vals[-1]
+            if beta * abs(vecs[-1, -1]) <= _LANCZOS_TOL * theta:
+                if theta >= _GRAM_FLOOR:
+                    return float(np.sqrt(theta))
+                if not mat.any():
+                    return 0.0
+                break
+            if beta == 0.0 or j + 1 == steps:
+                break
+            tri[j, j + 1] = tri[j + 1, j] = beta
+            q = w / beta
     return float(np.linalg.svd(mat, compute_uv=False)[0])
+
+
+def _rescaled_norm(mat):
+    """``operator_norm`` of a finite matrix whose Gram matrix overflows, taken
+    on the matrix times 2^-e, with 2^e just above its largest real or
+    imaginary part, and scaled back; a power of two scales exactly."""
+    _, e = np.frexp(max(np.abs(mat.real).max(), np.abs(mat.imag).max()))
+    scaled = np.ldexp(mat.real, -e) + 1j * np.ldexp(mat.imag, -e)
+    return float(np.ldexp(operator_norm(scaled), e))

@@ -18,10 +18,10 @@ global assembly; products are formed on an enlarged mode range and only
 their corner on the target range is kept, which keeps corner entries free of
 truncation artifacts.
 
-Every rule is linear in the Fourier coefficient tables of its loops
-(``loop_tables``), which do not depend on t.  A sweep takes them once and
-passes them in, so that per t only the column weights are evaluated and
-assembled, into work arrays that it allocates once.
+Every rule is linear in the Fourier coefficient tables of its loops, which
+do not depend on t.  Each loop keeps its own (``Loop.table``), so a sweep
+that holds its symbols across t evaluates and assembles only the column
+weights per t, into work arrays that it allocates once.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "Atlas",
     "chart_pieces",
     "corner_product",
-    "loop_tables",
     "t_quantize",
     "t_quantize_charts",
     "op_quantize",
@@ -87,9 +86,10 @@ def _assemble(grid, terms, out=None, rows=slice(None), cols=slice(None)):
     over (coeffs, weights) terms.
 
     ``coeffs`` holds c(j), |j| <= 2N, with shape (4N+1, k, k); ``weights``
-    holds one value per column mode; a non-finite value in either raises
-    ``ValueError``.  ``rows`` and ``cols`` are slices of the mode indices
-    0..2N, the whole range by default.  The block is written into the
+    holds one value per column mode; a non-finite weight raises
+    ``ValueError`` (``Loop.table`` checks the coefficients).  ``rows`` and
+    ``cols`` are slices of the mode indices 0..2N, the whole range by
+    default.  The block is written into the
     leading entries of ``out`` when given (any C-contiguous complex array at
     least that large, so one work array serves blocks of every size).  The
     first term is written straight into an (rows, k, cols, k) view of it
@@ -105,7 +105,6 @@ def _assemble(grid, terms, out=None, rows=slice(None), cols=slice(None)):
     blocks, scratch, first = _blocks(len(rows)), None, True
     for coeffs, weights in terms:
         _check_block(coeffs.shape[1:], k)
-        check_finite(coeffs)
         check_finite(weights)
         # window[r, :, :, l] = c(r + l - 2N); reversing l gives c(r - m)
         toeplitz = sliding_window_view(coeffs, n, axis=0)[..., ::-1].transpose(0, 1, 3, 2)
@@ -123,25 +122,6 @@ def _assemble(grid, terms, out=None, rows=slice(None), cols=slice(None)):
     if first:
         table.fill(0.0)
     return table.reshape(len(rows) * k, len(cols) * k)
-
-
-def loop_tables(a, grid):
-    """Coefficient tables c(j), |j| <= 2N, of the loops of a ``Symbol``'s
-    terms, of a ``HomogeneousSymbol``'s (plus, minus) branches or of a
-    single ``Loop``, in that order.  They are the t-independent part of
-    every operator assembled from those loops; a loop object that occurs
-    twice is transformed once.  ``smash(f, a)`` has the tables of ``a``."""
-    if isinstance(a, Symbol):
-        loops = [loop for loop, _ in a.terms]
-    elif isinstance(a, HomogeneousSymbol):
-        loops = [a.plus, a.minus]
-    else:
-        loops = [a]
-    tables = []
-    for i, loop in enumerate(loops):
-        same = [tables[j] for j in range(i) if loops[j] is loop]
-        tables.append(same[0] if same else loop.coefficients(grid))
-    return tables
 
 
 def padded_grid(grid, pad):
@@ -202,69 +182,63 @@ def corner_product(left, right, grid, out=None, add=False):
 # -- the rescaled family -----------------------------------------------------
 
 
-def t_quantize(a, t, grid, coeffs=None, out=None, rows=slice(None), cols=slice(None)):
+def t_quantize(a, t, grid, out=None, rows=slice(None), cols=slice(None)):
     """Operator of the rescaled symbol a(x, xi/t) on the mode lattice.
 
     Linear in the symbol; for a separable term c(x) rho(xi) M the entry
     (n, m) is exactly c_hat(n - m) * rho(m / t) * M.  Only the column
-    weights rho(m / t) depend on t: ``coeffs``, the ``loop_tables`` of
-    ``a`` on ``grid``, are taken here when not given.  ``out``, ``rows`` and
-    ``cols`` select a block and its buffer as for ``_assemble``.
+    weights rho(m / t) depend on t; the loops' tables are their
+    ``Loop.table``.  ``out``, ``rows`` and ``cols`` select a block and its
+    buffer as for ``_assemble``.
     """
     if t <= 0:
         raise ValueError("need t > 0")
     if not isinstance(a, Symbol):
         raise TypeError("t_quantize expects a separable Symbol")
-    if coeffs is None:
-        coeffs = loop_tables(a, grid)
     freqs = grid.modes / t
-    return _assemble(grid, ((table, np.asarray(prof(freqs), dtype=complex))
-                            for table, (_, prof) in zip(coeffs, a.terms)),
+    return _assemble(grid, ((loop.table(grid), np.asarray(prof(freqs), dtype=complex))
+                            for loop, prof in a.terms),
                      out, rows, cols)
 
 
 # -- order-zero quantization -------------------------------------------------
 
 
-def op_quantize(a, theta, grid, coeffs=None):
+def op_quantize(a, theta, grid):
     """Order-zero operator of a homogeneous symbol with cutting function.
 
     Column m is weighted by theta(|m|) and uses the loop of the matching
     half-axis; theta(0) = 0 makes the m = 0 column vanish, so the branch
-    convention there is immaterial.  ``coeffs`` are the ``loop_tables`` of
-    ``a``, taken here when not given.
+    convention there is immaterial.
     """
     if not isinstance(a, HomogeneousSymbol):
         raise TypeError("op_quantize expects a HomogeneousSymbol")
-    return _assemble(grid, op_terms(a, theta, grid, coeffs))
+    return _assemble(grid, op_terms(a, theta, grid))
 
 
-def op_terms(a, theta, grid, coeffs=None):
+def op_terms(a, theta, grid):
     """The (coeffs, weights) terms that ``op_quantize`` assembles: the
-    coefficients c(j), |j| <= 2N, of each branch (its ``loop_tables`` when
-    given) with the cutting weights theta(|m|) on the columns of its
-    half-axis and zero on the others."""
-    plus, minus = loop_tables(a, grid) if coeffs is None else coeffs
+    ``Loop.table`` c(j), |j| <= 2N, of each branch with the cutting weights
+    theta(|m|) on the columns of its half-axis and zero on the others."""
+    plus, minus = a.plus.table(grid), a.minus.table(grid)
     modes = grid.modes
     w = np.asarray(theta(np.abs(modes)), dtype=complex)
     return [(plus, np.where(modes >= 0, w, 0.0)), (minus, np.where(modes < 0, w, 0.0))]
 
 
-def multiplication_operator(c, grid, coeffs=None):
+def multiplication_operator(c, grid):
     """pi(c): multiplication by a loop, entries c_hat(n - m).
 
     A declared trigonometric degree above N would alias: rejected.  Loops
     without a declared degree (smooth windows) are accepted; their
     coefficients must decay inside the band, which the construction of the
-    window vocabulary guarantees.  ``coeffs`` are the ``loop_tables`` of
-    ``c``, taken here when not given.
+    window vocabulary guarantees.
     """
     if not isinstance(c, Loop):
         raise TypeError("multiplication_operator expects a Loop")
     if c.degree is not None and c.degree > grid.N:
         raise ValueError(f"loop degree {c.degree} exceeds the cutoff N={grid.N}")
-    [table] = loop_tables(c, grid) if coeffs is None else coeffs
-    return _assemble(grid, [(table, np.ones(grid.n_modes, dtype=complex))])
+    return _assemble(grid, [(c.table(grid), np.ones(grid.n_modes, dtype=complex))])
 
 
 # -- charts ------------------------------------------------------------------
@@ -354,17 +328,12 @@ def _scalar_window(window, k):
 
 def chart_pieces(a, atlas, grid):
     """What ``t_quantize_charts`` uses that does not depend on t, after
-    checking the atlas on ``grid``: per chart, the windowed symbol psi_k a,
-    the ``loop_tables`` of its terms and the coefficient table of phi_k, all
-    on the mode range enlarged by CHART_PAD."""
+    checking the atlas on ``grid``: per chart, the windowed symbol psi_k a
+    and the loop of phi_k.  Held across t, these loops keep their tables on
+    the mode range enlarged by CHART_PAD (``Loop.table``)."""
     atlas.validate(grid)
-    big = padded_grid(grid, CHART_PAD)
-    pieces = []
-    for phi, psi in zip(atlas.phis, atlas.psis):
-        sym = _windowed(a, psi)
-        [phi_table] = loop_tables(_scalar_window(phi, grid.k), big)
-        pieces.append((sym, loop_tables(sym, big), phi_table))
-    return pieces
+    return [(_windowed(a, psi), _scalar_window(phi, grid.k))
+            for phi, psi in zip(atlas.phis, atlas.psis)]
 
 
 def t_quantize_charts(a, t, atlas, grid, pieces=None, out=None, work=None):
@@ -391,9 +360,10 @@ def t_quantize_charts(a, t, atlas, grid, pieces=None, out=None, work=None):
     left, right = (None, None) if work is None else work
     unit = np.ones(big.n_modes, dtype=complex)
     inner = slice(CHART_PAD, CHART_PAD + grid.n_modes)
-    for i, (sym, coeffs, phi) in enumerate(pieces):
-        windowed = t_quantize(sym, t, big, coeffs, out=left)
+    for i, (sym, phi) in enumerate(pieces):
+        windowed = t_quantize(sym, t, big, out=left)
         out = corner_product(windowed,
-                             lambda rows: _assemble(big, [(phi, unit)], right, rows, inner),
+                             lambda rows: _assemble(big, [(phi.table(big), unit)], right,
+                                                    rows, inner),
                              grid, out, add=i > 0)
     return out

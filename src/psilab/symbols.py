@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import fourier_coefficients
+from .numerics import check_finite, fourier_coefficients
 from .partition import smooth_step
 
 __all__ = [
@@ -75,11 +75,14 @@ class Loop:
     ``degree`` is the declared trigonometric degree (None when the loop is
     merely smooth, e.g. a chart window); assembly always goes through FFT of
     grid samples, which is exact for declared trigonometric polynomials.
+    ``table`` keeps the coefficients of each grid the loop has been
+    assembled on, so an operator built at many t transforms its loops once.
     """
 
     fn: callable = field(repr=False)
     k: int
     degree: int | None = None
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -110,6 +113,18 @@ class Loop:
     def coefficients(self, grid):
         """Fourier coefficients c(j), |j| <= 2N, via the grid FFT."""
         return fourier_coefficients(grid, self.fn(grid.x))
+
+    def table(self, grid):
+        """``coefficients(grid)``, transformed on the first call per grid and
+        kept read-only; non-finite coefficients raise ``ValueError``.  The
+        coefficient table of every operator assembled from this loop."""
+        table = self._tables.get(grid)
+        if table is None:
+            table = self.coefficients(grid)
+            check_finite(table)
+            table.flags.writeable = False
+            self._tables[grid] = table
+        return table
 
     # constructors
     @staticmethod

@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from psilab import config, index_theory, presets
@@ -412,6 +413,18 @@ class TestExitCodes:
         ("ch-compare", {"ch_compare": {"cases": [{"label": "x", "f": {
             "kind": "step", "lo": 0.5, "hi": 1.5}, "d": {"winding": [1, 0]}}]}},
          "ch_compare cases ['x']: profile f must vanish at infinity"),
+        # profile parameters are JSON numbers, and a constant value is
+        # bounded like a loop coefficient
+        *[("defect-sweep", {"defect_sweep": {"t0_symbol": {"terms": [{"loop": "c1", "profile": {
+            "kind": "constant", "value": value}}]}}}, "'value' must be a number")
+          for value in ([1, 2], "abc", {"a": 1}, True)],
+        ("ch-compare", {"ch_compare": {"cases": [{"label": "x", "f": {
+            "kind": "bump", "lo": 0.5, "hi": True}, "d": "default"}]}}, "'hi' must be a number"),
+        ("defect-sweep", {"defect_sweep": {"t0_symbol": {"terms": [{"loop": "c1", "profile": {
+            "kind": "constant", "value": 1e160}}]}}}, "value exceeds the modulus 1e+30"),
+        ("defect-sweep", {"defect_sweep": {"t0_symbol": {"terms": [{"loop": {
+            "modes": {"0": 1e30}}, "profile": {"kind": "constant", "value": 1e300}}]}}},
+         "value exceeds the modulus 1e+30"),
     ])
     def test_malformed_record_exits_2(self, tmp_path, capsys, command, section, message):
         path = write_config(tmp_path, {"grid": {"N": 32, "J": 132}, **section})
@@ -467,6 +480,42 @@ class TestExitCodes:
         assert rc == 0
         assert "nan" not in out.read_text()
         assert "Warning" not in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    def test_gram_overflow_runs_clean(self, tmp_path, capsys):
+        # terms of 1e60, at the bounds: the Gram of the product T_t(a) T_t(b)
+        # overflows in the norm of mult_defect, which still comes out finite
+        def term(modes):
+            return {"terms": [{"loop": {"modes": modes},
+                               "profile": {"kind": "constant", "value": 1e30}}]}
+        data = {"grid": {"N": 16, "J": 68}, "defect_sweep": {
+            "t0_symbol": term({"0": 1e30}),
+            "pair": {"a": term({"0": 1e30, "1": 1e30}), "b": term({"0": 1e30, "-1": 1e30})}}}
+        out = tmp_path / "d.json"
+        rc = main(["defect-sweep", "--config", write_config(tmp_path, data),
+                   "--format", "json", "--out", str(out)])
+        assert rc == 1
+        result = json.loads(out.read_text())
+        failed = {c["name"] for c in result["checks"] if not c["passed"]}
+        assert {"t0_norm decreasing as t -> 0", "t0_norm final < 0.001 * sup"} <= failed
+        assert all(np.isfinite(r["mult_defect"]) and r["mult_defect"] > 1e100
+                   for r in result["rows"])
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_pairing_t_is_inconclusive(self, tmp_path, capsys):
+        # at t = 2**-1000 the clutching weights (N / t)^2 overflow: that
+        # value is None, and t = 4 decides every case
+        data = {"grid": {"N": 16, "J": 68},
+                "index_compare": {"higson_t_exponents": [-1000, 2]}}
+        out = tmp_path / "i.json"
+        rc = main(["index-compare", "--config", write_config(tmp_path, data),
+                   "--format", "json", "--out", str(out)])
+        assert rc == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert [r["higson_trace"][0] for r in rows] == [None] * len(rows)
+        assert all(r["agree"] for r in rows)
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.filterwarnings("error")
     def test_zero_initial_value_fails_its_ratio(self, tmp_path, capsys):

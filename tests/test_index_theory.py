@@ -748,6 +748,14 @@ class TestSpectralPairing:
         with pytest.raises(InconclusiveIndexError):
             higson_trace_index(winding_pair(2, -1), 4096.0, grid32)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t,scale", [(2.0 ** -1000, 1.0), (2.0 ** -900, 1e30)])
+    def test_inconclusive_where_the_weights_overflow(self, grid16, t, scale):
+        # (N / t * S)^2 is no finite float: the weights are never formed
+        sigma = HomogeneousSymbol(Loop.from_scalar_modes({1: scale}), Loop.identity(1))
+        with pytest.raises(InconclusiveIndexError, match="overflows a float"):
+            higson_trace_index(sigma, t, grid16)
+
     @pytest.mark.parametrize("N", [16, 32])
     @pytest.mark.parametrize("k", [1, 2])
     def test_base_count_is_exact(self, N, k):

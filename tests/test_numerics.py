@@ -191,6 +191,15 @@ class TestLanczosAgainstSVD:
         assert operator_norm(mat) == svd_norm(mat)
         assert len(svd_calls) == 2
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e160, 1e200, 1e300])
+    def test_gram_overflow(self, scale):
+        # A^H A overflows from about 1e154 on: the norm is taken on the matrix
+        # scaled by a power of two and scaled back
+        mat = scale * random_matrix(40, 40, 11)
+        expect = svd_norm(mat)
+        assert abs(operator_norm(mat) - expect) <= 5e-14 * expect
+
     def test_deterministic(self, grid64):
         X = random_operator(grid64, 9)
         assert operator_norm(X) == operator_norm(X)

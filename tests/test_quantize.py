@@ -350,7 +350,8 @@ class TestAssemblyAgainstDoubleLoop:
 
 class TestNonFiniteEntries:
     """Values enter an operator only through ``_assemble``, which checks its
-    coefficient table and weight vector before building anything."""
+    weight vector before building anything, and through ``Loop.table``,
+    which checks a loop's coefficient table once, when it is made."""
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_profile_value_rejected(self, grid32, bad):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import translation_symbols
 from psilab import presets, symbols
+from psilab.numerics import CircleGrid
 
 from psilab.symbols import (CutFunction, HomogeneousSymbol, Loop, Symbol,
                             SymbolClass, bump_profile, cap_profile,
@@ -47,6 +48,38 @@ class TestLoop:
     def test_block_size_mismatch(self):
         with pytest.raises(ValueError):
             Loop.identity(1) * Loop.identity(2)
+
+
+class TestLoopTable:
+    GRID = CircleGrid(J=68, N=16)
+
+    def test_taken_once_per_grid(self, monkeypatch):
+        calls = []
+        coefficients = Loop.coefficients
+        monkeypatch.setattr(Loop, "coefficients",
+                            lambda loop, g: calls.append(g) or coefficients(loop, g))
+        loop = Loop.from_scalar_modes({1: 0.5, -2: 0.25j})
+        table = loop.table(self.GRID)
+        assert loop.table(self.GRID) is table
+        assert loop.table(CircleGrid(J=68, N=16)) is table  # an equal grid
+        wider = loop.table(CircleGrid(J=132, N=32))
+        assert wider is not table and wider.shape == (129, 1, 1)
+        assert calls == [self.GRID, CircleGrid(J=132, N=32)]
+
+    def test_bits_of_the_transform(self):
+        loop = Loop.from_scalar_modes({1: 0.5, 0: 1.0, -2: 0.25j}, k=2) * Loop.constant(
+            np.array([[1.0, 2.0j], [0.5, -1.0]]))
+        assert loop.table(self.GRID).tobytes() == loop.coefficients(self.GRID).tobytes()
+
+    def test_read_only(self):
+        table = Loop.from_scalar_modes({1: 0.5}).table(self.GRID)
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+
+    def test_nonfinite_samples_rejected(self):
+        loop = Loop(lambda x: np.full((np.size(x), 1, 1), np.nan), 1, None)
+        with pytest.raises(ValueError, match="operator entries must be finite"):
+            loop.table(self.GRID)
 
 
 class TestSmash:
