@@ -181,6 +181,8 @@ def parse_profile(spec):
         if not (isinstance(factor_specs, list) and factor_specs):
             raise ConfigError(f"'product' needs a nonempty list of profile records: {spec!r}")
         factors = [parse_profile(s) for s in factor_specs]
+        if not _modulus_bound(spec) <= COEFF_MAX:
+            raise ConfigError(f"profile {spec!r}: product exceeds the modulus {COEFF_MAX:g}")
         out = factors[0]
         for f in factors[1:]:
             out = out * f
@@ -201,6 +203,13 @@ def parse_profile(spec):
         return factory(**kwargs)
     except (TypeError, ValueError) as exc:  # missing or out-of-range parameters
         raise ConfigError(f"profile {spec!r}: {exc}") from exc
+
+
+def _modulus_bound(spec):
+    """Bound on a parsed profile's modulus; all kinds but ``constant`` stay within 1."""
+    if "product" in spec:
+        return math.prod(_modulus_bound(s) for s in spec["product"])
+    return abs(spec.get("value", 1.0)) if spec["kind"] == "constant" else 1.0
 
 
 def _record(record, what):
@@ -234,11 +243,12 @@ def _mode(key):
 
 
 #: largest modulus of a loop coefficient (each entry of a matrix mode) and of
-#: a constant profile value, so a term stays within 1e60.  Below it the Gram
-#: products of the Fredholm band, whose entries reach the square of the l1
-#: mass of the coefficients, and the block LDL^H recurrence on them, which
-#: squares them again over pivots down to 1e-8, stay finite floats with room
-#: to spare; a norm whose Gram overflows is taken on a rescaled copy
+#: a profile (a constant, or the constants of a product), so a term stays
+#: within 1e60.  Below it the Gram products of the Fredholm band, whose
+#: entries reach the square of the l1 mass of the coefficients, and the block
+#: LDL^H recurrence on them, which squares them again over pivots down to
+#: 1e-8, stay finite floats with room to spare; a norm whose Gram overflows
+#: is taken by the full SVD
 COEFF_MAX = 1e30
 
 

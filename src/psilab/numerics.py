@@ -130,9 +130,9 @@ def operator_norm(mat):
     matrices, or a breakdown with ``theta = 0`` on a zero matrix) return
     exactly ``0.0``.  If the certificate is not met within
     ``min(dim, 120)`` steps, or the Gram matrix may have underflowed, the
-    value comes from the full ``np.linalg.svd`` instead.  If it overflows
-    (a step's diagonal entry or beta is not finite), the norm is taken of
-    the matrix scaled by an exact power of two and scaled back.
+    value comes from the full ``np.linalg.svd`` instead, and so it does if
+    the Gram matrix overflows (a step's diagonal entry or beta is not
+    finite); LAPACK scales a matrix with huge entries itself.
     """
     mat = np.asarray(mat)
     check_finite(mat)
@@ -163,7 +163,7 @@ def operator_norm(mat):
             tri[j, j] = (coef[j] + coef2[j]).real
             beta = np.linalg.norm(w)
             if not (np.isfinite(beta) and np.isfinite(tri[j, j])):
-                return _rescaled_norm(mat)
+                break
             vals, vecs = np.linalg.eigh(tri[:j + 1, :j + 1])
             theta = vals[-1]
             if beta * abs(vecs[-1, -1]) <= _LANCZOS_TOL * theta:
@@ -177,12 +177,3 @@ def operator_norm(mat):
             tri[j, j + 1] = tri[j + 1, j] = beta
             q = w / beta
     return float(np.linalg.svd(mat, compute_uv=False)[0])
-
-
-def _rescaled_norm(mat):
-    """``operator_norm`` of a finite matrix whose Gram matrix overflows, taken
-    on the matrix times 2^-e, with 2^e just above its largest real or
-    imaginary part, and scaled back; a power of two scales exactly."""
-    _, e = np.frexp(max(np.abs(mat.real).max(), np.abs(mat.imag).max()))
-    scaled = np.ldexp(mat.real, -e) + 1j * np.ldexp(mat.imag, -e)
-    return float(np.ldexp(operator_norm(scaled), e))

@@ -425,6 +425,13 @@ class TestExitCodes:
         ("defect-sweep", {"defect_sweep": {"t0_symbol": {"terms": [{"loop": {
             "modes": {"0": 1e30}}, "profile": {"kind": "constant", "value": 1e300}}]}}},
          "value exceeds the modulus 1e+30"),
+        # so is a product of constants, each within the bound (1e300, 1e330
+        # past a float, and 1e60 through nested products)
+        *[("defect-sweep", {"defect_sweep": {"t0_symbol": {"terms": [{"loop": "c1", "profile": {
+            "product": factors}}]}}}, "product exceeds the modulus 1e+30")
+          for factors in ([{"kind": "constant", "value": 1e30}] * 10,
+                          [{"kind": "constant", "value": 1e30}] * 11,
+                          [{"product": [{"kind": "constant", "value": -1e30}]}] * 2)],
     ])
     def test_malformed_record_exits_2(self, tmp_path, capsys, command, section, message):
         path = write_config(tmp_path, {"grid": {"N": 32, "J": 132}, **section})

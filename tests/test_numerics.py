@@ -194,8 +194,8 @@ class TestLanczosAgainstSVD:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [1.0, 1e150, 1e160, 1e200, 1e300])
     def test_gram_overflow(self, scale):
-        # A^H A overflows from about 1e154 on: the norm is taken on the matrix
-        # scaled by a power of two and scaled back
+        # A^H A overflows from about 1e154 on: the norm then comes from the
+        # full SVD
         mat = scale * random_matrix(40, 40, 11)
         expect = svd_norm(mat)
         assert abs(operator_norm(mat) - expect) <= 5e-14 * expect
