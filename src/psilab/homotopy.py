@@ -36,6 +36,28 @@ def _band(L):
             for j in range(max(-L, i - 1), min(L, i + 1) + 1)]
 
 
+def _live_band(p, L, i0, N):
+    """The blocks (i, j) of ``_band(L)`` with |i| >= i0, in its order, whose
+    weights can be nonzero on some mode 1 <= |m| <= N, for the undeformed
+    partition ``p``.
+
+    The psi_1 block weights mode m by gamma_i gamma_j theta at |m| and the
+    inverse-map block by gamma_0 gamma_{j-i} at |m| / 2^i; both vanish
+    unless |m| lies in the open supports of gamma_i and gamma_j, (2^(i-1),
+    2^(i+1)) and (2^(j-1), 2^(j+1)), outside which the smooth-step
+    differences are exactly zero, and both vanish at m = 0 (theta(0) =
+    gamma_0(0) = 0).
+    """
+    support = {i: p.support(i) for i in range(-L, L + 1)}
+    live = []
+    for i, j in _band(L):
+        lo = max(support[i][0], support[j][0])
+        hi = min(support[i][1], support[j][1])
+        if abs(i) >= i0 and max(1, np.floor(lo) + 1) <= min(N, np.ceil(hi) - 1):
+            live.append((i, j))
+    return live
+
+
 def _psi_block(a, p_s, theta, i, j, grid, out=None):
     """Block (i, j) of psi_s for s > 0: T_1(gamma_i^s gamma_j^s theta (x) a)."""
     prof = gamma_profile(p_s, i) * gamma_profile(p_s, j) * theta.profile
@@ -89,9 +111,10 @@ def endpoint_defect(a, p, theta, L_list, K, grid):
     """Tail aggregate of || psi_1 block - inverse-map block || over |i| >= i0(K),
     one value per block range L in ``L_list``.
 
-    No block depends on L, so each block with i0 <= |i| <= max(L_list) is
-    built once, each nonzero block difference is normed once, and each range
-    sums its own blocks in ascending (i, j) order.  By exact translation
+    No block depends on L, so each block with i0 <= |i| <= max(L_list) that
+    can be nonzero on the mode range (``_live_band``) is built once, each
+    nonzero block difference is normed once, and each range sums its own
+    blocks in ascending (i, j) order.  By exact translation
     invariance the inverse-map block at (i, j) equals T_1(gamma_i gamma_j
     (x) a), so the blockwise difference is the cutting discrepancy, confined
     to the low scales; the aggregate over |i| >= i0(K) = ceil(log2 K)
@@ -102,12 +125,11 @@ def endpoint_defect(a, p, theta, L_list, K, grid):
     i0 = max(0, int(np.ceil(np.log2(max(K, 1)))))
     diff, inverse = (np.empty((grid.dim, grid.dim), dtype=complex) for _ in range(2))
     norms = {}
-    for i, j in _band(max(L_list)):
-        if abs(i) >= i0:
-            _psi_block(a, p, theta, i, j, grid, out=diff)
-            diff -= _inverse_block(a, p, i, j, grid, out=inverse)
-            if np.any(diff):
-                norms[(i, j)] = operator_norm(diff)
+    for i, j in _live_band(p, max(L_list), i0, grid.N):
+        _psi_block(a, p, theta, i, j, grid, out=diff)
+        diff -= _inverse_block(a, p, i, j, grid, out=inverse)
+        if np.any(diff):
+            norms[(i, j)] = operator_norm(diff)
     totals = []
     for L in L_list:
         total = 0.0  # left to right: the printed digits depend on the order

@@ -22,7 +22,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .numerics import fourier_coefficients
+from .numerics import fourier_coefficients, hashed_normals
 from .quantize import op_quantize, op_terms, padded_grid
 from .symbols import HomogeneousSymbol, Loop
 
@@ -91,7 +91,7 @@ _REFINE_MAX_N = 256
 _KERNEL_SHIFT = 1e4
 #: inverse-iteration steps for the kernel frame before the SVD takes over
 _FRAME_STEPS = 8
-#: seed of the start frame of the inverse iteration
+#: seed of the start frame of the inverse iteration (``hashed_normals``)
 _FRAME_SEED = 0
 
 
@@ -101,14 +101,27 @@ def _adjoint(a):
 
 
 def _gapped_small_count(svals, eps):
-    """Number of singular values below eps, conclusive only with a 1e3 gap.
+    """Number of singular values below eps, conclusive only with a 1e3 gap
+    and above the rounding floor of the SVD.
 
-    With values below eps the smallest value above must be 1e3 times the
-    largest below.  With none below, it must reach 1e3 eps: a value in
-    [eps, 1e3 eps) may be the cut tail of a kernel vector as well as a
-    genuine singular value.
+    A backward-stable SVD returns each singular value within
+    p(m, n) epsilon sigma_max of the exact one, epsilon the machine epsilon
+    and p a modest function of the size (Golub & Van Loan, *Matrix
+    Computations*, section 8.6; the LAPACK Users' Guide error bounds for
+    the SVD).  With p taken as the number of values, that floor,
+    sigma_max * len(svals) * epsilon, must stay below eps: otherwise
+    rounding alone can put a value on either side of eps, and the count is
+    inconclusive.  With values below eps the smallest value above must be
+    1e3 times the largest below.  With none below, it must reach 1e3 eps: a
+    value in [eps, 1e3 eps) may be the cut tail of a kernel vector as well
+    as a genuine singular value.
     """
     svals = np.sort(svals)
+    floor = float(svals[-1]) * svals.size * np.finfo(float).eps
+    if floor >= eps:
+        raise InconclusiveIndexError(
+            f"SVD rounding floor {floor:.3e} (sigma_max {float(svals[-1]):.3e}) "
+            f"reaches eps={eps:.1e}")
     counted = svals[svals < eps]
     uncounted = svals[svals >= eps]
     top = float(counted[-1]) if counted.size else 0.0
@@ -209,8 +222,9 @@ def _band_small_count(band, s, d):
     f >= ||V^H V - I|| (measured, plus the rounding of the product) and
     ||V|| <= sqrt(1 + f).  V comes from inverse iteration with G~ + a^2 I,
     which is positive definite, factored by the same ``_band_ldl`` at the
-    shift -a^2, from a seeded Gaussian start, orthonormalized by QR after
-    each of at most _FRAME_STEPS steps.
+    shift -a^2, from the complex Gaussian start frame
+    ``numerics.hashed_normals((n k, c), _FRAME_SEED)``, orthonormalized by
+    QR after each of at most _FRAME_STEPS steps.
 
     The count is returned only when it reproduces ``_gapped_small_count``
     with room to spare: lower >= 1e3 EPS_RANK and, for c > 0,
@@ -233,9 +247,8 @@ def _band_small_count(band, s, d):
         return None
     if c == 0:
         return 0
-    rng = np.random.default_rng(_FRAME_SEED)
     frame = np.zeros((vals[:, 1].size, c), dtype=complex)
-    v = rng.standard_normal((n * k, c)) + 1j * rng.standard_normal((n * k, c))
+    v = hashed_normals((n * k, c), _FRAME_SEED)
     for _ in range(_FRAME_STEPS):
         frame[:n * k] = v
         v = np.linalg.qr(_ldl_solve(vals[:, 1], vecs[:, 1], sub, frame)[:n * k])[0]

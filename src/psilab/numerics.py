@@ -18,6 +18,7 @@ import numpy as np
 __all__ = [
     "CircleGrid",
     "fourier_coefficients",
+    "hashed_normals",
     "operator_norm",
 ]
 
@@ -95,6 +96,39 @@ def fourier_coefficients(grid, samples):
     return coeffs
 
 
+# -- start vectors -------------------------------------------------------
+
+_GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def hashed_normals(shape, seed):
+    """Complex array of the given shape with standard Gaussian real and
+    imaginary parts, a closed-form function of ``shape`` and ``seed``.
+
+    For n entries the words w_i = (i + seed (4n + 1)) * 0x9E3779B97F4A7C15,
+    1 <= i <= 4n, go through the SplitMix64 finalizer in wrapping uint64
+    arithmetic, so that seed 0 gives the first 4n outputs of SplitMix64
+    from the state 0 (the word 0, a fixed point of the finalizer, is never
+    used) and distinct seeds draw disjoint words.  The top 53 bits of each
+    give a uniform u_i = ((z_i >> 11) + 1/2) 2^-53 in (0, 1), and
+    Box-Muller turns the pairs (u_i, u_{2n + i}), 1 <= i <= 2n, into the
+    normals sqrt(-2 ln u_i) cos(2 pi u_{2n + i}).  The first n normals are
+    the real parts, the next n the imaginary parts.
+    """
+    n = int(np.prod(shape, dtype=np.int64))
+    # the seed enters as an array, so its product wraps instead of warning
+    base = np.array([seed], dtype=np.uint64) * np.uint64(4 * n + 1)
+    z = (np.arange(1, 4 * n + 1, dtype=np.uint64) + base) * _GOLDEN_GAMMA
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    z ^= z >> np.uint64(31)
+    u = ((z >> np.uint64(11)).astype(float) + 0.5) * 2.0 ** -53
+    g = np.sqrt(-2.0 * np.log(u[:2 * n])) * np.cos(2.0 * np.pi * u[2 * n:])
+    return (g[:n] + 1j * g[n:]).reshape(shape)
+
+
 # -- norms ---------------------------------------------------------------
 
 
@@ -105,8 +139,9 @@ def check_finite(values):
 
 
 # Lanczos norm engine: certificate tolerance on the Ritz residual relative to
-# the Ritz value, step cap before the SVD fallback, seed of the start vector,
-# and the Gram-eigenvalue floor below which A^H A may have underflowed.
+# the Ritz value, step cap before the SVD fallback, seed of the start vector
+# (``hashed_normals``), and the Gram-eigenvalue floor below which A^H A may
+# have underflowed.
 _LANCZOS_TOL = 1e-13
 _LANCZOS_MAX_STEPS = 120
 _LANCZOS_SEED = 0
@@ -119,14 +154,16 @@ def operator_norm(mat):
 
     Lanczos with full reorthogonalization runs on the Gram matrix ``A^H A``
     (pass a wide matrix as its adjoint to get the smaller one), applied as
-    two matrix-vector products per step,
-    from a complex Gaussian start vector with a fixed seed (so the result is
-    byte-deterministic).  It stops when the Ritz residual ``beta_j * |y_j|``
+    two matrix-vector products per step, from the complex Gaussian start
+    vector ``hashed_normals(dim, _LANCZOS_SEED)``, a closed-form hash of the
+    entry index (so the result is byte-deterministic, and no random number
+    generator is loaded).  It stops when the Ritz residual ``beta_j * |y_j|``
     of the top Ritz value ``theta`` is at most ``1e-13 * theta``: some
     eigenvalue of the Gram matrix then lies within that distance of
     ``theta`` (Weyl), so ``sqrt(theta)`` is within 5e-14 relative of a
     singular value; Kuczynski & Wozniakowski (1992) bound the chance that
-    a random start settles on a smaller one.  Exact zeros (empty
+    a random start settles on a smaller one, which needs only a start
+    chosen without looking at the matrix.  Exact zeros (empty
     matrices, or a breakdown with ``theta = 0`` on a zero matrix) return
     exactly ``0.0``.  If the certificate is not met within
     ``min(dim, 120)`` steps, or the Gram matrix may have underflowed, the
@@ -143,8 +180,7 @@ def operator_norm(mat):
     def gram(v):  # A^H (A v)
         return ((mat @ v).conj() @ mat).conj()
 
-    rng = np.random.default_rng(_LANCZOS_SEED)
-    q = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    q = hashed_normals(dim, _LANCZOS_SEED)
     q /= np.linalg.norm(q)
     steps = min(dim, _LANCZOS_MAX_STEPS)
     basis = np.empty((steps, dim), dtype=complex)

@@ -9,7 +9,7 @@ from oracles import (block_apply, block_dense, block_difference, homogeneous_sup
 from psilab import experiments, homotopy
 from psilab.config import build_grid, homotopy_cfg, load_config
 from psilab.experiments import EXACT_TOL
-from psilab.homotopy import (_band, _inverse_block, _psi_block, endpoint_defect,
+from psilab.homotopy import (_band, _inverse_block, _live_band, _psi_block, endpoint_defect,
                              equ1_defect, equ2_defect, theta_discrepancy_norm)
 from psilab.numerics import CircleGrid, operator_norm
 from psilab.partition import build_partition
@@ -254,6 +254,32 @@ class TestEndpoint:
             endpoint_defect(shift_symbol(), build_partition(0.5, 4), theta, [4], 8,
                             grid32)
 
+    @pytest.mark.parametrize("K", [1, 8])
+    @pytest.mark.parametrize("make_symbol", [shift_symbol, homotopy_symbol])
+    @pytest.mark.parametrize("N", [8, 32])
+    def test_live_blocks_are_the_nonzero_blocks(self, theta, part1, make_symbol, K, N):
+        # the blocks kept are exactly those of the full loop over _band(L)
+        # where either block is nonzero, and the aggregates of the full loop
+        # (every block built, zero differences skipped) are equal bit for bit
+        grid, a, L_list = CircleGrid(J=4 * N + 4, N=N, k=1), make_symbol(), (4, 6, 8)
+        i0 = max(0, int(np.ceil(np.log2(K))))
+        nonzero, norms = [], {}
+        for i, j in _band(max(L_list)):
+            if abs(i) >= i0:
+                psi = _psi_block(a, part1, theta, i, j, grid)
+                inverse = _inverse_block(a, part1, i, j, grid)
+                if psi.any() or inverse.any():
+                    nonzero.append((i, j))
+                if np.any(psi - inverse):
+                    norms[(i, j)] = operator_norm(psi - inverse)
+        assert _live_band(part1, max(L_list), i0, N) == nonzero
+        full = [0.0] * len(L_list)
+        for n, L in enumerate(L_list):
+            for (i, j), value in norms.items():
+                if max(abs(i), abs(j)) <= L:
+                    full[n] += value
+        assert endpoint_defect(a, part1, theta, L_list, K, grid) == full
+
 
 class TestBuildCounts:
     def test_each_operator_built_once(self, tmp_path, monkeypatch):
@@ -274,7 +300,11 @@ class TestBuildCounts:
         experiments.run_homotopy_verify(grid, cfg)
         L_max = max(cfg["L_list"])
         i0 = int(np.ceil(np.log2(2.0 * experiments.THETA.r0)))
+        # tail blocks whose bumps gamma_i, gamma_j share a mode 1 <= |m| <= N
+        # inside their open supports (2^(i-1), 2^(i+1)); the others are zero
         tail = sum(1 for i in range(-L_max, L_max + 1) for j in range(-L_max, L_max + 1)
-                   if abs(i) >= i0 and abs(i - j) <= 1)
+                   if abs(i) >= i0 and abs(i - j) <= 1
+                   and any(2.0 ** (max(i, j) - 1) < m < 2.0 ** (min(i, j) + 1)
+                           for m in range(1, grid.N + 1)))
         assert calls["op_quantize"] == 1
         assert calls["t_quantize"] == 2 * len(cfg["s_values"]) + 8 + 2 * tail

@@ -176,6 +176,25 @@ class TestFredholm:
         with pytest.raises(InconclusiveIndexError):
             _gapped_small_count(np.array([5e-4, 0.3]), 1e-6)
 
+    @pytest.mark.parametrize("N", [16, 64])
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e6, 1e16, 1e20, 1e30])
+    def test_scaled_branch_is_counted_or_inconclusive(self, theta, N, scale):
+        # plus = scale e^{ix}, index -1; past about 1e8 the band's rounding
+        # margin declines, and the SVD's rounding floor sigma_max * n * eps
+        # reaches EPS_RANK, where a conclusive 0 came out before
+        sigma = HomogeneousSymbol(Loop.from_scalar_modes({1: scale}), Loop.identity(1))
+        rep = index_report(sigma, CircleGrid(J=4 * N + 4, N=N), theta, [2.0], "scaled")
+        if scale <= 1e6:
+            assert (rep.fredholm_index, rep.fredholm_inconclusive) == (-1, False)
+        else:
+            assert (rep.fredholm_index, rep.fredholm_inconclusive) == (None, True)
+
+    def test_svd_rounding_floor_is_inconclusive(self):
+        # 1e9 * 2 * eps = 4.4e-7 stays below eps = 1e-6, 2e9 * 3 * eps = 1.3e-6 does not
+        assert _gapped_small_count(np.array([1e-10, 1e9]), 1e-6) == 1
+        with pytest.raises(InconclusiveIndexError, match="rounding floor"):
+            _gapped_small_count(np.array([1e-10, 1.0, 2e9]), 1e-6)
+
     def test_no_gap_is_inconclusive(self, grid32, theta):
         # eps placed inside the cutting-weight cluster: no usable gap
         with patch.object(index_theory, "EPS_RANK", 0.1), \

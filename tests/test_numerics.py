@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import inverse_fourier, restrict_to, tail_norm
 from psilab import numerics
-from psilab.numerics import CircleGrid, fourier_coefficients, operator_norm
+from psilab.numerics import CircleGrid, fourier_coefficients, hashed_normals, operator_norm
 from psilab.presets import t0_symbol
 from psilab.quantize import t_quantize
 
@@ -222,6 +222,37 @@ class TestLanczosAgainstSVD:
                        else clustered_matrix(rows, cols, seed, gap))
         expect = svd_norm(mat)
         assert abs(operator_norm(mat) - expect) <= 5e-14 * expect
+
+
+@pytest.mark.filterwarnings("error")
+class TestHashedNormals:
+    """The closed-form Gaussian start vectors of the Lanczos norm and the
+    kernel frame; seeds up to 2**64 - 1 wrap without a warning."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    def test_repeatable(self, seed):
+        first = hashed_normals(513, seed)
+        assert first.dtype == complex and first.shape == (513,)
+        assert np.array_equal(first, hashed_normals(513, seed))
+
+    def test_shape(self):
+        frame = hashed_normals((33, 3), 0)
+        assert frame.shape == (33, 3)
+        assert np.array_equal(frame.ravel(), hashed_normals(99, 0))
+        assert hashed_normals((0, 2), 0).shape == (0, 2)
+
+    def test_seeds_differ(self):
+        assert not np.any(hashed_normals(64, 0) == hashed_normals(64, 1))
+
+    def test_moments(self):
+        # 1e5 draws: means within about 4.5 standard errors of 0, variances
+        # within 2 % of 1, real and imaginary parts uncorrelated
+        g = hashed_normals(100_000, 0)
+        for part in (g.real, g.imag):
+            assert abs(np.mean(part)) < 0.015
+            assert abs(np.var(part) - 1.0) < 0.02
+        assert abs(np.mean(g.real * g.imag)) < 0.015
+        assert np.all(np.isfinite(g))
 
 
 class TestCompactTail:

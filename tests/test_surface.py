@@ -85,6 +85,24 @@ def test_cli_imports_numpy_alone():
     assert sorted(outside) == []
 
 
+def test_sweeps_load_no_random_number_generator(tmp_path):
+    # the Lanczos start vector and the kernel frame come from
+    # numerics.hashed_normals, so the norm and index sweeps import neither
+    # numpy.random nor, through its seeding, hashlib and OpenSSL
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"grid": {"N": 16, "J": 68}}))
+    code = ("import sys; from psilab.cli import main\n"
+            "for cmd in ('defect-sweep', 'ch-compare', 'index-compare'):\n"
+            f"    main([cmd, '--config', {str(config)!r}, '--out', {str(tmp_path)!r} + '/' + cmd])\n"
+            "print(sorted(m for m in ('numpy.random', 'hashlib') if m in sys.modules))")
+    src = Path(psilab.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "[]"
+
+
 def leaf_keys(table, prefix=""):
     for key, value in table.items():
         if isinstance(value, dict):
