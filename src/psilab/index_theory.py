@@ -274,10 +274,11 @@ def fredholm_index_svd(sigma, theta, grid):
     decays geometrically in |m|, and its cut tail leaves a singular value
     of that size.  A count is inconclusive unless a factor 1e3 separates
     the singular values below EPS_RANK from those above it, or, with none
-    below, the smallest reaches 1e3 EPS_RANK.  An inconclusive count is
-    taken again at 2N and at 4N, as far as they stay within 256 modes (a
-    tail shrinks, a genuine singular value stays); only the last
-    inconclusive count raises.
+    below, the smallest reaches 1e3 EPS_RANK, and when the SVD's rounding
+    floor sigma_max * n * eps reaches EPS_RANK (``_gapped_small_count``).
+    An inconclusive count is taken again at 2N and at 4N, as far as they
+    stay within 256 modes (a tail shrinks, a genuine singular value stays);
+    only the last inconclusive count raises.
 
     Both counts are first taken on the band |n - m| <= degree of the
     truncation (16 without a declared degree), by ``_band_small_count``:

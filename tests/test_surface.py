@@ -72,15 +72,20 @@ def test_package_exports_only_what_the_sweeps_run(tmp_path):
     assert [name for name, fn in functions.items() if fn.__code__ not in entered] == []
 
 
-def test_cli_imports_numpy_alone():
-    # a fresh process, so that no module a test has imported is counted
-    code = ("import sys; before = set(sys.modules); import psilab.cli; "
-            "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))")
+def fresh_stdout(code):
+    """Stdout of ``code`` run in a fresh interpreter on this checkout's
+    psilab, so that no module a test has imported is counted."""
     src = Path(psilab.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                            capture_output=True, text=True).stdout.split()
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_cli_imports_numpy_alone():
+    code = ("import sys; before = set(sys.modules); import psilab.cli; "
+            "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))")
+    loaded = fresh_stdout(code).split()
     outside = set(loaded) - set(sys.stdlib_module_names) - {"numpy", "psilab"}
     assert sorted(outside) == []
 
@@ -95,12 +100,7 @@ def test_sweeps_load_no_random_number_generator(tmp_path):
             "for cmd in ('defect-sweep', 'ch-compare', 'index-compare'):\n"
             f"    main([cmd, '--config', {str(config)!r}, '--out', {str(tmp_path)!r} + '/' + cmd])\n"
             "print(sorted(m for m in ('numpy.random', 'hashlib') if m in sys.modules))")
-    src = Path(psilab.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.splitlines()[-1] == "[]"
+    assert fresh_stdout(code).splitlines()[-1] == "[]"
 
 
 def leaf_keys(table, prefix=""):
