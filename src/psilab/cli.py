@@ -110,7 +110,7 @@ def main(argv=None):
 
     failed = [(n, d) for n, ok, d in checks if not ok]
     for name, detail in failed:
-        print(f"criterion failed: {name}: {detail}", file=sys.stderr)
+        print(f"criterion failed: {name}: {_round_floats(detail)}", file=sys.stderr)
     passed = len(checks) - len(failed)
     print(f"wrote {out} ({len(rows)} rows); criteria passed: {passed}/{len(checks)}")
     return 1 if failed else 0

@@ -44,6 +44,9 @@ PAIRING_SIGN = +1
 PAIRING_GAP = 0.1
 #: the clutching radius |xi| must reach at least this inside the mode range
 PAIRING_MIN_RADIUS = 2.0
+#: relative slack of the window's bound at the mode cutoff: the SVD returns
+#: the singular values of a unitary branch as 1 - O(eps)
+_WINDOW_SLACK = 8 * np.finfo(float).eps
 #: singular values below this count as kernel in the Fredholm route
 EPS_RANK = 1e-6
 
@@ -838,15 +841,21 @@ def higson_trace_index(sigma, t, grid, tables=None):
     depend on t: the factors of both branches (one batched SVD each) and
     the band tables of the first width.  ``index_report`` takes them once
     per symbol and hands them to every t; without them they are taken
-    here.  Their per-branch singular values bound the clutching weights.
+    here.  Their per-branch singular values place the clutching window.
 
     Raises ValueError unless both branches are invertible.  Raises
-    InconclusiveIndexError when the clutching cannot develop inside the mode
-    range (radius N / t below PAIRING_MIN_RADIUS), when the clutching
-    weights overflow (r S)^2 at the top radius r = N / t for the largest
-    singular value S of the branches, or when an eigenvalue sits within
-    PAIRING_GAP of 1/2; past the edge the deformation collapses to the
-    zero-section value and the counts would silently agree.
+    InconclusiveIndexError when the clutching does not fit the mode range,
+    or when an eigenvalue sits within PAIRING_GAP of 1/2; past the window's
+    edges the deformation collapses to a constant value and the counts would
+    silently agree.  The window is read from the largest and smallest
+    singular values S and s of the branches, with the radius r = |m| / t of
+    mode m: the clutching weight d0 = 1 / (1 + r^2 s^2) must have fallen to
+    at most 0.2 by the mode cutoff, r s >= PAIRING_MIN_RADIUS at r = N / t
+    (up to a relative slack of 8 eps, and also with s = 1: N / t >=
+    PAIRING_MIN_RADIUS), and by symmetry must still be at least 0.8 at the
+    first mode, r S <= 1 / PAIRING_MIN_RADIUS at r = 1 / t.  The bound at
+    the first mode also keeps (r S)^2 <= N^2 / 4 at the cutoff, so the
+    weights never overflow.
 
     The literal entrywise trace of the difference vanishes identically
     (both projections have pointwise trace k), so the class content is
@@ -860,10 +869,18 @@ def higson_trace_index(sigma, t, grid, tables=None):
             "reduce t or increase N")
     if tables is None:
         tables = _pairing_tables(sigma, grid)
-    top = grid.N / t * max(float(s.max()) for s, _ in tables[0])
-    if not np.isfinite(top * top):
-        raise InconclusiveIndexError(f"clutching weight (r S)^2 = ({top:.3g})^2 at the "
-                                     f"mode cutoff overflows a float at t={t}; increase t")
+    s_max = max(float(s.max()) for s, _ in tables[0])
+    s_min = min(float(s.min()) for s, _ in tables[0])
+    if s_max / t > 1.0 / PAIRING_MIN_RADIUS:
+        raise InconclusiveIndexError(
+            f"r S = {s_max / t:.3g} at the first mode r = 1/t exceeds "
+            f"1/{PAIRING_MIN_RADIUS}; the clutching has begun below the mode "
+            f"lattice at t={t}, increase t")
+    if s_min * grid.N / t * (1.0 + _WINDOW_SLACK) < PAIRING_MIN_RADIUS:
+        raise InconclusiveIndexError(
+            f"r s = {s_min * grid.N / t:.3g} at the mode cutoff r = N/t is below "
+            f"{PAIRING_MIN_RADIUS}; the clutching does not complete at t={t}, "
+            "reduce t or increase N")
     cnt, conclusive = _pairing_count(tables, t, grid)
     if not conclusive:
         raise InconclusiveIndexError(

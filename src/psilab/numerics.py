@@ -96,6 +96,22 @@ def fourier_coefficients(grid, samples):
     return coeffs
 
 
+# -- row blocks ----------------------------------------------------------
+
+
+def row_blocks(n, size):
+    """[start, stop) ranges covering range(n) in near-equal blocks of at most
+    ``size`` rows, and never a one-row block unless n is 1: a one-row
+    product takes numpy's matrix-vector path, whose sums may round
+    differently.  Only where the two rules clash (size 1, or size 2 and n
+    odd) do blocks of two or three rows exceed ``size``."""
+    count = max(1, -(-n // size))
+    if count > 1 and n < 2 * count:
+        count = n // 2
+    bounds = [n * i // count for i in range(count + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 # -- start vectors -------------------------------------------------------
 
 _GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)

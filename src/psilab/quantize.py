@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .numerics import CircleGrid, check_finite
+from .numerics import CircleGrid, check_finite, row_blocks
 from .partition import smooth_step
 from .symbols import HomogeneousSymbol, Loop, Symbol
 
@@ -50,7 +50,7 @@ __all__ = [
 
 # -- low-level assembly ----------------------------------------------------
 
-#: mode rows per block of the scratch through which later terms are added
+#: most mode rows per block of the scratch through which later terms are added
 _BLOCK_ROWS = 32
 
 
@@ -58,16 +58,6 @@ def _check_block(block_shape, k):
     if tuple(block_shape) != (k, k):
         raise ValueError(f"coefficient block {tuple(block_shape)} differs from the "
                          f"grid block size k={k}")
-
-
-def _blocks(n, size=_BLOCK_ROWS):
-    """[start, stop) ranges covering range(n) in steps of ``size``; a short
-    remainder joins the last block, so a block has fewer than ``size`` rows
-    only when n does (a one-row block would take numpy's matrix-vector path)."""
-    starts = list(range(0, n, size))
-    if len(starts) > 1 and n % size:
-        starts.pop()
-    return list(zip(starts, starts[1:] + [n]))
 
 
 def _leading(out, shape):
@@ -102,7 +92,7 @@ def _assemble(grid, terms, out=None, rows=slice(None), cols=slice(None)):
     n, k = grid.n_modes, grid.k
     rows, cols = range(n)[rows], range(n)[cols]
     table = _leading(out, (len(rows), k, len(cols), k))
-    blocks, scratch, first = _blocks(len(rows)), None, True
+    blocks, scratch, first = row_blocks(len(rows), _BLOCK_ROWS), None, True
     for coeffs, weights in terms:
         _check_block(coeffs.shape[1:], k)
         check_finite(weights)
@@ -172,7 +162,7 @@ def corner_product(left, right, grid, out=None, add=False):
     kept = left[keep, lo:hi]
     if not add:
         return np.matmul(kept, block, out=out)
-    blocks = _blocks(grid.dim)
+    blocks = row_blocks(grid.dim, _BLOCK_ROWS)
     scratch = np.empty((max(b - a for a, b in blocks), grid.dim), dtype=complex)
     for a, b in blocks:
         out[a:b] += np.matmul(kept[a:b], block, out=scratch[:b - a])

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import check_finite, fourier_coefficients
+from .numerics import check_finite, fourier_coefficients, row_blocks
 from .partition import smooth_step
 
 __all__ = [
@@ -66,6 +66,13 @@ def _combine_tags(a, b):
 
 
 # -- loops ----------------------------------------------------------------
+
+#: rows x (2d + 1) k^2 of one product in a loop's evaluation stays below
+#: this.  OpenBLAS (scipy-openblas 0.3.31, zgemv path) hands a product of
+#: M rows and K terms to its worker thread from M K = 4096 on (1365 x 3 and
+#: 819 x 5 stayed on one thread, 1366 x 3 and 820 x 5 did not, on 2 cores),
+#: and the worker then spins for about 0.12 CPU-s.
+_LOOP_PRODUCT_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -140,10 +147,17 @@ class Loop:
         if coeffs.shape[0] != 2 * d + 1:
             raise ValueError("coefficient count must be odd")
         js = np.arange(-d, d + 1)
+        rows = max(1, (_LOOP_PRODUCT_LIMIT - 1) // coeffs[0].size // js.size)
 
         def fn(x):
-            phases = np.exp(1j * np.outer(x, js))
-            return np.tensordot(phases, coeffs, axes=([1], [0]))
+            # one product per block of points; each sample is its own short
+            # sum, so the blocks give the bits of one product over all of x
+            x = np.ravel(x)
+            out = np.empty((x.size,) + coeffs.shape[1:], dtype=complex)
+            for lo, hi in row_blocks(x.size, rows):
+                phases = np.exp(1j * np.outer(x[lo:hi], js))
+                out[lo:hi] = np.tensordot(phases, coeffs, axes=([1], [0]))
+            return out
 
         return Loop(fn, coeffs.shape[1], d)
 

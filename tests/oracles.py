@@ -452,6 +452,17 @@ def per_t_pairing_count(sigma, t, grid):
     return count, gap >= PAIRING_GAP
 
 
+def in_pairing_window(sigma, t, grid):
+    """Whether the clutching of sigma fits the modes at t: with the extreme
+    singular values S and s of the branch samples on the grid,
+    S / t <= 1/2 at the first mode and N s / t >= 2 (N / t >= 2 also) at
+    the cutoff, the second up to a relative 1e-14."""
+    s = np.concatenate([np.linalg.svd(np.asarray(sigma.branch(sign)(grid.x)),
+                                      compute_uv=False).ravel() for sign in (-1, 1)])
+    return (s.max() / t <= 0.5 and grid.N / t >= 2.0
+            and s.min() * grid.N / t >= 2.0 * (1.0 - 1e-14))
+
+
 def ldl_error_bound(vals, sub):
     """The backward-error bound of ``_band_ldl`` pivot by pivot:
     4 p eps max_i (||D_i|| + ||C_i||_F^2 / min |lambda(D_{i-1})|)."""

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (band_matrix, clutching_projection, clutching_samples,
-                     corner, four_shift_band_count, ldl_error_bound, matrix_band,
+                     corner, four_shift_band_count, in_pairing_window, ldl_error_bound,
+                     matrix_band,
                      naive_trace_pairing, per_t_pairing_count, sampled_quantization)
 from psilab import index_theory
 from psilab.index_theory import (PAIRING_GAP, InconclusiveIndexError,
@@ -73,6 +74,17 @@ def random_dominant_loop(seed, k, shift, total=0.6):
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(4)) * total
     return dominant_loop(k, shift, [random_block(rng, k, w) for w in weights])
+
+
+def pairing_values(sigma, t_grid, grid):
+    """The pairing at every t from tables taken once, None where inconclusive."""
+    tables, values = _pairing_tables(sigma, grid), []
+    for t in t_grid:
+        try:
+            values.append(higson_trace_index(sigma, t, grid, tables))
+        except InconclusiveIndexError:
+            values.append(None)
+    return values
 
 
 class TestWinding:
@@ -770,10 +782,34 @@ class TestSpectralPairing:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("t,scale", [(2.0 ** -1000, 1.0), (2.0 ** -900, 1e30)])
     def test_inconclusive_where_the_weights_overflow(self, grid16, t, scale):
-        # (N / t * S)^2 is no finite float: the weights are never formed
+        # (N / t * S)^2 is no finite float: the window's bound at the first
+        # mode declines first, and the weights are never formed
         sigma = HomogeneousSymbol(Loop.from_scalar_modes({1: scale}), Loop.identity(1))
-        with pytest.raises(InconclusiveIndexError, match="overflows a float"):
+        with pytest.raises(InconclusiveIndexError, match="at the first mode"):
             higson_trace_index(sigma, t, grid16)
+
+    @pytest.mark.parametrize("lam,expect", [(0.01, [None] * 4), (0.1, [None] * 4),
+                                            (10.0, [None, -1.0, -1.0, -1.0]),
+                                            (100.0, [None] * 4), (1000.0, [None] * 4)])
+    def test_window_of_scaled_branches(self, lam, expect):
+        # at N = 256 and the default t grid, lam e^{ix} against 1 fits the
+        # window r S <= 1/2 at the first mode, r s >= 2 at the cutoff, only
+        # for lam = 10 past t = 16; elsewhere the clutching has begun below
+        # the first mode or not completed by the cutoff
+        sigma = HomogeneousSymbol(Loop.from_scalar_modes({1: lam}), Loop.identity(1))
+        grid = CircleGrid(J=1028, N=256)
+        t_grid = [2.0 ** e for e in DEFAULTS["index_compare"]["higson_t_exponents"]]
+        assert pairing_values(sigma, t_grid, grid) == expect
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.sampled_from([16, 32]), st.integers(-2, 2), st.integers(-2, 2),
+           st.floats(-3.0, 3.0))
+    def test_property_scaled_branches_give_the_index_or_none(self, N, p, q, log_lam):
+        sigma = HomogeneousSymbol(Loop.from_scalar_modes({p: 10.0 ** log_lam}),
+                                  Loop.from_scalar_modes({q: 1.0}))
+        values = pairing_values(sigma, [2.0 ** e for e in range(-4, 4)],
+                                CircleGrid(J=4 * N + 4, N=N))
+        assert set(values) <= {float(q - p), None}
 
     @pytest.mark.parametrize("N", [16, 32])
     @pytest.mark.parametrize("k", [1, 2])
@@ -850,15 +886,19 @@ class TestReport:
     def test_matches_the_per_t_reference(self, grid32, theta, k, shift, total):
         # factors and first band tables taken once against every t apart,
         # with the four-shift band count: degree 2 widens through 4 to 8,
-        # and total = 0.4 and 0.8 pass N / 4 to the dense count
+        # and total = 0.4 and 0.8 pass N / 4 to the dense count; the report
+        # keeps the counts at the t inside the clutching window
         sigma = HomogeneousSymbol(random_dominant_loop(4, k, shift, total),
                                   random_dominant_loop(5, k, -shift, total))
         g = CircleGrid(J=grid32.J, N=grid32.N, k=k)
         t_grid = (2.0, 4.0, 8.0, 16.0)
+        tables = _pairing_tables(sigma, g)
         expect = []
         for t in t_grid:
             count, conclusive = per_t_pairing_count(sigma, t, g)
-            expect.append(float(count - k * g.n_modes) if conclusive else None)
+            assert _pairing_count(tables, t, g) == (count, conclusive)
+            expect.append(float(count - k * g.n_modes)
+                          if conclusive and in_pairing_window(sigma, t, g) else None)
         rep = index_report(sigma, g, theta=theta, t_grid=t_grid, label="r")
         assert rep.higson_trace == tuple(expect)
 

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import inverse_fourier, restrict_to, tail_norm
 from psilab import numerics
-from psilab.numerics import CircleGrid, fourier_coefficients, hashed_normals, operator_norm
+from psilab.numerics import (CircleGrid, fourier_coefficients, hashed_normals, operator_norm,
+                             row_blocks)
 from psilab.presets import t0_symbol
 from psilab.quantize import t_quantize
 
@@ -225,6 +226,27 @@ class TestLanczosAgainstSVD:
 
 
 @pytest.mark.filterwarnings("error")
+class TestRowBlocks:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 300), st.integers(1, 40))
+    def test_near_equal_cover(self, n, size):
+        blocks = row_blocks(n, size)
+        assert blocks[0][0] == 0 and blocks[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        rows = [hi - lo for lo, hi in blocks]
+        assert max(rows) - min(rows) <= 1
+        if n > 1:
+            assert min(rows) >= 2
+        if size >= 3 or n % 2 == 0:
+            assert max(rows) <= max(size, 2)
+
+    def test_examples(self):
+        assert row_blocks(513, 32) == [(i * 513 // 17, (i + 1) * 513 // 17) for i in range(17)]
+        assert row_blocks(5, 2) == [(0, 2), (2, 5)]
+        assert row_blocks(1, 1) == [(0, 1)]
+        assert row_blocks(0, 8) == [(0, 0)]
+
+
 class TestHashedNormals:
     """The closed-form Gaussian start vectors of the Lanczos norm and the
     kernel frame; seeds up to 2**64 - 1 wrap without a warning."""

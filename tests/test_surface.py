@@ -103,6 +103,39 @@ def test_sweeps_load_no_random_number_generator(tmp_path):
     assert fresh_stdout(code).splitlines()[-1] == "[]"
 
 
+WORKER_PROBE = """
+import json, os, time
+
+def worker_ticks():
+    # utime + stime of every thread but the main one, in clock ticks
+    total = 0
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) != os.getpid():
+            with open(f"/proc/self/task/{tid}/stat", encoding="ascii") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+            total += int(fields[11]) + int(fields[12])
+    return total
+
+from psilab import config, experiments
+time.sleep(0.5)
+threads, before = len(os.listdir("/proc/self/task")), worker_ticks()
+cfg = config.load_config(None)
+experiments.run_index_compare(config.build_grid(cfg), config.index_cfg(cfg))
+time.sleep(0.5)
+print(json.dumps({"threads": threads, "ticks": worker_ticks() - before}))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_index_compare_leaves_the_blas_worker_idle():
+    # every loop sample is formed in products too small for OpenBLAS to
+    # hand to its worker thread, which would then spin for ~0.12 CPU-s
+    probe = json.loads(fresh_stdout(WORKER_PROBE).splitlines()[-1])
+    if probe["threads"] < 2:
+        pytest.skip("BLAS runs no second thread here")
+    assert probe["ticks"] <= 1
+
+
 def leaf_keys(table, prefix=""):
     for key, value in table.items():
         if isinstance(value, dict):

@@ -50,6 +50,41 @@ class TestLoop:
             Loop.identity(1) * Loop.identity(2)
 
 
+#: (degree, block size, points) of the loop-evaluation checks
+EVAL_CASES = [(d, k, M) for d in range(17) for k in (1, 2)
+              for M in (68, 260, 516, 1028, 1092, 1284, 4096)]
+
+
+def random_coeffs(rng, d, k):
+    shape = (2 * d + 1, k, k)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestLoopEvaluation:
+    def test_blocks_give_the_bits_of_one_product(self):
+        rng = np.random.default_rng(5)
+        for d, k, M in EVAL_CASES:
+            coeffs = random_coeffs(rng, d, k)
+            x = 2.0 * np.pi * np.arange(M) / M
+            phases = np.exp(1j * np.outer(x, np.arange(-d, d + 1)))
+            whole = np.tensordot(phases, coeffs, axes=([1], [0]))
+            assert Loop.from_coeffs(coeffs).fn(x).tobytes() == whole.tobytes(), (d, k, M)
+
+    def test_products_stay_below_the_threading_size(self, monkeypatch):
+        # rows x (2d + 1) k^2 of every product stays below the size from
+        # which OpenBLAS wakes its worker thread, with no one-row product
+        sizes, tensordot = [], np.tensordot
+        monkeypatch.setattr(np, "tensordot", lambda a, b, axes: sizes.append(
+            (len(a), b.size)) or tensordot(a, b, axes))
+        rng = np.random.default_rng(6)
+        for d, k, M in EVAL_CASES + [(d, 2, M) for d in (0, 16) for M in (4, 5, 7)]:
+            sizes.clear()
+            Loop.from_coeffs(random_coeffs(rng, d, k)).fn(np.linspace(0.0, 1.0, M))
+            assert sum(rows for rows, _ in sizes) == M
+            assert all(2 <= rows and rows * size < symbols._LOOP_PRODUCT_LIMIT
+                       for rows, size in sizes), (d, k, M, sizes)
+
+
 class TestLoopTable:
     GRID = CircleGrid(J=68, N=16)
 
