@@ -281,7 +281,12 @@ def fredholm_index_svd(sigma, theta, grid):
     floor sigma_max * n * eps reaches EPS_RANK (``_gapped_small_count``).
     An inconclusive count is taken again at 2N and at 4N, as far as they
     stay within 256 modes (a tail shrinks, a genuine singular value stays);
-    only the last inconclusive count raises.
+    only the last inconclusive count raises.  A conclusive dense count with
+    a value in [EPS_RANK, 1e3 EPS_RANK) is taken again the same way and
+    stands only when the next size gives the same two counts: such a value
+    may be the cut tail of a slowly decaying kernel vector (at N = 32 a
+    tail of 1.4e-6 once hid two cokernel vectors behind a 1e3 gap), and a
+    tail rho^N there falls below EPS_RANK at 2N, which changes the count.
 
     Both counts are first taken on the band |n - m| <= degree of the
     truncation (16 without a declared degree), by ``_band_small_count``:
@@ -310,25 +315,33 @@ def fredholm_index_svd(sigma, theta, grid):
             f"cutting radius {theta.r0:g} plus symbol degree {deg} reaches the "
             f"mode cutoff N={grid.N}; increase N")
     sizes = [grid.N] + [n for n in (2 * grid.N, 4 * grid.N) if n <= _REFINE_MAX_N]
+    unconfirmed = None
     for n in sizes:
         big = padded_grid(grid, n - grid.N + deg + 8)
         kernel, cokernel, s, d = _fredholm_bands(op_terms(sigma, theta, big), big, n, deg)
         counts = [_band_small_count(band, s, d) for band in (kernel, cokernel)]
+        near = False
         if None in counts:
             X = op_quantize(sigma, theta, big)
             keep = ~big.tail_mask(n)
             try:
-                if counts[0] is None:
-                    counts[0] = _gapped_small_count(
-                        np.linalg.svd(X[:, keep], compute_uv=False), EPS_RANK)
-                if counts[1] is None:
-                    counts[1] = _gapped_small_count(
-                        np.linalg.svd(X.conj().T[:, keep], compute_uv=False), EPS_RANK)
+                for i, mat in enumerate((X, X.conj().T)):
+                    if counts[i] is None:
+                        svals = np.linalg.svd(mat[:, keep], compute_uv=False)
+                        counts[i] = _gapped_small_count(svals, EPS_RANK)
+                        near |= bool(np.any((svals >= EPS_RANK) & (svals < 1e3 * EPS_RANK)))
             except InconclusiveIndexError:
                 if n == sizes[-1]:
                     raise
                 continue
-        return counts[0] - counts[1]
+        if not near or counts == unconfirmed:
+            return counts[0] - counts[1]
+        if n == sizes[-1]:
+            raise InconclusiveIndexError(
+                f"a singular value in [{EPS_RANK:.1e}, {1e3 * EPS_RANK:.1e}) at N={n} may "
+                "be the cut tail of a kernel vector, and no larger N confirms the "
+                "count; increase N")
+        unconfirmed = counts
 
 
 def analytic_index(sigma):

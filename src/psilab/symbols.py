@@ -147,7 +147,7 @@ class Loop:
         if coeffs.shape[0] != 2 * d + 1:
             raise ValueError("coefficient count must be odd")
         js = np.arange(-d, d + 1)
-        rows = max(1, (_LOOP_PRODUCT_LIMIT - 1) // coeffs[0].size // js.size)
+        rows = max(1, (_LOOP_PRODUCT_LIMIT - 1) // coeffs.size)
 
         def fn(x):
             # one product per block of points; each sample is its own short

@@ -181,6 +181,18 @@ class TestFredholm:
             assert fredholm_index_svd(sigma, theta, grid32) == 0
         assert len(calls) == 1
 
+    def test_gapped_count_near_eps_is_confirmed(self, theta):
+        # index -4 at k = 2: at N = 32 the SVD finds four cokernel values up
+        # to 4e-11, then two cut tails of 1.4e-6 and 1.7e-6 behind a 1e3 gap,
+        # a conclusive but wrong 4; at 2N the band counts 6 and decides
+        sigma = HomogeneousSymbol(random_dominant_loop(125, 2, 2, 0.59375),
+                                  random_dominant_loop(126, 2, 0, 0.59375))
+        g = CircleGrid(J=132, N=32, k=2)
+        _, X, keep = fredholm_setup(sigma, theta, g)
+        assert svd_count(X.conj().T[:, keep]) == 4
+        assert check_band_against_svd(sigma, theta, g, 64) == (2, 6)
+        assert fredholm_index_svd(sigma, theta, g) == -4
+
     def test_counted_value_keeps_the_relative_gap(self):
         # a genuine small singular value above eps does not block a count
         # that has a value below eps and a 1e3 gap to it

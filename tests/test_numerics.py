@@ -225,7 +225,6 @@ class TestLanczosAgainstSVD:
         assert abs(operator_norm(mat) - expect) <= 5e-14 * expect
 
 
-@pytest.mark.filterwarnings("error")
 class TestRowBlocks:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 300), st.integers(1, 40))
@@ -247,6 +246,7 @@ class TestRowBlocks:
         assert row_blocks(0, 8) == [(0, 0)]
 
 
+@pytest.mark.filterwarnings("error")
 class TestHashedNormals:
     """The closed-form Gaussian start vectors of the Lanczos norm and the
     kernel frame; seeds up to 2**64 - 1 wrap without a warning."""
