@@ -22,6 +22,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from .bands import _adjoint, _band_apply, _band_ldl, _gram_band, _ldl_solve
 from .numerics import fourier_coefficients, hashed_normals
 from .quantize import op_quantize, op_terms, padded_grid
 from .symbols import HomogeneousSymbol, Loop
@@ -98,11 +99,6 @@ _FRAME_STEPS = 8
 _FRAME_SEED = 0
 
 
-def _adjoint(a):
-    """Conjugate transpose of the trailing two axes."""
-    return a.conj().swapaxes(-1, -2)
-
-
 def _gapped_small_count(svals, eps):
     """Number of singular values below eps, conclusive only with a 1e3 gap
     and above the rounding floor of the SVD.
@@ -177,32 +173,6 @@ def _fredholm_bands(terms, grid, n, b):
     return kernel, cokernel, 1.001 * s, 1.001 * d
 
 
-def _gram_band(band):
-    """The band table of Z^H Z, half-width 2b, from the band table of Z
-    (``_fredholm_bands``): block (m + p, m) is sum_l T[b + l - p, m + p]^H
-    T[b + l, m] over |l|, |l - p| <= b.  The blocks below the diagonal are
-    summed and those above are their adjoints."""
-    w, n, k = band.shape[:3]
-    b = w // 2
-    gram = np.zeros((4 * b + 1, n, k, k), dtype=complex)
-    adj = _adjoint(band)
-    for p in range(w):
-        gram[2 * b + p, :n - p] = np.einsum("lmij,lmjk->mik", adj[:w - p, p:], band[p:, :n - p])
-        if p:
-            gram[2 * b - p, p:] = _adjoint(gram[2 * b + p, :n - p])
-    return gram
-
-
-def _band_apply(band, v):
-    """Z_b v for the band table of Z and v of shape (n, k, c): the rows
-    -b .. n + b - 1 of the product, shape (n + 2b, k, c)."""
-    w, n = band.shape[:2]
-    out = np.zeros((n + w - 1,) + v.shape[1:], dtype=complex)
-    for l in range(w):
-        out[l:l + n] += band[l] @ v
-    return out
-
-
 def _band_small_count(band, s, d):
     """Number of singular values of Z below EPS_RANK, from the band table of
     Z (``_fredholm_bands``), or None when the band cannot decide.
@@ -243,7 +213,7 @@ def _band_small_count(band, s, d):
     ldl = _band_ldl(gram, np.array([a2, -a2]))
     if ldl is None:
         return None
-    vals, vecs, sub, err = ldl
+    vals, err = ldl[0], ldl[3]
     c = n * k - int(np.sum(vals[:, 0] > 0.0))
     rho = (w * k + 4) * eps * s * s
     if np.sqrt(max(a2 - rho - err, 0.0)) - d < 1e3 * eps_rank:
@@ -254,7 +224,7 @@ def _band_small_count(band, s, d):
     v = hashed_normals((n * k, c), _FRAME_SEED)
     for _ in range(_FRAME_STEPS):
         frame[:n * k] = v
-        v = np.linalg.qr(_ldl_solve(vals[:, 1], vecs[:, 1], sub, frame)[:n * k])[0]
+        v = np.linalg.qr(_ldl_solve(ldl, 1, frame)[:n * k])[0]
         f = 1.001 * np.linalg.norm(v.conj().T @ v - np.eye(c)) + (n * k + 4) * eps * c
         if f >= 0.5:
             return None
@@ -417,14 +387,9 @@ _BLOCK = 128
 _BAND_TOL = 1e-4
 #: the band is at most this share of N wide
 _BAND_CAP = 0.25
-#: a pivot block of the band LDL^H with an eigenvalue below this in modulus
-#: sends the count to the dense eigenvalue solve
-_PIVOT_FLOOR = 1e-8
 #: margin kept for the rounding of the band LDL^H; a larger backward-error
 #: bound sends the count to the dense eigenvalue solve
 _LDL_ALLOWANCE = 1e-8
-#: fewest mode-blocks per super-block of the band LDL^H
-_SUPER = 4
 #: grid points per block of the factored band product
 _POINTS = 32
 
@@ -678,95 +643,6 @@ def _pairing_band(tables, t, grid):
         b = width[0]
         width = None if b == cap else _band_tables(factors, grid, min(2 * b, cap), once=True)
     return None
-
-
-def _band_ldl(band, shifts):
-    """Block LDL^H factorizations of H_b - s at every shift s, with a
-    backward-error bound, or None on a small or non-finite pivot.
-
-    H_b is the Hermitian part of a band table (block (m + l, m) at
-    band[b + l, m]) with blocks of any size k2.  Grouped into super-blocks
-    of q = max(b, _SUPER) modes it is block tridiagonal, so the block
-    LDL^H recurrence
-
-        D_0 = A_0 - s,   D_i = A_i - s - C_i D_{i-1}^{-1} C_i^H
-
-    (A_i the diagonal and C_i the sub-diagonal super-blocks) needs one
-    Hermitian eigen-solve per pivot D_i, batched over the shifts.  The
-    factorization does not pivot, which needs a guard (Bunch and Kaufman):
-    a pivot with an eigenvalue below _PIVOT_FLOOR in modulus returns None,
-    and so does a pivot with an entry that is not finite, before it reaches
-    the eigen-solve.  The loop runs only the recurrence and these exits.
-    The last super-block is padded with zero modes, which the pivots carry
-    as the value -s.
-
-    Returns (vals, vecs, sub, err): vals[i, j] and vecs[i, j] are the
-    eigenvalues and eigenvectors of D_i at the shift j, sub[i] = C_{i+1},
-    and err bounds the backward error.  In floating point the factorization
-    is exact for some H_b + E, and to first order in eps the backward error
-    of a block LDL^H factorization with pivot size p = k2 q is
-
-        ||E|| <= err = 4 p eps max_i (||D_i|| + ||C_i||_F^2 / min |lambda(D_{i-1})|),
-
-    the second term the growth through the inverted pivots, both taken
-    over all pivots at once after the loop.
-    """
-    w, n, k2 = band.shape[:3]
-    b = w // 2
-    q = max(b, _SUPER)
-    nb = -(-n // q)
-    padded = np.zeros((w, nb * q) + band.shape[2:], dtype=complex)
-    padded[:, :n] = band
-    i = np.arange(q)
-
-    def blocks(dr):
-        # M_b[R_{s + dr}, R_s] for every super-block s with a partner s + dr
-        l = dr * q + i[:, None] - i[None, :] + b
-        inside = (l >= 0) & (l < w)
-        s = np.arange(max(0, -dr), nb - max(0, dr))
-        out = padded[np.where(inside, l, 0), (s * q)[:, None, None] + i]
-        out[:, ~inside] = 0.0
-        return out.transpose(0, 1, 3, 2, 4).reshape(s.size, q * k2, q * k2)
-
-    diag = blocks(0)
-    diag = 0.5 * (diag + _adjoint(diag))
-    sub = 0.5 * (blocks(1) + _adjoint(blocks(-1)))
-    shift = shifts[:, None, None] * np.eye(q * k2)
-    vals = np.empty((nb, shifts.size, q * k2))
-    vecs = np.empty((nb, shifts.size, q * k2, q * k2), dtype=complex)
-    for s in range(nb):
-        pivot = diag[s] - shift
-        if s:
-            g = sub[s - 1] @ vecs[s - 1]
-            pivot -= (g / vals[s - 1, :, None, :]) @ _adjoint(g)
-        if not np.isfinite(pivot).all():
-            return None
-        vals[s], vecs[s] = np.linalg.eigh(pivot)
-        if abs(vals[s]).min() < _PIVOT_FLOOR:
-            return None
-    moduli = abs(vals).reshape(nb, -1)
-    growth = np.zeros(nb)
-    growth[1:] = np.linalg.norm(sub, axis=(1, 2)) ** 2 / moduli[:-1].min(axis=1)
-    worst = np.max(moduli.max(axis=1) + growth)
-    return vals, vecs, sub, 4 * q * k2 * np.finfo(float).eps * worst
-
-
-def _ldl_solve(vals, vecs, sub, rhs):
-    """(H_b - s)^{-1} rhs from the pivots (vals, vecs) of ``_band_ldl`` at
-    one shift s, rhs of shape (nb q k2, c) in the padded mode order.
-
-    With the pivot inverses D_i^{-1} and L_i = C_{i+1} D_i^{-1} the solve is
-    z_i -= L_{i-1} z_{i-1}, then z = D^{-1} z, then z_i -= L_i^H z_{i+1}.
-    """
-    inverse = (vecs / vals[:, None, :]) @ _adjoint(vecs)
-    lower = sub @ inverse[:-1]
-    z = rhs.reshape(len(vals), -1, rhs.shape[-1]).copy()
-    for i in range(1, len(z)):
-        z[i] -= lower[i - 1] @ z[i - 1]
-    z = inverse @ z
-    for i in range(len(z) - 2, -1, -1):
-        z[i] -= _adjoint(lower[i]) @ z[i + 1]
-    return z.reshape(rhs.shape)
 
 
 def _band_count(band, delta):

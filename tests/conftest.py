@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from psilab.numerics import CircleGrid
 from psilab.symbols import (CutFunction, Loop, Symbol, SymbolClass, bump_profile,
                             cap_profile, constant_profile, rational_decay_profile,
                             rational_vanishing_profile, step_profile)
+
+# every property test draws the same examples on every run (derived from the
+# test's own code), so a failure reproduces from the commit alone; each test
+# keeps its own example count
+settings.register_profile("tier1", derandomize=True)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

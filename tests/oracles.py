@@ -10,6 +10,7 @@ from psilab.connes_higson import (ch_apply, ch_extended_apply, default_unit,
                                   tail_deformed_unit)
 from psilab.experiments import THETA
 from psilab.homotopy import _band, _inverse_block, _psi_block
+from psilab.bands import _PIVOT_FLOOR
 from psilab.index_theory import (_LDL_ALLOWANCE, PAIRING_GAP, _band_ldl, _clutching_factors,
                                  _clutching_samples, _count_above_half, _pairing_band,
                                  _pairing_tables)
@@ -463,8 +464,46 @@ def in_pairing_window(sigma, t, grid):
             and s.min() * grid.N / t >= 2.0 * (1.0 - 1e-14))
 
 
+def sequential_ldl(band, shifts):
+    """The block LDL^H of H_b - s by the sequential pivot recurrence, the
+    reference of ``bands._band_ldl``.
+
+    H_b, the Hermitian part of the band table, is grouped into super-blocks
+    of q = max(b, 4) modes (the last padded with zero modes, carried as -s)
+    and factored by D_0 = A_0 - s, D_i = A_i - s - C_i D_{i-1}^{-1} C_i^H,
+    one batched eigen-solve over the shifts per pivot.  Returns (vals,
+    vecs, sub, err) with vals[i, j] the eigenvalues of D_i at the shift j,
+    sub[i] = C_{i+1} and err = ``ldl_error_bound(vals, sub)``, or None on
+    a non-finite pivot or one with an eigenvalue below the pivot floor.
+    """
+    w, n, k2 = band.shape[:3]
+    b = w // 2
+    q = max(b, 4)
+    nb = -(-n // q)
+    dense = np.zeros((nb * q * k2,) * 2, dtype=complex)
+    dense[:n * k2, :n * k2] = band_matrix(band)
+    dense = 0.5 * (dense + dense.conj().T)
+    p = q * k2
+    diag = np.stack([dense[i * p:(i + 1) * p, i * p:(i + 1) * p] for i in range(nb)])
+    sub = np.array([dense[(i + 1) * p:(i + 2) * p, i * p:(i + 1) * p]
+                    for i in range(nb - 1)]).reshape(nb - 1, p, p)
+    vals = np.empty((nb, shifts.size, p))
+    vecs = np.empty((nb, shifts.size, p, p), dtype=complex)
+    for i in range(nb):
+        pivot = diag[i] - shifts[:, None, None] * np.eye(p)
+        if i:
+            g = sub[i - 1] @ vecs[i - 1]
+            pivot -= (g / vals[i - 1, :, None, :]) @ g.conj().swapaxes(-1, -2)
+        if not np.isfinite(pivot).all():
+            return None
+        vals[i], vecs[i] = np.linalg.eigh(pivot)
+        if abs(vals[i]).min() < _PIVOT_FLOOR:
+            return None
+    return vals, vecs, sub, ldl_error_bound(vals, sub)
+
+
 def ldl_error_bound(vals, sub):
-    """The backward-error bound of ``_band_ldl`` pivot by pivot:
+    """The backward-error bound of ``sequential_ldl`` pivot by pivot:
     4 p eps max_i (||D_i|| + ||C_i||_F^2 / min |lambda(D_{i-1})|)."""
     worst = growth = 0.0
     for i in range(len(vals)):
@@ -472,3 +511,50 @@ def ldl_error_bound(vals, sub):
             growth = np.linalg.norm(sub[i - 1]) ** 2 / np.min(np.abs(vals[i - 1]))
         worst = max(worst, np.max(np.abs(vals[i])) + growth)
     return 4 * vals.shape[-1] * np.finfo(float).eps * worst
+
+
+def cyclic_reduction(band, shifts):
+    """``bands._band_ldl`` stated on the dense matrix, level by level, pivot
+    by pivot and shift by shift.
+
+    H_b - s, padded with zero modes to whole blocks of q = max(b, 1) modes,
+    loses its even blocks at each level: each is a pivot D_e with one
+    eigen-solve, and the odd blocks keep the Schur complement, taken by a
+    dense solve.  Returns (vals, err): the pivot eigenvalues, shape
+    (pivots, shifts, p), level by level and each level in block order, and
+    max_s sum_levels 4 p eps max_e (||D_e|| + (||C_{e-1}||_F^2 +
+    ||C_e||_F^2) / min |lambda(D_e)|), ||D_e|| taken before the shift at
+    the first level.
+    """
+    w, n, k2 = band.shape[:3]
+    b = w // 2
+    p = max(b, 1) * k2
+    nb = -(-n * k2 // p)
+    dense = np.zeros((nb * p,) * 2, dtype=complex)
+    dense[:n * k2, :n * k2] = band_matrix(band)
+    dense = 0.5 * (dense + dense.conj().T)
+    eps = np.finfo(float).eps
+    vals, errs = [], []
+    for s in shifts:
+        mat, level, pivots, err = dense - s * np.eye(nb * p), 0, [], 0.0
+        while len(mat):
+            count = len(mat) // p
+            block = [slice(i * p, (i + 1) * p) for i in range(count)]
+            worst = 0.0
+            for e in range(0, count, 2):
+                lam = np.linalg.eigvalsh(mat[block[e], block[e]])
+                top = np.max(np.abs(lam + s if level == 0 else lam))
+                mass = sum(np.linalg.norm(mat[block[j], block[e]]) ** 2
+                           for j in (e - 1, e + 1) if 0 <= j < count)
+                worst = max(worst, top + mass / np.min(np.abs(lam)))
+                pivots.append(lam)
+            err += 4 * p * eps * worst
+            odd = np.concatenate([np.arange(block[j].start, block[j].stop)
+                                  for j in range(1, count, 2)] or [np.arange(0)])
+            even = np.setdiff1d(np.arange(len(mat)), odd)
+            mat = (mat[np.ix_(odd, odd)] - mat[np.ix_(odd, even)]
+                   @ np.linalg.solve(mat[np.ix_(even, even)], mat[np.ix_(even, odd)]))
+            level += 1
+        vals.append(pivots)
+        errs.append(err)
+    return np.array(vals).swapaxes(0, 1), max(errs)

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (band_matrix, clutching_projection, clutching_samples,
-                     corner, four_shift_band_count, in_pairing_window, ldl_error_bound,
-                     matrix_band,
-                     naive_trace_pairing, per_t_pairing_count, sampled_quantization)
+                     corner, cyclic_reduction, four_shift_band_count, in_pairing_window,
+                     matrix_band, naive_trace_pairing, per_t_pairing_count,
+                     sampled_quantization, sequential_ldl)
 from psilab import index_theory
 from psilab.index_theory import (PAIRING_GAP, InconclusiveIndexError,
                                  _band_coefficients, _band_count, _band_ldl, _band_small_count,
@@ -345,10 +345,13 @@ class TestFredholmBand:
         mat = rng.normal(size=(n * k2, n * k2)) + 1j * rng.normal(size=(n * k2, n * k2))
         band = matrix_band(0.3 * hermitian(mat), k2, b)
         dense = hermitian(band_matrix(band))
-        vals, vecs, sub, _ = _band_ldl(band, np.array([0.05, -2.0]))
+        ldl = _band_ldl(band, np.array([0.05, -2.0]))
+        vals = ldl[0]
+        # 37 modes in blocks of 3: a padded last block
+        assert vals.shape[0] * vals.shape[2] > n * k2
         rhs = np.zeros((vals.shape[0] * vals.shape[2], 3), dtype=complex)
         rhs[:n * k2] = rng.normal(size=(n * k2, 3))
-        got = _ldl_solve(vals[:, 1], vecs[:, 1], sub, rhs)
+        got = _ldl_solve(ldl, 1, rhs)
         expect = np.linalg.solve(dense + 2.0 * np.eye(n * k2), rhs[:n * k2])
         assert np.max(np.abs(got[:n * k2] - expect)) <= 1e-10 * np.max(np.abs(expect))
         assert np.max(np.abs(got[n * k2:])) == 0.0
@@ -611,22 +614,92 @@ class TestBandCount:
 
     @pytest.mark.parametrize("n,k2,b", [(37, 2, 1), (40, 4, 3), (50, 2, 20)])
     def test_error_bound_matches_the_pivot_loop(self, n, k2, b):
+        # the bound and the pivots against the reduction taken pivot by
+        # pivot on the dense matrix
         rng = np.random.default_rng(n + b)
         mat = rng.normal(size=(n * k2, n * k2)) + 1j * rng.normal(size=(n * k2, n * k2))
-        vals, _, sub, err = _band_ldl(matrix_band(0.3 * hermitian(mat), k2, b),
-                                      np.array([0.05, 0.1, 0.45, 1.3]))
-        assert err == pytest.approx(ldl_error_bound(vals, sub), rel=1e-12)
+        band = matrix_band(0.3 * hermitian(mat), k2, b)
+        shifts = np.array([0.05, 0.1, 0.45, 1.3])
+        vals, _, _, err = _band_ldl(band, shifts)
+        expect_vals, expect_err = cyclic_reduction(band, shifts)
+        assert err == pytest.approx(expect_err, rel=1e-9)
+        assert np.max(np.abs(vals - expect_vals)) <= 1e-8
+        assert np.array_equal(np.sum(vals > 0.0, axis=(0, 2)),
+                              np.sum(expect_vals > 0.0, axis=(0, 2)))
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("entry", [np.inf, np.nan])
     def test_non_finite_pivot_declines(self, entry):
-        # a non-finite entry in the second super-block: the first pivot is
-        # factored, the second declines before its eigen-solve
-        band = matrix_band(np.diag(np.full(40, 0.9)).astype(complex), 2, 1)
-        band[1, index_theory._SUPER + 1] = entry
-        with patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
-            assert _band_ldl(band, np.array([0.3, 0.7])) is None
-        assert eigh.call_count == 1
+        # blocks of one mode: a non-finite entry in mode 0, a pivot of the
+        # first level, declines before any eigen-solve; one in mode 5, which
+        # the first level keeps, after the first level's only eigen-solve
+        # and before the second's; no eigen-solve sees a non-finite entry
+        seen, factor = [], np.linalg.eigh
+
+        def eigh(a):
+            seen.append(bool(np.isfinite(a).all()))
+            return factor(a)
+
+        for mode, calls in ((0, 0), (5, 1)):
+            band = matrix_band(np.diag(np.full(40, 0.9)).astype(complex), 2, 1)
+            band[1, mode] = entry
+            seen.clear()
+            with patch.object(np.linalg, "eigh", eigh):
+                assert _band_ldl(band, np.array([0.3, 0.7])) is None
+            assert seen == [True] * calls
+
+
+
+class TestCyclicReduction:
+    """The band LDL^H by odd-even cyclic reduction against the sequential
+    pivot loop, the dense spectrum, the dense solve and the reduction taken
+    pivot by pivot, on random Hermitian band tables."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(b=st.integers(0, 6), k2=st.sampled_from([1, 2, 4]), blocks=st.integers(1, 9),
+           rest=st.integers(0, 4), seed=st.integers(0, 2**32 - 1),
+           shifts=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=4))
+    def test_property_matches_the_references(self, b, k2, blocks, rest, seed, shifts):
+        q = max(b, 1)
+        # no multiple of q > 1: the last block is padded with zero modes
+        n = q * blocks + (1 + rest % (q - 1) if q > 1 else 0)
+        dim = n * k2
+        rng = np.random.default_rng(seed)
+        mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        band = matrix_band(0.3 * hermitian(mat), k2, b)
+        dense = hermitian(band_matrix(band))
+        evals = np.linalg.eigvalsh(dense)
+        allowance = index_theory._LDL_ALLOWANCE
+
+        def above(vals, s):
+            # a padded mode carries -s: positive exactly at a negative shift
+            pad = vals.shape[0] * vals.shape[2] - dim
+            return np.sum(vals > 0.0, axis=(0, 2)) - pad * (s < 0.0)
+
+        s = np.array(shifts)
+        got, ref = _band_ldl(band, s), sequential_ldl(band, s)
+        if got is not None and got[3] <= allowance:
+            expect_vals, expect_err = cyclic_reduction(band, s)
+            assert got[3] == pytest.approx(expect_err, rel=1e-6)
+            assert np.array_equal(above(got[0], s), above(expect_vals, s))
+            if ref is not None and ref[3] <= allowance:
+                assert np.array_equal(above(got[0], s), above(ref[0], s))
+            clear = np.min(np.abs(evals[:, None] - s), axis=0) > 1e-6
+            assert np.array_equal(above(got[0], s)[clear], np.sum(evals[:, None] > s, axis=0)[clear])
+
+        # above and below the spectrum H_b - s is definite: the reduction
+        # decides, and its solve is the dense solve
+        definite = np.array([evals[-1] + 1.0, evals[0] - 1.0])
+        ldl = _band_ldl(band, definite)
+        assert ldl is not None and ldl[3] <= allowance
+        assert list(above(ldl[0], definite)) == [0, dim]
+        rhs = np.zeros((ldl[0].shape[0] * ldl[0].shape[2], 2), dtype=complex)
+        rhs[:dim] = rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2))
+        for j, shift in enumerate(definite):
+            got = _ldl_solve(ldl, j, rhs)
+            expect = np.linalg.solve(dense - shift * np.eye(dim), rhs[:dim])
+            assert np.max(np.abs(got[:dim] - expect)) <= 1e-10 * np.max(np.abs(expect))
+            assert not np.any(got[dim:])
 
 
 SHIFTS = ("lo - m", "lo + m", "hi - m", "hi + m")
@@ -636,12 +709,12 @@ def planted_band(k2, b, n, seed, delta, planted, pivot):
     """A Hermitian band table of n modes, blocks k2 x k2, width b: random
     eigenvalues away from [0.3, 0.7] plus the ``planted`` ones at places
     relative to the window [0.4 - m, 0.6 + m], m = delta + the allowance,
-    mixed by unitaries on groups of b + 1 modes that straddle the
-    super-blocks.  ``pivot`` names a shift at which the first pivot gets an
-    eigenvalue of 1e-12, or is None: the last entry of the first super-block
-    and the first of the next, left out of the mixing, then hold
-    [[s + 1e-12, 1], [1, s]], whose eigenvalues s -+ 1 lie far from the
-    window."""
+    mixed by unitaries on groups of b + 1 modes that straddle the blocks of
+    max(b, 1) modes of the reduction.  ``pivot`` names a shift at which the
+    first pivot (block 0, factored by the first level) gets an eigenvalue of
+    1e-12, or is None: the last entry of the first block and the first of
+    the next, left out of the mixing, then hold [[s + 1e-12, 1], [1, s]],
+    whose eigenvalues s -+ 1 lie far from the window."""
     rng = np.random.default_rng(seed)
     m = delta + index_theory._LDL_ALLOWANCE
     lo, hi = 0.5 - PAIRING_GAP, 0.5 + PAIRING_GAP
@@ -657,7 +730,7 @@ def planted_band(k2, b, n, seed, delta, planted, pivot):
         evals[3 * i + 1] = places[place](rng.random())
     q = np.eye(dim, dtype=complex)
     g = (b + 1) * k2
-    cut = max(b, index_theory._SUPER) * k2  # the first entry of the second super-block
+    cut = max(b, 1) * k2  # the first entry of the second block
     spans = [(0, dim)] if pivot is None else [(0, cut - 1), (cut + 1, dim)]
     for first, end in spans:
         for start in range(first + int(rng.integers(0, g)), end - g + 1, g):
@@ -758,12 +831,16 @@ class TestBandFallback:
         assert self.count(monkeypatch, self.placed(0.7)) == ((20, True), False)
         assert self.count(monkeypatch, self.placed(0.5)) == ((19, False), False)
 
+    # the first entries of mode 2, a pivot of the first level (blocks of one
+    # mode at b = 1), and of mode 3, which that level keeps
+    PAIR = 4, 6
+
     def test_small_pivot(self, monkeypatch):
-        # a pair across the first super-block boundary with eigenvalues near
-        # s -+ 1, far from the window, but a pivot of 1e-12 at the shift s
+        # a pair across a block boundary with eigenvalues near s -+ 1, far
+        # from the window, but a pivot of 1e-12 at the shift s
         s = 0.5 - PAIRING_GAP - self.DELTA - index_theory._LDL_ALLOWANCE
         mat = np.diag(np.full(40, 0.9)).astype(complex)
-        i, j = 2 * index_theory._SUPER - 2, 2 * index_theory._SUPER
+        i, j = self.PAIR
         mat[i, i], mat[j, j] = s + 1e-12, s
         mat[i, j] = mat[j, i] = 1.0
         assert self.count(monkeypatch, mat) == ((-1, True), True)
@@ -774,7 +851,7 @@ class TestBandFallback:
         # past the allowance
         s = 0.5 - PAIRING_GAP - self.DELTA - index_theory._LDL_ALLOWANCE
         mat = np.diag(np.full(40, 0.9)).astype(complex)
-        i, j = 2 * index_theory._SUPER - 2, 2 * index_theory._SUPER
+        i, j = self.PAIR
         mat[i, i], mat[j, j] = s + 1e-7, s
         mat[i, j] = mat[j, i] = 1.0
         assert self.count(monkeypatch, mat) == ((-1, True), True)
