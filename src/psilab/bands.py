@@ -174,33 +174,29 @@ def _ldl_solve(ldl, j, rhs):
     """(H_b - s)^{-1} rhs from the ``_band_ldl`` factors ldl at its j-th
     shift s, rhs of shape (nb q k2, c) in the padded mode order.
 
-    Level by level, each pivot's right-hand side is taken into its
-    eigenbasis, y_e = lambda_e^{-1} V_e^H z_e, and the odd blocks keep
+    The blocks of level l are every 2^l-th block from the (2^l)-th on, so
+    the solve runs in place on strided views of one copy of rhs.  Level by
+    level, each pivot's right-hand side is taken into its eigenbasis,
+    y_e = lambda_e^{-1} V_e^H z_e, and the blocks it keeps take
     z_j - C_{j-1} V_{j-1} y_{j-1} - C_j^H V_{j+1} y_{j+1}; after the last
     level the pivots are solved back from the top: x_e = V_e (y_e -
     lambda_e^{-1} ((C_e V_e)^H x_{e+1} + (C_{e-1}^H V_e)^H x_{e-1})).
     """
     vals, vecs, links, _ = ldl
-    p = vals.shape[-1]
-    z = rhs.reshape(-1, p, rhs.shape[-1])
-    steps, start = [], 0
+    x = rhs.reshape(-1, vals.shape[-1], rhs.shape[-1]).copy()
+    levels, start, step = [], 0, 1
     for v, (down, up) in zip(vecs, links):
-        ne = len(v)
-        lam = vals[start:start + ne, j, :, None]
-        start += ne
-        v, down, up = (x[:, min(j, x.shape[1] - 1)] for x in (v, down, up))
-        nk = len(down)
-        y = (_adjoint(v) @ z[0::2]) / lam
-        z = z[1::2] - down @ y[:nk]
-        z[:ne - 1] -= up @ y[1:]
-        steps.append((lam, v, down, up, y))
-    x = z
-    for lam, v, down, up, y in reversed(steps):
-        nk = len(x)
-        y[:nk] -= (_adjoint(down) @ x) / lam[:nk]
-        y[1:] -= (_adjoint(up) @ x[:len(y) - 1]) / lam[1:]
-        out = np.empty((len(y) + nk,) + y.shape[1:], dtype=complex)
-        out[0::2] = v @ y
-        out[1::2] = x
-        x = out
+        lam = vals[start:start + len(v), j, :, None]
+        start += len(v)
+        v, down, up = (a[:, min(j, a.shape[1] - 1)] for a in (v, down, up))
+        pivots, kept = x[step - 1::2 * step], x[2 * step - 1::2 * step]
+        pivots[...] = (_adjoint(v) @ pivots) / lam
+        kept -= down @ pivots[:len(kept)]
+        kept[:len(v) - 1] -= up @ pivots[1:]
+        levels.append((lam, v, down, up, pivots, kept))
+        step *= 2
+    for lam, v, down, up, pivots, kept in reversed(levels):
+        pivots[:len(kept)] -= (_adjoint(down) @ kept) / lam[:len(kept)]
+        pivots[1:] -= (_adjoint(up) @ kept[:len(v) - 1]) / lam[1:]
+        pivots[...] = v @ pivots
     return x.reshape(rhs.shape)
