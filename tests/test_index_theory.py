@@ -649,7 +649,6 @@ class TestBandCount:
             assert seen == [True] * calls
 
 
-
 class TestCyclicReduction:
     """The band LDL^H by odd-even cyclic reduction against the sequential
     pivot loop, the dense spectrum, the dense solve and the reduction taken
@@ -677,11 +676,12 @@ class TestCyclicReduction:
             return np.sum(vals > 0.0, axis=(0, 2)) - pad * (s < 0.0)
 
         s = np.array(shifts)
-        got, ref = _band_ldl(band, s), sequential_ldl(band, s)
+        got = _band_ldl(band, s)
         if got is not None and got[3] <= allowance:
             expect_vals, expect_err = cyclic_reduction(band, s)
             assert got[3] == pytest.approx(expect_err, rel=1e-6)
             assert np.array_equal(above(got[0], s), above(expect_vals, s))
+            ref = sequential_ldl(band, s)
             if ref is not None and ref[3] <= allowance:
                 assert np.array_equal(above(got[0], s), above(ref[0], s))
             clear = np.min(np.abs(evals[:, None] - s), axis=0) > 1e-6
