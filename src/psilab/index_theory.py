@@ -383,8 +383,6 @@ def _clutching_samples(factors, r, out):
 
 #: columns of the pairing matrix sampled and transformed together
 _BLOCK = 128
-#: a band is used once the norm of what it drops is at most this
-_BAND_TOL = 1e-4
 #: the band is at most this share of N wide
 _BAND_CAP = 0.25
 #: margin kept for the rounding of the band LDL^H; a larger backward-error
@@ -460,8 +458,9 @@ def _band_table(coeffs, k):
 
 
 def _halving_sum(a):
-    """Sum of a 1-d array in ceil(log2 len(a)) rounds of pairwise additions,
-    so that no term passes through more additions than that; overwrites a."""
+    """Sum of a along its first axis in ceil(log2 len(a)) rounds of pairwise
+    additions, so that no term passes through more additions than that;
+    overwrites a."""
     n = len(a)
     while n > 1:
         h = n // 2
@@ -519,13 +518,14 @@ def _factored_band(branch, r, rows):
     s, blocks, g = branch
     J, k = s.shape
     coeffs = np.zeros((r.size, rows * 8 * k * k))
-    # the weights are taken block by block; only their d0 half is kept
-    d0 = np.empty((k, J, r.size))
-    for x, q in zip(range(0, J, _POINTS), blocks):
-        w = _clutching_weights(s[x:x + _POINTS], r)
+    # the weights are taken block by block; only the column sums of their
+    # d0 half are kept, one row per block
+    sums = np.empty((-(-J // _POINTS), r.size))
+    for i, q in enumerate(blocks):
+        w = _clutching_weights(s[i * _POINTS:(i + 1) * _POINTS], r)
         coeffs += w.reshape(-1, r.size).T @ q
-        d0[:, x:x + _POINTS] = w[:k]
-    mass = 2.0 * _halving_sum(d0.reshape(-1)) / J * (1.0 + 0.5 * g)
+        sums[i] = _halving_sum(w[:k].reshape(-1, r.size))
+    mass = 2.0 * _halving_sum(sums.reshape(-1)) / J * (1.0 + 0.5 * g)
     return coeffs.view(complex).reshape(r.size, rows, 4 * k * k).swapaxes(0, 1), mass
 
 
@@ -579,7 +579,10 @@ def _band_coefficients(tables, t, grid):
       are sums of non-negative terms by ``_halving_sum``, each in at most
       h = ceil(log2(8 (2b + 1) k^2 J n)) rounds, so with the roundings of
       the weights and the squares both are within (h + 4) eps of their
-      values together;
+      values together.  The mass is summed over the k p rows of each block
+      of p = min(_POINTS, J) grid points, and then over the blocks and the
+      n columns, in ceil(log2(k p)) + ceil(log2(ceil(J / p) n)) <
+      log2(8 k J n) rounds, within h;
     * ||c|| >= ||c~|| - E, so sum |c|^2 >= power - 2 E sqrt(mass).
 
     So tail <= mass - power + (h + 4) eps mass + 2 E sqrt(mass), and
@@ -622,29 +625,6 @@ def _pairing_tables(sigma, grid):
                      else None)
 
 
-def _pairing_band(tables, t, grid):
-    """(band, delta) of the first width in b0, 2 b0, 4 b0, ... whose drop
-    bound delta is at most _BAND_TOL, the last try clipped to exactly
-    _BAND_CAP * N; or None when no width up to there fits.
-
-    b0 is the declared degree of the branches (1 without one), at which
-    unitary trigonometric branches leave nothing out.  ``tables`` are the
-    ``_pairing_tables`` of the symbol, which carry the factors of both
-    branches and the tables of b0; the tables of a wider try are formed from
-    the factors for this t alone, and every try is formed without samples
-    (``_band_coefficients``); its delta bounds what that width drops.
-    """
-    factors, width = tables
-    cap = int(_BAND_CAP * grid.N)
-    while width is not None:
-        band, delta = _band_coefficients(width, t, grid)
-        if delta <= _BAND_TOL:
-            return band, delta
-        b = width[0]
-        width = None if b == cap else _band_tables(factors, grid, min(2 * b, cap), once=True)
-    return None
-
-
 def _band_count(band, delta):
     """(count above 1/2, conclusive) for any H with ||H - H_b|| <= delta, or
     None when the band cannot decide.
@@ -655,6 +635,11 @@ def _band_count(band, delta):
     backward error ||E|| <= err; padded zero modes add nothing to a count at
     a positive shift.  With err at most _LDL_ALLOWANCE, Weyl gives
     |lambda_i(H) - lambda_i(H_b + E)| <= m, m = delta + _LDL_ALLOWANCE.
+    delta may be of any size: a large one only widens the margin, and where
+    it pushes the shift 0.4 - m below zero the padded zero modes count as
+    positive there, which can only make the two outer counts differ (and,
+    with m > 0.1, the inner shifts never find an eigenvalue between them),
+    so such a band declines.
 
     The two outer shifts 0.4 - m and 0.6 + m are factored first.  H has at
     most as many eigenvalues above 0.4 as H_b + E has above 0.4 - m, and at
@@ -691,13 +676,28 @@ def _band_count(band, delta):
 
 def _pairing_count(tables, t, grid):
     """(count above 1/2, conclusive) of P_inf + T_t(p_sigma - corner) from
-    the ``_pairing_tables`` of sigma: the band count when it decides, else
-    the dense eigenvalue solve."""
-    band = _pairing_band(tables, t, grid)
-    counted = None if band is None else _band_count(*band)
-    if counted is not None:
-        return counted
-    count, gap = _count_above_half(tables[0], t, grid)
+    the ``_pairing_tables`` of sigma: the band count at the first width in
+    b0, 2 b0, 4 b0, ... where it decides, the last try clipped to exactly
+    _BAND_CAP * N, else the dense eigenvalue solve.
+
+    b0 is the declared degree of the branches (1 without one), at which
+    unitary trigonometric branches leave nothing out.  ``tables`` carry the
+    factors of both branches and the tables of b0; the tables of a wider try
+    are formed from the factors for this t alone, and every try is formed
+    without samples (``_band_coefficients``).  Every width counts with its
+    own drop bound delta in its margin, so a decision at any width is a
+    certified statement about the pairing matrix, and a width that cannot
+    decide hands over to the next.
+    """
+    factors, width = tables
+    cap = int(_BAND_CAP * grid.N)
+    while width is not None:
+        counted = _band_count(*_band_coefficients(width, t, grid))
+        if counted is not None:
+            return counted
+        b = width[0]
+        width = None if b == cap else _band_tables(factors, grid, min(2 * b, cap), once=True)
+    count, gap = _count_above_half(factors, t, grid)
     return count, gap >= PAIRING_GAP
 
 
@@ -712,19 +712,12 @@ def higson_trace_index(sigma, t, grid, tables=None):
     exactly k (2N + 1), with gap 1/2.
 
     The count is conclusive iff no eigenvalue of the Hermitian matrix H lies
-    in (0.4, 0.6).  It is taken on the band H_b of the first width in
-    b0, 2 b0, 4 b0, ... (b0 the branch degree, the last try clipped to
-    N / 4) whose Parseval drop bound delta >= ||H - H_b|| is at most 1e-4,
-    by block LDL^H inertia, m = delta + 1e-8.  The backward-error margin is
-    Weyl's: |lambda_i(H) - lambda_i(H_b)| <= delta, and the inertia is
-    exact for H_b + E, ||E|| <= 1e-8 (the factorization's first-order
-    backward error, checked on every count).  The two outer shifts 0.4 - m
-    and 0.6 + m are factored first: equal counts there leave H no
-    eigenvalue in (0.4, 0.6], and the count, taken above 0.6 + m, is
-    conclusive.  Only when they differ are the inner shifts 0.4 + m and
-    0.6 - m factored as well: an eigenvalue of H_b + E in (0.4 + m, 0.6 - m]
-    makes the count inconclusive.  Otherwise, and when no width up to N / 4
-    fits or a pivot falls below 1e-8, H is counted densely.
+    in (0.4, 0.6).  It is taken by block LDL^H inertia on the band H_b of
+    the first width in b0, 2 b0, 4 b0, ... (b0 the branch degree, the last
+    try clipped to N / 4) that decides, with the margin m = delta + 1e-8
+    for its Parseval drop bound delta >= ||H - H_b|| and the factorization's
+    backward error (``_band_count``); when no width decides, H is counted
+    densely.
 
     ``tables`` are the ``_pairing_tables`` of sigma on grid, which do not
     depend on t: the factors of both branches (one batched SVD each) and
@@ -817,11 +810,10 @@ def index_report(sigma, grid, theta, t_grid, label):
     w_plus, w_minus = sigma.windings
     analytic = analytic_index(sigma)
 
-    fredholm, fredholm_bad = None, False
     try:
         fredholm = fredholm_index_svd(sigma, theta, grid)
     except InconclusiveIndexError:
-        fredholm_bad = True
+        fredholm = None
 
     tables = _pairing_tables(sigma, grid)
     traces = []
@@ -836,15 +828,14 @@ def index_report(sigma, grid, theta, t_grid, label):
     if limit is not None and abs(limit - np.rint(limit)) <= 0.25:
         rounded = int(np.rint(limit))
 
-    agree = (not fredholm_bad and fredholm is not None and rounded is not None
-             and fredholm == analytic == rounded)
+    agree = fredholm == analytic == rounded
     return IndexReport(
         label=label,
         winding_plus=w_plus,
         winding_minus=w_minus,
         analytic_index=analytic,
         fredholm_index=fredholm,
-        fredholm_inconclusive=fredholm_bad,
+        fredholm_inconclusive=fredholm is None,
         higson_t_grid=tuple(float(t) for t in t_grid),
         higson_trace=tuple(traces),
         higson_limit=limit,

@@ -11,9 +11,9 @@ from psilab.connes_higson import (ch_apply, ch_extended_apply, default_unit,
 from psilab.experiments import THETA
 from psilab.homotopy import _band, _inverse_block, _psi_block
 from psilab.bands import _PIVOT_FLOOR
-from psilab.index_theory import (_LDL_ALLOWANCE, PAIRING_GAP, _band_ldl, _clutching_factors,
-                                 _clutching_samples, _count_above_half, _pairing_band,
-                                 _pairing_tables)
+from psilab.index_theory import (_BAND_CAP, _LDL_ALLOWANCE, PAIRING_GAP, _band_coefficients,
+                                 _band_ldl, _band_tables, _clutching_factors,
+                                 _clutching_samples, _count_above_half, _pairing_tables)
 from psilab.numerics import CircleGrid, operator_norm
 from psilab.partition import build_partition
 from psilab.quantize import (CHART_PAD, Atlas, _corner, _scalar_window, _windowed,
@@ -440,12 +440,34 @@ def four_shift_band_count(band, delta):
     return None
 
 
+#: the drop bound up to which ``tolerance_band`` takes a width
+BAND_TOL = 1e-4
+
+
+def tolerance_band(tables, t, grid):
+    """(band, delta) of the first width in b0, 2 b0, 4 b0, ... whose drop
+    bound delta is at most BAND_TOL, the last try clipped to exactly
+    _BAND_CAP * N, or None when no width up to there fits: the width rule
+    that ``index_theory._pairing_count`` replaces by widening until its own
+    band count decides."""
+    factors, width = tables
+    cap = int(_BAND_CAP * grid.N)
+    while width is not None:
+        band, delta = _band_coefficients(width, t, grid)
+        if delta <= BAND_TOL:
+            return band, delta
+        b = width[0]
+        width = None if b == cap else _band_tables(factors, grid, min(2 * b, cap), once=True)
+    return None
+
+
 def per_t_pairing_count(sigma, t, grid):
     """(count above 1/2, conclusive) of the pairing at t with everything
     taken at this t alone: the branch factors and the first band tables,
-    the band count at four shifts, and the dense count where it declines."""
+    the ``tolerance_band``, the band count at four shifts, and the dense
+    count where it declines."""
     tables = _pairing_tables(sigma, grid)
-    band = _pairing_band(tables, t, grid)
+    band = tolerance_band(tables, t, grid)
     counted = None if band is None else four_shift_band_count(*band)
     if counted is not None:
         return counted

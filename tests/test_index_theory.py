@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 from oracles import (band_matrix, clutching_projection, clutching_samples,
                      corner, cyclic_reduction, four_shift_band_count, in_pairing_window,
                      matrix_band, naive_trace_pairing, per_t_pairing_count,
-                     sampled_quantization, sequential_ldl)
+                     sampled_quantization, sequential_ldl, tolerance_band)
 from psilab import index_theory
 from psilab.index_theory import (PAIRING_GAP, InconclusiveIndexError,
                                  _band_coefficients, _band_count, _band_ldl, _band_small_count,
                                  _band_tables, _branch_factors, _count_above_half,
                                  _fredholm_bands, _gapped_small_count, _gram_band,
-                                 _ldl_solve, _pairing_band, _pairing_count,
+                                 _ldl_solve, _pairing_count,
                                  _pairing_matrix, _pairing_tables, analytic_index,
                                  fredholm_index_svd, higson_trace_index,
                                  index_report, winding_number)
@@ -479,17 +479,21 @@ def hermitian(mat):
     return 0.5 * (mat + mat.conj().T)
 
 
+def no_dense_count(*args):
+    raise AssertionError("a band was expected to decide")
+
+
 def check_band_against_dense(sigma, t, grid):
-    """(band width, verdict) of the pairing count at t, after holding the
-    band against the dense matrix: its drop bound covers the distance, and a
-    verdict it reaches is the dense one.  The verdict is whether the band
-    found the count conclusive, None when it left the count to the dense
-    solve; the width is None when the band gave up."""
+    """(band width, verdict) of the ``tolerance_band`` count at t, after
+    holding the band against the dense matrix: its drop bound covers the
+    distance, and a verdict it reaches is the dense one.  The verdict is
+    whether the band found the count conclusive, None when it left the count
+    to the dense solve; the width is None when the band gave up."""
     tables = _pairing_tables(sigma, grid)
     count, gap = _count_above_half(tables[0], t, grid)
     dense_verdict = (count, True) if gap >= PAIRING_GAP else False
     assert _pairing_count(tables, t, grid)[1] == (gap >= PAIRING_GAP)
-    band = _pairing_band(tables, t, grid)
+    band = tolerance_band(tables, t, grid)
     if band is None:
         return None, None
     table, delta = band
@@ -568,28 +572,58 @@ class TestBandCount:
         (512, 2052, [6]),  # the refinement grid of criterion 09
     ])
     def test_shipped_suite_decides_on_the_first_try(self, monkeypatch, N, J, exponents):
-        # one band per pairing, at the degree of every shipped case, with
-        # room below the tolerance
+        # one band per pairing, at the degree of every shipped case, whose
+        # count is conclusive, with a drop bound of at most 2.5e-5
+        tries, verdicts = [], []
+        coefficients, count = index_theory._band_coefficients, index_theory._band_count
+
+        def recorded(*args):
+            band, delta = coefficients(*args)
+            tries.append((args[0][0], band.shape[0], delta))
+            return band, delta
+
+        monkeypatch.setattr(index_theory, "_band_coefficients", recorded)
+        monkeypatch.setattr(index_theory, "_band_count",
+                            lambda *args: verdicts.append(count(*args)) or verdicts[-1])
+        monkeypatch.setattr(index_theory, "_count_above_half", no_dense_count)
+        g = CircleGrid(J=J, N=N, k=1)
+        for _, sigma in index_suite():
+            tables = _pairing_tables(sigma, g)
+            b0 = sigma.degree or 1
+            for t in 2.0 ** np.array(exponents):
+                tries.clear()
+                verdicts.clear()
+                counted = _pairing_count(tables, t, g)
+                assert [b for b, _, _ in tries] == [b0]
+                assert tries[0][1] == 2 * b0 + 1
+                assert tries[0][2] <= 2.5e-5
+                assert verdicts == [counted] and counted[1]
+
+    def test_nonunitary_cases_settle_on_narrow_bands(self, monkeypatch):
+        # the shipped non-unitary cases: every pairing inside the window
+        # decides on a band of width at most 4, with no dense count
+        data = config.load_config(str(CONFIGS / "index-nonunitary.json"))
+        g = config.build_grid(data)
+        cfg = config.index_cfg(data)
+        assert len(cfg["cases"]) == 2
         widths = []
         coefficients = index_theory._band_coefficients
         monkeypatch.setattr(index_theory, "_band_coefficients",
                             lambda *args: widths.append(args[0][0]) or coefficients(*args))
-        g = CircleGrid(J=J, N=N, k=1)
-        for _, sigma in index_suite():
-            tables = _pairing_tables(sigma, g)
-            for t in 2.0 ** np.array(exponents):
-                widths.clear()
-                band, delta = _pairing_band(tables, t, g)
-                assert widths == [sigma.degree or 1]
-                assert band.shape[0] == 2 * (sigma.degree or 1) + 1
-                assert delta <= index_theory._BAND_TOL / 4
+        monkeypatch.setattr(index_theory, "_count_above_half", no_dense_count)
+        for _, sigma in cfg["cases"]:
+            values = pairing_values(sigma, 2.0 ** np.array(cfg["higson_t_exponents"]), g)
+            assert values == [float(analytic_index(sigma))] * len(values)
+        assert widths and max(widths) <= 4
 
     def test_widths_double_to_the_cap(self, monkeypatch):
-        # degree 3 at N = 32: widths 3, 6 and the cap N / 4 = 8; when none
-        # fits, the count is dense
+        # degree 3 at N = 32: widths 3, 6 and the cap N / 4 = 8; when no
+        # band count decides, the count is dense
         widths, dense = [], []
+        coefficients = index_theory._band_coefficients
         monkeypatch.setattr(index_theory, "_band_coefficients",
-                            lambda tables, t, grid: widths.append(tables[0]) or (None, 1.0))
+                            lambda *args: widths.append(args[0][0]) or coefficients(*args))
+        monkeypatch.setattr(index_theory, "_band_count", lambda band, delta: None)
         monkeypatch.setattr(index_theory, "_count_above_half",
                             lambda *args: dense.append(args) or (-1, 1.0))
         sigma = HomogeneousSymbol(Loop.from_scalar_modes({3: 1.0}), Loop.identity(1))
@@ -796,15 +830,17 @@ class TestOuterShiftsFirst:
 
 
 class TestBandFallback:
-    """What the band cannot decide goes to the dense count, observed through
-    a stand-in for it."""
+    """What the band cannot decide at any width goes to the dense count,
+    observed through a stand-in for it; every width reads the same planted
+    band."""
 
     DELTA = 1e-3
 
     def count(self, monkeypatch, mat):
         band = matrix_band(mat, 2, 1)
         calls = []
-        monkeypatch.setattr(index_theory, "_pairing_band", lambda *args: (band, self.DELTA))
+        monkeypatch.setattr(index_theory, "_band_coefficients",
+                            lambda *args: (band, self.DELTA))
         monkeypatch.setattr(index_theory, "_count_above_half",
                             lambda *args: calls.append(args) or (-1, 1.0))
         g = CircleGrid(J=132, N=32)
