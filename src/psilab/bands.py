@@ -5,14 +5,18 @@ with k x k blocks: T[b + l, m] is the block (m + l, m), |l| <= b, zero
 where the row m + l leaves the modes.  The index routes build their bands
 (``index_theory._fredholm_bands``, ``index_theory._band_table``) and count
 on them with the kernels here: the product with a vector, the Gram band,
-and a block LDL^H by odd-even cyclic reduction with its solve.
+and a block LDL^H by odd-even cyclic reduction with its solve.  The norm
+engine (``numerics.operator_norm``) reads the flat half-width of a dense
+matrix and applies its Gram from the stacked diagonals.
 
-The kernels are package-internal; ``index_theory`` imports them by name.
+The kernels are package-internal; ``index_theory`` and ``numerics`` import
+them by name.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__: list[str] = []
 
@@ -51,6 +55,55 @@ def _band_apply(band, v):
     for l in range(w):
         out[l:l + n] += band[l] @ v
     return out
+
+
+def _half_width(mat):
+    """Largest |i - j| over the nonzero entries of a square matrix, 0 for
+    the zero matrix.
+
+    A nonzero far corner gives dim - 1 at once.  Otherwise one pass over the
+    entries (the real and imaginary parts of a C-contiguous complex matrix)
+    gives a mask of at most 2 dim^2 bools, and each row's first and last
+    nonzero are read from it."""
+    n = len(mat)
+    if mat[n - 1, 0] != 0 or mat[0, n - 1] != 0:
+        return n - 1
+    parts = mat.view(float) if mat.dtype == complex and mat.flags.c_contiguous else mat
+    nonzero = (parts != 0).reshape(n, -1)
+    per_entry = nonzero.shape[1] // n
+    first = nonzero.argmax(axis=1)
+    live = nonzero[np.arange(n), first]
+    if not live.any():
+        return 0
+    last = nonzero.shape[1] - 1 - nonzero[:, ::-1].argmax(axis=1)
+    i = np.flatnonzero(live)
+    return int(max(np.max(i - first[live] // per_entry),
+                   np.max(last[live] // per_entry - i)))
+
+
+def _diagonal_gram(mat, h):
+    """v -> A^H (A v) for a square matrix A of half-width h, from its
+    stacked diagonals rows[i, h + l] = A[i, i + l] and cols[j, h + l] =
+    conj(A[j + l, j]), zero where the index leaves the matrix.
+
+    Each product is a sum over a sliding window of one zero-padded work
+    vector, 2 dim (2h + 1) multiply-adds in all and no BLAS call."""
+    n, w = len(mat), 2 * h + 1
+    i = np.arange(n)[:, None]
+    idx = i + np.arange(-h, h + 1)
+    outside = (idx < 0) | (idx >= n)
+    idx[outside] = 0
+    rows, cols = mat[i, idx], mat[idx, i].conj()
+    rows[outside] = cols[outside] = 0.0
+    pad = np.zeros(n + w - 1, dtype=complex)
+    windows = sliding_window_view(pad, w)
+
+    def gram(v):
+        pad[h:h + n] = v
+        pad[h:h + n] = np.einsum("ij,ij->i", rows, windows)
+        return np.einsum("ij,ij->i", cols, windows)
+
+    return gram
 
 
 def _band_ldl(band, shifts):

@@ -650,7 +650,8 @@ def _band_count(band, delta):
     an eigenvalue of H_b + E in (0.4 + m, 0.6 - m] puts one of H in
     (0.4, 0.6), inconclusive, and anything else is left to the dense solve.
     So is a small or non-finite pivot, and an err above _LDL_ALLOWANCE, at
-    any factored shift.
+    any factored shift.  With m >= 0.1 that interval is empty, so differing
+    outer counts return None without the four shifts.
     """
     m = delta + _LDL_ALLOWANCE
     lo, hi = 0.5 - PAIRING_GAP, 0.5 + PAIRING_GAP
@@ -666,6 +667,8 @@ def _band_count(band, delta):
         return None
     if outer[0] == outer[1]:
         return int(outer[1]), True
+    if lo + m >= hi - m:
+        return None
     counts = above([lo - m, lo + m, hi - m, hi + m])
     if counts is None:
         return None

@@ -24,6 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .bands import _adjoint
 from .numerics import check_finite, fourier_coefficients, row_blocks
 from .partition import smooth_step
 
@@ -80,15 +81,19 @@ class Loop:
     """Matrix-valued function on the circle, evaluable at any x.
 
     ``degree`` is the declared trigonometric degree (None when the loop is
-    merely smooth, e.g. a chart window); assembly always goes through FFT of
-    grid samples, which is exact for declared trigonometric polynomials.
-    ``table`` keeps the coefficients of each grid the loop has been
-    assembled on, so an operator built at many t transforms its loops once.
+    merely smooth, e.g. a chart window).  ``coeffs`` holds the exact
+    coefficients, shape (2 degree + 1, k, k), of a loop built from them
+    (``from_coeffs``) and of products and adjoints of such loops; its
+    coefficient tables are those coefficients, zero past the degree.  A loop
+    without them (a chart window) is transformed by the grid FFT of its
+    samples.  ``table`` keeps the coefficients of each grid the loop has
+    been assembled on, so an operator built at many t takes them once.
     """
 
     fn: callable = field(repr=False)
     k: int
     degree: int | None = None
+    coeffs: np.ndarray | None = field(default=None, repr=False, compare=False)
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, x):
@@ -100,14 +105,22 @@ class Loop:
     # algebra
     def __mul__(self, other):
         other = self._coerce(other)
-        deg = None
+        deg = coeffs = None
         if self.degree is not None and other.degree is not None:
             deg = self.degree + other.degree
-        return Loop(lambda x: np.asarray(self.fn(x)) @ np.asarray(other.fn(x)), self.k, deg)
+        if self.coeffs is not None and other.coeffs is not None:
+            # the Cauchy product: c(j) = sum_i a(i) b(j - i)
+            coeffs = np.zeros((2 * deg + 1, self.k, self.k), dtype=complex)
+            width = len(other.coeffs)
+            with np.errstate(over="ignore", invalid="ignore"):  # table() rejects inf
+                for i, a in enumerate(self.coeffs):
+                    coeffs[i:i + width] += a @ other.coeffs
+        return Loop(lambda x: np.asarray(self.fn(x)) @ np.asarray(other.fn(x)), self.k, deg,
+                    coeffs)
 
     def adjoint(self):
-        return Loop(lambda x: np.conj(np.swapaxes(np.asarray(self.fn(x)), -1, -2)),
-                    self.k, self.degree)
+        coeffs = None if self.coeffs is None else _adjoint(self.coeffs[::-1])
+        return Loop(lambda x: _adjoint(np.asarray(self.fn(x))), self.k, self.degree, coeffs)
 
     def _coerce(self, other):
         if not isinstance(other, Loop):
@@ -118,12 +131,18 @@ class Loop:
 
     # sampling
     def coefficients(self, grid):
-        """Fourier coefficients c(j), |j| <= 2N, via the grid FFT."""
-        return fourier_coefficients(grid, self.fn(grid.x))
+        """Fourier coefficients c(j), |j| <= 2N: ``coeffs`` zero-padded (and
+        cut at 2N), or the grid FFT of the samples of a loop without them."""
+        if self.coeffs is None:
+            return fourier_coefficients(grid, self.fn(grid.x))
+        d, reach = self.degree, min(self.degree, 2 * grid.N)
+        table = np.zeros((4 * grid.N + 1, self.k, self.k), dtype=complex)
+        table[2 * grid.N - reach:2 * grid.N + reach + 1] = self.coeffs[d - reach:d + reach + 1]
+        return table
 
     def table(self, grid):
-        """``coefficients(grid)``, transformed on the first call per grid and
-        kept read-only; non-finite coefficients raise ``ValueError``.  The
+        """``coefficients(grid)``, taken on the first call per grid and kept
+        read-only; non-finite coefficients raise ``ValueError``.  The
         coefficient table of every operator assembled from this loop."""
         table = self._tables.get(grid)
         if table is None:
@@ -140,7 +159,7 @@ class Loop:
 
         ``coeffs`` has shape (2d+1, k, k); entry [j + d] multiplies e^{ijx}.
         """
-        coeffs = np.asarray(coeffs, dtype=complex)
+        coeffs = np.array(coeffs, dtype=complex)
         if coeffs.ndim != 3 or coeffs.shape[1] != coeffs.shape[2]:
             raise ValueError("coefficients must have shape (2d+1, k, k)")
         d = (coeffs.shape[0] - 1) // 2
@@ -159,7 +178,8 @@ class Loop:
                 out[lo:hi] = np.tensordot(phases, coeffs, axes=([1], [0]))
             return out
 
-        return Loop(fn, coeffs.shape[1], d)
+        coeffs.flags.writeable = False
+        return Loop(fn, coeffs.shape[1], d, coeffs)
 
     @staticmethod
     def from_scalar_modes(modes, k=1):

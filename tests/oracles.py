@@ -14,7 +14,8 @@ from psilab.bands import _PIVOT_FLOOR
 from psilab.index_theory import (_BAND_CAP, _LDL_ALLOWANCE, PAIRING_GAP, _band_coefficients,
                                  _band_ldl, _band_tables, _clutching_factors,
                                  _clutching_samples, _count_above_half, _pairing_tables)
-from psilab.numerics import CircleGrid, operator_norm
+from psilab import numerics
+from psilab.numerics import CircleGrid, check_finite, hashed_normals, operator_norm
 from psilab.partition import build_partition
 from psilab.quantize import (CHART_PAD, Atlas, _corner, _scalar_window, _windowed,
                              multiplication_operator, op_quantize, padded_grid, t_quantize)
@@ -92,6 +93,63 @@ def inverse_fourier(grid, coeffs):
     spectrum = np.zeros((grid.J,) + coeffs.shape[1:], dtype=complex)
     spectrum[grid.modes % grid.J] = coeffs
     return np.fft.ifft(spectrum, axis=0) * grid.J
+
+
+# -- norms --------------------------------------------------------------------
+
+
+def dense_gram_norm(mat):
+    """``numerics.operator_norm`` with the Gram matrix always applied as two
+    dense matrix-vector products, the reference of its band apply: the same
+    start vector, reorthogonalization, certificate, step cap, overflow
+    checks and SVD fallback."""
+    mat = np.asarray(mat)
+    check_finite(mat)
+    if mat.size == 0:
+        return 0.0
+    dim = mat.shape[1]
+    q = hashed_normals(dim, numerics._LANCZOS_SEED)
+    q /= np.linalg.norm(q)
+    steps = min(dim, numerics._LANCZOS_MAX_STEPS)
+    basis = np.empty((steps, dim), dtype=complex)
+    tri = np.zeros((steps, steps))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(steps):
+            basis[j] = q
+            w = ((mat @ q).conj() @ mat).conj()
+            span = basis[:j + 1]
+            coef = span.conj() @ w
+            w -= coef @ span
+            coef2 = span.conj() @ w
+            w -= coef2 @ span
+            tri[j, j] = (coef[j] + coef2[j]).real
+            beta = np.linalg.norm(w)
+            if not (np.isfinite(beta) and np.isfinite(tri[j, j])):
+                break
+            vals, vecs = np.linalg.eigh(tri[:j + 1, :j + 1])
+            theta = vals[-1]
+            if beta * abs(vecs[-1, -1]) <= numerics._LANCZOS_TOL * theta:
+                if theta >= numerics._GRAM_FLOOR:
+                    return float(np.sqrt(theta))
+                if not mat.any():
+                    return 0.0
+                break
+            if beta == 0.0 or j + 1 == steps:
+                break
+            tri[j, j + 1] = tri[j + 1, j] = beta
+            q = w / beta
+    return float(np.linalg.svd(mat, compute_uv=False)[0])
+
+
+def block_band_matrix(n, k, b, seed):
+    """A random complex matrix of n x n blocks k x k, nonzero on the blocks
+    (i, j) with |i - j| <= b and zero elsewhere."""
+    rng = np.random.default_rng(seed)
+    dim = n * k
+    mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    modes = np.arange(dim) // k
+    mat[np.abs(modes[:, None] - modes[None, :]) > b] = 0.0
+    return mat
 
 
 # -- dyadic partitions --------------------------------------------------------

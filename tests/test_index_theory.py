@@ -635,8 +635,9 @@ class TestBandCount:
 
     @pytest.mark.parametrize("n,k2,b", [(37, 2, 1), (40, 4, 3), (50, 2, 20)])
     def test_inertia_matches_eigvalsh(self, n, k2, b):
-        # several super-blocks, a padded last one, and b above the
-        # super-block floor
+        # blocks of q = max(b, 1) modes over several reduction levels: an
+        # odd count of 37 one-mode blocks, and padded last blocks at b = 3
+        # (14 blocks for 40 modes) and b = 20 (3 blocks for 50 modes)
         rng = np.random.default_rng(n + b)
         mat = rng.normal(size=(n * k2, n * k2)) + 1j * rng.normal(size=(n * k2, n * k2))
         band = matrix_band(0.3 * hermitian(mat), k2, b)
@@ -827,6 +828,19 @@ class TestOuterShiftsFirst:
                           lambda band, s: calls.append(s.size) or ldl(band, s)):
             _band_count(band, 1e-5)
         assert calls == shifts
+
+    @pytest.mark.parametrize("place", ["lo margin", "hi margin"])
+    def test_wide_margin_declines_after_the_outer_shifts(self, place):
+        # m = 0.15 + 1e-8 leaves no interval (0.4 + m, 0.6 - m] for an
+        # inconclusive count: differing outer counts decline at once
+        calls = []
+        ldl = index_theory._band_ldl
+        band = planted_band(2, 2, 20, 3, 0.15, [place], None)
+        assert four_shift_band_count(band, 0.15) is None
+        with patch.object(index_theory, "_band_ldl",
+                          lambda band, s: calls.append(s.size) or ldl(band, s)):
+            assert _band_count(band, 0.15) is None
+        assert calls == [2]
 
 
 class TestBandFallback:

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import inverse_fourier, restrict_to, tail_norm
+from oracles import block_band_matrix, dense_gram_norm, inverse_fourier, restrict_to, tail_norm
 from psilab import numerics
+from psilab.bands import _diagonal_gram, _half_width
 from psilab.numerics import (CircleGrid, fourier_coefficients, hashed_normals, operator_norm,
                              row_blocks)
 from psilab.presets import t0_symbol
@@ -193,13 +194,18 @@ class TestLanczosAgainstSVD:
         assert len(svd_calls) == 2
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("width", [None, 2])
     @pytest.mark.parametrize("scale", [1.0, 1e150, 1e160, 1e200, 1e300])
-    def test_gram_overflow(self, scale):
-        # A^H A overflows from about 1e154 on: the norm then comes from the
-        # full SVD
-        mat = scale * random_matrix(40, 40, 11)
+    def test_gram_overflow(self, scale, width, svd_calls):
+        # from 1e150 on A^H A or the norm of A^H A v overflows, in the dense
+        # apply and in the band apply of a matrix of half-width 2: the norm
+        # then comes from the full SVD
+        mat = scale * (random_matrix(40, 40, 11) if width is None
+                       else block_band_matrix(40, 1, width, 11))
         expect = svd_norm(mat)
+        svd_calls.clear()
         assert abs(operator_norm(mat) - expect) <= 5e-14 * expect
+        assert len(svd_calls) == (scale > 1.0)
 
     def test_deterministic(self, grid64):
         X = random_operator(grid64, 9)
@@ -223,6 +229,72 @@ class TestLanczosAgainstSVD:
                        else clustered_matrix(rows, cols, seed, gap))
         expect = svd_norm(mat)
         assert abs(operator_norm(mat) - expect) <= 5e-14 * expect
+
+
+class TestBandGram:
+    """The Gram apply from the stacked diagonals, against the dense Gram
+    Lanczos (``oracles.dense_gram_norm``) and the SVD."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 96), k=st.integers(1, 2), b=st.integers(0, 16),
+           seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-9, 1.0, 1e6]))
+    def test_property_matches_the_dense_gram(self, n, k, b, seed, scale):
+        # block half-widths from 0 to past the crossover, where the dense
+        # apply takes over
+        mat = scale * block_band_matrix(n, k, min(b, n - 1), seed)
+        assert _half_width(mat) == min((min(b, n - 1) + 1) * k, n * k) - 1
+        expect = svd_norm(mat)
+        got = operator_norm(mat)
+        assert abs(got - dense_gram_norm(mat)) <= 5e-14 * expect
+        assert abs(got - expect) <= 5e-14 * expect
+
+    @pytest.mark.parametrize("dim,h,band", [(513, 3, True), (513, 42, True), (513, 43, False),
+                                            (65, 4, True), (65, 5, False), (1, 0, False)])
+    def test_crossover(self, dim, h, band, monkeypatch):
+        # the band apply runs iff _BAND_GRAM_COST (2h + 1) < dim, 6 (2h + 1) < dim
+        calls = []
+        monkeypatch.setattr(numerics, "_diagonal_gram",
+                            lambda mat, h: calls.append(h) or _diagonal_gram(mat, h))
+        mat = block_band_matrix(dim, 1, h, dim + h)
+        expect = svd_norm(mat)
+        got = operator_norm(mat)
+        assert abs(got - dense_gram_norm(mat)) <= 5e-14 * expect
+        assert abs(got - expect) <= 5e-14 * expect
+        assert calls == ([h] if band else [])
+
+    def test_zero_and_diagonal(self):
+        assert operator_norm(np.zeros((64, 64), dtype=complex)) == 0.0
+        diag = np.diag(np.linspace(-3.0, 2.0, 64)).astype(complex)
+        assert operator_norm(diag) == pytest.approx(3.0, rel=5e-14)
+
+
+class TestHalfWidth:
+    """The flat half-width reader on planted matrices."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 64])
+    def test_single_entries(self, dim):
+        assert _half_width(np.zeros((dim, dim), dtype=complex)) == 0
+        for i, j in [(0, dim - 1), (dim - 1, 0), (dim // 2, dim // 3), (dim - 1, dim - 1)]:
+            for value in (1.0, 1j, 5e-324, -5e-324j):
+                mat = np.zeros((dim, dim), dtype=complex)
+                mat[i, j] = value
+                assert _half_width(mat) == abs(i - j), (i, j, value)
+
+    def test_signed_zeros_are_zero(self):
+        # conjugating a zero leaves -0.0 in its imaginary part
+        mat = np.conjugate(np.diag(np.ones(9, dtype=complex)))
+        mat[0, 8] = mat[8, 0] = complex(-0.0, -0.0)
+        assert _half_width(mat) == 0
+
+    def test_one_sided_and_any_layout(self):
+        rng = np.random.default_rng(4)
+        for lower, upper in [(0, 5), (5, 0), (2, 7), (9, 1)]:
+            mat = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+            offset = np.arange(12)[None, :] - np.arange(12)[:, None]
+            mat[(offset > upper) | (offset < -lower)] = 0.0
+            for form in (mat, mat.real.copy(), mat.T, mat[:, ::-1][:, ::-1]):
+                expect = max(lower, upper)
+                assert _half_width(form) == expect
 
 
 class TestRowBlocks:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import translation_symbols
 from psilab import presets, symbols
-from psilab.numerics import CircleGrid
+from psilab.numerics import CircleGrid, fourier_coefficients
 
 from psilab.symbols import (CutFunction, HomogeneousSymbol, Loop, Symbol,
                             SymbolClass, bump_profile, cap_profile,
@@ -115,6 +115,61 @@ class TestLoopTable:
         loop = Loop(lambda x: np.full((np.size(x), 1, 1), np.nan), 1, None)
         with pytest.raises(ValueError, match="operator entries must be finite"):
             loop.table(self.GRID)
+
+
+class TestExactCoefficients:
+    """Tables of loops with coefficients against the grid FFT of their
+    samples, which is what they were before."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("grid_size", [(68, 16), (140, 16), (132, 32)])
+    def test_tables_match_the_fft(self, k, grid_size):
+        J, N = grid_size
+        g = CircleGrid(J=J, N=N, k=k)
+        rng = np.random.default_rng(J + N + k)
+        for da in range(7):
+            a = Loop.from_coeffs(random_coeffs(rng, da, k))
+            b = Loop.from_coeffs(random_coeffs(rng, int(rng.integers(0, 7)), k))
+            for loop in (a, a.adjoint(), a * b, (a * b).adjoint(), a * a.adjoint()):
+                table = loop.table(g)
+                fft = fourier_coefficients(g, loop.fn(g.x))
+                assert np.max(np.abs(table - fft)) <= 1e-15 * np.sum(np.abs(loop.coeffs))
+                past = np.abs(np.arange(-2 * N, 2 * N + 1)) > loop.degree
+                assert not table[past].any()
+                assert np.array_equal(table[~past], loop.coeffs)
+
+    def test_product_and_adjoint_closed_forms(self):
+        a = Loop.from_scalar_modes({1: 2.0, 0: 1j}, k=2)
+        b = Loop.constant(np.array([[1.0, 2.0j], [0.0, -1.0]]))
+        prod = (a * b).coeffs
+        assert prod.shape == (3, 2, 2)
+        assert np.array_equal(prod[0], np.zeros((2, 2)))
+        assert np.array_equal(prod[1], 1j * b.coeffs[0])
+        assert np.array_equal(prod[2], 2.0 * b.coeffs[0])
+        adj = (a * b).adjoint().coeffs  # c*(j) = c(-j)^H
+        assert np.array_equal(adj, prod[::-1].conj().transpose(0, 2, 1))
+
+    def test_degree_past_the_table_is_cut(self):
+        # a degree above 2N keeps the modes |j| <= 2N, which the operators read
+        g = CircleGrid(J=68, N=4)
+        coeffs = np.arange(1, 24, dtype=complex)[:, None, None]  # degree 11
+        table = Loop.from_coeffs(coeffs).table(g)
+        assert np.array_equal(table, coeffs[3:20])
+
+    def test_coefficients_are_copied_and_read_only(self):
+        coeffs = np.ones((3, 1, 1), dtype=complex)
+        loop = Loop.from_coeffs(coeffs)
+        coeffs[0] = 5.0
+        assert loop.coeffs[0, 0, 0] == 1.0
+        with pytest.raises(ValueError):
+            loop.coeffs[0] = 2.0
+
+    def test_windows_keep_the_fft(self):
+        window = Loop(lambda x: np.cos(np.asarray(x))[:, None, None] ** 2, 1, None)
+        assert window.coeffs is None
+        assert (window * Loop.identity()).coeffs is None
+        g = CircleGrid(J=68, N=16)
+        assert np.array_equal(window.table(g), fourier_coefficients(g, window.fn(g.x)))
 
 
 class TestSmash:
