@@ -194,18 +194,17 @@ class TestLanczosAgainstSVD:
         assert len(svd_calls) == 2
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("width", [None, 2])
     @pytest.mark.parametrize("scale", [1.0, 1e150, 1e160, 1e200, 1e300])
-    def test_gram_overflow(self, scale, width, svd_calls):
+    def test_gram_overflow(self, scale, svd_calls):
         # from 1e150 on A^H A or the norm of A^H A v overflows, in the dense
         # apply and in the band apply of a matrix of half-width 2: the norm
         # then comes from the full SVD
-        mat = scale * (random_matrix(40, 40, 11) if width is None
-                       else block_band_matrix(40, 1, width, 11))
-        expect = svd_norm(mat)
-        svd_calls.clear()
-        assert abs(operator_norm(mat) - expect) <= 5e-14 * expect
-        assert len(svd_calls) == (scale > 1.0)
+        for mat in (random_matrix(40, 40, 11), block_band_matrix(40, 1, 2, 11)):
+            mat = scale * mat
+            expect = svd_norm(mat)
+            svd_calls.clear()
+            assert abs(operator_norm(mat) - expect) <= 5e-14 * expect
+            assert len(svd_calls) == (scale > 1.0)
 
     def test_deterministic(self, grid64):
         X = random_operator(grid64, 9)
@@ -251,7 +250,8 @@ class TestBandGram:
     @pytest.mark.parametrize("dim,h,band", [(513, 3, True), (513, 42, True), (513, 43, False),
                                             (65, 4, True), (65, 5, False), (1, 0, False)])
     def test_crossover(self, dim, h, band, monkeypatch):
-        # the band apply runs iff _BAND_GRAM_COST (2h + 1) < dim, 6 (2h + 1) < dim
+        # the band apply runs iff numerics._BAND_GRAM_COST (2h + 1) < dim, with
+        # the cost 6: up to h = 42 at dim 513 and h = 4 at dim 65
         calls = []
         monkeypatch.setattr(numerics, "_diagonal_gram",
                             lambda mat, h: calls.append(h) or _diagonal_gram(mat, h))

@@ -119,7 +119,7 @@ class TestLoopTable:
 
 class TestExactCoefficients:
     """Tables of loops with coefficients against the grid FFT of their
-    samples, which is what they were before."""
+    samples."""
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("grid_size", [(68, 16), (140, 16), (132, 32)])
