@@ -6,11 +6,15 @@ where the row m + l leaves the modes.  The index routes build their bands
 (``index_theory._fredholm_bands``, ``index_theory._band_table``) and count
 on them with the kernels here: the product with a vector, the Gram band,
 and a block LDL^H by odd-even cyclic reduction with its solve.  The norm
-engine (``numerics.operator_norm``) reads the flat half-width of a dense
-matrix and applies its Gram from the stacked diagonals.
+sweeps hold every operator whose loops carry exact coefficients as a band
+table (``quantize.t_quantize``, ``op_quantize``, ``multiplication_operator``)
+and form its products, adjoints and differences here; the norm engine
+(``numerics.operator_norm``) applies the Gram of a table from its stacked
+flat diagonals, and ``_dense`` expands a table where a dense matrix is
+needed.
 
-The kernels are package-internal; ``index_theory`` and ``numerics`` import
-them by name.
+The kernels are package-internal; the modules that use them import them
+by name.
 """
 
 from __future__ import annotations
@@ -57,50 +61,126 @@ def _band_apply(band, v):
     return out
 
 
-def _half_width(mat):
-    """Largest |i - j| over the nonzero entries of a square matrix, 0 for
-    the zero matrix.
+def _dense(band, out=None):
+    """The dense (n k, n k) matrix of a band table, written into the leading
+    entries of ``out`` when given (any C-contiguous complex array at least
+    that large)."""
+    w, n, k = band.shape[:3]
+    b, size = w // 2, (n * k) ** 2
+    if out is None:
+        out = np.zeros(size, dtype=complex)
+    elif not out.flags.c_contiguous or out.size < size or out.dtype != complex:
+        raise ValueError(f"output buffer cannot hold {n * k} x {n * k} complex entries")
+    mat = out.reshape(-1)[:size].reshape(n, k, n, k)
+    mat.fill(0.0)
+    for l in range(max(-b, 1 - n), min(b, n - 1) + 1):
+        m = np.arange(max(0, -l), min(n, n - l))
+        mat[m + l, :, m, :] = band[b + l, m]
+    return mat.reshape(n * k, n * k)
 
-    A nonzero far corner gives dim - 1 at once.  Otherwise one pass over the
-    entries (the real and imaginary parts of a C-contiguous complex matrix)
-    gives a mask of at most 2 dim^2 bools, and each row's first and last
-    nonzero are read from it."""
-    n = len(mat)
-    if mat[n - 1, 0] != 0 or mat[0, n - 1] != 0:
-        return n - 1
-    parts = mat.view(float) if mat.dtype == complex and mat.flags.c_contiguous else mat
-    nonzero = (parts != 0).reshape(n, -1)
-    per_entry = nonzero.shape[1] // n
-    first = nonzero.argmax(axis=1)
-    live = nonzero[np.arange(n), first]
+
+def _widen(band, b):
+    """The band table of half-width b >= its own with the same operator."""
+    w = band.shape[0]
+    if w == 2 * b + 1:
+        return band
+    out = np.zeros((2 * b + 1,) + band.shape[1:], dtype=complex)
+    out[b - w // 2:b + w // 2 + 1] = band
+    return out
+
+
+def _band_diff(x, y):
+    """X - Y for band tables of the same modes, of the larger half-width;
+    each entry is the difference of the two operators' entries."""
+    b = max(len(x), len(y)) // 2
+    return _widen(x, b) - _widen(y, b)
+
+
+def _band_adjoint(band):
+    """The band table of Z^H: block (m + l, m) is the adjoint of the block
+    (m, m + l) of Z, which sits at offset -l of column m + l."""
+    w, n = band.shape[:2]
+    b = w // 2
+    out = np.zeros_like(band)
+    for l in range(max(-b, 1 - n), min(b, n - 1) + 1):
+        lo, hi = max(0, -l), min(n, n - l)
+        out[b + l, lo:hi] = _adjoint(band[b - l, lo + l:hi + l])
+    return out
+
+
+def _band_product(x, y):
+    """The band table of X Y, half-width bx + by, from those of X and Y on
+    the same modes: block (m + l, m) is the sum over every intermediate mode
+    j = m + q of X[bx + l - q, j] Y[by + q, m], q ascending, over the modes
+    where both tables are nonzero; the operator is the product of the two
+    truncations to the modes."""
+    wx, n = x.shape[:2]
+    wy = len(y)
+    bx, by = wx // 2, wy // 2
+    out = np.zeros((wx + wy - 1,) + x.shape[1:], dtype=complex)
+    for q in range(max(-by, 1 - n), min(by, n - 1) + 1):
+        lo, hi = max(0, -q), min(n, n - q)
+        right = y[by + q, lo:hi]
+        for p in range(wx):
+            # X's offset p - bx, so the product's offset is p - bx + q
+            out[p + q + by, lo:hi] += x[p, lo + q:hi + q] @ right
+    return out
+
+
+def _crop(band, pad):
+    """The band table of the corner of an operator on the modes inside
+    ``pad`` modes on each side: its columns there, zero where the row leaves
+    them."""
+    w, n = band.shape[:2]
+    b, inner = w // 2, n - 2 * pad
+    out = band[:, pad:pad + inner].copy()
+    for l in range(1, b + 1):
+        out[b + l, max(0, inner - l):] = 0.0
+        out[b - l, :min(inner, l)] = 0.0
+    return out
+
+
+def _flat_width(band):
+    """Largest |i - j| over the nonzero entries (i, j) of the flat matrix of
+    a band table, 0 for the zero table: an entry (a, c) of the block at
+    offset l sits at i - j = l k + a - c."""
+    w, n, k = band.shape[:3]
+    live = np.any(band != 0, axis=1)
     if not live.any():
         return 0
-    last = nonzero.shape[1] - 1 - nonzero[:, ::-1].argmax(axis=1)
-    i = np.flatnonzero(live)
-    return int(max(np.max(i - first[live] // per_entry),
-                   np.max(last[live] // per_entry - i)))
+    l, a, c = np.nonzero(live)
+    return int(np.max(np.abs((l - w // 2) * k + a - c)))
 
 
-def _diagonal_gram(mat, h):
-    """v -> A^H (A v) for a square matrix A of half-width h, from its
-    stacked diagonals rows[i, h + l] = A[i, i + l] and cols[j, h + l] =
-    conj(A[j + l, j]), zero where the index leaves the matrix.
+def _diagonal_gram(band, h):
+    """v -> A^H (A v) for the matrix A of a band table of flat half-width h
+    (``_flat_width``), from its stacked flat diagonals rows[i, h + l] =
+    A[i, i + l] and cols[j, h + l] = conj(A[j + l, j]), zero where the index
+    leaves the matrix.
 
     Each product is a sum over a sliding window of one zero-padded work
     vector, 2 dim (2h + 1) multiply-adds in all and no BLAS call."""
-    n, w = len(mat), 2 * h + 1
-    i = np.arange(n)[:, None]
-    idx = i + np.arange(-h, h + 1)
-    outside = (idx < 0) | (idx >= n)
-    idx[outside] = 0
-    rows, cols = mat[i, idx], mat[idx, i].conj()
-    rows[outside] = cols[outside] = 0.0
-    pad = np.zeros(n + w - 1, dtype=complex)
-    windows = sliding_window_view(pad, w)
+    w, n, k = band.shape[:3]
+    b, dim, width = w // 2, n * k, 2 * h + 1
+    i = np.arange(dim)[:, None]
+    j = i + np.arange(-h, h + 1)
+
+    def gather(row, col):
+        # the entries A[row, col], zero off the matrix and off the band
+        offset = row // k - col // k
+        inside = (col >= 0) & (col < dim) & (row >= 0) & (row < dim) & (abs(offset) <= b)
+        entries = band[np.where(inside, offset + b, 0), np.where(inside, col // k, 0),
+                       np.where(inside, row % k, 0), np.where(inside, col % k, 0)]
+        entries[~inside] = 0.0
+        return entries
+
+    rows, cols = gather(i, j), gather(j, i).conj()
+    pad = np.zeros(dim + width - 1, dtype=complex)
+    windows = sliding_window_view(pad, width)
 
     def gram(v):
-        pad[h:h + n] = v
-        pad[h:h + n] = np.einsum("ij,ij->i", rows, windows)
+        pad[h:h + dim] = v
+        pad[h:h + dim] = np.einsum("ij,ij->i", rows, windows)
         return np.einsum("ij,ij->i", cols, windows)
 
     return gram

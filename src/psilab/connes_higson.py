@@ -87,13 +87,13 @@ def tail_deformed_unit():
     return ApproximateUnit(lambda r: kappa_inv(eta(r)))
 
 
-def ch_apply(f, d, t, u, theta, grid, op=None, out=None):
+def ch_apply(f, d, t, u, theta, grid, op=None):
     """Image of the tensor f (x) d, with the order-zero lifting.
 
-    Returns Op(d) * diag f(kappa(m(|n|/t))); requires f to vanish at the
-    origin, matching the suspended domain.  Only the diagonal depends on t:
-    ``op`` is Op(d), built here when not given, and the image is written
-    into ``out`` when given.
+    Returns the band table of Op(d) * diag f(kappa(m(|n|/t))): the columns
+    of Op(d) scaled; requires f to vanish at the origin, matching the
+    suspended domain.  Only the diagonal depends on t: ``op`` is the table
+    of Op(d), built here when not given.
     """
     if not f.vanishes_at_zero:
         raise ValueError("profile must vanish at the origin")
@@ -102,19 +102,19 @@ def ch_apply(f, d, t, u, theta, grid, op=None, out=None):
     w = u.weight(f, t, grid)
     if op is None:
         op = op_quantize(d, theta, grid)
-    return np.multiply(op, np.repeat(w, grid.k)[None, :], out=out)
+    return op * w[None, :, None, None]
 
 
-def ch_extended_apply(g, c, t, u, grid, op=None, out=None):
+def ch_extended_apply(g, c, t, u, grid, op=None):
     """Image of g (x) c for fiber-constant c, with the multiplication lifting.
 
-    Returns pi(c) * diag g(kappa(m(|n|/t))); g need not vanish at the
-    origin, only at infinity.  ``op`` is pi(c), built here when not given,
-    and the image is written into ``out`` when given.
+    Returns the band table of pi(c) * diag g(kappa(m(|n|/t))); g need not
+    vanish at the origin, only at infinity.  ``op`` is the table of pi(c),
+    built here when not given.
     """
     if not isinstance(c, Loop):
         raise TypeError("ch_extended_apply expects a fiber-constant Loop")
     w = u.weight(g, t, grid)
     if op is None:
         op = multiplication_operator(c, grid)
-    return np.multiply(op, np.repeat(w, grid.k)[None, :], out=out)
+    return op * w[None, :, None, None]

@@ -9,15 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from .bands import _band_adjoint, _band_diff, _band_product, _crop, _dense
 from .connes_higson import ch_apply, ch_extended_apply, default_unit, tail_deformed_unit
 from .homotopy import (endpoint_defect, equ1_defect, equ2_defect,
                        theta_discrepancy_norm)
 from .index_theory import index_report
 from .numerics import operator_norm
 from .partition import build_partition
-from .quantize import (Atlas, CHART_PAD, chart_pieces, corner_product,
-                       multiplication_operator, op_quantize, padded_grid, t_quantize,
-                       t_quantize_charts)
+from .quantize import (Atlas, CHART_PAD, _width, chart_pieces, multiplication_operator,
+                       op_quantize, padded_grid, t_quantize, t_quantize_charts)
 from .symbols import CutFunction, Symbol, SymbolClass, smash
 from . import presets
 
@@ -79,50 +79,37 @@ def loglog_slope(ts, vals):
 # -- defect columns ------------------------------------------------------------
 #
 # Each column holds its symbols across t, so their loops transform once
-# (``Loop.table``), allocates its full-size work arrays once and writes every
-# t into them; per t only the column weights are assembled.
-
-#: modes added on both sides of the range on which mult_defects forms products
-MULT_PAD = 8
+# (``Loop.table``); per t only the column weights are assembled.  Every
+# operator but the chart quantization is a band table (``bands``).
 
 
 def mult_defects(a, b, ts, grid):
-    """|| T_t(a) T_t(b) - T_t(ab) || at each t of ``ts``, with the factors
-    assembled on a range padded by MULT_PAD; only the product's corner on
-    ``grid`` is formed, summed over the modes where T_t(a) is nonzero, and
-    only the rows of T_t(b) that meet them are built."""
-    big = padded_grid(grid, MULT_PAD)
+    """|| T_t(a) T_t(b) - T_t(ab) || at each t of ``ts``.
+
+    The product is the band product of the factors on the modes padded by
+    the smaller of their half-widths, which holds every intermediate mode
+    where both are nonzero, and its corner on ``grid`` is kept."""
     ab = a * b
-    inner = slice(MULT_PAD, MULT_PAD + grid.n_modes)
-    left = np.empty((big.dim, big.dim), dtype=complex)
-    right = np.empty((big.dim, grid.dim), dtype=complex)
-    out = np.empty((grid.dim, grid.dim), dtype=complex)
+    pad = min(_width([loop for loop, _ in s.terms], grid) for s in (a, b))
+    big = padded_grid(grid, pad)
     values = []
     for t in ts:
-        t_quantize(a, t, big, out=left)
-        corner_product(left, lambda rows: t_quantize(b, t, big, right, rows, inner),
-                       grid, out)
-        out -= t_quantize(ab, t, big, right, inner, inner)
-        values.append(operator_norm(out))
+        product = _crop(_band_product(t_quantize(a, t, big), t_quantize(b, t, big)), pad)
+        values.append(operator_norm(_band_diff(product, t_quantize(ab, t, grid))))
     return values
 
 
 def adjoint_defects(a, ts, grid):
     """|| T_t(a)^* - T_t(a^*) || at each t of ``ts``."""
     adj = a.adjoint()
-    op = np.empty((grid.dim, grid.dim), dtype=complex)
-    out = np.empty((grid.dim, grid.dim), dtype=complex)
-    values = []
-    for t in ts:
-        np.conjugate(t_quantize(a, t, grid, out=op), out=op)
-        np.subtract(op.T, t_quantize(adj, t, grid, out=out), out=out)
-        values.append(operator_norm(out))
-    return values
+    return [operator_norm(_band_diff(_band_adjoint(t_quantize(a, t, grid)),
+                                     t_quantize(adj, t, grid)))
+            for t in ts]
 
 
 def chart_defects(a, ts, atlas, grid):
     """|| chart-assembled quantization - global quantization || at each t of
-    ``ts``."""
+    ``ts``, both dense."""
     pieces = chart_pieces(a, atlas, grid)
     big = padded_grid(grid, CHART_PAD)
     work = (np.empty((big.dim, big.dim), dtype=complex),
@@ -131,15 +118,14 @@ def chart_defects(a, ts, atlas, grid):
     values = []
     for t in ts:
         t_quantize_charts(a, t, atlas, grid, pieces, out, work)
-        out -= t_quantize(a, t, grid, out=work[1])
+        out -= _dense(t_quantize(a, t, grid), work[1])
         values.append(operator_norm(out))
     return values
 
 
 def _quantization_norms(a, ts, grid):
     """|| T_t(a) || at each t of ``ts``."""
-    op = np.empty((grid.dim, grid.dim), dtype=complex)
-    return [operator_norm(t_quantize(a, t, grid, out=op)) for t in ts]
+    return [operator_norm(t_quantize(a, t, grid)) for t in ts]
 
 
 # -- defect sweep -------------------------------------------------------------
@@ -229,27 +215,24 @@ def run_ch_compare(grid, cfg):
 
     ts = [2.0 ** e for e in sorted(cfg["t_exponents"])]
     rows = [{"t": t} for t in ts]
-    T, diff = (np.empty((grid.dim, grid.dim), dtype=complex) for _ in range(2))
 
     def fill(label, sym, lift, image):
         """The columns ``label|unit`` of one case: || image - T_t(sym) || with
         the case's lifted operator ``lift`` built once for every t."""
         for row in rows:
             t = row["t"]
-            t_quantize(sym, t, grid, out=T)
+            T = t_quantize(sym, t, grid)
             for uname, unit in units:
-                CH = image(t, unit, lift, diff)
-                CH -= T
-                row[f"{label}|{uname}"] = operator_norm(CH)
+                row[f"{label}|{uname}"] = operator_norm(_band_diff(image(t, unit, lift), T))
 
     # case by case, so that only one case's operator is alive
     for label, f, d in cases:
         fill(label, smash(f, d), op_quantize(d, THETA, grid),
-             lambda t, unit, op, out: ch_apply(f, d, t, unit, THETA, grid, op, out))
+             lambda t, unit, op: ch_apply(f, d, t, unit, THETA, grid, op))
     for label, g, c in ext_cases:
         fill(f"ext:{label}", Symbol.separable(c, g.even(), SymbolClass.FULL_C0),
              multiplication_operator(c, grid),
-             lambda t, unit, op, out: ch_extended_apply(g, c, t, unit, grid, op, out))
+             lambda t, unit, op: ch_extended_apply(g, c, t, unit, grid, op))
     checks = []
     for label, _, _ in cases:
         for uname, _ in units:

@@ -11,13 +11,15 @@ blocks where the cutting function is below one.  The checks build and
 compare blocks one at a time; no block operator is assembled whole.
 Every block is a rescaled quantization of smash(profile, a), whose loops
 are the branches of a, so every block reads the branches' own tables
-(``Loop.table``) and only its column weights are new.
+(``Loop.table``) and only its column weights are new.  Blocks are band
+tables (``bands``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .bands import _band_apply, _band_diff
 from .numerics import operator_norm
 from .partition import DyadicPartition
 from .quantize import t_quantize
@@ -58,16 +60,22 @@ def _live_band(p, L, i0, N):
     return live
 
 
-def _psi_block(a, p_s, theta, i, j, grid, out=None):
+def _psi_block(a, p_s, theta, i, j, grid):
     """Block (i, j) of psi_s for s > 0: T_1(gamma_i^s gamma_j^s theta (x) a)."""
     prof = gamma_profile(p_s, i) * gamma_profile(p_s, j) * theta.profile
-    return t_quantize(smash(prof, a), 1.0, grid, out)
+    return t_quantize(smash(prof, a), 1.0, grid)
 
 
-def _inverse_block(a, p, i, j, grid, out=None):
+def _inverse_block(a, p, i, j, grid):
     """Block (i, j) of the inverse map: T_{2^i}(gamma_0 gamma_{j-i} (x) a)."""
     prof = gamma_profile(p, 0) * gamma_profile(p, j - i)
-    return t_quantize(smash(prof, a), 2.0 ** i, grid, out)
+    return t_quantize(smash(prof, a), 2.0 ** i, grid)
+
+
+def _apply(band, f):
+    """The operator of a band table applied to a vector of the grid."""
+    w, n, k = band.shape[:3]
+    return _band_apply(band, f.reshape(n, k, 1))[w // 2:w // 2 + n].reshape(-1)
 
 
 def _check_inverse_inputs(a, p):
@@ -83,7 +91,7 @@ def equ1_defect(a, op_a, p_s, vectors, theta, grid):
     ``op_a`` is Op(a), which does not depend on s.
     """
     A1 = _psi_block(a, p_s, theta, 0, 0, grid)
-    return [float(np.linalg.norm(A1 @ f - op_a @ f)) for f in vectors]
+    return [float(np.linalg.norm(_apply(A1, f) - _apply(op_a, f))) for f in vectors]
 
 
 def equ2_defect(a, p_s, i, j, vectors, theta, grid):
@@ -94,7 +102,7 @@ def equ2_defect(a, p_s, i, j, vectors, theta, grid):
     if abs(i - j) >= 2:
         raise ValueError("nonadjacent blocks vanish identically")
     A = _psi_block(a, p_s, theta, i, j, grid)
-    return [float(np.linalg.norm(A @ f)) for f in vectors]
+    return [float(np.linalg.norm(_apply(A, f))) for f in vectors]
 
 
 def theta_discrepancy_norm(a, p, theta, i, j, grid):
@@ -104,7 +112,7 @@ def theta_discrepancy_norm(a, p, theta, i, j, grid):
     function equals one, i.e. for i >= log2(2 r0).
     """
     without = t_quantize(smash(gamma_profile(p, i) * gamma_profile(p, j), a), 1.0, grid)
-    return operator_norm(_psi_block(a, p, theta, i, j, grid) - without)
+    return operator_norm(_band_diff(_psi_block(a, p, theta, i, j, grid), without))
 
 
 def endpoint_defect(a, p, theta, L_list, K, grid):
@@ -118,16 +126,14 @@ def endpoint_defect(a, p, theta, L_list, K, grid):
     invariance the inverse-map block at (i, j) equals T_1(gamma_i gamma_j
     (x) a), so the blockwise difference is the cutting discrepancy, confined
     to the low scales; the aggregate over |i| >= i0(K) = ceil(log2 K)
-    vanishes once K passes 2 r0.  Every block is written into the same two
-    work arrays.
+    vanishes once K passes 2 r0.
     """
     _check_inverse_inputs(a, p)
     i0 = max(0, int(np.ceil(np.log2(max(K, 1)))))
-    diff, inverse = (np.empty((grid.dim, grid.dim), dtype=complex) for _ in range(2))
     norms = {}
     for i, j in _live_band(p, max(L_list), i0, grid.N):
-        _psi_block(a, p, theta, i, j, grid, out=diff)
-        diff -= _inverse_block(a, p, i, j, grid, out=inverse)
+        diff = _band_diff(_psi_block(a, p, theta, i, j, grid),
+                          _inverse_block(a, p, i, j, grid))
         if np.any(diff):
             norms[(i, j)] = operator_norm(diff)
     totals = []

@@ -22,7 +22,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .bands import _adjoint, _band_apply, _band_ldl, _gram_band, _ldl_solve
+from .bands import _adjoint, _band_apply, _band_ldl, _dense, _gram_band, _ldl_solve
 from .numerics import fourier_coefficients, hashed_normals
 from .quantize import op_quantize, op_terms, padded_grid
 from .symbols import HomogeneousSymbol, Loop
@@ -292,7 +292,7 @@ def fredholm_index_svd(sigma, theta, grid):
         counts = [_band_small_count(band, s, d) for band in (kernel, cokernel)]
         near = False
         if None in counts:
-            X = op_quantize(sigma, theta, big)
+            X = _dense(op_quantize(sigma, theta, big))
             keep = ~big.tail_mask(n)
             try:
                 for i, mat in enumerate((X, X.conj().T)):

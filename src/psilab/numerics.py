@@ -1,10 +1,10 @@
-"""Dense Fourier-mode linear algebra on the circle.
+"""Fourier-mode linear algebra on the circle.
 
 Functions live on the ``J``-point uniform grid ``x_j = 2*pi*j/J``; operators
 act on the truncated mode range ``|n| <= N`` tensored with a ``k x k``
-coefficient block.  Everything is dense complex128: an operator is a plain
-``(dim, dim)`` array indexed by (mode n, block row) x (mode m, block col) with
-the flat index (n + N) * k + alpha.  "Compact" has no literal
+coefficient block.  An operator is a complex128 band table (``bands``) or a
+plain dense ``(dim, dim)`` array indexed by (mode n, block row) x (mode m,
+block col) with the flat index (n + N) * k + alpha.  "Compact" has no literal
 meaning at finite size, so it is replaced throughout by the decay of tail
 norms against the mode-cutoff projections ``P_K``.
 """
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import _diagonal_gram, _half_width
+from .bands import _dense, _diagonal_gram, _flat_width
 
 __all__ = [
     "CircleGrid",
@@ -151,7 +151,8 @@ def hashed_normals(shape, seed):
 
 
 def check_finite(values):
-    """Raise unless every entry is finite (run by _assemble and operator_norm)."""
+    """Raise unless every entry is finite (run by the assembly and by
+    operator_norm)."""
     if not np.isfinite(values).all():
         raise ValueError("operator entries must be finite")
 
@@ -168,9 +169,10 @@ _GRAM_FLOOR = 1e-250
 _BAND_GRAM_COST = 6
 
 
-def operator_norm(mat):
-    """Largest singular value (spectral norm), certified to 5e-14 relative;
-    non-finite entries raise ``ValueError``.
+def operator_norm(op):
+    """Largest singular value (spectral norm) of a matrix or of the operator
+    of a band table (``bands``), certified to 5e-14 relative; non-finite
+    entries raise ``ValueError``.
 
     Lanczos with full reorthogonalization runs on the Gram matrix ``A^H A``
     (pass a wide matrix as its adjoint to get the smaller one), applied as
@@ -191,13 +193,14 @@ def operator_norm(mat):
     the Gram matrix overflows (a step's diagonal entry or beta is not
     finite); LAPACK scales a matrix with huge entries itself.
 
-    The Gram products are chosen by the flat half-width h of a square
-    matrix (the largest |i - j| of a nonzero entry, ``bands._half_width``,
-    one pass over the entries).  If _BAND_GRAM_COST (2h + 1) < dim they run
-    on its 2h + 1 stacked diagonals (``bands._diagonal_gram``: sliding-window
-    sums, no BLAS call), else, and for a matrix that is not square, as two
-    dense products.  The crossover was measured on a 2-core Xeon with
-    OpenBLAS 0.3.31 (best of five, microseconds per Gram apply):
+    A band table's Gram products are chosen by its flat half-width h (the
+    largest |i - j| of a nonzero entry of its matrix, ``bands._flat_width``,
+    read from the table).  If _BAND_GRAM_COST (2h + 1) < dim they run on
+    its 2h + 1 stacked flat diagonals (``bands._diagonal_gram``:
+    sliding-window sums, no BLAS call), else the table is expanded
+    (``bands._dense``) and they run, as for a matrix, as two dense products.
+    The crossover was measured on a 2-core Xeon with OpenBLAS 0.3.31 (best
+    of five, microseconds per Gram apply):
 
         dim     dense    band at h = 3, 16, 48, 128
         257     19       9, 23, 57, 162
@@ -209,15 +212,19 @@ def operator_norm(mat):
     (h <= 42 at dim 513).  Only the rounding of the products differs
     between the two.
     """
-    mat = np.asarray(mat)
-    check_finite(mat)
-    if mat.size == 0:
+    op = np.asarray(op)
+    check_finite(op)
+    if op.size == 0:
         return 0.0
-    dim = mat.shape[1]
-    h = _half_width(mat) if mat.shape[0] == dim else dim
-    if _BAND_GRAM_COST * (2 * h + 1) < dim:
-        gram = _diagonal_gram(mat, h)
-    else:
+    if op.ndim == 4:
+        dim, h = op.shape[1] * op.shape[2], _flat_width(op)
+        if _BAND_GRAM_COST * (2 * h + 1) < dim:
+            gram = _diagonal_gram(op, h)
+        else:
+            op = _dense(op)
+    if op.ndim == 2:
+        dim, mat = op.shape[1], op
+
         def gram(v):  # A^H (A v)
             return ((mat @ v).conj() @ mat).conj()
 
@@ -246,11 +253,11 @@ def operator_norm(mat):
             if beta * abs(vecs[-1, -1]) <= _LANCZOS_TOL * theta:
                 if theta >= _GRAM_FLOOR:
                     return float(np.sqrt(theta))
-                if not mat.any():
+                if not op.any():
                     return 0.0
                 break
             if beta == 0.0 or j + 1 == steps:
                 break
             tri[j, j + 1] = tri[j + 1, j] = beta
             q = w / beta
-    return float(np.linalg.svd(mat, compute_uv=False)[0])
+    return float(np.linalg.svd(op if op.ndim == 2 else _dense(op), compute_uv=False)[0])

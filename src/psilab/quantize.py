@@ -1,4 +1,4 @@
-"""Quantization of symbols into dense Fourier-mode operators.
+"""Quantization of symbols into band tables of Fourier-mode operators.
 
 Three assembly rules, all Kohn-Nirenberg ordered (frequency multiplier
 first, then the x-dependence):
@@ -11,17 +11,22 @@ first, then the x-dependence):
                         a_hat_{sign m}(n - m) * theta(|m|).
 * ``multiplication_operator`` -- pi(c): plain convolution by the loop c.
 
+Each rule returns the band table (``bands``) of its operator: block
+(m + l, m) is c(l) w(m) summed over the terms, |l| up to the largest degree
+of a loop with exact coefficients (``Loop.coeffs``), which is every config
+loop and preset; a loop without them (a chart window) reaches 2N.
+
 Chart-local assembly sums windowed quantizations against a partition of
 unity on two arcs.  Arcs of the circle carry the global angle coordinate,
 so chart-local quantization on the mode lattice coincides with windowed
-global assembly; products are formed on an enlarged mode range and only
-their corner on the target range is kept, which keeps corner entries free of
-truncation artifacts.
+global assembly.  The windows have no declared degree, so their operators
+are dense (``_assemble``); products are formed on an enlarged mode range and
+only their corner on the target range is kept, which keeps corner entries
+free of truncation artifacts.
 
 Every rule is linear in the Fourier coefficient tables of its loops, which
 do not depend on t.  Each loop keeps its own (``Loop.table``), so a sweep
-that holds its symbols across t evaluates and assembles only the column
-weights per t, into work arrays that it allocates once.
+that holds its symbols across t evaluates only the column weights per t.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from .symbols import HomogeneousSymbol, Loop, Symbol
 __all__ = [
     "Atlas",
     "chart_pieces",
-    "corner_product",
     "t_quantize",
     "t_quantize_charts",
     "op_quantize",
@@ -72,8 +76,9 @@ def _leading(out, shape):
 
 
 def _assemble(grid, terms, out=None, rows=slice(None), cols=slice(None)):
-    """Block [rows, cols] of the operator with entries sum c(n - m) * w(m)
-    over (coeffs, weights) terms.
+    """Block [rows, cols] of the dense operator with entries sum c(n - m) *
+    w(m) over (coeffs, weights) terms, for the chart windows, which have no
+    band.
 
     ``coeffs`` holds c(j), |j| <= 2N, with shape (4N+1, k, k); ``weights``
     holds one value per column mode; a non-finite weight raises
@@ -114,6 +119,41 @@ def _assemble(grid, terms, out=None, rows=slice(None), cols=slice(None)):
     return table.reshape(len(rows) * k, len(cols) * k)
 
 
+def _width(loops, grid):
+    """Half-width of the band table of an operator built from ``loops``: the
+    largest degree of a loop with exact coefficients, 2N for a loop without
+    them (its coefficient table reaches |j| = 2N), at most 2N."""
+    return min(max((loop.degree if loop.coeffs is not None else 2 * grid.N
+                    for loop in loops), default=0), 2 * grid.N)
+
+
+def _band_assemble(grid, terms, b):
+    """Band table of half-width b of the operator with entries sum c(n - m)
+    * w(m) over (coeffs, weights) terms, ``coeffs`` and ``weights`` as for
+    ``_assemble``; a non-finite weight raises ``ValueError``.
+
+    Block (m + l, m) is c(l) w(m), the terms summed in order, the first
+    written and each later one added, so every entry is that of
+    ``_assemble`` bit for bit; rows that leave the modes are zero.  No
+    terms give the zero table."""
+    n, k, centre = grid.n_modes, grid.k, 2 * grid.N
+    band = None
+    for coeffs, weights in terms:
+        _check_block(coeffs.shape[1:], k)
+        check_finite(weights)
+        part = coeffs[centre - b:centre + b + 1, None] * weights[None, :, None, None]
+        if band is None:
+            band = part
+        else:
+            band += part
+    if band is None:
+        return np.zeros((2 * b + 1, n, k, k), dtype=complex)
+    for l in range(1, b + 1):
+        band[b + l, n - l:] = 0.0
+        band[b - l, :l] = 0.0
+    return band
+
+
 def padded_grid(grid, pad):
     """Same sampling density, mode range enlarged by ``pad`` on both sides."""
     return CircleGrid(J=grid.J + 4 * pad, N=grid.N + pad, k=grid.k)
@@ -130,36 +170,39 @@ def _corner(size, grid):
     return slice(start, start + grid.dim)
 
 
-def corner_product(left, right, grid, out=None, add=False):
-    """The product left R restricted to ``grid``, summed over the live
-    columns of ``left``; written into the leading entries of ``out`` (see
+def _live_modes(weights):
+    """The mode indices from the first to the last column where one of the
+    weight vectors is nonzero, outside which the operator is zero."""
+    live = np.flatnonzero(np.any(np.asarray(weights) != 0, axis=0))
+    return range(live[0], live[-1] + 1) if live.size else range(0)
+
+
+def corner_product(left, cols, right, grid, out=None, add=False):
+    """The product left R restricted to ``grid``, summed over the column
+    modes ``cols`` (a range of mode indices, ``_live_modes``) outside which
+    ``left`` is zero; written into the leading entries of ``out`` (see
     ``_assemble``), or added to ``out`` with ``add``.
 
-    ``left`` is a square operator on a mode range around ``grid``'s, and
-    ``right(rows)`` returns the rows of R for a slice ``rows`` of its mode
-    indices on the columns of ``grid``'s range, as a (len(rows) k, dim)
-    array.  Only the kept corner is computed, and only over the column range
-    [lo, hi) outside which ``left`` is identically zero: a symbol with
-    compact frequency support leaves the columns |m| >= t * hi of T_t(a)
-    zero, and only the rows of R that meet [lo, hi) are built.  Entries are
-    finite, so the dropped terms are exact zeros and the result differs from
-    the full product by summation order only.  An added product is formed a
-    few rows at a time in a small scratch.
+    ``left`` is a square dense operator on a mode range around ``grid``'s,
+    and ``right(rows)`` returns the rows of R for a slice ``rows`` of its
+    mode indices on the columns of ``grid``'s range, as a (len(rows) k, dim)
+    array.  Only the kept corner is computed, and only the rows of R that
+    meet ``cols`` are built: a symbol with compact frequency support leaves
+    the columns |m| >= t * hi of T_t(a) zero.  Entries are finite, so the
+    dropped terms are exact zeros and the result differs from the full
+    product by summation order only.  An added product is formed a few rows
+    at a time in a small scratch.
     """
     keep, k = _corner(left.shape[0], grid), grid.k
     out = _leading(out, (grid.dim, grid.dim))
-    live = np.flatnonzero(left.any(axis=0))
-    if live.size == 0:
+    if not len(cols):
         if not add:
             out.fill(0.0)
         return out
-    lo, hi = live[0], live[-1] + 1
-    first, stop = lo // k, -(-hi // k)
-    block = right(slice(first, stop))
-    if block.shape != ((stop - first) * k, grid.dim):
+    block = right(slice(cols.start, cols.stop))
+    if block.shape != (len(cols) * k, grid.dim):
         raise ValueError("operators live on different grids")
-    block = block[lo - first * k:hi - first * k]
-    kept = left[keep, lo:hi]
+    kept = left[keep, cols.start * k:cols.stop * k]
     if not add:
         return np.matmul(kept, block, out=out)
     blocks = row_blocks(grid.dim, _BLOCK_ROWS)
@@ -172,30 +215,36 @@ def corner_product(left, right, grid, out=None, add=False):
 # -- the rescaled family -----------------------------------------------------
 
 
-def t_quantize(a, t, grid, out=None, rows=slice(None), cols=slice(None)):
-    """Operator of the rescaled symbol a(x, xi/t) on the mode lattice.
+def t_quantize(a, t, grid):
+    """Band table of the operator of the rescaled symbol a(x, xi/t) on the
+    mode lattice.
 
     Linear in the symbol; for a separable term c(x) rho(xi) M the entry
     (n, m) is exactly c_hat(n - m) * rho(m / t) * M.  Only the column
     weights rho(m / t) depend on t; the loops' tables are their
-    ``Loop.table``.  ``out``, ``rows`` and ``cols`` select a block and its
-    buffer as for ``_assemble``.
+    ``Loop.table``.
     """
     if t <= 0:
         raise ValueError("need t > 0")
     if not isinstance(a, Symbol):
         raise TypeError("t_quantize expects a separable Symbol")
+    return _band_assemble(grid, _t_terms(a, t, grid), _width([l for l, _ in a.terms], grid))
+
+
+def _t_terms(a, t, grid):
+    """The (coeffs, weights) terms of T_t(a): each loop's ``Loop.table``
+    with its profile at the rescaled frequencies m / t."""
     freqs = grid.modes / t
-    return _assemble(grid, ((loop.table(grid), np.asarray(prof(freqs), dtype=complex))
-                            for loop, prof in a.terms),
-                     out, rows, cols)
+    return [(loop.table(grid), np.asarray(prof(freqs), dtype=complex))
+            for loop, prof in a.terms]
 
 
 # -- order-zero quantization -------------------------------------------------
 
 
 def op_quantize(a, theta, grid):
-    """Order-zero operator of a homogeneous symbol with cutting function.
+    """Band table of the order-zero operator of a homogeneous symbol with
+    cutting function.
 
     Column m is weighted by theta(|m|) and uses the loop of the matching
     half-axis; theta(0) = 0 makes the m = 0 column vanish, so the branch
@@ -203,7 +252,7 @@ def op_quantize(a, theta, grid):
     """
     if not isinstance(a, HomogeneousSymbol):
         raise TypeError("op_quantize expects a HomogeneousSymbol")
-    return _assemble(grid, op_terms(a, theta, grid))
+    return _band_assemble(grid, op_terms(a, theta, grid), _width((a.plus, a.minus), grid))
 
 
 def op_terms(a, theta, grid):
@@ -217,7 +266,7 @@ def op_terms(a, theta, grid):
 
 
 def multiplication_operator(c, grid):
-    """pi(c): multiplication by a loop, entries c_hat(n - m).
+    """Band table of pi(c): multiplication by a loop, entries c_hat(n - m).
 
     A declared trigonometric degree above N would alias: rejected.  Loops
     without a declared degree (smooth windows) are accepted; their
@@ -228,7 +277,8 @@ def multiplication_operator(c, grid):
         raise TypeError("multiplication_operator expects a Loop")
     if c.degree is not None and c.degree > grid.N:
         raise ValueError(f"loop degree {c.degree} exceeds the cutoff N={grid.N}")
-    return _assemble(grid, [(c.table(grid), np.ones(grid.n_modes, dtype=complex))])
+    return _band_assemble(grid, [(c.table(grid), np.ones(grid.n_modes, dtype=complex))],
+                          _width((c,), grid))
 
 
 # -- charts ------------------------------------------------------------------
@@ -327,14 +377,15 @@ def chart_pieces(a, atlas, grid):
 
 
 def t_quantize_charts(a, t, atlas, grid, pieces=None, out=None, work=None):
-    """Chart-by-chart quantization f -> sum_k T_t(psi_k a)(phi_k f).
+    """Chart-by-chart quantization f -> sum_k T_t(psi_k a)(phi_k f), dense.
 
     Each chart term is the windowed quantization composed with
-    multiplication by phi_k, both on a mode range enlarged by CHART_PAD.
-    ``corner_product`` forms only the corner on ``grid``, summed over the
-    modes where the windowed quantization is nonzero, and builds only the
-    rows of the multiplier that meet them, so the returned operator agrees
-    with the untruncated product up to window-coefficient decay.
+    multiplication by phi_k, both dense (``_assemble``) on a mode range
+    enlarged by CHART_PAD.  ``corner_product`` forms only the corner on
+    ``grid``, summed over the columns where a profile weight of the windowed
+    symbol is nonzero (``_live_modes``), and builds only the rows of the
+    multiplier that meet them, so the returned operator agrees with the
+    untruncated product up to window-coefficient decay.
 
     ``pieces`` (``chart_pieces``) are taken here when not given.  ``work``
     is a pair of C-contiguous complex arrays of at least D^2 and D dim
@@ -351,8 +402,9 @@ def t_quantize_charts(a, t, atlas, grid, pieces=None, out=None, work=None):
     unit = np.ones(big.n_modes, dtype=complex)
     inner = slice(CHART_PAD, CHART_PAD + grid.n_modes)
     for i, (sym, phi) in enumerate(pieces):
-        windowed = t_quantize(sym, t, big, out=left)
-        out = corner_product(windowed,
+        terms = _t_terms(sym, t, big)
+        windowed = _assemble(big, terms, left)
+        out = corner_product(windowed, _live_modes([w for _, w in terms]),
                              lambda rows: _assemble(big, [(phi.table(big), unit)], right,
                                                     rows, inner),
                              grid, out, add=i > 0)

@@ -2,23 +2,26 @@
 
 Each reference states one object of the model directly, such as a dense
 block assembly or a clutching projection with its corner, so that a test
-can hold the program's result against it."""
+can hold the program's result against it.  The dense Toeplitz assembly of
+the quantizations (``dense_assemble``) is the reference of the program's
+band tables."""
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from psilab.connes_higson import (ch_apply, ch_extended_apply, default_unit,
                                   tail_deformed_unit)
 from psilab.experiments import THETA
-from psilab.homotopy import _band, _inverse_block, _psi_block
-from psilab.bands import _PIVOT_FLOOR
+from psilab.homotopy import _apply, _band, _inverse_block, _psi_block
+from psilab.bands import _PIVOT_FLOOR, _band_diff, _band_product, _crop, _dense
 from psilab.index_theory import (_BAND_CAP, _LDL_ALLOWANCE, PAIRING_GAP, _band_coefficients,
                                  _band_ldl, _band_tables, _clutching_factors,
                                  _clutching_samples, _count_above_half, _pairing_tables)
 from psilab import numerics
 from psilab.numerics import CircleGrid, check_finite, hashed_normals, operator_norm
 from psilab.partition import build_partition
-from psilab.quantize import (CHART_PAD, Atlas, _corner, _scalar_window, _windowed,
-                             multiplication_operator, op_quantize, padded_grid, t_quantize)
+from psilab.quantize import (CHART_PAD, Atlas, _corner, _scalar_window, _width, _windowed,
+                             op_quantize, op_terms, padded_grid, t_quantize)
 from psilab.presets import band_vector, loop_c1, loop_c2
 from psilab.symbols import (HomogeneousSymbol, Loop, RadialProfile, Symbol,
                             SymbolClass, bump_profile, cap_profile, gamma_profile,
@@ -93,6 +96,50 @@ def inverse_fourier(grid, coeffs):
     spectrum = np.zeros((grid.J,) + coeffs.shape[1:], dtype=complex)
     spectrum[grid.modes % grid.J] = coeffs
     return np.fft.ifft(spectrum, axis=0) * grid.J
+
+
+# -- dense assembly -------------------------------------------------------------
+
+
+def dense_assemble(grid, terms):
+    """The dense matrix with block (n, m) = sum c(n - m) w(m) over the
+    (coeffs, weights) terms, c(j) given for |j| <= 2N: every term
+    accumulated into a zero-filled matrix in order."""
+    n, k = grid.n_modes, grid.k
+    table = np.zeros((n, k, n, k), dtype=complex)
+    for coeffs, weights in terms:
+        toeplitz = sliding_window_view(coeffs, n, axis=0)[..., ::-1]
+        table += toeplitz.transpose(0, 1, 3, 2) * weights[None, None, :, None]
+    return table.reshape(grid.dim, grid.dim)
+
+
+def dense_t_quantize(a, t, grid):
+    """T_t(a) assembled densely from its loops' coefficient tables."""
+    return dense_assemble(grid, [(loop.table(grid), np.asarray(prof(grid.modes / t),
+                                                               dtype=complex))
+                                 for loop, prof in a.terms])
+
+
+def dense_op_quantize(a, theta, grid):
+    """Op(a) assembled densely from its two branch terms."""
+    return dense_assemble(grid, op_terms(a, theta, grid))
+
+
+def dense_multiplication_operator(c, grid):
+    """pi(c) assembled densely."""
+    return dense_assemble(grid, [(c.table(grid), np.ones(grid.n_modes, dtype=complex))])
+
+
+def dense(op):
+    """The dense matrix of a band table (``bands._dense``); a matrix as it is."""
+    return _dense(op) if op.ndim == 4 else op
+
+
+def full_band(mat, k):
+    """The band table of every block of a dense matrix of k x k blocks: its
+    operator norm reads the same entries as the norm of any narrower table
+    of the same matrix (``numerics.operator_norm``)."""
+    return matrix_band(mat, k, mat.shape[0] // k - 1)
 
 
 # -- norms --------------------------------------------------------------------
@@ -178,7 +225,9 @@ def gamma_sup_on_modes(p, i, N):
 
 
 def restrict_to(op, grid):
-    """Corner compression of an operator onto a coarser target grid."""
+    """Corner compression of an operator (a matrix or a band table) onto a
+    coarser target grid, as a matrix."""
+    op = dense(op)
     keep = _corner(op.shape[0], grid)
     return op[keep, keep].copy()
 
@@ -203,8 +252,9 @@ def chart_quantization(a, t, atlas, grid):
     the live columns and added to the first."""
     atlas.validate(grid)
     big = padded_grid(grid, CHART_PAD)
-    products = (live_corner_product(t_quantize(_windowed(a, psi), t, big),
-                                    multiplication_operator(_scalar_window(phi, grid.k), big),
+    products = (live_corner_product(dense_t_quantize(_windowed(a, psi), t, big),
+                                    dense_multiplication_operator(_scalar_window(phi, grid.k),
+                                                                  big),
                                     grid)
                 for phi, psi in zip(atlas.phis, atlas.psis))
     total = next(products)
@@ -213,24 +263,32 @@ def chart_quantization(a, t, atlas, grid):
     return total
 
 
+def band_norm(mat, k):
+    """The norm of a dense matrix as ``operator_norm`` takes it of a band
+    table of that matrix."""
+    return operator_norm(full_band(mat, k))
+
+
 def defect_sweep_rows(grid, cfg):
-    """The rows of ``run_defect_sweep``, t by t."""
+    """The rows of ``run_defect_sweep``, t by t: the band product of the
+    factors on the modes padded by the smaller half-width, the adjoint and
+    the differences taken on dense matrices."""
     a, b = cfg["pair"]
-    big = padded_grid(grid, 8)
+    pad = min(_width([loop for loop, _ in s.terms], grid) for s in (a, b))
+    big = padded_grid(grid, pad)
     atlas = Atlas.default_two_charts()
 
     def row(t):
         chart = cfg["chart_symbol"]
+        product = _crop(_band_product(t_quantize(a, t, big), t_quantize(b, t, big)), pad)
         return {
             "t": t,
-            "mult_defect": operator_norm(
-                live_corner_product(t_quantize(a, t, big), t_quantize(b, t, big), grid)
-                - restrict_to(t_quantize(a * b, t, big), grid)),
-            "adjoint_defect": operator_norm(t_quantize(a, t, grid).conj().T
-                                            - t_quantize(a.adjoint(), t, grid)),
+            "mult_defect": operator_norm(_band_diff(product, t_quantize(a * b, t, grid))),
+            "adjoint_defect": band_norm(dense_t_quantize(a, t, grid).conj().T
+                                        - dense_t_quantize(a.adjoint(), t, grid), grid.k),
             "chart_defect": operator_norm(chart_quantization(chart, t, atlas, grid)
-                                          - t_quantize(chart, t, grid)),
-            "t0_norm": operator_norm(t_quantize(cfg["t0_symbol"], t, grid)),
+                                          - dense_t_quantize(chart, t, grid)),
+            "t0_norm": band_norm(dense_t_quantize(cfg["t0_symbol"], t, grid), grid.k),
         }
 
     return [row(2.0 ** e) for e in sorted(cfg["t_exponents"])]
@@ -238,21 +296,21 @@ def defect_sweep_rows(grid, cfg):
 
 def ch_compare_rows(grid, cfg):
     """The rows of ``run_ch_compare``, t by t, with Op(d) and pi(c) rebuilt
-    for every image."""
+    for every image and each difference taken on dense matrices."""
     units = [("default", default_unit()), ("alt", tail_deformed_unit())]
 
     def row(t):
         out = {"t": t}
         for label, f, d in cfg["cases"]:
-            T = t_quantize(smash(f, d), t, grid)
+            T = dense_t_quantize(smash(f, d), t, grid)
             for uname, unit in units:
-                out[f"{label}|{uname}"] = operator_norm(
-                    ch_apply(f, d, t, unit, THETA, grid) - T)
+                out[f"{label}|{uname}"] = band_norm(
+                    _dense(ch_apply(f, d, t, unit, THETA, grid)) - T, grid.k)
         for label, g, c in cfg["extended_cases"]:
-            T = t_quantize(Symbol.separable(c, g.even(), SymbolClass.FULL_C0), t, grid)
+            T = dense_t_quantize(Symbol.separable(c, g.even(), SymbolClass.FULL_C0), t, grid)
             for uname, unit in units:
-                out[f"ext:{label}|{uname}"] = operator_norm(
-                    ch_extended_apply(g, c, t, unit, grid) - T)
+                out[f"ext:{label}|{uname}"] = band_norm(
+                    _dense(ch_extended_apply(g, c, t, unit, grid)) - T, grid.k)
         return out
 
     return [row(2.0 ** e) for e in sorted(cfg["t_exponents"])]
@@ -272,23 +330,25 @@ def homotopy_rows(grid, cfg):
     for s in s_desc:
         A = _psi_block(a, parts[s], THETA, 0, 0, grid)
         rows.append({"kind": "equ1", "key": s,
-                     **{f"band{band}": float(np.linalg.norm(A @ f - op_a @ f))
+                     **{f"band{band}": float(np.linalg.norm(_apply(A, f) - _apply(op_a, f)))
                         for band, f in zip(bands, vectors)}})
     for s in s_desc:
         A = _psi_block(a, parts[s], THETA, 1, 1, grid)
         rows.append({"kind": "equ2", "key": s,
-                     **{f"band{band}": float(np.linalg.norm(A @ f))
+                     **{f"band{band}": float(np.linalg.norm(_apply(A, f)))
                         for band, f in zip(bands, vectors)}})
     for i in range(i_theta - 1, i_theta + 3):
-        without = t_quantize(smash(gamma_profile(p1, i) * gamma_profile(p1, i), a), 1.0, grid)
-        rows.append({"kind": "theta", "key": i, "value": operator_norm(
-            _psi_block(a, p1, THETA, i, i, grid) - without)})
+        window = gamma_profile(p1, i) * gamma_profile(p1, i)
+        rows.append({"kind": "theta", "key": i, "value": band_norm(
+            _dense(_psi_block(a, p1, THETA, i, i, grid))
+            - dense_t_quantize(smash(window, a), 1.0, grid), grid.k)})
     norms = {}
     for i, j in _band(max(L_list)):
         if abs(i) >= i_theta:
-            diff = _psi_block(a, p1, THETA, i, j, grid) - _inverse_block(a, p1, i, j, grid)
+            diff = (_dense(_psi_block(a, p1, THETA, i, j, grid))
+                    - _dense(_inverse_block(a, p1, i, j, grid)))
             if np.any(diff):
-                norms[(i, j)] = operator_norm(diff)
+                norms[(i, j)] = band_norm(diff, grid.k)
     for L in L_list:
         total = 0.0
         for (i, j), value in norms.items():
@@ -302,15 +362,16 @@ def homotopy_rows(grid, cfg):
 
 
 def psi_blocks(a, s, p_s, theta, L, grid):
-    """{(i, j): matrix} of the family psi_s: the single block Op(a) at s = 0,
-    else every block |i - j| <= 1 with |i|, |j| <= L."""
+    """{(i, j): band table} of the family psi_s: the single block Op(a) at
+    s = 0, else every block |i - j| <= 1 with |i|, |j| <= L."""
     if s == 0:
         return {(0, 0): op_quantize(a, theta, grid)}
     return {(i, j): _psi_block(a, p_s, theta, i, j, grid) for i, j in _band(L)}
 
 
 def inverse_blocks(a, p, L, grid):
-    """{(i, j): matrix} of the inverse map, every block of the band up to L."""
+    """{(i, j): band table} of the inverse map, every block of the band up
+    to L."""
     return {(i, j): _inverse_block(a, p, i, j, grid) for i, j in _band(L)}
 
 
@@ -320,29 +381,31 @@ def block_difference(A, B):
 
 
 def block_dense(blocks, L):
-    """The assembled (2L+1) dim square matrix of a block dict."""
-    d = next(iter(blocks.values())).shape[0]
+    """The assembled (2L+1) dim square matrix of a dict of band tables."""
+    mats = {key: _dense(band) for key, band in blocks.items()}
+    d = next(iter(mats.values())).shape[0]
     out = np.zeros(((2 * L + 1) * d, (2 * L + 1) * d), dtype=complex)
-    for (i, j), mat in blocks.items():
+    for (i, j), mat in mats.items():
         out[(i + L) * d:(i + L + 1) * d, (j + L) * d:(j + L + 1) * d] = mat
     return out
 
 
 def block_apply(blocks, vec):
-    """A block dict applied to a block vector of shape (2L+1, dim)."""
+    """A dict of band tables applied to a block vector of shape (2L+1, dim)."""
     vec = np.asarray(vec, dtype=complex)
     L = (len(vec) - 1) // 2
     out = np.zeros_like(vec)
-    for (i, j), mat in blocks.items():
-        out[i + L] += mat @ vec[j + L]
+    for (i, j), band in blocks.items():
+        out[i + L] += _dense(band) @ vec[j + L]
     return out
 
 
 def tail_norm(op, grid, K):
     """max(||X (I - P_K)||, ||(I - P_K) X||) of an operator X on ``grid``, P_K
     the projection onto the modes |n| <= K; its decay in K is the finite-size
-    surrogate for membership of X in the compact ideal."""
-    mask = grid.tail_mask(K)
+    surrogate for membership of X in the compact ideal.  X is a matrix or a
+    band table."""
+    op, mask = dense(op), grid.tail_mask(K)
     return max(operator_norm(op[:, mask]), operator_norm(op[mask, :].conj().T))
 
 
@@ -353,7 +416,7 @@ def op_defects(a, b, theta, grid):
     degs = [s.degree for s in (a, b) if s.degree is not None]
     big = padded_grid(grid, max(degs) + 8 if degs else 96)
     ab = HomogeneousSymbol(a.plus * b.plus, a.minus * b.minus)
-    Xa, Xb, Xab = (op_quantize(s, theta, big) for s in (a, b, ab))
+    Xa, Xb, Xab = (dense_op_quantize(s, theta, big) for s in (a, b, ab))
     return (restrict_to(Xa @ Xb - Xab, grid),
             restrict_to(Xa @ Xb - Xb @ Xa, grid))
 
@@ -361,15 +424,15 @@ def op_defects(a, b, theta, grid):
 def lifting_tail(c, theta, grid):
     """Column tail ||(Op(c) - pi(c)) (I - P_K)|| of a fiber-constant loop c at
     K = r0 + deg c, where the cutting function reaches one on every band."""
-    diff = (op_quantize(HomogeneousSymbol(c, c), theta, grid)
-            - multiplication_operator(c, grid))
+    diff = (dense_op_quantize(HomogeneousSymbol(c, c), theta, grid)
+            - dense_multiplication_operator(c, grid))
     return operator_norm(diff[:, grid.tail_mask(int(np.ceil(theta.r0)) + c.degree)])
 
 
 def unit_commutator(u, t, a, theta, grid):
     """||[u_t, Op(a)]|| for the diagonal approximate unit u_t."""
     w = np.repeat(u.values(t, grid), grid.k)
-    X = op_quantize(a, theta, grid)
+    X = dense_op_quantize(a, theta, grid)
     return operator_norm(w[:, None] * X - X * w[None, :])
 
 
@@ -401,8 +464,8 @@ def padded_chart_quantization(a, t, atlas, grid, pad=64):
     """sum_k T_t(psi_k a) M(phi_k), each product formed in full on the mode
     range enlarged by ``pad`` and the sum compressed back onto ``grid``."""
     big = padded_grid(grid, pad)
-    total = sum(t_quantize(_windowed(a, psi), t, big)
-                @ multiplication_operator(_scalar_window(phi, grid.k), big)
+    total = sum(dense_t_quantize(_windowed(a, psi), t, big)
+                @ dense_multiplication_operator(_scalar_window(phi, grid.k), big)
                 for phi, psi in zip(atlas.phis, atlas.psis))
     return restrict_to(total, grid)
 

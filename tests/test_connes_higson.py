@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import matrix_loop, tail_norm, unit_commutator
+from psilab.bands import _band_product, _dense
 from psilab.config import parse_profile
 from psilab.connes_higson import (ch_apply, ch_extended_apply, default_unit,
                                   kappa, kappa_inv, tail_deformed_unit)
@@ -89,7 +90,7 @@ class TestChApply:
 
     def test_unit_symbol_diagonal_weights(self, grid64, theta):
         f = rational_vanishing_profile()
-        out = ch_apply(f, HomogeneousSymbol.unit(1), 8.0, default_unit(), theta, grid64)
+        out = _dense(ch_apply(f, HomogeneousSymbol.unit(1), 8.0, default_unit(), theta, grid64))
         modes = grid64.modes
         sel = np.abs(modes) >= theta.r0
         expect = np.real([f(abs(m) / 8.0) for m in modes])
@@ -118,10 +119,10 @@ class TestChApply:
 class TestChExtended:
     def test_approaches_identity_strongly(self, grid64):
         g = rational_decay_profile()
-        out_small = ch_extended_apply(g, Loop.identity(1), 4.0,
-                                      default_unit(), grid64)
-        out_big = ch_extended_apply(g, Loop.identity(1), 4096.0,
-                                    default_unit(), grid64)
+        out_small = _dense(ch_extended_apply(g, Loop.identity(1), 4.0,
+                                             default_unit(), grid64))
+        out_big = _dense(ch_extended_apply(g, Loop.identity(1), 4096.0,
+                                           default_unit(), grid64))
         probe = grid64.N + 8  # mode n = 8
         assert abs(out_big[probe, probe] - 1.0) < 1e-3
         assert abs(out_big[probe, probe]) > abs(out_small[probe, probe])
@@ -129,7 +130,7 @@ class TestChExtended:
     def test_exact_entry_formula(self, grid64):
         c = Loop.from_scalar_modes({1: 1.0})
         g = rational_decay_profile()
-        out = ch_extended_apply(g, c, 8.0, default_unit(), grid64)
+        out = _dense(ch_extended_apply(g, c, 8.0, default_unit(), grid64))
         n0 = grid64.N
         for m in (-5, 0, 7):
             expect = np.real(g(abs(m) / 8.0))
@@ -191,9 +192,9 @@ class TestChAlgebra:
         vals = []
         for t in (4.0, 16.0, 64.0):
             lhs = ch_apply(f1 * f2, d12, t, unit, theta, grid64)
-            rhs = (ch_apply(f1, d1, t, unit, theta, grid64)
-                   @ ch_apply(f2, d2, t, unit, theta, grid64))
-            vals.append(operator_norm(lhs - rhs))
+            rhs = _band_product(ch_apply(f1, d1, t, unit, theta, grid64),
+                                ch_apply(f2, d2, t, unit, theta, grid64))
+            vals.append(operator_norm(_dense(lhs) - _dense(rhs)))
         assert vals[2] < vals[1] < vals[0]
 
     def test_output_numerically_compact(self, grid64, theta):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (band_matrix, clutching_projection, clutching_samples,
-                     corner, cyclic_reduction, four_shift_band_count, in_pairing_window,
-                     matrix_band, naive_trace_pairing, per_t_pairing_count,
+                     corner, cyclic_reduction, dense_op_quantize, four_shift_band_count,
+                     in_pairing_window, matrix_band, naive_trace_pairing, per_t_pairing_count,
                      sampled_quantization, sequential_ldl, tolerance_band)
 from psilab import index_theory
 from psilab.index_theory import (PAIRING_GAP, InconclusiveIndexError,
@@ -21,7 +21,7 @@ from psilab.index_theory import (PAIRING_GAP, InconclusiveIndexError,
 from psilab import config
 from psilab.config import DEFAULTS
 from psilab.numerics import CircleGrid
-from psilab.quantize import op_quantize, op_terms, padded_grid
+from psilab.quantize import op_terms, padded_grid
 from psilab.symbols import CutFunction, HomogeneousSymbol, Loop
 from psilab.presets import index_suite, winding_pair
 
@@ -239,7 +239,8 @@ def fredholm_setup(sigma, theta, grid, n=None):
     deg = sigma.degree
     big = padded_grid(grid, n - grid.N + deg + 8)
     keep = ~big.tail_mask(n)
-    return _fredholm_bands(op_terms(sigma, theta, big), big, n, deg), op_quantize(sigma, theta, big), keep
+    return (_fredholm_bands(op_terms(sigma, theta, big), big, n, deg),
+            dense_op_quantize(sigma, theta, big), keep)
 
 
 def svd_count(mat):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import block_band_matrix, dense_gram_norm, inverse_fourier, restrict_to, tail_norm
+from oracles import (block_band_matrix, dense_gram_norm, full_band, inverse_fourier,
+                     matrix_band, restrict_to, tail_norm)
 from psilab import numerics
-from psilab.bands import _diagonal_gram, _half_width
+from psilab.bands import _dense, _diagonal_gram, _flat_width
 from psilab.numerics import (CircleGrid, fourier_coefficients, hashed_normals, operator_norm,
                              row_blocks)
 from psilab.presets import t0_symbol
@@ -158,7 +159,7 @@ class TestLanczosAgainstSVD:
     @pytest.mark.parametrize("t", [4.0, 16.0])
     def test_paired_top_singular_values(self, grid64, t):
         X = t_quantize(t0_symbol(), t, grid64)
-        svals = np.linalg.svd(X, compute_uv=False)
+        svals = np.linalg.svd(_dense(X), compute_uv=False)
         assert svals[1] / svals[0] > 0.999  # the top values come in a pair
         assert operator_norm(X) == pytest.approx(svals[0], rel=1e-12)
 
@@ -197,13 +198,14 @@ class TestLanczosAgainstSVD:
     @pytest.mark.parametrize("scale", [1.0, 1e150, 1e160, 1e200, 1e300])
     def test_gram_overflow(self, scale, svd_calls):
         # from 1e150 on A^H A or the norm of A^H A v overflows, in the dense
-        # apply and in the band apply of a matrix of half-width 2: the norm
+        # apply and in the band apply of a table of half-width 2: the norm
         # then comes from the full SVD
-        for mat in (random_matrix(40, 40, 11), block_band_matrix(40, 1, 2, 11)):
-            mat = scale * mat
+        for op in (random_matrix(40, 40, 11), matrix_band(block_band_matrix(40, 1, 2, 11), 1, 2)):
+            op = scale * op
+            mat = op if op.ndim == 2 else _dense(op)
             expect = svd_norm(mat)
             svd_calls.clear()
-            assert abs(operator_norm(mat) - expect) <= 5e-14 * expect
+            assert abs(operator_norm(op) - expect) <= 5e-14 * expect
             assert len(svd_calls) == (scale > 1.0)
 
     def test_deterministic(self, grid64):
@@ -231,8 +233,8 @@ class TestLanczosAgainstSVD:
 
 
 class TestBandGram:
-    """The Gram apply from the stacked diagonals, against the dense Gram
-    Lanczos (``oracles.dense_gram_norm``) and the SVD."""
+    """The Gram apply from the stacked diagonals of a band table, against
+    the dense Gram Lanczos (``oracles.dense_gram_norm``) and the SVD."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(n=st.integers(1, 96), k=st.integers(1, 2), b=st.integers(0, 16),
@@ -241,9 +243,10 @@ class TestBandGram:
         # block half-widths from 0 to past the crossover, where the dense
         # apply takes over
         mat = scale * block_band_matrix(n, k, min(b, n - 1), seed)
-        assert _half_width(mat) == min((min(b, n - 1) + 1) * k, n * k) - 1
+        band = matrix_band(mat, k, min(b, n - 1))
+        assert _flat_width(band) == min((min(b, n - 1) + 1) * k, n * k) - 1
         expect = svd_norm(mat)
-        got = operator_norm(mat)
+        got = operator_norm(band)
         assert abs(got - dense_gram_norm(mat)) <= 5e-14 * expect
         assert abs(got - expect) <= 5e-14 * expect
 
@@ -254,37 +257,41 @@ class TestBandGram:
         # the cost 6: up to h = 42 at dim 513 and h = 4 at dim 65
         calls = []
         monkeypatch.setattr(numerics, "_diagonal_gram",
-                            lambda mat, h: calls.append(h) or _diagonal_gram(mat, h))
+                            lambda band, h: calls.append(h) or _diagonal_gram(band, h))
         mat = block_band_matrix(dim, 1, h, dim + h)
         expect = svd_norm(mat)
-        got = operator_norm(mat)
+        got = operator_norm(matrix_band(mat, 1, min(h, dim - 1)))
         assert abs(got - dense_gram_norm(mat)) <= 5e-14 * expect
         assert abs(got - expect) <= 5e-14 * expect
         assert calls == ([h] if band else [])
 
     def test_zero_and_diagonal(self):
-        assert operator_norm(np.zeros((64, 64), dtype=complex)) == 0.0
+        for k in (1, 2):
+            assert operator_norm(np.zeros((3, 64, k, k), dtype=complex)) == 0.0
         diag = np.diag(np.linspace(-3.0, 2.0, 64)).astype(complex)
         assert operator_norm(diag) == pytest.approx(3.0, rel=5e-14)
+        assert operator_norm(matrix_band(diag, 1, 0)) == pytest.approx(3.0, rel=5e-14)
 
 
 class TestHalfWidth:
-    """The flat half-width reader on planted matrices."""
+    """The flat half-width reader of band tables (``bands._flat_width``) on
+    the tables of planted matrices."""
 
     @pytest.mark.parametrize("dim", [1, 2, 7, 64])
     def test_single_entries(self, dim):
-        assert _half_width(np.zeros((dim, dim), dtype=complex)) == 0
-        for i, j in [(0, dim - 1), (dim - 1, 0), (dim // 2, dim // 3), (dim - 1, dim - 1)]:
-            for value in (1.0, 1j, 5e-324, -5e-324j):
-                mat = np.zeros((dim, dim), dtype=complex)
-                mat[i, j] = value
-                assert _half_width(mat) == abs(i - j), (i, j, value)
+        for k in (1, 2) if dim % 2 == 0 else (1,):
+            assert _flat_width(full_band(np.zeros((dim, dim), dtype=complex), k)) == 0
+            for i, j in [(0, dim - 1), (dim - 1, 0), (dim // 2, dim // 3), (dim - 1, dim - 1)]:
+                for value in (1.0, 1j, 5e-324, -5e-324j):
+                    mat = np.zeros((dim, dim), dtype=complex)
+                    mat[i, j] = value
+                    assert _flat_width(full_band(mat, k)) == abs(i - j), (k, i, j, value)
 
     def test_signed_zeros_are_zero(self):
         # conjugating a zero leaves -0.0 in its imaginary part
         mat = np.conjugate(np.diag(np.ones(9, dtype=complex)))
         mat[0, 8] = mat[8, 0] = complex(-0.0, -0.0)
-        assert _half_width(mat) == 0
+        assert _flat_width(full_band(mat, 1)) == 0
 
     def test_one_sided_and_any_layout(self):
         rng = np.random.default_rng(4)
@@ -294,7 +301,8 @@ class TestHalfWidth:
             mat[(offset > upper) | (offset < -lower)] = 0.0
             for form in (mat, mat.real.copy(), mat.T, mat[:, ::-1][:, ::-1]):
                 expect = max(lower, upper)
-                assert _half_width(form) == expect
+                for k in (1, 2, 3):
+                    assert _flat_width(full_band(form, k)) == expect
 
 
 class TestRowBlocks:

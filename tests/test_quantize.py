@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from oracles import (dilated, matrix_loop, padded_chart_quantization, restrict_to,
-                     sampled_quantization)
+from oracles import (dense_assemble, dilated, matrix_loop, padded_chart_quantization,
+                     restrict_to, sampled_quantization)
 from psilab import quantize
+from psilab.bands import _dense
 from psilab.numerics import CircleGrid, operator_norm
-from psilab.quantize import (Atlas, _assemble, corner_product, multiplication_operator,
-                             op_quantize, op_terms, padded_grid, t_quantize,
-                             t_quantize_charts)
+from psilab.quantize import (Atlas, _assemble, _live_modes, corner_product,
+                             multiplication_operator, op_quantize, op_terms, padded_grid,
+                             t_quantize, t_quantize_charts)
 from psilab.symbols import (HomogeneousSymbol, Loop, RadialProfile, Symbol,
                             SymbolClass, bump_profile, cap_profile, constant_profile,
                             rational_decay_profile,
@@ -26,7 +27,7 @@ def fiber_only(grid):
 
 class TestTQuantize:
     def test_fiber_only_diagonal(self, grid32):
-        T = t_quantize(fiber_only(grid32), 2.0, grid32)
+        T = _dense(t_quantize(fiber_only(grid32), 2.0, grid32))
         expect = 1.0 / (1.0 + (grid32.modes / 2.0) ** 2)
         assert np.allclose(np.diag(T), expect, atol=1e-14)
         off = T - np.diag(np.diag(T))
@@ -34,8 +35,8 @@ class TestTQuantize:
 
     def test_x_only_toeplitz_t_independent(self, grid32):
         sym = Symbol.separable(loop_c1(), constant_profile(1.0), SymbolClass.FULL_C0)
-        T1 = t_quantize(sym, 1.0, grid32)
-        T2 = t_quantize(sym, 11.7, grid32)
+        T1 = _dense(t_quantize(sym, 1.0, grid32))
+        T2 = _dense(t_quantize(sym, 11.7, grid32))
         assert np.array_equal(T1, T2)
         n0 = grid32.N
         assert T1[n0 + 1, n0] == pytest.approx(0.5)
@@ -56,8 +57,8 @@ class TestTQuantize:
         scaled = Symbol(tuple((Loop.constant(2.5) * loop, prof) for loop, prof in b.terms),
                         b.k, b.tag)
         combined = Symbol(a.terms + scaled.terms, 1, SymbolClass.FULL_C0)
-        expect = t_quantize(a, 2.0, grid32) + 2.5 * t_quantize(b, 2.0, grid32)
-        assert np.allclose(t_quantize(combined, 2.0, grid32), expect, atol=1e-14)
+        expect = _dense(t_quantize(a, 2.0, grid32)) + 2.5 * _dense(t_quantize(b, 2.0, grid32))
+        assert np.allclose(_dense(t_quantize(combined, 2.0, grid32)), expect, atol=1e-14)
 
     @settings(max_examples=40, deadline=None)
     @given(k=st.integers(1, 2), seed=st.integers(0, 2**32 - 1),
@@ -79,7 +80,8 @@ class TestTQuantize:
         sym = Symbol.separable(matrix_loop(k=2), cap_profile(3.0),
                                SymbolClass.COMPACT_SUPPORT)
         T = t_quantize(sym, 2.0, g)
-        assert T.shape == (g.dim, g.dim)
+        assert T.shape == (2 * 2 + 1, g.n_modes, 2, 2)
+        assert _dense(T).shape == (g.dim, g.dim)
 
     def test_sampled_assembly_matches_exact(self, grid32):
         sym = Symbol.separable(loop_c1(), rational_decay_profile(),
@@ -89,19 +91,19 @@ class TestTQuantize:
             (loop, prof), = sym.terms
             return loop.fn(x)[:, None] * prof(xis)[None, :, None, None]
 
-        exact = t_quantize(sym, 3.0, grid32)
+        exact = _dense(t_quantize(sym, 3.0, grid32))
         sampled = sampled_quantization(fn, 3.0, grid32)
         assert np.max(np.abs(exact - sampled)) < 1e-13
 
 
 class TestOpQuantize:
     def test_unit_symbol_diagonal(self, grid32, theta):
-        O = op_quantize(HomogeneousSymbol.unit(1), theta, grid32)
+        O = _dense(op_quantize(HomogeneousSymbol.unit(1), theta, grid32))
         assert np.allclose(np.diag(O), theta(np.abs(grid32.modes)), atol=1e-15)
 
     def test_sign_symbol(self, grid32, theta):
         sign = HomogeneousSymbol(Loop.identity(1), Loop.constant(-1.0))
-        O = op_quantize(sign, theta, grid32)
+        O = _dense(op_quantize(sign, theta, grid32))
         expect = np.sign(grid32.modes) * theta(np.abs(grid32.modes))
         assert np.allclose(np.diag(O), expect, atol=1e-14)
         off = O - np.diag(np.diag(O))
@@ -109,8 +111,8 @@ class TestOpQuantize:
 
     def test_fiber_constant_finite_rank_vs_multiplication(self, grid32, theta):
         c = loop_c1()
-        diff = (op_quantize(HomogeneousSymbol(c, c), theta, grid32)
-                - multiplication_operator(c, grid32))
+        diff = (_dense(op_quantize(HomogeneousSymbol(c, c), theta, grid32))
+                - _dense(multiplication_operator(c, grid32)))
         # columns with |m| >= r0 carry weight one: difference confined below
         mask = grid32.tail_mask(int(theta.r0) + 2)
         assert operator_norm(diff[:, mask]) == 0.0
@@ -126,12 +128,13 @@ class TestOpQuantize:
         lag = np.arange(n)[:, None] - np.arange(n)[None, :] + 2 * g.N
         expect = (cp[lag] * wp[None, :, None, None]) + (cm[lag] * wm[None, :, None, None])
         expect = expect.transpose(0, 2, 1, 3).reshape(g.dim, g.dim)
-        assert np.array_equal(op_quantize(sigma, theta, g), expect)
+        assert np.array_equal(_dense(op_quantize(sigma, theta, g)), expect)
         w = theta(np.abs(g.modes))
         assert np.array_equal(wp + wm, w.astype(complex))
 
     def test_zero_column_at_origin(self, grid32, theta):
-        O = op_quantize(HomogeneousSymbol(loop_c1(), loop_c1().adjoint()), theta, grid32)
+        O = _dense(op_quantize(HomogeneousSymbol(loop_c1(), loop_c1().adjoint()), theta,
+                               grid32))
         col = O[:, grid32.N]
         assert np.max(np.abs(col)) == 0.0
 
@@ -142,19 +145,19 @@ class TestOpQuantize:
 
 class TestMultiplication:
     def test_identity(self, grid32):
-        P = multiplication_operator(Loop.identity(1), grid32)
+        P = _dense(multiplication_operator(Loop.identity(1), grid32))
         assert np.allclose(P, np.eye(grid32.dim), atol=1e-15)
 
     def test_adjoint_compatibility(self, grid32):
         c = loop_c1()
-        assert np.max(np.abs(multiplication_operator(c, grid32).conj().T
-                             - multiplication_operator(c.adjoint(), grid32))) < 1e-14
+        assert np.max(np.abs(_dense(multiplication_operator(c, grid32)).conj().T
+                             - _dense(multiplication_operator(c.adjoint(), grid32)))) < 1e-14
 
     def test_band_confinement(self, grid32):
         c = Loop.from_scalar_modes({1: 0.5, -2: 1.0})
         d = Loop.from_scalar_modes({3: 1.0})
-        D = (multiplication_operator(c, grid32) @ multiplication_operator(d, grid32)
-             - multiplication_operator(c * d, grid32))
+        D = (_dense(multiplication_operator(c, grid32)) @ _dense(multiplication_operator(d, grid32))
+             - _dense(multiplication_operator(c * d, grid32)))
         K = grid32.N - 2 - 3
         keep = ~grid32.tail_mask(K)
         # the homomorphism defect lives entirely in the boundary band
@@ -165,8 +168,8 @@ class TestMultiplication:
         c = Loop.from_scalar_modes({1: 0.5, -2: 1.0})
         d = Loop.from_scalar_modes({3: 1.0})
         big = padded_grid(grid32, 5)
-        D = (multiplication_operator(c, big) @ multiplication_operator(d, big)
-             - multiplication_operator(c * d, big))
+        D = (_dense(multiplication_operator(c, big)) @ _dense(multiplication_operator(d, big))
+             - _dense(multiplication_operator(c * d, big)))
         D = restrict_to(D, grid32)
         assert operator_norm(D) < 1e-13
 
@@ -207,10 +210,11 @@ class TestCornerProduct:
                    "annular": bump_profile(lo, lo + width),  # zero columns around m = 0
                    "full": rational_decay_profile(width),
                    "zero": bump_profile(top + lo, top + lo + width)}[kind]
-        left = t_quantize(Symbol.separable(wide_loop(k, seed, self.PAD), profile,
-                                           SymbolClass.FULL_C0), t, big)
-        right = multiplication_operator(wide_loop(k, seed + 1, self.PAD), big)
-        got = corner_product(left, full_rows(right, grid), grid)
+        left = _dense(t_quantize(Symbol.separable(wide_loop(k, seed, self.PAD), profile,
+                                                  SymbolClass.FULL_C0), t, big))
+        right = _dense(multiplication_operator(wide_loop(k, seed + 1, self.PAD), big))
+        cols = _live_modes([np.asarray(profile(big.modes / t))])
+        got = corner_product(left, cols, full_rows(right, grid), grid)
         expect = restrict_to(left @ right, grid)
         assert got.shape == (grid.dim, grid.dim)
         bound = 1e-13 * operator_norm(left) * operator_norm(right)
@@ -221,14 +225,14 @@ class TestCornerProduct:
 
     def test_grids_checked(self, grid32):
         big = padded_grid(grid32, 4)
-        eye = multiplication_operator(Loop.identity(1), big)
+        eye, cols = np.eye(big.dim, dtype=complex), range(big.n_modes)
         with pytest.raises(ValueError, match="different grids"):
-            corner_product(eye, full_rows(multiplication_operator(Loop.identity(1), grid32),
-                                          grid32), grid32)
+            corner_product(eye, cols, full_rows(np.eye(grid32.dim, dtype=complex), grid32),
+                           grid32)
         with pytest.raises(ValueError, match="exceeds"):
-            corner_product(eye, full_rows(eye, grid32), padded_grid(grid32, 5))
+            corner_product(eye, cols, full_rows(eye, grid32), padded_grid(grid32, 5))
         with pytest.raises(ValueError, match="block sizes"):
-            corner_product(eye, full_rows(eye, grid32), CircleGrid(J=132, N=32, k=2))
+            corner_product(eye, cols, full_rows(eye, grid32), CircleGrid(J=132, N=32, k=2))
 
 
 class TestCharts:
@@ -248,7 +252,7 @@ class TestCharts:
         one, zero = np.ones_like, np.zeros_like
         with patch.object(quantize, "CHART_PAD", 8):
             Tc = t_quantize_charts(sym, 2.0, Atlas((one, zero), (one, zero)), grid32)
-        Tg = t_quantize(sym, 2.0, grid32)
+        Tg = _dense(t_quantize(sym, 2.0, grid32))
         assert operator_norm(Tc - Tg) < 1e-13
 
     def test_defect_decays(self, grid64, theta):
@@ -257,7 +261,7 @@ class TestCharts:
         a = chart_symbol()
         with patch.object(quantize, "CHART_PAD", 32):
             vals = [operator_norm(t_quantize_charts(a, 2.0 ** k, atlas, grid64)
-                                  - t_quantize(a, 2.0 ** k, grid64))
+                                  - _dense(t_quantize(a, 2.0 ** k, grid64)))
                     for k in range(0, 7)]
         assert all(y < x for x, y in zip(vals, vals[1:]))
         assert vals[0] == pytest.approx(0.6102122099282878, rel=1e-9)
@@ -329,7 +333,7 @@ class TestAssemblyAgainstDoubleLoop:
         t = 3.0
         expect = (reference_table(padded(ca, N), pa(g.modes / t), g)
                   + reference_table(padded(cb, N), pb(g.modes / t), g))
-        assert np.max(np.abs(t_quantize(sym, t, g) - expect)) < 1e-12
+        assert np.max(np.abs(_dense(t_quantize(sym, t, g)) - expect)) < 1e-12
 
     def test_op_quantize(self, N, k, theta):
         g = self.grid(N, k)
@@ -338,18 +342,18 @@ class TestAssemblyAgainstDoubleLoop:
         w = theta(np.abs(g.modes))
         expect = (reference_table(padded(cp, N), np.where(g.modes >= 0, w, 0.0), g)
                   + reference_table(padded(cm, N), np.where(g.modes < 0, w, 0.0), g))
-        got = op_quantize(HomogeneousSymbol(lp, lm), theta, g)
+        got = _dense(op_quantize(HomogeneousSymbol(lp, lm), theta, g))
         assert np.max(np.abs(got - expect)) < 1e-12
 
     def test_multiplication_operator(self, N, k):
         g = self.grid(N, k)
         loop, c = known_loop(k, 4, seed=5)
         expect = reference_table(padded(c, N), np.ones(g.n_modes), g)
-        assert np.max(np.abs(multiplication_operator(loop, g) - expect)) < 1e-12
+        assert np.max(np.abs(_dense(multiplication_operator(loop, g)) - expect)) < 1e-12
 
 
 class TestNonFiniteEntries:
-    """Values enter an operator only through ``_assemble``, which checks its
+    """Values enter an operator only through the assembly, which checks each
     weight vector before building anything, and through ``Loop.table``,
     which checks a loop's coefficient table once, when it is made."""
 
@@ -385,16 +389,6 @@ class TestBlockSizeMismatch:
 
 
 # -- write-once kernels against the slow references they replace -------------
-
-
-def zero_filled_assemble(grid, terms):
-    """Reference kernel: every term accumulated into a zero-filled table."""
-    n, k = grid.n_modes, grid.k
-    table = np.zeros((n, k, n, k), dtype=complex)
-    for coeffs, weights in terms:
-        toeplitz = sliding_window_view(coeffs, n, axis=0)[..., ::-1]
-        table += toeplitz.transpose(0, 1, 3, 2) * weights[None, None, :, None]
-    return table.reshape(grid.dim, grid.dim)
 
 
 def full_temporary_assemble(grid, terms):
@@ -433,8 +427,8 @@ class TestWriteOnceAgainstReference:
         sym, terms = self.terms(g, 3.0)
         for count in range(len(terms) + 1):
             got = _assemble(g, terms[:count])
-            assert np.array_equal(got, zero_filled_assemble(g, terms[:count]))
-        assert np.array_equal(t_quantize(sym, 3.0, g), zero_filled_assemble(g, terms))
+            assert np.array_equal(got, dense_assemble(g, terms[:count]))
+        assert np.array_equal(_dense(t_quantize(sym, 3.0, g)), dense_assemble(g, terms))
 
     def test_blocks_into_a_buffer(self, N, k):
         # 65 and 141 modes are no multiple of the 32-row scratch block, nor
@@ -460,11 +454,11 @@ class TestWriteOnceAgainstReference:
         g = self.grid(N, k)
         plus, minus = matrix_loop(k=k, seed=33), matrix_loop(k=k, seed=34, degree=3)
         w = np.asarray(theta(np.abs(g.modes)), dtype=complex)
-        expect = zero_filled_assemble(g, [
+        expect = dense_assemble(g, [
             (plus.coefficients(g), np.where(g.modes >= 0, w, 0.0)),
             (minus.coefficients(g), np.where(g.modes < 0, w, 0.0))])
-        assert np.array_equal(op_quantize(HomogeneousSymbol(plus, minus), theta, g),
+        assert np.array_equal(_dense(op_quantize(HomogeneousSymbol(plus, minus), theta, g)),
                               expect)
-        expect = zero_filled_assemble(g, [(plus.coefficients(g),
+        expect = dense_assemble(g, [(plus.coefficients(g),
                                            np.ones(g.n_modes, dtype=complex))])
-        assert np.array_equal(multiplication_operator(plus, g), expect)
+        assert np.array_equal(_dense(multiplication_operator(plus, g)), expect)
