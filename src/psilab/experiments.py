@@ -147,7 +147,7 @@ def run_defect_sweep(grid, cfg):
 
     ts = [2.0 ** e for e in sorted(cfg["t_exponents"])]
 
-    # one column at a time: each frees its work arrays before the next starts
+    # one column at a time: each frees its operators before the next starts
     columns = {"mult_defect": mult_defects(a, b, ts, grid),
                "adjoint_defect": adjoint_defects(a, ts, grid),
                "chart_defect": chart_defects(chart_sym, ts, atlas, grid),

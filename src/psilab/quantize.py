@@ -228,7 +228,8 @@ def t_quantize(a, t, grid):
         raise ValueError("need t > 0")
     if not isinstance(a, Symbol):
         raise TypeError("t_quantize expects a separable Symbol")
-    return _band_assemble(grid, _t_terms(a, t, grid), _width([l for l, _ in a.terms], grid))
+    return _band_assemble(grid, _t_terms(a, t, grid),
+                          _width([loop for loop, _ in a.terms], grid))
 
 
 def _t_terms(a, t, grid):

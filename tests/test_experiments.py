@@ -1,15 +1,17 @@
+import json
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from oracles import ch_compare_rows, defect_sweep_rows, homotopy_rows, matrix_loop
+from oracles import (ch_compare_rows, defect_sweep_rows, dense_t_quantize, homotopy_rows,
+                     matrix_loop, restrict_to)
 from psilab import connes_higson, experiments, presets, quantize
-from psilab.config import (ConfigError, parse_homogeneous, parse_loop,
-                           parse_profile, parse_symbol)
+from psilab.config import (ConfigError, build_grid, defect_sweep_cfg, load_config,
+                           parse_homogeneous, parse_loop, parse_profile, parse_symbol)
 from psilab.experiments import (decreasing_to_zero, loglog_slope, run_ch_compare,
                                 run_defect_sweep, run_homotopy_verify, strictly_decreasing)
-from psilab.numerics import CircleGrid
+from psilab.numerics import CircleGrid, operator_norm
 from psilab.symbols import (HomogeneousSymbol, Loop, Symbol, SymbolClass, bump_profile,
                             cap_profile, rational_decay_profile, rational_vanishing_profile)
 
@@ -159,6 +161,33 @@ def test_runners_match_the_per_t_reference(N, k):
     assert bits(run_defect_sweep(grid, defect)[0]) == bits(defect_sweep_rows(grid, defect))
     assert bits(run_ch_compare(grid, ch)[0]) == bits(ch_compare_rows(grid, ch))
     assert bits(run_homotopy_verify(grid, homotopy)[0]) == bits(homotopy_rows(grid, homotopy))
+
+
+def test_mult_defect_sums_every_intermediate_mode(tmp_path):
+    # factors of degree 12 reach 12 modes past the cutoff; a fixed pad of 8
+    # cut the product, which read 0.25 at t = 32 and t = 64.  At t = 64 both
+    # weights are 1 on every mode that meets the corner, so the defect is 0;
+    # at t = 32 it is that of the dense product padded far beyond the degrees
+    def factor(mode):
+        return {"class": "compact_support",
+                "terms": [{"loop": {"modes": {str(mode): 0.5, "0": 1.0}},
+                           "profile": {"kind": "cap", "hi": 2.0}}]}
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "grid": {"N": 32, "J": 132},
+        "defect_sweep": {"t_exponents": [0, 1, 2, 3, 4, 5, 6],
+                         "pair": {"a": factor(12), "b": factor(-12)}}}))
+    data = load_config(str(path))
+    grid, cfg = build_grid(data), defect_sweep_cfg(data)
+    rows = {r["t"]: r["mult_defect"] for r in run_defect_sweep(grid, cfg)[0]}
+    assert rows[64.0] == 0.0
+    a, b = cfg["pair"]
+    big = CircleGrid(J=4 * 72 + 4, N=72)
+    product = restrict_to(dense_t_quantize(a, 32.0, big) @ dense_t_quantize(b, 32.0, big), grid)
+    expect = operator_norm(product - dense_t_quantize(a * b, 32.0, grid))
+    assert expect > 0.06
+    assert abs(rows[32.0] - expect) <= 1e-12
 
 
 def test_defect_sweep_zero_initial_value_fails_its_ratio(monkeypatch):

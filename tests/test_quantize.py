@@ -1,3 +1,4 @@
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -5,19 +6,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from oracles import (dense_assemble, dilated, matrix_loop, padded_chart_quantization,
-                     restrict_to, sampled_quantization)
-from psilab import quantize
-from psilab.bands import _dense
+from oracles import (dense_assemble, dense_gram_norm, dense_multiplication_operator,
+                     dense_op_quantize, dense_t_quantize, dilated, matrix_loop,
+                     padded_chart_quantization, restrict_to, sampled_quantization)
+from psilab import config, quantize
+from psilab.bands import _band_adjoint, _band_product, _crop, _dense
+from psilab.connes_higson import ch_apply, default_unit
 from psilab.numerics import CircleGrid, operator_norm
-from psilab.quantize import (Atlas, _assemble, _live_modes, corner_product,
-                             multiplication_operator, op_quantize, op_terms, padded_grid,
-                             t_quantize, t_quantize_charts)
+from psilab.quantize import (CHART_PAD, Atlas, _assemble, _live_modes, _t_terms, _width,
+                             chart_pieces, corner_product, multiplication_operator,
+                             op_quantize, op_terms, padded_grid, t_quantize,
+                             t_quantize_charts)
 from psilab.symbols import (HomogeneousSymbol, Loop, RadialProfile, Symbol,
                             SymbolClass, bump_profile, cap_profile, constant_profile,
                             rational_decay_profile,
                             rational_vanishing_profile)
 from psilab.presets import chart_symbol, loop_c1
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def fiber_only(grid):
@@ -286,6 +292,19 @@ class TestCharts:
                 assert got.shape == (g.dim, g.dim)
                 assert np.max(np.abs(got - ref)) <= 1e-13 * operator_norm(ref)
 
+    @pytest.mark.parametrize("path", [None, "example.json"])
+    def test_live_columns_are_the_scanned_columns(self, path):
+        # on the shipped configs the column range read from the profile
+        # weights is the range outside which the windowed quantization is zero
+        data = config.load_config(None if path is None else str(CONFIGS / path))
+        grid, cfg = config.build_grid(data), config.defect_sweep_cfg(data)
+        big = padded_grid(grid, CHART_PAD)
+        for sym, _ in chart_pieces(cfg["chart_symbol"], Atlas.default_two_charts(), grid):
+            for e in cfg["t_exponents"]:
+                terms = _t_terms(sym, 2.0 ** e, big)
+                live = np.flatnonzero(_assemble(big, terms).any(axis=0))
+                assert _live_modes([w for _, w in terms]) == range(live[0], live[-1] + 1)
+
     def test_invalid_atlas(self, grid32):
         bad = Atlas((lambda x: np.full_like(x, 0.7),
                      lambda x: np.full_like(x, 0.7)),
@@ -462,3 +481,65 @@ class TestWriteOnceAgainstReference:
         expect = dense_assemble(g, [(plus.coefficients(g),
                                            np.ones(g.n_modes, dtype=complex))])
         assert np.array_equal(_dense(multiplication_operator(plus, g)), expect)
+
+
+# -- band tables against the dense reference ------------------------------------
+
+
+def random_loop(k, seed, degree):
+    """Loop with coefficients of size 1 / (1 + |j|) and random phases."""
+    rng = np.random.default_rng(seed)
+    shape = (2 * degree + 1, k, k)
+    damp = 1.0 / (1.0 + np.abs(np.arange(-degree, degree + 1)))[:, None, None]
+    return Loop.from_coeffs(damp * (rng.normal(size=shape) + 1j * rng.normal(size=shape)))
+
+
+def mass(sym, t, grid):
+    """The l1 mass of T_t(sym)'s coefficients times its largest weight, per
+    term and added: a bound on the sum of the moduli along any row."""
+    return sum(np.sum(np.abs(loop.coeffs)) * np.max(np.abs(prof(grid.modes / t)))
+               for loop, prof in sym.terms)
+
+
+class TestBandTablesAgainstDense:
+    """Every band table expands to the dense assembly (``oracles``)."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(k=st.integers(1, 2), seed=st.integers(0, 2**32 - 2),
+           degrees=st.tuples(st.integers(0, 12), st.integers(0, 12)),
+           kind=st.sampled_from(("plus", "minus", "cap", "bump")),
+           t=st.sampled_from((0.25, 1.0, 3.0, 16.0)))
+    def test_property_tables_products_and_norms(self, theta, k, seed, degrees, kind, t):
+        g = CircleGrid(J=4 * 24 + 4, N=24, k=k)
+        profile = {"plus": rational_vanishing_profile(1.5).one_sided(+1),
+                   "minus": rational_decay_profile(2.0).one_sided(-1),
+                   "cap": cap_profile(3.0),
+                   "bump": bump_profile(0.5, 6.0)}[kind]
+        la, lb = (random_loop(k, seed + i, d) for i, d in enumerate(degrees))
+        a = Symbol.separable(la, profile, SymbolClass.FULL_C0)
+        b = Symbol(((lb, cap_profile(4.0)), (la.adjoint(), profile)), k, SymbolClass.FULL_C0)
+        d = HomogeneousSymbol(la, lb)
+        # the tables are the dense assembly bit for bit (== takes -0 as 0)
+        T = t_quantize(a, t, g)
+        assert np.array_equal(_dense(T), dense_t_quantize(a, t, g))
+        assert np.array_equal(_dense(t_quantize(b, t, g)), dense_t_quantize(b, t, g))
+        X = op_quantize(d, theta, g)
+        assert np.array_equal(_dense(X), dense_op_quantize(d, theta, g))
+        assert np.array_equal(_dense(multiplication_operator(lb, g)),
+                              dense_multiplication_operator(lb, g))
+        assert np.array_equal(_dense(_band_adjoint(T)), dense_t_quantize(a, t, g).conj().T)
+        f, unit = rational_vanishing_profile(1.0), default_unit()
+        w = np.repeat(unit.weight(f, t, g), k)[None, :]
+        assert np.array_equal(_dense(ch_apply(f, d, t, unit, theta, g, X)),
+                              dense_op_quantize(d, theta, g) * w)
+        # the band product sums every intermediate mode of the dense product
+        pad = min(_width([loop for loop, _ in s.terms], g) for s in (a, b))
+        big = padded_grid(g, pad)
+        product = _crop(_band_product(t_quantize(a, t, big), t_quantize(b, t, big)), pad)
+        expect = restrict_to(dense_t_quantize(a, t, big) @ dense_t_quantize(b, t, big), g)
+        bound = 1e-15 * mass(a, t, big) * mass(b, t, big)
+        assert np.max(np.abs(_dense(product) - expect)) <= bound
+        # the table norm and the dense Gram Lanczos agree within the certificate
+        for op in (T, product):
+            top = np.linalg.svd(_dense(op), compute_uv=False)[0]
+            assert abs(operator_norm(op) - dense_gram_norm(_dense(op))) <= 5e-14 * top
