@@ -79,6 +79,19 @@ def _dense(band, out=None):
     return mat.reshape(n * k, n * k)
 
 
+def _subtract_dense(mat, band):
+    """mat -= the dense matrix of a band table, in place on the table's
+    diagonals only: off them the dense matrix is zero, and x - 0 is x bit
+    for bit, so the result equals ``mat - _dense(band)``."""
+    w, n, k = band.shape[:3]
+    b = w // 2
+    blocks = mat.reshape(n, k, n, k)
+    for l in range(max(-b, 1 - n), min(b, n - 1) + 1):
+        m = np.arange(max(0, -l), min(n, n - l))
+        blocks[m + l, :, m, :] -= band[b + l, m]
+    return mat
+
+
 def _widen(band, b):
     """The band table of half-width b >= its own with the same operator."""
     w = band.shape[0]
@@ -152,29 +165,41 @@ def _flat_width(band):
     return int(np.max(np.abs((l - w // 2) * k + a - c)))
 
 
+def _flat_diagonals(band, h):
+    """The stacked flat diagonals of the matrix A of a band table of flat
+    half-width h (``_flat_width``): rows[i, h + l] = A[i, i + l] and
+    cols[j, h + l] = conj(A[j + l, j]), zero where the index leaves the
+    matrix.
+
+    The entry (a, c) of the blocks at offset o sits on the flat diagonal
+    l = c - a - o k, so each (offset, block entry) pair within h is one
+    strided slice copy into each array."""
+    w, n, k = band.shape[:3]
+    b, dim = w // 2, n * k
+    rows = np.zeros((dim, 2 * h + 1), dtype=complex)
+    cols = np.zeros_like(rows)
+    for o in range(max(-b, 1 - n), min(b, n - 1) + 1):
+        lo, hi = max(0, -o), min(n, n - o)
+        for a in range(k):
+            for c in range(k):
+                l = c - a - o * k
+                if abs(l) > h:
+                    continue
+                entries = band[b + o, lo:hi, a, c]
+                # A[(m + o) k + a, m k + c] for the columns m of the offset
+                rows[(lo + o) * k + a:(hi + o) * k + a:k, h + l] = entries
+                cols[lo * k + c:hi * k + c:k, h - l] = entries
+    return rows, np.conjugate(cols, out=cols)
+
+
 def _diagonal_gram(band, h):
     """v -> A^H (A v) for the matrix A of a band table of flat half-width h
-    (``_flat_width``), from its stacked flat diagonals rows[i, h + l] =
-    A[i, i + l] and cols[j, h + l] = conj(A[j + l, j]), zero where the index
-    leaves the matrix.
+    (``_flat_width``), from its stacked flat diagonals (``_flat_diagonals``).
 
     Each product is a sum over a sliding window of one zero-padded work
     vector, 2 dim (2h + 1) multiply-adds in all and no BLAS call."""
-    w, n, k = band.shape[:3]
-    b, dim, width = w // 2, n * k, 2 * h + 1
-    i = np.arange(dim)[:, None]
-    j = i + np.arange(-h, h + 1)
-
-    def gather(row, col):
-        # the entries A[row, col], zero off the matrix and off the band
-        offset = row // k - col // k
-        inside = (col >= 0) & (col < dim) & (row >= 0) & (row < dim) & (abs(offset) <= b)
-        entries = band[np.where(inside, offset + b, 0), np.where(inside, col // k, 0),
-                       np.where(inside, row % k, 0), np.where(inside, col % k, 0)]
-        entries[~inside] = 0.0
-        return entries
-
-    rows, cols = gather(i, j), gather(j, i).conj()
+    rows, cols = _flat_diagonals(band, h)
+    dim, width = rows.shape
     pad = np.zeros(dim + width - 1, dtype=complex)
     windows = sliding_window_view(pad, width)
 

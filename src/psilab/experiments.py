@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bands import _band_adjoint, _band_diff, _band_product, _crop, _dense
+from .bands import _band_adjoint, _band_diff, _band_product, _crop, _subtract_dense
 from .connes_higson import ch_apply, ch_extended_apply, default_unit, tail_deformed_unit
 from .homotopy import (endpoint_defect, equ1_defect, equ2_defect,
                        theta_discrepancy_norm)
 from .index_theory import index_report
 from .numerics import operator_norm
 from .partition import build_partition
-from .quantize import (Atlas, CHART_PAD, _width, chart_pieces, multiplication_operator,
+from .quantize import (Atlas, _width, chart_pieces, chart_work, multiplication_operator,
                        op_quantize, padded_grid, t_quantize, t_quantize_charts)
 from .symbols import CutFunction, Symbol, SymbolClass, smash
 from . import presets
@@ -109,17 +109,15 @@ def adjoint_defects(a, ts, grid):
 
 def chart_defects(a, ts, atlas, grid):
     """|| chart-assembled quantization - global quantization || at each t of
-    ``ts``, both dense."""
+    ``ts``: the chart sum is dense, and the band table of the global one is
+    subtracted from it on its diagonals."""
     pieces = chart_pieces(a, atlas, grid)
-    big = padded_grid(grid, CHART_PAD)
-    work = (np.empty((big.dim, big.dim), dtype=complex),
-            np.empty((big.dim, grid.dim), dtype=complex))
+    work = chart_work(grid)
     out = np.empty((grid.dim, grid.dim), dtype=complex)
     values = []
     for t in ts:
         t_quantize_charts(a, t, atlas, grid, pieces, out, work)
-        out -= _dense(t_quantize(a, t, grid), work[1])
-        values.append(operator_norm(out))
+        values.append(operator_norm(_subtract_dense(out, t_quantize(a, t, grid))))
     return values
 
 

@@ -24,7 +24,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .bands import _adjoint, _band_apply, _band_ldl, _dense, _gram_band, _ldl_solve
 from .numerics import fourier_coefficients, hashed_normals
-from .quantize import op_quantize, op_terms, padded_grid
+from .quantize import _band_assemble, op_quantize, op_terms, padded_grid
 from .symbols import HomogeneousSymbol, Loop
 
 __all__ = [
@@ -154,15 +154,13 @@ def _fredholm_bands(terms, grid, n, b):
     """
     centre, offset = grid.N, 2 * grid.N
     ls = np.arange(-b, b + 1)
-    cols = np.arange(-n - b, n + b + 1) + centre
-    band, s, d = None, 0.0, 0.0
+    # the columns |m| <= n + b of the band of X, which hold every entry the
+    # two tables read, each that of the dense assembly bit for bit
+    band = _band_assemble(grid, terms, b)[:, centre - n - b:centre + n + b + 1]
+    s, d = 0.0, 0.0
     for coeffs, weights in terms:
-        kept = coeffs[offset - b:offset + b + 1]
-        # summed in the order of the dense assembly, which keeps its bits
-        part = kept[:, None] * weights[cols][None, :, None, None]
-        band = part if band is None else band + part
         top = np.max(np.abs(weights))
-        s += top * np.sum(np.abs(kept))
+        s += top * np.sum(np.abs(coeffs[offset - b:offset + b + 1]))
         dropped = np.concatenate([coeffs[:offset - b], coeffs[offset + b + 1:]])
         d += top * np.sum(np.linalg.norm(dropped, axis=(1, 2)))
     i = np.arange(2 * n + 1)

@@ -22,7 +22,8 @@ so chart-local quantization on the mode lattice coincides with windowed
 global assembly.  The windows have no declared degree, so their operators
 are dense (``_assemble``); products are formed on an enlarged mode range and
 only their corner on the target range is kept, which keeps corner entries
-free of truncation artifacts.
+free of truncation artifacts.  The windowed quantization is built a block
+of kept rows at a time on its live columns only (``corner_product``).
 
 Every rule is linear in the Fourier coefficient tables of its loops, which
 do not depend on t.  Each loop keeps its own (``Loop.table``), so a sweep
@@ -43,6 +44,7 @@ from .symbols import HomogeneousSymbol, Loop, Symbol
 __all__ = [
     "Atlas",
     "chart_pieces",
+    "chart_work",
     "t_quantize",
     "t_quantize_charts",
     "op_quantize",
@@ -56,6 +58,8 @@ __all__ = [
 
 #: most mode rows per block of the scratch through which later terms are added
 _BLOCK_ROWS = 32
+#: most kept mode rows of the left factor that ``corner_product`` builds at once
+_PRODUCT_ROWS = 128
 
 
 def _check_block(block_shape, k):
@@ -177,23 +181,25 @@ def _live_modes(weights):
     return range(live[0], live[-1] + 1) if live.size else range(0)
 
 
-def corner_product(left, cols, right, grid, out=None, add=False):
-    """The product left R restricted to ``grid``, summed over the column
-    modes ``cols`` (a range of mode indices, ``_live_modes``) outside which
-    ``left`` is zero; written into the leading entries of ``out`` (see
-    ``_assemble``), or added to ``out`` with ``add``.
+def corner_product(left, cols, right, big, grid, out=None, add=False):
+    """The product L R of two operators on ``big``'s modes restricted to
+    ``grid``, summed over the column modes ``cols`` of L (a range of mode
+    indices, ``_live_modes``) outside which L is zero; written into the
+    leading entries of ``out`` (see ``_assemble``), or added to ``out``
+    with ``add``.
 
-    ``left`` is a square dense operator on a mode range around ``grid``'s,
-    and ``right(rows)`` returns the rows of R for a slice ``rows`` of its
-    mode indices on the columns of ``grid``'s range, as a (len(rows) k, dim)
-    array.  Only the kept corner is computed, and only the rows of R that
-    meet ``cols`` are built: a symbol with compact frequency support leaves
-    the columns |m| >= t * hi of T_t(a) zero.  Entries are finite, so the
-    dropped terms are exact zeros and the result differs from the full
-    product by summation order only.  An added product is formed a few rows
-    at a time in a small scratch.
+    ``left(rows)`` returns the rows of L for a slice ``rows`` of ``big``'s
+    mode indices on the columns ``cols``, as a (len(rows) k, len(cols) k)
+    array, and ``right(rows)`` the rows of R on the columns of ``grid``'s
+    range, as a (len(rows) k, dim) array.  Only the rows of R that meet
+    ``cols`` are built, once, and L is built only on the kept rows, at most
+    _PRODUCT_ROWS modes at a time, each block multiplied into its rows of
+    the result: a symbol with compact frequency support leaves the columns
+    |m| >= t * hi of T_t(a) zero.  Entries are finite, so the dropped terms
+    are exact zeros and the result differs from the full product by
+    summation order only.  An added block is formed in a small scratch.
     """
-    keep, k = _corner(left.shape[0], grid), grid.k
+    keep, k = _corner(big.dim, grid), grid.k
     out = _leading(out, (grid.dim, grid.dim))
     if not len(cols):
         if not add:
@@ -202,13 +208,16 @@ def corner_product(left, cols, right, grid, out=None, add=False):
     block = right(slice(cols.start, cols.stop))
     if block.shape != (len(cols) * k, grid.dim):
         raise ValueError("operators live on different grids")
-    kept = left[keep, cols.start * k:cols.stop * k]
-    if not add:
-        return np.matmul(kept, block, out=out)
-    blocks = row_blocks(grid.dim, _BLOCK_ROWS)
-    scratch = np.empty((max(b - a for a, b in blocks), grid.dim), dtype=complex)
-    for a, b in blocks:
-        out[a:b] += np.matmul(kept[a:b], block, out=scratch[:b - a])
+    start = keep.start // k
+    blocks = row_blocks(grid.n_modes, _PRODUCT_ROWS)
+    scratch = (np.empty((max(hi - lo for lo, hi in blocks) * k, grid.dim), dtype=complex)
+               if add else None)
+    for lo, hi in blocks:
+        rows = left(slice(start + lo, start + hi))
+        if add:
+            out[lo * k:hi * k] += np.matmul(rows, block, out=scratch[:(hi - lo) * k])
+        else:
+            np.matmul(rows, block, out=out[lo * k:hi * k])
     return out
 
 
@@ -377,36 +386,49 @@ def chart_pieces(a, atlas, grid):
             for phi, psi in zip(atlas.phis, atlas.psis)]
 
 
+def chart_work(grid):
+    """The work arrays of ``t_quantize_charts`` on ``grid``, which a sweep
+    allocates once and passes at every t: a row block of the windowed
+    quantization and the rows of the multiplier, both on the range enlarged
+    by CHART_PAD."""
+    big = padded_grid(grid, CHART_PAD)
+    return (np.empty((min(_PRODUCT_ROWS, grid.n_modes) * grid.k, big.dim), dtype=complex),
+            np.empty((big.dim, grid.dim), dtype=complex))
+
+
 def t_quantize_charts(a, t, atlas, grid, pieces=None, out=None, work=None):
     """Chart-by-chart quantization f -> sum_k T_t(psi_k a)(phi_k f), dense.
 
     Each chart term is the windowed quantization composed with
     multiplication by phi_k, both dense (``_assemble``) on a mode range
     enlarged by CHART_PAD.  ``corner_product`` forms only the corner on
-    ``grid``, summed over the columns where a profile weight of the windowed
-    symbol is nonzero (``_live_modes``), and builds only the rows of the
-    multiplier that meet them, so the returned operator agrees with the
-    untruncated product up to window-coefficient decay.
+    ``grid``: it builds the windowed quantization a block of kept rows at a
+    time on the columns where a profile weight of the windowed symbol is
+    nonzero (``_live_modes``), and the multiplier only on the rows that meet
+    them, so the returned operator agrees with the untruncated product up to
+    window-coefficient decay.  The first chart writes the result and later
+    ones add to it.
 
     ``pieces`` (``chart_pieces``) are taken here when not given.  ``work``
-    is a pair of C-contiguous complex arrays of at least D^2 and D dim
-    entries, D the enlarged dimension, for the windowed quantization and the
-    rows of the multiplier; the result goes to the leading entries of
-    ``out``.  Both are allocated here when not given.
+    is a pair of C-contiguous complex arrays (``chart_work``) for a row
+    block of the windowed quantization and the rows of the multiplier; the
+    result goes to the leading entries of ``out``.  Without them each block
+    is allocated as it is built.
     """
     if t <= 0:
         raise ValueError("need t > 0")
     if pieces is None:
         pieces = chart_pieces(a, atlas, grid)
     big = padded_grid(grid, CHART_PAD)
-    left, right = (None, None) if work is None else work
+    rows_work, right_work = (None, None) if work is None else work
     unit = np.ones(big.n_modes, dtype=complex)
     inner = slice(CHART_PAD, CHART_PAD + grid.n_modes)
     for i, (sym, phi) in enumerate(pieces):
         terms = _t_terms(sym, t, big)
-        windowed = _assemble(big, terms, left)
-        out = corner_product(windowed, _live_modes([w for _, w in terms]),
-                             lambda rows: _assemble(big, [(phi.table(big), unit)], right,
+        cols = _live_modes([w for _, w in terms])
+        live = slice(cols.start, cols.stop)
+        out = corner_product(lambda rows: _assemble(big, terms, rows_work, rows, live), cols,
+                             lambda rows: _assemble(big, [(phi.table(big), unit)], right_work,
                                                     rows, inner),
-                             grid, out, add=i > 0)
+                             big, grid, out, add=i > 0)
     return out

@@ -383,7 +383,7 @@ class CutFunction:
 # -- symbols ----------------------------------------------------------------
 
 #: size cap of one block of stacked samples in Symbol.sup_norm
-SUP_NORM_BLOCK_BYTES = 2 ** 22
+SUP_NORM_BLOCK_BYTES = 2 ** 20
 #: sample grid of Symbol.sup_norm: x points on the circle, xi points on
 #: [-SUP_NORM_XI_MAX, SUP_NORM_XI_MAX]
 SUP_NORM_X_SAMPLES = 256

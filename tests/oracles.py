@@ -18,9 +18,11 @@ from psilab.index_theory import (_BAND_CAP, _LDL_ALLOWANCE, PAIRING_GAP, _band_c
                                  _band_ldl, _band_tables, _clutching_factors,
                                  _clutching_samples, _count_above_half, _pairing_tables)
 from psilab import numerics
-from psilab.numerics import CircleGrid, check_finite, hashed_normals, operator_norm
+from psilab.numerics import (CircleGrid, check_finite, hashed_normals, operator_norm,
+                             row_blocks)
 from psilab.partition import build_partition
-from psilab.quantize import (CHART_PAD, Atlas, _corner, _scalar_window, _width, _windowed,
+from psilab.quantize import (CHART_PAD, Atlas, _assemble, _corner, _live_modes,
+                             _scalar_window, _t_terms, _width, _windowed, chart_pieces,
                              op_quantize, op_terms, padded_grid, t_quantize)
 from psilab.presets import band_vector, loop_c1, loop_c2
 from psilab.symbols import (HomogeneousSymbol, Loop, RadialProfile, Symbol,
@@ -199,6 +201,27 @@ def block_band_matrix(n, k, b, seed):
     return mat
 
 
+def gathered_diagonals(band, h):
+    """The stacked flat diagonals of ``bands._flat_diagonals`` gathered by
+    one fancy index over the dim x (2h + 1) grid of (row, column) pairs,
+    each entry read from the band table or zeroed off the matrix and off
+    the band, the columns' diagonals conjugated after the gather."""
+    w, n, k = band.shape[:3]
+    b, dim = w // 2, n * k
+    i = np.arange(dim)[:, None]
+    j = i + np.arange(-h, h + 1)
+
+    def gather(row, col):
+        offset = row // k - col // k
+        inside = (col >= 0) & (col < dim) & (row >= 0) & (row < dim) & (abs(offset) <= b)
+        entries = band[np.where(inside, offset + b, 0), np.where(inside, col // k, 0),
+                       np.where(inside, row % k, 0), np.where(inside, col % k, 0)]
+        entries[~inside] = 0.0
+        return entries
+
+    return gather(i, j), gather(j, i).conj()
+
+
 # -- dyadic partitions --------------------------------------------------------
 
 
@@ -261,6 +284,34 @@ def chart_quantization(a, t, atlas, grid):
     for product in products:
         total += product
     return total
+
+
+def full_assembly_chart_defect(a, t, atlas, grid):
+    """The chart column's matrix at t, chart sum minus global quantization,
+    formed through the full padded assembly: each chart's windowed
+    quantization written on the whole padded grid (``quantize._assemble``),
+    its kept rows times its live columns multiplied by the multiplier's live
+    rows, the first chart's product written and each later one added 32
+    rows at a time, and the dense global quantization subtracted."""
+    big = padded_grid(grid, CHART_PAD)
+    keep, k = _corner(big.dim, grid), grid.k
+    unit = np.ones(big.n_modes, dtype=complex)
+    inner = slice(CHART_PAD, CHART_PAD + grid.n_modes)
+    out = np.zeros((grid.dim, grid.dim), dtype=complex)
+    for i, (sym, phi) in enumerate(chart_pieces(a, atlas, grid)):
+        terms = _t_terms(sym, t, big)
+        cols = _live_modes([w for _, w in terms])
+        if not len(cols):
+            continue
+        left = _assemble(big, terms)[keep, cols.start * k:cols.stop * k]
+        right = _assemble(big, [(phi.table(big), unit)], rows=slice(cols.start, cols.stop),
+                          cols=inner)
+        if i == 0:
+            np.matmul(left, right, out=out)
+            continue
+        for lo, hi in row_blocks(grid.dim, 32):
+            out[lo:hi] += left[lo:hi] @ right
+    return out - _dense(t_quantize(a, t, grid))
 
 
 def band_norm(mat, k):

@@ -1,19 +1,22 @@
 import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from oracles import (ch_compare_rows, defect_sweep_rows, dense_t_quantize, homotopy_rows,
-                     matrix_loop, restrict_to)
+from oracles import (ch_compare_rows, defect_sweep_rows, dense_t_quantize,
+                     full_assembly_chart_defect, homotopy_rows, matrix_loop, restrict_to)
 from psilab import connes_higson, experiments, presets, quantize
 from psilab.config import (ConfigError, build_grid, defect_sweep_cfg, load_config,
                            parse_homogeneous, parse_loop, parse_profile, parse_symbol)
 from psilab.experiments import (decreasing_to_zero, loglog_slope, run_ch_compare,
                                 run_defect_sweep, run_homotopy_verify, strictly_decreasing)
 from psilab.numerics import CircleGrid, operator_norm
+from psilab.quantize import Atlas
 from psilab.symbols import (HomogeneousSymbol, Loop, Symbol, SymbolClass, bump_profile,
-                            cap_profile, rational_decay_profile, rational_vanishing_profile)
+                            cap_profile, constant_profile, rational_decay_profile,
+                            rational_vanishing_profile)
 
 
 class TestPredicates:
@@ -188,6 +191,55 @@ def test_mult_defect_sums_every_intermediate_mode(tmp_path):
     expect = operator_norm(product - dense_t_quantize(a * b, 32.0, grid))
     assert expect > 0.06
     assert abs(rows[32.0] - expect) <= 1e-12
+
+
+class TestChartDefects:
+    """The chart column built a row block at a time on its live columns,
+    against the full padded assembly it replaces."""
+
+    PROFILES = {"compact": cap_profile(3.0), "annular": bump_profile(0.5, 2.0),
+                "full": rational_decay_profile(2.0), "zero": constant_profile(0.0)}
+
+    @pytest.mark.parametrize("N", [32, 64])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("kind", sorted(PROFILES))
+    def test_matrices_equal_the_full_assembly(self, monkeypatch, N, k, kind):
+        # the matrices whose norms the column takes, bit for bit; with blocks
+        # of 16 mode rows the kept rows split into 5 and 9 blocks
+        grid = CircleGrid(J=4 * N + 4, N=N, k=k)
+        atlas = Atlas.default_two_charts()
+        a = Symbol.separable(matrix_loop(k=k, seed=17), self.PROFILES[kind],
+                             SymbolClass.FULL_C0)
+        ts = [2.0 ** e for e in range(-6, 9)]
+        for rows in (16, quantize._PRODUCT_ROWS):
+            seen = []
+            monkeypatch.setattr(quantize, "_PRODUCT_ROWS", rows)
+            monkeypatch.setattr(experiments, "operator_norm",
+                                lambda mat: seen.append(mat.copy()) or 0.0)
+            experiments.chart_defects(a, ts, atlas, grid)
+            assert len(seen) == len(ts)
+            for t, got in zip(ts, seen):
+                expect = full_assembly_chart_defect(a, t, atlas, grid)
+                assert np.array_equal(got.view(np.uint64), expect.view(np.uint64)), (rows, t)
+                assert kind != "zero" or not got.any()
+
+    def test_memory_holds_no_padded_square(self):
+        # N = 128: the padded grid has D = 385 modes.  The column holds the
+        # result (257^2), the multiplier's rows (385 x 257), a row block
+        # (128 x 385) and an added block (128 x 257), 3.9 MB in all, and
+        # peaks at 4.4 MB; the full 385^2 windowed quantization in place of
+        # the row block takes the peak to 5.9 MB
+        grid = CircleGrid(J=516, N=128)
+        ts = [2.0 ** e for e in range(-6, 9)]
+        atlas = Atlas.default_two_charts()
+        experiments.chart_defects(presets.chart_symbol(), ts[:1], atlas, grid)
+        tracemalloc.start()
+        try:
+            experiments.chart_defects(presets.chart_symbol(), ts, atlas, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2 ** 20
 
 
 def test_defect_sweep_zero_initial_value_fails_its_ratio(monkeypatch):

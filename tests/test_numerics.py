@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (block_band_matrix, dense_gram_norm, full_band, inverse_fourier,
-                     matrix_band, restrict_to, tail_norm)
+from oracles import (block_band_matrix, dense_gram_norm, full_band, gathered_diagonals,
+                     inverse_fourier, matrix_band, restrict_to, tail_norm)
 from psilab import numerics
-from psilab.bands import _dense, _diagonal_gram, _flat_width
+from psilab.bands import _dense, _diagonal_gram, _flat_diagonals, _flat_width
 from psilab.numerics import (CircleGrid, fourier_coefficients, hashed_normals, operator_norm,
                              row_blocks)
 from psilab.presets import t0_symbol
@@ -249,6 +249,24 @@ class TestBandGram:
         got = operator_norm(band)
         assert abs(got - dense_gram_norm(mat)) <= 5e-14 * expect
         assert abs(got - expect) <= 5e-14 * expect
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 24), b=st.integers(0, 6), cut=st.integers(0, 20),
+           seed=st.integers(0, 2**32 - 1))
+    def test_sliced_diagonals_equal_the_gather(self, k, n, b, cut, seed):
+        # entries past the flat offset ``cut`` are zeroed, so the flat
+        # half-width h falls below (b + 1) k - 1 and even below b k; the
+        # arrays agree bit for bit, signed zeros included
+        b = min(b, n - 1)
+        mat = block_band_matrix(n, k, b, seed)
+        offset = np.arange(n * k)[None, :] - np.arange(n * k)[:, None]
+        mat[np.abs(offset) > cut] = 0.0
+        band = matrix_band(mat, k, b)
+        h = _flat_width(band)
+        for got, expect in zip(_flat_diagonals(band, h), gathered_diagonals(band, h)):
+            assert got.shape == expect.shape == (n * k, 2 * h + 1)
+            assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
 
     @pytest.mark.parametrize("dim,h,band", [(513, 3, True), (513, 42, True), (513, 43, False),
                                             (65, 4, True), (65, 5, False), (1, 0, False)])

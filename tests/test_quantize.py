@@ -199,16 +199,24 @@ def full_rows(right, grid):
     return lambda rows: right[rows.start * k:rows.stop * k, start:start + grid.dim]
 
 
+def live_rows(left, cols, k):
+    """``corner_product``'s row function of a full left factor: its rows for
+    a mode slice, on the live columns ``cols``."""
+    return lambda rows: left[rows.start * k:rows.stop * k, cols.start * k:cols.stop * k]
+
+
 class TestCornerProduct:
     PAD = 8
 
     @settings(max_examples=60, deadline=None)
     @given(k=st.integers(1, 2), kind=st.sampled_from(("compact", "annular", "full", "zero")),
            seed=st.integers(0, 2**32 - 1), t=st.floats(0.25, 8.0),
-           lo=st.floats(0.1, 2.0), width=st.floats(0.5, 4.0))
-    def test_equals_restricted_full_product(self, k, kind, seed, t, lo, width):
+           lo=st.floats(0.1, 2.0), width=st.floats(0.5, 4.0),
+           block=st.sampled_from((4, 7, quantize._PRODUCT_ROWS)), add=st.booleans())
+    def test_equals_restricted_full_product(self, k, kind, seed, t, lo, width, block, add):
         # loops of degree PAD couple the outermost padded column to the corner,
-        # so every live column, the range ends included, reaches the result
+        # so every live column, the range ends included, reaches the result;
+        # row blocks of 4 and 7 modes split the 33 kept rows unevenly
         grid = CircleGrid(J=68, N=16, k=k)
         big = padded_grid(grid, self.PAD)
         top = big.N / t  # largest rescaled frequency on the padded range
@@ -220,25 +228,32 @@ class TestCornerProduct:
                                                   SymbolClass.FULL_C0), t, big))
         right = _dense(multiplication_operator(wide_loop(k, seed + 1, self.PAD), big))
         cols = _live_modes([np.asarray(profile(big.modes / t))])
-        got = corner_product(left, cols, full_rows(right, grid), grid)
-        expect = restrict_to(left @ right, grid)
+        base = np.random.default_rng(seed).normal(size=(grid.dim, grid.dim)) + 0j
+        out = base.copy()
+        with patch.object(quantize, "_PRODUCT_ROWS", block):
+            got = corner_product(live_rows(left, cols, k), cols, full_rows(right, grid),
+                                 big, grid, out, add=add)
+        expect = restrict_to(left @ right, grid) + (base if add else 0.0)
         assert got.shape == (grid.dim, grid.dim)
+        assert np.shares_memory(got, out)
         bound = 1e-13 * operator_norm(left) * operator_norm(right)
         assert np.max(np.abs(got - expect)) <= bound
         if kind == "zero":
             assert not left.any()
-            assert np.array_equal(got, np.zeros((grid.dim, grid.dim)))
+            assert np.array_equal(got, base if add else np.zeros((grid.dim, grid.dim)))
 
     def test_grids_checked(self, grid32):
         big = padded_grid(grid32, 4)
         eye, cols = np.eye(big.dim, dtype=complex), range(big.n_modes)
+        rows = live_rows(eye, cols, big.k)
         with pytest.raises(ValueError, match="different grids"):
-            corner_product(eye, cols, full_rows(np.eye(grid32.dim, dtype=complex), grid32),
-                           grid32)
+            corner_product(rows, cols, full_rows(np.eye(grid32.dim, dtype=complex), grid32),
+                           big, grid32)
         with pytest.raises(ValueError, match="exceeds"):
-            corner_product(eye, cols, full_rows(eye, grid32), padded_grid(grid32, 5))
+            corner_product(rows, cols, full_rows(eye, grid32), big, padded_grid(grid32, 5))
         with pytest.raises(ValueError, match="block sizes"):
-            corner_product(eye, cols, full_rows(eye, grid32), CircleGrid(J=132, N=32, k=2))
+            corner_product(rows, cols, full_rows(eye, grid32), big,
+                           CircleGrid(J=132, N=32, k=2))
 
 
 class TestCharts:

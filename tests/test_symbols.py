@@ -380,6 +380,17 @@ class TestSupNormPruning:
         sym = sup_norm_cases()[name]
         assert sym.sup_norm() == stacked_svd_sup_norm(sym)
 
+    @pytest.mark.parametrize("name", sorted(sup_norm_cases()))
+    def test_block_size_leaves_the_value(self, name):
+        # every block keeps its own largest sample, so 4 MB blocks (512 xi
+        # samples at k = 1) and 1 MB blocks give the same maximum
+        sym = sup_norm_cases()[name]
+        values = []
+        for size in (2 ** 22, 2 ** 20):
+            with patch.object(symbols, "SUP_NORM_BLOCK_BYTES", size):
+                values.append(sym.sup_norm())
+        assert values[0] == values[1]
+
     @pytest.mark.parametrize("scale", [1e-160, 1e-300, 1e160])
     def test_extreme_scales_match(self, scale):
         # squared norms that underflow or overflow send the block to the SVD whole
