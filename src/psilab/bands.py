@@ -61,18 +61,11 @@ def _band_apply(band, v):
     return out
 
 
-def _dense(band, out=None):
-    """The dense (n k, n k) matrix of a band table, written into the leading
-    entries of ``out`` when given (any C-contiguous complex array at least
-    that large)."""
+def _dense(band):
+    """The dense (n k, n k) matrix of a band table."""
     w, n, k = band.shape[:3]
-    b, size = w // 2, (n * k) ** 2
-    if out is None:
-        out = np.zeros(size, dtype=complex)
-    elif not out.flags.c_contiguous or out.size < size or out.dtype != complex:
-        raise ValueError(f"output buffer cannot hold {n * k} x {n * k} complex entries")
-    mat = out.reshape(-1)[:size].reshape(n, k, n, k)
-    mat.fill(0.0)
+    b = w // 2
+    mat = np.zeros((n, k, n, k), dtype=complex)
     for l in range(max(-b, 1 - n), min(b, n - 1) + 1):
         m = np.arange(max(0, -l), min(n, n - l))
         mat[m + l, :, m, :] = band[b + l, m]
